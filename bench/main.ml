@@ -216,8 +216,15 @@ let micro_tests () =
         incr counter;
         ignore (Net.Rss.queue_of_conn rss (!counter land 0x3ff) : int))
   in
-  let tally = Stats.Tally.create () in
-  let tally_bench = one "stats: tally record" (fun () -> Stats.Tally.record tally 12.5) in
+  let tally_bench =
+    (* Bounded like a point's tally: cleared (capacity kept) every 2^16
+       records. Grown for the whole Bechamel run instead, the row timed
+       reservoir growth (~1 µs/op) rather than a record (~4 ns). *)
+    let tally = Stats.Tally.create () in
+    one "stats: tally record" (fun () ->
+        if Stats.Tally.count tally = 1 lsl 16 then Stats.Tally.clear tally;
+        Stats.Tally.record tally 12.5)
+  in
   let histogram = Stats.Histogram.create () in
   let histogram_bench =
     (* Latency samples vary in magnitude, which defeats the branch/operand
@@ -239,6 +246,13 @@ let micro_tests () =
         match S.next_local sched ~core:0 with
         | Some (p, _, _) -> S.complete sched p
         | None -> assert false)
+  in
+  let victim_order_bench =
+    (* The steal-victim order every ZygOS poll draws on the 16-core
+       configuration the figures run: a 15-element shuffle. *)
+    let policy = Core.Steal_policy.create ~rng:(Engine.Rng.create ~seed:3) ~cores:16 ~self:0 in
+    one "core: victim order (16 cores)" (fun () ->
+        ignore (Core.Steal_policy.victim_order policy : int array))
   in
   let btree = Silo.Btree.create () in
   let () =
@@ -292,6 +306,7 @@ let micro_tests () =
     tally_bench;
     histogram_bench;
     sched_bench;
+    victim_order_bench;
     btree_get_bench;
     btree_churn_bench;
     payment_bench;

@@ -82,48 +82,22 @@ let[@zygos.hot] normal (t : t) ~mu ~sigma =
   let z = sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2) in
   mu +. (sigma *. z)
 
-(* Fisher–Yates. The small sizes are unrolled with the [int] draw chain
-   inlined and the bound a compile-time constant: [rem 2] of a
-   non-negative operand becomes a mask instead of a 64-bit divide, and
-   steal-victim shuffles (length cores-1, typically 2-3) run on every
-   scheduler poll. Each unrolled draw computes exactly [int t (i + 1)],
-   so the permutation stream is bit-identical to the generic loop's. *)
-let[@zygos.hot] shuffle_in_place (t : t) a =
-  match Array.length a with
-  | 0 | 1 -> ()
-  | 2 ->
-      let s = Int64.add (Bigarray.Array1.unsafe_get t 0) golden_gamma in
-      Bigarray.Array1.unsafe_set t 0 s;
-      let z = Int64.(mul (logxor s (shift_right_logical s 30)) 0xBF58476D1CE4E5B9L) in
-      let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
-      let z = Int64.(logxor z (shift_right_logical z 31)) in
-      let j = Int64.to_int (Int64.logand (Int64.shift_right_logical z 1) 1L) in
-      let tmp = Array.unsafe_get a 1 in
-      Array.unsafe_set a 1 (Array.unsafe_get a j);
-      Array.unsafe_set a j tmp
-  | 3 ->
-      let s = Int64.add (Bigarray.Array1.unsafe_get t 0) golden_gamma in
-      Bigarray.Array1.unsafe_set t 0 s;
-      let z = Int64.(mul (logxor s (shift_right_logical s 30)) 0xBF58476D1CE4E5B9L) in
-      let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
-      let z = Int64.(logxor z (shift_right_logical z 31)) in
-      let j = Int64.to_int (Int64.rem (Int64.shift_right_logical z 1) 3L) in
-      let tmp = Array.unsafe_get a 2 in
-      Array.unsafe_set a 2 (Array.unsafe_get a j);
-      Array.unsafe_set a j tmp;
-      let s = Int64.add (Bigarray.Array1.unsafe_get t 0) golden_gamma in
-      Bigarray.Array1.unsafe_set t 0 s;
-      let z = Int64.(mul (logxor s (shift_right_logical s 30)) 0xBF58476D1CE4E5B9L) in
-      let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
-      let z = Int64.(logxor z (shift_right_logical z 31)) in
-      let j = Int64.to_int (Int64.logand (Int64.shift_right_logical z 1) 1L) in
-      let tmp = Array.unsafe_get a 1 in
-      Array.unsafe_set a 1 (Array.unsafe_get a j);
-      Array.unsafe_set a j tmp
-  | n ->
-      for i = n - 1 downto 1 do
-        let j = int t (i + 1) in
-        let tmp = Array.unsafe_get a i in
-        Array.unsafe_set a i (Array.unsafe_get a j);
-        Array.unsafe_set a j tmp
-      done
+(* Fisher–Yates over an [int array], with the [int] draw chain inlined:
+   each step computes exactly [int t (i + 1)]. Steal-victim shuffles
+   (length cores - 1, 15 on the 16-core configuration every figure runs)
+   happen on every scheduler poll. Monomorphic on purpose: on an ['a
+   array] every read pays the float-array tag check and every write a
+   [caml_modify] barrier, and a draw through {!int} is a call; here the
+   loop is plain loads, stores and register arithmetic. *)
+let[@zygos.hot] shuffle_in_place (t : t) (a : int array) =
+  for i = Array.length a - 1 downto 1 do
+    let s = Int64.add (Bigarray.Array1.unsafe_get t 0) golden_gamma in
+    Bigarray.Array1.unsafe_set t 0 s;
+    let z = Int64.(mul (logxor s (shift_right_logical s 30)) 0xBF58476D1CE4E5B9L) in
+    let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
+    let z = Int64.(logxor z (shift_right_logical z 31)) in
+    let j = Int64.to_int (Int64.rem (Int64.shift_right_logical z 1) (Int64.of_int (i + 1))) in
+    let tmp = Array.unsafe_get a i in
+    Array.unsafe_set a i (Array.unsafe_get a j);
+    Array.unsafe_set a j tmp
+  done

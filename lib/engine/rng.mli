@@ -50,5 +50,10 @@ val exponential : t -> mean:float -> float
 val normal : t -> mu:float -> sigma:float -> float
 (** Gaussian sample (Box–Muller). *)
 
-val shuffle_in_place : t -> 'a array -> unit
-(** Fisher–Yates shuffle. Used to randomize steal-victim polling order. *)
+val shuffle_in_place : t -> int array -> unit
+(** Fisher–Yates shuffle of an [int array], drawing [int t (i + 1)] for
+    [i] from [length - 1] down to [1]. Used to randomize steal-victim
+    polling order, which every scheduler poll reshuffles (15 entries on
+    16 cores). It is monomorphic because a polymorphic array shuffle
+    pays a float-array tag check on every read and a write barrier on
+    every store; every caller shuffles core or row indices. *)

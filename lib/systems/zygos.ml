@@ -45,7 +45,8 @@ type zcore = {
                               mutable float field of this mixed record would
                               box on every store *)
   mutable ipi_pending : bool;  (* an IPI is in flight / unhandled for this core *)
-  mutable wake_scheduled : bool;
+  mutable wake_sweep : int;  (* id of the pending wake sweep that will step this
+                                core, or -1 if none *)
   mutable ipis_received : int;
   mutable rx_pending : int;  (* batch size of the in-flight rx segment *)
   (* Cursor of the batch walk over the scheduler's claimed scratch; the
@@ -73,6 +74,7 @@ type t = {
   mutable ipis_sent : int;
   mutable remote_batches : int;
   mutable wc_violations : int;
+  mutable sweeps : int;  (* wake-sweep ids handed out so far *)
   (* Long-lived dispatch fns for [Sim.schedule_fn]: bound once in
      [create], so the hot scheduling paths allocate no closures. *)
   (* Segment-completion fns, one per segment kind (iarg = core id): the
@@ -83,7 +85,7 @@ type t = {
   mutable fn_rx_done : int -> unit;  (* deliver the [rx_pending] popped packets *)
   mutable fn_user_done : int -> unit;  (* batch walk: user segment of event [b_idx] ended *)
   mutable fn_tx_done : int -> unit;  (* batch walk: eager tx of event [b_idx] on the wire *)
-  mutable fn_wake : int -> unit;  (* iarg = core id *)
+  mutable fn_wake : int -> unit;  (* iarg = wake-sweep id *)
   mutable fn_ipi : int -> unit;  (* iarg = destination core id *)
   mutable fn_ipi_rx : int -> unit;  (* iarg = (rx_count lsl 16) lor core id *)
   mutable fn_remote_release : int -> unit;  (* iarg = connection id *)
@@ -147,24 +149,40 @@ let[@zygos.hot] emit_trace t ev =
    the untraced steady state allocates nothing. *)
 let[@zygos.hot] tracing t = Option.is_some t.trace
 
-(* ---- idle wakeups ---- *)
+(* ---- idle wakeups ----
+
+   A wake is a sweep: it marks idle cores that have no wake pending with
+   a fresh sweep id and schedules one event, which visits the cores in
+   index order and steps each one that still carries that id, is idle
+   and runs no segment. One event per marked core would be equivalent:
+   scheduled back to back for one time, those events take consecutive
+   sequence numbers and so fire in a row, in index order, with no other
+   event between them. A core carries at most one pending sweep at a
+   time, so a sweep skips cores that a different, still pending sweep
+   marked. *)
 
 let rec wake t c ~delay =
-  (if c.mode = Midle && not c.wake_scheduled then begin
-     c.wake_scheduled <- true;
+  (if c.mode = Midle && c.wake_sweep < 0 then begin
+     let id = t.sweeps in
+     t.sweeps <- id + 1;
+     c.wake_sweep <- id;
      Array.unsafe_set t.kbuf 0 (Array.unsafe_get t.clk 0 +. delay);
-     let _ : Sim.handle = Sim.schedule_fn_keyed t.sim t.fn_wake c.id in
+     let _ : Sim.handle = Sim.schedule_fn_keyed t.sim t.fn_wake id in
      ()
    end)
 [@@zygos.hot]
 
 and wake_idlers t ~delay =
-  (* for-loop, not Array.iter: the iter closure would capture [t]/[delay]
-     and be rebuilt on every call. *)
+  (* The first core to mark opens sweep [id] through [wake], which
+     schedules its event; the rest join it. for-loop, not Array.iter:
+     the iter closure would capture [t]/[delay] and be rebuilt on every
+     call. *)
   (let zs = t.zcores in
+   let id = t.sweeps in
    for i = 0 to Array.length zs - 1 do
      let c = zs.(i) in
-     if c.mode = Midle then wake t c ~delay
+     if c.mode = Midle && c.wake_sweep < 0 then
+       if t.sweeps = id then wake t c ~delay else c.wake_sweep <- id
    done)
 [@@zygos.hot]
 
@@ -449,7 +467,7 @@ let create sim (p : Params.t) ~rng ~pool ~conns ~respond ?trace () =
           cur_fn = fn_none;
           done_buf = Array.make 1 0.;
           ipi_pending = false;
-          wake_scheduled = false;
+          wake_sweep = -1;
           ipis_received = 0;
           rx_pending = 0;
           b_idx = 0;
@@ -475,6 +493,7 @@ let create sim (p : Params.t) ~rng ~pool ~conns ~respond ?trace () =
       ipis_sent = 0;
       remote_batches = 0;
       wc_violations = 0;
+      sweeps = 0;
       fn_step = ignore;
       fn_rx_done = ignore;
       fn_user_done = ignore;
@@ -494,9 +513,14 @@ let create sim (p : Params.t) ~rng ~pool ~conns ~respond ?trace () =
       step t c) [@zygos.hot];
   t.fn_wake <-
     (fun id ->
-      let c = t.zcores.(id) in
-      c.wake_scheduled <- false;
-      if c.mode = Midle && c.cur_handle = Sim.no_handle then step t c) [@zygos.hot];
+      let zs = t.zcores in
+      for i = 0 to Array.length zs - 1 do
+        let c = zs.(i) in
+        if c.wake_sweep = id then begin
+          c.wake_sweep <- -1;
+          if c.mode = Midle && c.cur_handle = Sim.no_handle then step t c
+        end
+      done) [@zygos.hot];
   t.fn_ipi <- (fun id -> deliver_ipi t t.zcores.(id)) [@zygos.hot];
   t.fn_ipi_rx <-
     (fun packed ->

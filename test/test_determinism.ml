@@ -96,6 +96,15 @@ let goldens =
 
 let exact = Alcotest.testable (fun ppf x -> Format.fprintf ppf "%h" x) Float.equal
 
+let check_golden ctx g (p : Run.point) =
+  Alcotest.check exact (ctx "throughput") g.g_throughput p.Run.throughput;
+  Alcotest.check exact (ctx "mean") g.g_mean p.Run.mean;
+  Alcotest.check exact (ctx "p50") g.g_p50 p.Run.p50;
+  Alcotest.check exact (ctx "p99") g.g_p99 p.Run.p99;
+  Alcotest.check exact (ctx "p999") g.g_p999 p.Run.p999;
+  Alcotest.(check int) (ctx "completed") g.g_completed p.Run.completed;
+  Alcotest.(check int) (ctx "order_violations") g.g_order_violations p.Run.order_violations
+
 let test_fixed_seed_sweep () =
   let service = Engine.Dist.exponential 10. in
   List.iter
@@ -106,20 +115,90 @@ let test_fixed_seed_sweep () =
       let expected = List.filter (fun g -> g.g_system = system) goldens in
       let points = Run.sweep cfg ~loads:(List.map (fun g -> g.g_load) expected) in
       List.iter2
-        (fun g (p : Run.point) ->
+        (fun g p ->
           let ctx fmt =
             Printf.sprintf "%s load=%g %s" (Run.system_name system) g.g_load fmt
           in
-          Alcotest.check exact (ctx "throughput") g.g_throughput p.Run.throughput;
-          Alcotest.check exact (ctx "mean") g.g_mean p.Run.mean;
-          Alcotest.check exact (ctx "p50") g.g_p50 p.Run.p50;
-          Alcotest.check exact (ctx "p99") g.g_p99 p.Run.p99;
-          Alcotest.check exact (ctx "p999") g.g_p999 p.Run.p999;
-          Alcotest.(check int) (ctx "completed") g.g_completed p.Run.completed;
-          Alcotest.(check int) (ctx "order_violations") g.g_order_violations
-            p.Run.order_violations)
+          check_golden ctx g p)
         expected points)
     [ Run.Linux_floating; Run.Ix 1; Run.Zygos ]
+
+(* The goldens above run 4 cores, so ZygOS's steal-victim order is a
+   3-element shuffle there; every figure runs 16 cores (a 15-element
+   order, and up to 15 idle cores woken per packet). These pin that
+   configuration: exact percentiles plus the ZygOS counters that the
+   idle-wake and steal paths drive.
+   Captured with: cores=16, conns=256, requests=3000, seed=7,
+   service=exponential(10µs), loads [0.1; 0.8]. *)
+type zygos16_golden = {
+  z_base : golden;
+  z_ipis_sent : int;
+  z_stolen_events : int;
+  z_remote_batches : int;
+  z_wc_violations : int;
+}
+
+let zygos16_goldens =
+  [
+    {
+      z_base =
+        {
+          g_system = Run.Zygos;
+          g_load = 0x1.999999999999ap-4;
+          g_throughput = 0x1.44f3078263ab6p-3;
+          g_mean = 0x1.85052bfc8084p+3;
+          g_p50 = 0x1.1bca12455e8p+3;
+          g_p99 = 0x1.93a350db26ep+5;
+          g_p999 = 0x1.4b3ab245de5p+6;
+          g_completed = 2977;
+          g_order_violations = 0;
+        };
+      z_ipis_sent = 707;
+      z_stolen_events = 364;
+      z_remote_batches = 364;
+      z_wc_violations = 0;
+    };
+    {
+      z_base =
+        {
+          g_system = Run.Zygos;
+          g_load = 0x1.999999999999ap-1;
+          g_throughput = 0x1.405c9fcc71ec6p+0;
+          g_mean = 0x1.bcc072bb9c765p+4;
+          g_p50 = 0x1.6d24597f28d8p+4;
+          g_p99 = 0x1.6ba87b6d70dcp+6;
+          g_p999 = 0x1.ff535ba96b8ep+6;
+          g_completed = 2977;
+          g_order_violations = 0;
+        };
+      z_ipis_sent = 4641;
+      z_stolen_events = 2598;
+      z_remote_batches = 2496;
+      z_wc_violations = 0;
+    };
+  ]
+
+let test_sixteen_core_zygos () =
+  let service = Engine.Dist.exponential 10. in
+  let cfg =
+    Run.config ~cores:16 ~conns:256 ~requests:3_000 ~seed:7 ~system:Run.Zygos ~service ()
+  in
+  List.iter
+    (fun z ->
+      let g = z.z_base in
+      let p = Run.run_point cfg ~load:g.g_load in
+      let ctx what = Printf.sprintf "zygos 16 cores load=%g %s" g.g_load what in
+      let counter key =
+        match Run.info_value p key with
+        | Some v -> int_of_float v
+        | None -> Alcotest.failf "missing info key %s" key
+      in
+      check_golden ctx g p;
+      Alcotest.(check int) (ctx "ipis_sent") z.z_ipis_sent (counter "ipis_sent");
+      Alcotest.(check int) (ctx "stolen_events") z.z_stolen_events (counter "stolen_events");
+      Alcotest.(check int) (ctx "remote_batches") z.z_remote_batches (counter "remote_batches");
+      Alcotest.(check int) (ctx "wc_violations") z.z_wc_violations (counter "wc_violations"))
+    zygos16_goldens
 
 let test_sweep_is_repeatable () =
   (* Two runs of the same config in one process must agree exactly (no
@@ -139,6 +218,7 @@ let () =
         [
           Alcotest.test_case "golden points across engine rewrite" `Quick
             test_fixed_seed_sweep;
+          Alcotest.test_case "16-core zygos golden points" `Quick test_sixteen_core_zygos;
           Alcotest.test_case "same-process repeatability" `Quick test_sweep_is_repeatable;
         ] );
     ]

@@ -83,6 +83,37 @@ let prop_shuffle_is_permutation =
       Rng.shuffle_in_place rng a;
       List.sort compare (Array.to_list a) = List.sort compare xs)
 
+(* Pins the exact permutation stream of [shuffle_in_place] at the
+   lengths the simulator uses: 2 and 3 (the 3- and 4-core goldens) and 15
+   (every 16-core figure's steal-victim order). Each case shuffles one
+   array 1000 times from a fixed seed and checks the final array, a
+   rolling hash of every intermediate permutation, and the generator's
+   next draw, so a rewrite of the shuffle must consume the same draws
+   and swap the same slots. Values captured from the length-unrolled
+   polymorphic implementation. *)
+let test_shuffle_stream_pinned () =
+  List.iter
+    (fun (n, final, hash, next) ->
+      let rng = Rng.create ~seed:2017 in
+      let a = Array.init n Fun.id in
+      let h = ref 0 in
+      for _ = 1 to 1000 do
+        Rng.shuffle_in_place rng a;
+        Array.iter (fun x -> h := ((!h * 31) + x) land 0x3FFFFFFF) a
+      done;
+      let ctx what = Printf.sprintf "length %d: %s" n what in
+      Alcotest.(check (array int)) (ctx "final array") final a;
+      Alcotest.(check int) (ctx "permutation hash") hash !h;
+      Alcotest.(check int64) (ctx "next draw") next (Rng.next_int64 rng))
+    [
+      (2, [| 1; 0 |], 0x349b6928, 0x5F163A0CEB1E4181L);
+      (3, [| 2; 1; 0 |], 0x159470a, 0xD75B95FEC2B0E7B4L);
+      ( 15,
+        [| 5; 7; 6; 3; 0; 2; 11; 14; 13; 10; 8; 12; 9; 1; 4 |],
+        0x271c700,
+        0xF3072491E6EEC606L );
+    ]
+
 (* ---- Dist ---- *)
 
 let test_dist_means () =
@@ -378,6 +409,7 @@ let () =
           Alcotest.test_case "exponential mean" `Slow test_rng_exponential_mean;
           Alcotest.test_case "bernoulli" `Quick test_rng_bernoulli;
           QCheck_alcotest.to_alcotest prop_shuffle_is_permutation;
+          Alcotest.test_case "shuffle stream pinned" `Quick test_shuffle_stream_pinned;
         ] );
       ( "dist",
         [

@@ -159,6 +159,43 @@ let test_request_path_minor_words () =
     Alcotest.failf "request path allocates %.1f minor words/request (want <= %g)" per_req
       request_path_words_bound
 
+(* Deterministic event budget for ZygOS's idle path. At load 0.1 on 16
+   cores nearly every packet finds the other 15 cores idle, so how idle
+   cores are woken decides the event count. One event per idle core per
+   rx or release cost 20.8 events per generated request on this config
+   (20.7 at the benchmark's 30k-request point); one wake-sweep event per
+   rx or release costs 6.44. The count is exact for a fixed seed, so the
+   bound needs no room for noise: 7.0 leaves ~9% for model changes that
+   move the RNG stream, while a single extra event per request (7.4) or
+   a return to per-core wake events trips it. The point is wired by hand
+   like [Run.run_real_point] because the guard divides by
+   [Loadgen.generated], which a point does not report. *)
+let zygos_low_load_events_bound = 7.0
+
+let test_zygos_low_load_events_per_request () =
+  let cores = 16 and conns = 2752 and load = 0.1 and requests = 6_000 in
+  let service = Engine.Dist.exponential 10. in
+  let sim = Sim.create () in
+  let rng = Engine.Rng.create ~seed:1 in
+  let loadgen_rng = Engine.Rng.split rng in
+  let system_rng = Engine.Rng.split rng in
+  let rate = load *. float_of_int cores /. Engine.Dist.mean service in
+  let pool = Net.Request.create_pool ~recycle:true () in
+  let gen = Net.Loadgen.create sim ~rng:loadgen_rng ~pool ~conns ~rate ~service () in
+  let system =
+    Systems.Zygos.create sim (Systems.Params.default ~cores ()) ~rng:system_rng ~pool ~conns
+      ~respond:(Net.Loadgen.complete gen) ()
+  in
+  Net.Loadgen.set_target gen system.Systems.Iface.submit;
+  let measure = float_of_int requests /. rate in
+  Net.Loadgen.start gen ~warmup:(0.2 *. measure) ~measure;
+  Sim.run sim;
+  let fired = (Sim.stats sim).Sim.fired and generated = Net.Loadgen.generated gen in
+  let per_req = float_of_int fired /. float_of_int generated in
+  if per_req > zygos_low_load_events_bound then
+    Alcotest.failf "zygos at load 0.1 fires %.2f events/request (%d / %d), want <= %g" per_req
+      fired generated zygos_low_load_events_bound
+
 let test_end_to_end_reuse_ratio () =
   (* The same invariant through the full stack: a ZygOS point's event
      pool must serve almost every schedule from the free list. *)
@@ -193,5 +230,7 @@ let () =
             test_end_to_end_reuse_ratio;
           Alcotest.test_case "request path minor words/request bounded" `Quick
             test_request_path_minor_words;
+          Alcotest.test_case "zygos low-load events/request bounded" `Quick
+            test_zygos_low_load_events_per_request;
         ] );
     ]
