@@ -85,7 +85,8 @@ let[@zygos.hot] normal (t : t) ~mu ~sigma =
 (* Fisher–Yates over an [int array], with the [int] draw chain inlined:
    each step computes exactly [int t (i + 1)]. Steal-victim shuffles
    (length cores - 1, 15 on the 16-core configuration every figure runs)
-   happen on every scheduler poll. Monomorphic on purpose: on an ['a
+   are drawn whenever an idle core's steal attempt or IPI scan needs a
+   victim order. Monomorphic on purpose: on an ['a
    array] every read pays the float-array tag check and every write a
    [caml_modify] barrier, and a draw through {!int} is a call; here the
    loop is plain loads, stores and register arithmetic. *)

@@ -53,7 +53,10 @@ val normal : t -> mu:float -> sigma:float -> float
 val shuffle_in_place : t -> int array -> unit
 (** Fisher–Yates shuffle of an [int array], drawing [int t (i + 1)] for
     [i] from [length - 1] down to [1]. Used to randomize steal-victim
-    polling order, which every scheduler poll reshuffles (15 entries on
-    16 cores). It is monomorphic because a polymorphic array shuffle
-    pays a float-array tag check on every read and a write barrier on
-    every store; every caller shuffles core or row indices. *)
+    polling order (15 entries on 16 cores), drawn whenever an idle
+    core's steal attempt or IPI scan needs one. The result is uniform
+    whatever the array's prior arrangement, so skipping a draw that
+    nothing reads changes no decision's distribution. It is monomorphic
+    because a polymorphic array shuffle pays a float-array tag check on
+    every read and a write barrier on every store; every caller shuffles
+    core or row indices. *)

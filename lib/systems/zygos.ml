@@ -72,6 +72,7 @@ type t = {
   respond : Request.t -> unit;
   trace : (float -> trace_event -> unit) option;
   mutable ipis_sent : int;
+  mutable victim_orders : int;  (* randomized victim orders drawn *)
   mutable remote_batches : int;
   mutable wc_violations : int;
   mutable sweeps : int;  (* wake-sweep ids handed out so far *)
@@ -159,7 +160,13 @@ let[@zygos.hot] tracing t = Option.is_some t.trace
    sequence numbers and so fire in a row, in index order, with no other
    event between them. A core carries at most one pending sweep at a
    time, so a sweep skips cores that a different, still pending sweep
-   marked. *)
+   marked.
+
+   Every marked core still polls in the model, but the sweep does not
+   step a core whose poll would find nothing: its own ring and remote
+   queue are empty, no shuffle queue holds work and no core needs an
+   IPI. Such a step changes no state and draws nothing, so skipping it
+   is exact. *)
 
 let rec wake t c ~delay =
   (if c.mode = Midle && c.wake_sweep < 0 then begin
@@ -318,8 +325,17 @@ and try_drain_remote t c =
       true
 [@@zygos.hot]
 
+(* Victim orders are drawn only where they decide something: a steal
+   attempt with work queued elsewhere, or an IPI scan that will send.
+   Each draw is a Fisher-Yates pass with fresh draws from the core's own
+   stream, uniform whatever the previous arrangement, so skipping the
+   draws whose order nothing reads leaves every decision's distribution
+   as it was. *)
 and victim_order t c =
-  (if t.p.zy_poll_random then Core.Steal_policy.victim_order c.policy
+  (if t.p.zy_poll_random then begin
+     t.victim_orders <- t.victim_orders + 1;
+     Core.Steal_policy.victim_order c.policy
+   end
    else Core.Steal_policy.round_robin_order c.policy)
 [@@zygos.hot]
 
@@ -327,8 +343,12 @@ and try_dispatch t c =
   (* Own shuffle queue first, then steal in randomized victim order. The
      claimed batch stays in the scheduler's per-core scratch — processed
      in place as one array walk, no per-event list. *)
-  (let order = victim_order t c in
-   if not (Sched.poll t.sched ~core:c.id ~steal_order:order) then false
+  (if
+     not
+       (Sched.poll_local t.sched ~core:c.id
+       || Sched.has_ready t.sched
+          && Sched.poll t.sched ~core:c.id ~steal_order:(victim_order t c))
+   then false
    else begin
      let stolen = Sched.batch_stolen_from t.sched ~core:c.id in
      (if tracing t then begin
@@ -420,24 +440,36 @@ and go_idle t c =
    if t.p.zy_interrupts then scan_and_ipi t c)
 [@@zygos.hot]
 
+(* Whether an IPI to [v] would have an effect: [v] runs application
+   code with no IPI pending, and either holds packets its empty shuffle
+   queue cannot expose to thieves or has remote batched syscalls queued.
+   Sending to one core never changes this for another. *)
+and needs_ipi t v =
+  (v.mode = Muser && (not v.ipi_pending)
+   && ((not (Net.Ring.is_empty v.hw)) && Sched.queue_length t.sched ~core:v.id = 0
+      || not (RQ.is_empty v.remote)))
+[@@zygos.hot]
+
 (* Idle-loop steps (c)/(d) of §5: look at other cores' pending packet
    queues; when a busy-at-user core has packets but an empty shuffle
-   queue, interrupt it so it replenishes the shuffle queue for stealing. *)
+   queue, interrupt it so it replenishes the shuffle queue for stealing.
+   The order is drawn only when some core needs an IPI: it decides
+   nothing else. *)
 and scan_and_ipi t c =
   (* for-loop over the victim order, not Array.iter: the iter closure
      would capture [t]/[c] and be rebuilt per idle transition. *)
-  (let order = victim_order t c in
-   for k = 0 to Array.length order - 1 do
-     let vid = order.(k) in
-     let v = t.zcores.(vid) in
-     if v.mode = Muser then begin
-       let packets_blocked =
-         (not (Net.Ring.is_empty v.hw)) && Sched.queue_length t.sched ~core:vid = 0
-       in
-       let syscalls_blocked = not (RQ.is_empty v.remote) in
-       if packets_blocked || syscalls_blocked then send_ipi t ~src:c.id v
-     end
-   done)
+  (let zs = t.zcores in
+   let i = ref 0 in
+   while !i < Array.length zs && not (needs_ipi t (Array.unsafe_get zs !i)) do
+     incr i
+   done;
+   if !i < Array.length zs then begin
+     let order = victim_order t c in
+     for k = 0 to Array.length order - 1 do
+       let v = zs.(order.(k)) in
+       if needs_ipi t v then send_ipi t ~src:c.id v
+     done
+   end)
 [@@zygos.hot]
 
 (* Deliver the first [n] requests of a core's rx scratch to the
@@ -491,6 +523,7 @@ let create sim (p : Params.t) ~rng ~pool ~conns ~respond ?trace () =
       respond;
       trace;
       ipis_sent = 0;
+      victim_orders = 0;
       remote_batches = 0;
       wc_violations = 0;
       sweeps = 0;
@@ -514,11 +547,32 @@ let create sim (p : Params.t) ~rng ~pool ~conns ~respond ?trace () =
   t.fn_wake <-
     (fun id ->
       let zs = t.zcores in
+      (* Whether some core needs an IPI: -1 until scanned, then 0 or 1.
+         Only a step can change the answer, so the scan runs at most once
+         per step taken. *)
+      let ipi_due = ref (-1) in
       for i = 0 to Array.length zs - 1 do
         let c = zs.(i) in
         if c.wake_sweep = id then begin
           c.wake_sweep <- -1;
-          if c.mode = Midle && c.cur_handle = Sim.no_handle then step t c
+          if c.mode = Midle && c.cur_handle = Sim.no_handle then begin
+            let work =
+              (not (Net.Ring.is_empty c.hw))
+              || (not (RQ.is_empty c.remote))
+              || Sched.has_ready t.sched
+            in
+            if (not work) && t.p.zy_interrupts && !ipi_due < 0 then begin
+              let j = ref 0 in
+              while !j < Array.length zs && not (needs_ipi t (Array.unsafe_get zs !j)) do
+                incr j
+              done;
+              ipi_due := if !j < Array.length zs then 1 else 0
+            end;
+            if work || !ipi_due = 1 then begin
+              step t c;
+              ipi_due := -1
+            end
+          end
         end
       done) [@zygos.hot];
   t.fn_ipi <- (fun id -> deliver_ipi t t.zcores.(id)) [@zygos.hot];
@@ -584,6 +638,7 @@ let create sim (p : Params.t) ~rng ~pool ~conns ~respond ?trace () =
     [
       ("steal_fraction", Sched.steal_fraction t.sched);
       ("ipis_sent", float_of_int t.ipis_sent);
+      ("victim_orders", float_of_int t.victim_orders);
       ("ring_drops", float_of_int drops);
       ("local_events", float_of_int counters.Sched.local_events);
       ("stolen_events", float_of_int counters.Sched.stolen_events);

@@ -48,11 +48,21 @@ val create :
   ?trace:(float -> trace_event -> unit) ->
   unit ->
   Iface.t
-(** Counters exposed through {!Iface.info}: ["steal_fraction"] (stolen
-    events / dispatched events, Figure 8), ["ipis_sent"], ["ring_drops"],
-    ["local_events"], ["stolen_events"], ["remote_batches"]. [trace], when
-    given, receives every scheduling event with its simulated
-    timestamp. *)
+(** Counters exposed through {!Iface.info}, in this order:
+    - ["steal_fraction"]: stolen events / dispatched events (Figure 8);
+    - ["ipis_sent"]: IPIs sent;
+    - ["victim_orders"]: randomized victim orders drawn (one per steal
+      attempt that meets work queued on another core, and one per IPI
+      scan that sends);
+    - ["ring_drops"]: packets dropped at full NIC rings;
+    - ["local_events"], ["stolen_events"]: events dispatched from the
+      home core's own shuffle queue and stolen by another core;
+    - ["remote_batches"]: stolen batches whose responses were handed back
+      to their home core;
+    - ["wc_violations"]: see {!work_conservation_violations}.
+
+    [trace], when given, receives every scheduling event with its
+    simulated timestamp. *)
 
 val work_conservation_violations : Iface.t -> int
 (** Number of scheduler idle decisions that left a non-empty shuffle queue

@@ -172,6 +172,13 @@ let test_request_path_minor_words () =
    [Loadgen.generated], which a point does not report. *)
 let zygos_low_load_events_bound = 7.0
 
+(* On the same point, randomized victim orders drawn per generated
+   request. Drawing one for every poll, whether or not a steal or an IPI
+   could follow, cost 34.8; drawing only when a steal attempt meets
+   queued work or an IPI scan will send costs ~0.25. Exact for a fixed
+   seed, like the event count. *)
+let zygos_low_load_orders_bound = 1.0
+
 let test_zygos_low_load_events_per_request () =
   let cores = 16 and conns = 2752 and load = 0.1 and requests = 6_000 in
   let service = Engine.Dist.exponential 10. in
@@ -194,7 +201,14 @@ let test_zygos_low_load_events_per_request () =
   let per_req = float_of_int fired /. float_of_int generated in
   if per_req > zygos_low_load_events_bound then
     Alcotest.failf "zygos at load 0.1 fires %.2f events/request (%d / %d), want <= %g" per_req
-      fired generated zygos_low_load_events_bound
+      fired generated zygos_low_load_events_bound;
+  let orders =
+    Option.value ~default:nan (Systems.Iface.info_value system "victim_orders")
+  in
+  let orders_per_req = orders /. float_of_int generated in
+  if not (orders_per_req <= zygos_low_load_orders_bound) then
+    Alcotest.failf "zygos at load 0.1 draws %.3f victim orders/request (%g / %d), want <= %g"
+      orders_per_req orders generated zygos_low_load_orders_bound
 
 let test_end_to_end_reuse_ratio () =
   (* The same invariant through the full stack: a ZygOS point's event

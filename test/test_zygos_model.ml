@@ -60,6 +60,18 @@ let test_single_request_cost () =
       Alcotest.(check (float 1e-9)) "exact completion time" expected at
   | other -> Alcotest.failf "expected 1 response, got %d" (List.length other)
 
+let test_idle_machine_draws_no_victim_order () =
+  (* One request through an idle 16-core machine: the home core claims
+     it from its own queue and no core can steal it or needs an IPI, so
+     no victim order is drawn (drawing one per poll took 34). *)
+  let sim, pool, iface, responses = make_machine ~cores:16 ~conns:64 () in
+  iface.Systems.Iface.submit (mk_req pool ~id:0 ~conn:0 ~service:10. 0.);
+  Sim.run sim;
+  Alcotest.(check int) "one response" 1 (List.length !responses);
+  match Systems.Iface.info_value iface "victim_orders" with
+  | Some n -> Alcotest.(check (float 0.)) "victim orders drawn" 0. n
+  | None -> Alcotest.fail "no victim_orders counter"
+
 let test_steal_rescues_short_request () =
   (* Long request on conn A and short request on conn B, both homed on
      core 0, arriving together: core 0 takes A; the idle core 1 must steal
@@ -227,6 +239,8 @@ let () =
       ( "scenarios",
         [
           Alcotest.test_case "single request cost" `Quick test_single_request_cost;
+          Alcotest.test_case "idle machine draws no victim order" `Quick
+            test_idle_machine_draws_no_victim_order;
           Alcotest.test_case "steal rescues short request" `Quick
             test_steal_rescues_short_request;
           Alcotest.test_case "IPI rescues stuck packet" `Quick
