@@ -42,14 +42,13 @@ let default_jobs =
    why instead. Comparing against a stored baseline therefore requires
    re-running at its scale (e.g. ZYGOS_BENCH_SCALE=0.2 for PR 4). *)
 
-(* Seed-commit ns/op for the two hot-path structures PR 1 rewrote
-   (boxed heap entries, per-record [log]): median of three Bechamel runs
-   of the seed implementation under the exact bench bodies below (depth-512
-   heap, varying-magnitude histogram samples), 1s quota, same machine.
-   BENCH_PR8.json reports current numbers next to these so the trajectory
-   is visible without checking out the old commit. *)
+(* Seed-commit ns/op for the hot-path heap PR 1 rewrote (boxed heap
+   entries): median of three Bechamel runs of the seed implementation
+   under the exact bench body below (depth-512 heap), 1s quota, same
+   machine. BENCH_PR8.json reports current numbers next to it so the
+   trajectory is visible without checking out the old commit. *)
 let seed_baseline_scale = 0.1
-let seed_baseline_ns = [ ("engine: heap push+pop", 221.0); ("stats: histogram record", 14.4) ]
+let seed_baseline_ns = [ ("engine: heap push+pop", 221.0) ]
 
 (* PR 3's BENCH_PR3.json numbers for the engine hot-path benches this PR
    (closure-free dispatch + timing wheel) targets, same machine and
@@ -225,27 +224,14 @@ let micro_tests () =
         if Stats.Tally.count tally = 1 lsl 16 then Stats.Tally.clear tally;
         Stats.Tally.record tally 12.5)
   in
-  let histogram = Stats.Histogram.create () in
-  let histogram_bench =
-    (* Latency samples vary in magnitude, which defeats the branch/operand
-       caching a constant argument would enjoy inside [log]-style code. *)
-    let vals =
-      Array.init 1024 (fun i -> 0.5 +. (float_of_int (i * 193 mod 1024) *. 0.73))
-    in
-    let counter = ref 0 in
-    one "stats: histogram record" (fun () ->
-        incr counter;
-        Stats.Histogram.record histogram (Array.unsafe_get vals (!counter land 1023)))
-  in
   let sched_bench =
     let module S = Core.Sched.Sim_sched in
     let sched = S.create ~cores:4 in
     let pcb = S.register sched ~conn:0 ~home:0 in
     one "core: shuffle deliver+dispatch+complete" (fun () ->
         S.deliver sched pcb ();
-        match S.next_local sched ~core:0 with
-        | Some (p, _, _) -> S.complete sched p
-        | None -> assert false)
+        if S.poll_local sched ~core:0 then S.complete sched (S.batch_pcb sched ~core:0)
+        else assert false)
   in
   let victim_order_bench =
     (* The steal-victim order every ZygOS poll draws on the 16-core
@@ -304,7 +290,6 @@ let micro_tests () =
     experiments_bench;
     rss_bench;
     tally_bench;
-    histogram_bench;
     sched_bench;
     victim_order_bench;
     btree_get_bench;

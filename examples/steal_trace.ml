@@ -16,8 +16,10 @@ let () =
       Format.printf "%8.2fus  %a@." at Systems.Zygos.pp_trace_event ev
   in
   let pool = Net.Request.create_pool ~recycle:true () in
+  (* 75% of the cores' capacity at a 10us mean service time *)
+  let rate = 0.75 *. float_of_int cores /. 10. in
   let gen =
-    Net.Loadgen.create sim ~rng:(Engine.Rng.split rng) ~pool ~conns ~rate:1.2
+    Net.Loadgen.create sim ~rng:(Engine.Rng.split rng) ~pool ~conns ~rate
       ~service:(Engine.Dist.exponential 10.) ()
   in
   let system =

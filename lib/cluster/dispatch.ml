@@ -369,8 +369,6 @@ let submit t req =
   if t.tracked then Hashtbl.replace t.reqs (Request.id t.pool req) req;
   submit t req
 
-let outstanding_of t i = t.outstanding.(i)
-
 let tor_depth t = Engine.Intq.length t.tor_queue
 
 let estimator t = t.est

@@ -73,9 +73,6 @@ val on_response : t -> server:int -> Net.Request.t -> unit
     update health, de-duplicate, forward to [respond], and drain the
     JBSQ FIFO into any freed slots. *)
 
-val outstanding_of : t -> int -> float
-(** Exact in-flight count the ToR holds for server [i]. *)
-
 val tor_depth : t -> int
 (** Current JBSQ central-FIFO depth (0 unless the policy is [Jbsq]). *)
 

@@ -7,9 +7,6 @@ type t = event list
 
 let none : t = []
 
-let server_of = function
-  | Crash { server; _ } | Blackhole { server; _ } | Degraded { server; _ } -> server
-
 let validate ~servers plan =
   let window what server start duration =
     if server < 0 || server >= servers then

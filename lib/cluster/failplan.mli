@@ -36,8 +36,6 @@ val validate : servers:int -> t -> unit
     windows, slowdown < 1, or multiple blackhole windows for one
     server. *)
 
-val server_of : event -> int
-
 val crashed : t -> server:int -> now:float -> bool
 (** Is the server inside a crash window at [now]? *)
 

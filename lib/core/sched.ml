@@ -1,8 +1,6 @@
 module type S = sig
   type lock
 
-  type source = Local | Stolen of int
-
   type state = Idle | Ready | Busy
 
   type 'ev pcb
@@ -24,10 +22,6 @@ module type S = sig
   val pending_events : 'ev pcb -> int
 
   val deliver : 'ev t -> 'ev pcb -> 'ev -> unit
-
-  val next : 'ev t -> core:int -> steal_order:int array -> ('ev pcb * 'ev list * source) option
-
-  val next_local : 'ev t -> core:int -> ('ev pcb * 'ev list * source) option
 
   val poll : 'ev t -> core:int -> steal_order:int array -> bool
 
@@ -111,8 +105,6 @@ end
 
 module Make (L : Platform.LOCK) : S with type lock = L.t = struct
   type lock = L.t
-
-  type source = Local | Stolen of int
 
   type state = Idle | Ready | Busy
 
@@ -296,20 +288,6 @@ module Make (L : Platform.LOCK) : S with type lock = L.t = struct
     Array.unsafe_get me.batch i
 
   let[@zygos.hot] batch_stolen_from t ~core = t.core_states.(core).cur_src
-
-  (* List-returning wrappers over the scratch batch, for callers off the
-     hot path (the executor, unit tests). *)
-  let of_scratch t ~core =
-    let me = t.core_states.(core) in
-    let pcb = me.cur.(0) in
-    let rec build i acc = if i < 0 then acc else build (i - 1) (me.batch.(i) :: acc) in
-    let batch = build (me.batch_n - 1) [] in
-    Some (pcb, batch, if me.cur_src < 0 then Local else Stolen me.cur_src)
-
-  let next t ~core ~steal_order =
-    if poll t ~core ~steal_order then of_scratch t ~core else None
-
-  let next_local t ~core = if poll_local t ~core then of_scratch t ~core else None
 
   let[@zygos.hot] complete t pcb =
     (L.lock pcb.plock [@zygos.allow "r6"]);

@@ -24,11 +24,6 @@
 module type S = sig
   type lock
 
-  (** Where a dispatched batch came from. *)
-  type source =
-    | Local  (** dequeued by the connection's home core *)
-    | Stolen of int  (** stolen; the int is the victim (home) core *)
-
   type state = Idle | Ready | Busy  (** Figure 5's connection states *)
 
   type 'ev pcb
@@ -60,34 +55,26 @@ module type S = sig
       becomes [Ready] and is enqueued on its home core's shuffle queue; a
       [Ready] or [Busy] connection just accumulates the event. *)
 
-  val next : 'ev t -> core:int -> steal_order:int array -> ('ev pcb * 'ev list * source) option
+  (** {2 Dispatch}
+
+      A successful {!poll} claims a batch into per-core scratch storage
+      (one flat array walk, no list cons per event, no [option]
+      allocation), read back through the accessors below. The scratch is
+      valid until the same core's next [poll]/[poll_local]; consume it
+      first. *)
+
+  val poll : 'ev t -> core:int -> steal_order:int array -> bool
   (** Dispatch for [core]: first try its own shuffle queue, then attempt to
       steal from the queues in [steal_order] (each guarded by a try-lock,
       §5). On success the PCB transitions [Ready -> Busy] and the whole
-      batch of its pending events is drained and returned; the caller now
-      holds exclusive access to the connection until it calls
-      {!complete}. Returns [None] when every queue is empty (the core is
+      batch of its pending events is drained into [core]'s scratch; the
+      caller now holds exclusive access to the connection until it calls
+      {!complete}. Returns [false] when every queue is empty (the core is
       idle). *)
 
-  val next_local : 'ev t -> core:int -> ('ev pcb * 'ev list * source) option
-  (** Like {!next} with an empty steal order — dispatch only from the
-      core's own queue. *)
-
-  (** {2 Zero-allocation dispatch}
-
-      The allocation-free face of {!next}: a successful {!poll} claims
-      the batch into per-core scratch storage (one flat array walk, no
-      list cons per event, no [option]/[source] allocation), read back
-      through the accessors below. The scratch is valid until the same
-      core's next [poll]/[poll_local]; consume it first. {!next} and
-      {!next_local} are list-building wrappers over the same claim, so
-      counters behave identically whichever face is used. *)
-
-  val poll : 'ev t -> core:int -> steal_order:int array -> bool
-  (** Claim the next batch for [core] (own queue first, then steal in
-      [steal_order] under try-locks). [false] = every queue empty. *)
-
   val poll_local : 'ev t -> core:int -> bool
+  (** Like {!poll} with an empty steal order — dispatch only from the
+      core's own queue. *)
 
   val batch_pcb : 'ev t -> core:int -> 'ev pcb
   (** PCB of the batch claimed by [core]'s last successful poll. Raises

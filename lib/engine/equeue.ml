@@ -24,8 +24,6 @@ let length = function H h -> Heap.length h | W w -> Wheel.length w
 let is_empty = function H h -> Heap.is_empty h | W w -> Wheel.is_empty w
 let clear = function H h -> Heap.clear h | W w -> Wheel.clear w
 
-let kind_to_string = function Heap -> "heap" | Wheel -> "wheel"
-
 let kind_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "heap" -> Some Heap

@@ -36,7 +36,5 @@ val is_empty : t -> bool
 val clear : t -> unit
 (** Empty the queue and reset the insertion sequence. *)
 
-val kind_to_string : kind -> string
-
 val kind_of_string : string -> kind option
 (** Case-insensitive ["heap"] / ["wheel"]. *)

@@ -79,54 +79,18 @@ let executed t = t.ops
 
 let run_point t ~system ~load ?(cores = 16) ?(conns = 2752) ?(requests = 15_000) ?(seed = 42)
     () =
-  let sim = Engine.Sim.create () in
-  let rng = Engine.Rng.create ~seed in
-  let loadgen_rng = Engine.Rng.split rng in
-  let system_rng = Engine.Rng.split rng in
-  let rate = load *. float_of_int cores /. t.target_mean in
-  (* The nominal distribution is only used for the mean; service_fn
-     overrides per-request sampling. *)
-  let nominal = Engine.Dist.deterministic t.target_mean in
-  let pool = Net.Request.create_pool ~recycle:true () in
-  let gen =
-    Net.Loadgen.create sim ~rng:loadgen_rng ~pool ~conns ~rate ~service:nominal
+  (match system with
+  | Run.Ix_rebalanced _ | Run.Model_central_fcfs | Run.Model_partitioned_fcfs ->
+      invalid_arg "Appserve.run_point: unsupported system kind"
+  | Run.Linux_partitioned | Run.Linux_floating | Run.Ix _ | Run.Zygos
+  | Run.Zygos_no_interrupts | Run.Zygos_round_robin | Run.Preemptive _
+  | Run.Preemptive_consolidated _ ->
+      ());
+  (* The nominal distribution only sets the offered rate; service_fn
+     supplies every request's demand. *)
+  let cfg =
+    Run.config ~cores ~conns ~requests ~seed
       ~service_fn:(fun ~conn -> service_fn t ~conn)
-      ()
+      ~system ~service:(Engine.Dist.deterministic t.target_mean) ()
   in
-  let respond req = Net.Loadgen.complete gen req in
-  let params = Systems.Params.default ~cores () in
-  let iface =
-    match system with
-    | Run.Linux_partitioned -> Systems.Linux.partitioned sim params ~pool ~conns ~respond
-    | Run.Linux_floating -> Systems.Linux.floating sim params ~pool ~conns ~respond
-    | Run.Ix b ->
-        Systems.Ix.create sim (Systems.Params.with_ix_batch params b) ~pool ~conns ~respond
-    | Run.Zygos -> Systems.Zygos.create sim params ~rng:system_rng ~pool ~conns ~respond ()
-    | Run.Zygos_no_interrupts ->
-        Systems.Zygos.create sim (Systems.Params.no_interrupts params) ~rng:system_rng ~pool
-          ~conns ~respond ()
-    | Run.Preemptive quantum ->
-        Systems.Preemptive.create sim params ~quantum ~switch_cost:0.3 ~pool ~conns ~respond
-          ()
-    | Run.Ix_rebalanced _ | Run.Model_central_fcfs | Run.Model_partitioned_fcfs ->
-        invalid_arg "Appserve.run_point: unsupported system kind"
-  in
-  Net.Loadgen.set_target gen iface.Systems.Iface.submit;
-  let measure = float_of_int requests /. rate in
-  Net.Loadgen.start gen ~warmup:(0.2 *. measure) ~measure;
-  Engine.Sim.run sim;
-  let tally = Net.Loadgen.tally gen in
-  let empty = Stats.Tally.is_empty tally in
-  {
-    Run.load;
-    offered_rate = rate;
-    throughput = Net.Loadgen.throughput gen;
-    goodput = Net.Loadgen.goodput gen;
-    mean = Stats.Tally.mean tally;
-    p50 = (if empty then 0. else Stats.Tally.p50 tally);
-    p99 = (if empty then 0. else Stats.Tally.p99 tally);
-    p999 = (if empty then 0. else Stats.Tally.p999 tally);
-    completed = Stats.Tally.count tally;
-    order_violations = Net.Loadgen.order_violations gen;
-    info = iface.Systems.Iface.info ();
-  }
+  Run.run_point cfg ~load

@@ -50,4 +50,6 @@ val run_point :
   unit ->
   Run.point
 (** One latency/throughput point where every simulated request's demand
-    comes from a freshly executed real operation. *)
+    comes from a freshly executed real operation: a {!Run.run_point} with
+    {!service_fn} as the config's [service_fn]. Raises [Invalid_argument]
+    on [Ix_rebalanced] and the queueing-model kinds. *)

@@ -570,34 +570,20 @@ let fig11 ~jobs ~scale =
 let ablate_poll ~jobs ~scale =
   let service = Dist.exponential 10. in
   let loads = [ 0.5; 0.7; 0.8; 0.85; 0.9 ] in
-  let point_for ~random load =
-    Sweep.point
-      ~key:
-        (Printf.sprintf "ablate-poll/%s/%g" (if random then "random" else "rr") load)
-      (fun ~seed ->
-        let sim = Engine.Sim.create () in
-        let rng = Engine.Rng.create ~seed in
-        let loadgen_rng = Engine.Rng.split rng in
-        let system_rng = Engine.Rng.split rng in
-        let rate = load *. float_of_int cores /. Dist.mean service in
-        let pool = Net.Request.create_pool ~recycle:true () in
-        let gen =
-          Net.Loadgen.create sim ~rng:loadgen_rng ~pool ~conns:2752 ~rate ~service ()
-        in
-        let params = { (Systems.Params.default ~cores ()) with zy_poll_random = random } in
-        let system =
-          Systems.Zygos.create sim params ~rng:system_rng ~pool ~conns:2752
-            ~respond:(fun req -> Net.Loadgen.complete gen req)
-            ()
-        in
-        Net.Loadgen.set_target gen system.Systems.Iface.submit;
-        let measure = float_of_int (requests ~scale 25_000) /. rate in
-        Net.Loadgen.start gen ~warmup:(0.2 *. measure) ~measure;
-        Engine.Sim.run sim;
-        Stats.Tally.p99 (Net.Loadgen.tally gen))
-  in
   let points =
-    List.map (point_for ~random:true) loads @ List.map (point_for ~random:false) loads
+    List.concat_map
+      (fun (order, system) ->
+        List.map
+          (fun load ->
+            Sweep.point
+              ~key:(Printf.sprintf "ablate-poll/%s/%g" order load)
+              (fun ~seed ->
+                let cfg =
+                  Run.config ~system ~service ~cores ~requests:(requests ~scale 25_000) ~seed ()
+                in
+                (Run.run_point cfg ~load).Run.p99))
+          loads)
+      [ ("random", Run.Zygos); ("rr", Run.Zygos_round_robin) ]
   in
   let results = Sweep.run ~jobs ~seed:master_seed points in
   let random, rr = chunks (List.length loads) results |> function
@@ -745,33 +731,13 @@ let ext_consolidate ~jobs ~scale =
   let service = Dist.exponential 10. in
   let loads = [ 0.1; 0.2; 0.35; 0.5; 0.7; 0.85 ] in
   let run_one ~seed ~consolidate ~load =
-    let sim = Engine.Sim.create () in
-    let rng = Engine.Rng.create ~seed in
-    let loadgen_rng = Engine.Rng.split rng in
-    let rate = load *. float_of_int cores /. Dist.mean service in
-    let pool = Net.Request.create_pool ~recycle:true () in
-    let gen =
-      Net.Loadgen.create sim ~rng:loadgen_rng ~pool ~conns:2752 ~rate ~service ()
-    in
-    let params = Systems.Params.default ~cores () in
-    let consolidate =
-      if consolidate then Some Systems.Preemptive.default_consolidation else None
-    in
-    let system =
-      Systems.Preemptive.create sim params ~quantum:10. ~switch_cost:0.3 ~pool ~conns:2752
-        ~respond:(fun req -> Net.Loadgen.complete gen req)
-        ?consolidate ()
-    in
-    Net.Loadgen.set_target gen system.Systems.Iface.submit;
-    let measure = float_of_int (requests ~scale 25_000) /. rate in
-    Net.Loadgen.start gen ~warmup:(0.2 *. measure) ~measure;
-    Engine.Sim.run sim;
-    let p99 = Stats.Tally.p99 (Net.Loadgen.tally gen) in
+    let system = if consolidate then Run.Preemptive_consolidated 10. else Run.Preemptive 10. in
+    let cfg = Run.config ~system ~service ~cores ~requests:(requests ~scale 25_000) ~seed () in
+    let p = Run.run_point cfg ~load in
     let avg_cores =
-      Option.value ~default:(float_of_int cores)
-        (Systems.Iface.info_value system "avg_active_cores")
+      Option.value ~default:(float_of_int cores) (Run.info_value p "avg_active_cores")
     in
-    (p99, avg_cores)
+    (p.Run.p99, avg_cores)
   in
   let points =
     List.concat_map

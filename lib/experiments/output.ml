@@ -46,20 +46,6 @@ let print_table ~columns ~rows =
   print_row (List.map (fun w -> String.make w '-') widths);
   List.iter print_row rows
 
-let print_sim_stats (s : Engine.Sim.stats) =
-  print_subheader "event pool";
-  print_table
-    ~columns:[ "counter"; "value" ]
-    ~rows:
-      [
-        [ "events scheduled"; string_of_int s.Engine.Sim.scheduled ];
-        [ "events fired"; string_of_int s.Engine.Sim.fired ];
-        [ "events cancelled"; string_of_int s.Engine.Sim.cancelled ];
-        [ "pool slot reuses"; string_of_int s.Engine.Sim.reused ];
-        [ "pool slots allocated"; string_of_int s.Engine.Sim.pool_slots ];
-        [ "events live at snapshot"; string_of_int s.Engine.Sim.live ];
-      ]
-
 let pool_stats_rows (s : Runtime.Pool.stats) =
   let total_busy = Array.fold_left ( +. ) 0. s.Runtime.Pool.busy_s in
   let speedup = if s.Runtime.Pool.wall_s > 0. then total_busy /. s.Runtime.Pool.wall_s else 1. in

@@ -21,10 +21,6 @@ val print_subheader : string -> unit
 val print_table : columns:string list -> rows:string list list -> unit
 (** Aligned columns; every row must have the arity of [columns]. *)
 
-val print_sim_stats : Engine.Sim.stats -> unit
-(** Table of the simulator's event-pool counters
-    (scheduled/fired/cancelled/reused and pool size). *)
-
 val pool_stats_rows : Runtime.Pool.stats -> (string * float) list
 (** Sweep-pool counters as (name, value) pairs — workers, points run,
     steals, total busy seconds, wall seconds, and busy/wall speedup —

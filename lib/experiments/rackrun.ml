@@ -28,7 +28,8 @@ let config ?(servers = 4) ?(system = Run.Zygos) ?(cores = 16) ?(conns = 2752)
   | Run.Model_central_fcfs | Run.Model_partitioned_fcfs | Run.Ix_rebalanced _ ->
       invalid_arg "Rackrun: rack servers must be real single-ingress systems"
   | Run.Linux_partitioned | Run.Linux_floating | Run.Ix _ | Run.Zygos
-  | Run.Zygos_no_interrupts | Run.Preemptive _ ->
+  | Run.Zygos_no_interrupts | Run.Zygos_round_robin | Run.Preemptive _
+  | Run.Preemptive_consolidated _ ->
       ());
   Option.iter Net.Loadgen.validate_retry retry;
   {
@@ -49,34 +50,13 @@ let config ?(servers = 4) ?(system = Run.Zygos) ?(cores = 16) ?(conns = 2752)
     slo;
   }
 
-(* One server instance: the same construction Run.run_real_point performs,
-   with the failure plan's Degraded windows applied as that server's
-   straggler specs. *)
+(* One server instance, built as Run.run_point builds its server, with
+   the failure plan's Degraded windows applied as that server's straggler
+   specs. *)
 let make_server cfg sim ~pool ~i ~rng ~respond =
-  let params =
-    Systems.Params.with_stragglers
-      (Systems.Params.with_rpc_packets
-         (Systems.Params.default ~cores:cfg.cores ())
-         cfg.rpc_packets)
-      (Cluster.Failplan.stragglers cfg.failplan ~server:i ~cores:cfg.cores)
-  in
-  match cfg.system with
-  | Run.Linux_partitioned ->
-      Systems.Linux.partitioned sim params ~pool ~conns:cfg.conns ~respond
-  | Run.Linux_floating -> Systems.Linux.floating sim params ~pool ~conns:cfg.conns ~respond
-  | Run.Ix b ->
-      Systems.Ix.create sim
-        (Systems.Params.with_ix_batch params b)
-        ~pool ~conns:cfg.conns ~respond
-  | Run.Zygos -> Systems.Zygos.create sim params ~rng ~pool ~conns:cfg.conns ~respond ()
-  | Run.Zygos_no_interrupts ->
-      Systems.Zygos.create sim (Systems.Params.no_interrupts params) ~rng ~pool
-        ~conns:cfg.conns ~respond ()
-  | Run.Preemptive quantum ->
-      Systems.Preemptive.create sim params ~quantum ~switch_cost:0.3 ~pool ~conns:cfg.conns
-        ~respond ()
-  | Run.Ix_rebalanced _ | Run.Model_central_fcfs | Run.Model_partitioned_fcfs ->
-      assert false
+  Run.make_system cfg.system sim ~cores:cfg.cores ~rpc_packets:cfg.rpc_packets
+    ~stragglers:(Cluster.Failplan.stragglers cfg.failplan ~server:i ~cores:cfg.cores)
+    ~rng ~pool ~conns:cfg.conns ~respond
 
 let run cfg ~load =
   let sim = Sim.create () in
@@ -108,18 +88,10 @@ let run cfg ~load =
   Net.Loadgen.set_target gen iface.Systems.Iface.submit;
   Net.Loadgen.start gen ~warmup ~measure;
   Sim.run sim;
-  let client_info =
-    [
-      ("client_retries", float_of_int (Net.Loadgen.retries gen));
-      ("client_timeouts", float_of_int (Net.Loadgen.timeouts gen));
-      ("client_retry_exhausted", float_of_int (Net.Loadgen.retry_exhausted gen));
-      ("duplicate_completions", float_of_int (Net.Loadgen.duplicate_completions gen));
-    ]
-  in
   Run.point_of_tally ~load ~offered_rate:rate ~throughput:(Net.Loadgen.throughput gen)
     ~goodput:(Net.Loadgen.goodput gen)
     ~order_violations:(Net.Loadgen.order_violations gen)
-    ~info:(iface.Systems.Iface.info () @ client_info)
+    ~info:(iface.Systems.Iface.info () @ Run.client_info gen)
     (Net.Loadgen.tally gen)
 
 (* The rack-scale centralized bound: one M/G/k FCFS queue over every core

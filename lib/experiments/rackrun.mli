@@ -8,9 +8,9 @@
     perfect rack-wide single-queue scheduler would reach.
 
     A 1-server rack with the default (empty) failure plan, zero feedback
-    delay, and no detection or hedging reproduces {!Run.run_real_point}
+    delay, and no detection or hedging reproduces {!Run.run_point}
     byte for byte at the same seed, whatever the policy — the degeneracy
-    guarded by [test_cluster]. *)
+    guarded by [test_cluster]. Each server is built by {!Run.make_system}. *)
 
 type config = {
   servers : int;

@@ -8,7 +8,9 @@ type system_kind =
   | Ix of int
   | Zygos
   | Zygos_no_interrupts
+  | Zygos_round_robin
   | Preemptive of float
+  | Preemptive_consolidated of float
   | Ix_rebalanced of float
   | Model_central_fcfs
   | Model_partitioned_fcfs
@@ -20,7 +22,9 @@ let system_name = function
   | Ix b -> Printf.sprintf "ix-b%d" b
   | Zygos -> "zygos"
   | Zygos_no_interrupts -> "zygos-noint"
+  | Zygos_round_robin -> "zygos-rr"
   | Preemptive q -> Printf.sprintf "preempt-q%g" q
+  | Preemptive_consolidated q -> Printf.sprintf "preempt-q%g-consolidated" q
   | Ix_rebalanced _ -> "ix-rebalanced"
   | Model_central_fcfs -> "M/G/n/FCFS"
   | Model_partitioned_fcfs -> "nxM/G/1/FCFS"
@@ -33,6 +37,7 @@ type config = {
   cores : int;
   conns : int;
   service : Engine.Dist.t;
+  service_fn : (conn:int -> float) option;
   requests : int;
   seed : int;
   rpc_packets : int;
@@ -46,7 +51,7 @@ type config = {
 
 let config ?(cores = 16) ?(conns = 2752) ?(requests = 30_000) ?(seed = 42) ?(rpc_packets = 1)
     ?(selection = Net.Loadgen.Uniform) ?faults ?(stragglers = []) ?retry ?(slo = infinity)
-    ?(shed = Systems.Overload.No_shed) ~system ~service () =
+    ?(shed = Systems.Overload.No_shed) ?service_fn ~system ~service () =
   Option.iter Net.Faults.validate_plan faults;
   List.iter Core.Corefault.validate_spec stragglers;
   Option.iter Net.Loadgen.validate_retry retry;
@@ -56,6 +61,7 @@ let config ?(cores = 16) ?(conns = 2752) ?(requests = 30_000) ?(seed = 42) ?(rpc
     cores;
     conns;
     service;
+    service_fn;
     requests;
     seed;
     rpc_packets;
@@ -116,6 +122,57 @@ let run_model_point cfg ~load ~spec =
     ~goodput:result.Models.Queueing.throughput ~order_violations:0 ~info:[]
     result.Models.Queueing.latencies
 
+let make_system kind sim ~cores ~rpc_packets ~stragglers ~rng ~pool ~conns ~respond =
+  let params =
+    Systems.Params.with_stragglers
+      (Systems.Params.with_rpc_packets (Systems.Params.default ~cores ()) rpc_packets)
+      stragglers
+  in
+  match kind with
+  | Linux_partitioned -> Systems.Linux.partitioned sim params ~pool ~conns ~respond
+  | Linux_floating -> Systems.Linux.floating sim params ~pool ~conns ~respond
+  | Ix b -> Systems.Ix.create sim (Systems.Params.with_ix_batch params b) ~pool ~conns ~respond
+  | Zygos -> Systems.Zygos.create sim params ~rng ~pool ~conns ~respond ()
+  | Zygos_no_interrupts ->
+      Systems.Zygos.create sim (Systems.Params.no_interrupts params) ~rng ~pool ~conns ~respond
+        ()
+  | Zygos_round_robin ->
+      Systems.Zygos.create sim
+        { params with Systems.Params.zy_poll_random = false }
+        ~rng ~pool ~conns ~respond ()
+  | Preemptive quantum ->
+      Systems.Preemptive.create sim params ~quantum ~switch_cost:0.3 ~pool ~conns ~respond ()
+  | Preemptive_consolidated quantum ->
+      Systems.Preemptive.create sim params ~quantum ~switch_cost:0.3 ~pool ~conns ~respond
+        ~consolidate:Systems.Preemptive.default_consolidation ()
+  | Ix_rebalanced window ->
+      let rss = Net.Rss.create ~queues:cores () in
+      let iface, read_counts =
+        Systems.Ix.create_with_rss sim params ~pool ~rss ~conns ~respond
+      in
+      let stats = Systems.Rebalance.attach sim ~rss ~queues:cores ~read_counts ~window () in
+      {
+        iface with
+        Systems.Iface.name = "ix-rebalanced";
+        info =
+          (fun () ->
+            iface.Systems.Iface.info ()
+            @ [
+                ("rebalance_moves", float_of_int stats.Systems.Rebalance.moves);
+                ("rebalance_windows", float_of_int stats.Systems.Rebalance.windows);
+              ]);
+      }
+  | Model_central_fcfs | Model_partitioned_fcfs ->
+      invalid_arg "Run.make_system: a queueing model has no simulated server"
+
+let client_info gen =
+  [
+    ("client_retries", float_of_int (Net.Loadgen.retries gen));
+    ("client_timeouts", float_of_int (Net.Loadgen.timeouts gen));
+    ("client_retry_exhausted", float_of_int (Net.Loadgen.retry_exhausted gen));
+    ("duplicate_completions", float_of_int (Net.Loadgen.duplicate_completions gen));
+  ]
+
 let run_real_point cfg ~load =
   let sim = Sim.create () in
   let rng = Rng.create ~seed:cfg.seed in
@@ -132,7 +189,8 @@ let run_real_point cfg ~load =
   let rpool = Net.Request.create_pool ~recycle () in
   let gen =
     Net.Loadgen.create sim ~rng:loadgen_rng ~pool:rpool ~conns:cfg.conns ~rate
-      ~service:cfg.service ~selection:cfg.selection ~slo:cfg.slo ?retry:cfg.retry ()
+      ~service:cfg.service ~selection:cfg.selection ?service_fn:cfg.service_fn ~slo:cfg.slo
+      ?retry:cfg.retry ()
   in
   (* Admission control sits between the (possibly lossy) network and the
      server; built only when a shedding policy is configured so the
@@ -150,46 +208,9 @@ let run_real_point cfg ~load =
           Systems.Overload.note_response g req;
           Net.Loadgen.complete gen req
   in
-  let params =
-    Systems.Params.with_stragglers
-      (Systems.Params.with_rpc_packets (Systems.Params.default ~cores:cfg.cores ()) cfg.rpc_packets)
-      cfg.stragglers
-  in
-  let extra_info = ref (fun () -> []) in
   let system =
-    match cfg.system with
-    | Linux_partitioned ->
-        Systems.Linux.partitioned sim params ~pool:rpool ~conns:cfg.conns ~respond
-    | Linux_floating -> Systems.Linux.floating sim params ~pool:rpool ~conns:cfg.conns ~respond
-    | Ix b ->
-        Systems.Ix.create sim (Systems.Params.with_ix_batch params b) ~pool:rpool
-          ~conns:cfg.conns ~respond
-    | Zygos ->
-        Systems.Zygos.create sim params ~rng:system_rng ~pool:rpool ~conns:cfg.conns ~respond
-          ()
-    | Zygos_no_interrupts ->
-        Systems.Zygos.create sim
-          (Systems.Params.no_interrupts params)
-          ~rng:system_rng ~pool:rpool ~conns:cfg.conns ~respond ()
-    | Preemptive quantum ->
-        Systems.Preemptive.create sim params ~quantum ~switch_cost:0.3 ~pool:rpool
-          ~conns:cfg.conns ~respond ()
-    | Ix_rebalanced window ->
-        let rss = Net.Rss.create ~queues:cfg.cores () in
-        let iface, read_counts =
-          Systems.Ix.create_with_rss sim params ~pool:rpool ~rss ~conns:cfg.conns ~respond
-        in
-        let stats =
-          Systems.Rebalance.attach sim ~rss ~queues:cfg.cores ~read_counts ~window ()
-        in
-        extra_info :=
-          (fun () ->
-            [
-              ("rebalance_moves", float_of_int stats.Systems.Rebalance.moves);
-              ("rebalance_windows", float_of_int stats.Systems.Rebalance.windows);
-            ]);
-        { iface with Systems.Iface.name = "ix-rebalanced" }
-    | Model_central_fcfs | Model_partitioned_fcfs -> assert false
+    make_system cfg.system sim ~cores:cfg.cores ~rpc_packets:cfg.rpc_packets
+      ~stragglers:cfg.stragglers ~rng:system_rng ~pool:rpool ~conns:cfg.conns ~respond
   in
   (* Compose the request path client -> network faults -> admission ->
      server. Each layer is only interposed when configured, so the
@@ -227,22 +248,12 @@ let run_real_point cfg ~load =
       ("sim_pool_slots", float_of_int pool.Sim.pool_slots);
     ]
   in
-  let client_info =
-    [
-      ("client_retries", float_of_int (Net.Loadgen.retries gen));
-      ("client_timeouts", float_of_int (Net.Loadgen.timeouts gen));
-      ("client_retry_exhausted", float_of_int (Net.Loadgen.retry_exhausted gen));
-      ("duplicate_completions", float_of_int (Net.Loadgen.duplicate_completions gen));
-    ]
-  in
   let fault_info = match net_faults with None -> [] | Some f -> Net.Faults.info f in
   let shed_info = match guard with None -> [] | Some g -> Systems.Overload.info g in
   point_of_tally ~load ~offered_rate:rate ~throughput:(Net.Loadgen.throughput gen)
     ~goodput:(Net.Loadgen.goodput gen)
     ~order_violations:(Net.Loadgen.order_violations gen)
-    ~info:
-      (system.Systems.Iface.info () @ !extra_info () @ fault_info @ shed_info @ client_info
-     @ pool_info)
+    ~info:(system.Systems.Iface.info () @ fault_info @ shed_info @ client_info gen @ pool_info)
     (Net.Loadgen.tally gen)
 
 let run_point cfg ~load =

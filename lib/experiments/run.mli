@@ -14,9 +14,15 @@ type system_kind =
   | Ix of int  (** bounded-batching parameter B *)
   | Zygos
   | Zygos_no_interrupts
+  | Zygos_round_robin
+      (** ZygOS with a naive round-robin steal-victim order instead of
+          §5's randomized one (the [ablate-poll] ablation) *)
   | Preemptive of float
       (** centralized preemptive scheduling with the given quantum (µs) —
           the §2.3 "PS wins under extreme dispersion" extension *)
+  | Preemptive_consolidated of float
+      (** [Preemptive] with {!Systems.Preemptive.default_consolidation}
+          core parking (the [ext-consolidate] extension) *)
   | Ix_rebalanced of float
       (** IX with an RSS-reprogramming control plane, window in µs — the
           §5 "control plane interactions" extension *)
@@ -34,6 +40,10 @@ type config = {
   cores : int;  (** default 16 *)
   conns : int;  (** default 2752, the paper's connection count *)
   service : Engine.Dist.t;
+  service_fn : (conn:int -> float) option;
+      (** per-request demand (µs) overriding samples of [service], which
+          then only sets the offered rate (see {!Net.Loadgen.create};
+          default none) *)
   requests : int;  (** measured request target per point (default 30_000) *)
   seed : int;
   rpc_packets : int;  (** packets per request each way (default 1) *)
@@ -57,6 +67,7 @@ val config :
   ?retry:Net.Loadgen.retry ->
   ?slo:float ->
   ?shed:Systems.Overload.policy ->
+  ?service_fn:(conn:int -> float) ->
   system:system_kind ->
   service:Engine.Dist.t ->
   unit ->
@@ -99,9 +110,33 @@ val point_of_tally :
     tally is empty). Exposed for runners outside this module —
     {!Rackrun} reduces rack simulations with it. *)
 
+val make_system :
+  system_kind ->
+  Engine.Sim.t ->
+  cores:int ->
+  rpc_packets:int ->
+  stragglers:Core.Corefault.spec list ->
+  rng:Engine.Rng.t ->
+  pool:Net.Request.pool ->
+  conns:int ->
+  respond:(Net.Request.t -> unit) ->
+  Systems.Iface.t
+(** Build one simulated server of the given kind on [sim]: default
+    {!Systems.Params} for [cores] with [rpc_packets] and [stragglers],
+    plus the kind's own overrides (IX batch, no interrupts, round-robin
+    victims, consolidation). Only the ZygOS kinds draw from [rng]. The
+    one place a [system_kind] becomes a server: {!run_point} and
+    {!Rackrun.run} both build theirs here. Raises [Invalid_argument] on
+    a queueing-model kind. *)
+
+val client_info : Net.Loadgen.t -> (string * float) list
+(** The client's retry counters, as a point's [info] lists them. *)
+
 val run_point : config -> load:float -> point
 (** Run one simulation at the given offered load. Deterministic in
-    [config.seed]. *)
+    [config.seed]. A point's [info] lists the system's counters, then
+    network-fault, admission and client counters, then the simulator's
+    event-pool counters. *)
 
 val sweep : config -> loads:float list -> point list
 (** One point per load (ascending recommended), fresh simulation each. *)

@@ -55,8 +55,6 @@ let pop t =
 
 let peek t = if t.len = 0 then None else Some t.buf.(t.head)
 
-let[@zygos.hot] peek_or t ~default = if t.len = 0 then default else Array.unsafe_get t.buf t.head
-
 let[@zygos.hot] length t = t.len
 
 let[@zygos.hot] is_empty t = t.len = 0

@@ -22,8 +22,6 @@ val pop_or : 'a t -> default:'a -> 'a
 
 val peek : 'a t -> 'a option
 
-val peek_or : 'a t -> default:'a -> 'a
-
 val length : 'a t -> int
 
 val is_empty : 'a t -> bool

@@ -110,15 +110,6 @@ let hash_of_tuple t ~src_ip ~dst_ip ~src_port ~dst_port =
     (Int32.to_int dst_ip land 0xffffffff)
     src_port dst_port
 
-let[@zygos.hot] queue_of_tuple t ~src_ip ~dst_ip ~src_port ~dst_port =
-  let h =
-    hash12 t
-      (Int32.to_int src_ip land 0xffffffff)
-      (Int32.to_int dst_ip land 0xffffffff)
-      src_port dst_port
-  in
-  Array.unsafe_get t.table (h land 0x7f)
-
 let[@zygos.hot] grow_memo t c =
   let cap = Array.length t.memo in
   let ncap =

@@ -32,9 +32,6 @@ val hash_of_tuple : t -> src_ip:int32 -> dst_ip:int32 -> src_port:int -> dst_por
     bitwise-equal to {!toeplitz} over the same 12 bytes
     (qcheck-enforced). *)
 
-val queue_of_tuple : t -> src_ip:int32 -> dst_ip:int32 -> src_port:int -> dst_port:int -> int
-(** Hardware queue for a given 4-tuple. *)
-
 val queue_of_conn : t -> int -> int
 (** Queue for a synthetic connection id: connection [c] is given the
     4-tuple (10.0.(c/250).(c mod 250 + 1) : 1024+c  ->  10.0.0.1 : 8000).

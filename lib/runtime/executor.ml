@@ -37,32 +37,32 @@ let create ?(seed = 17) ~cores ~conns () =
     state_lock = Mutex.create ();
   }
 
-let run_batch t batch =
-  List.iter
-    (fun task ->
-      task ();
-      ignore (Atomic.fetch_and_add t.executed 1 : int))
-    batch
+(* Only this core's worker polls for [core], so its claimed batch stays
+   put while the tasks run. *)
+let run_batch t ~core =
+  for i = 0 to Sched.batch_size t.sched ~core - 1 do
+    Sched.batch_event t.sched ~core i ();
+    ignore (Atomic.fetch_and_add t.executed 1 : int)
+  done
 
 let worker t ~core =
   let rng = Engine.Rng.create ~seed:(t.seed + (1000 * core)) in
   let policy = Core.Steal_policy.create ~rng ~cores:t.cores ~self:core in
   let rec loop idle_spins =
     let order = Core.Steal_policy.victim_order policy in
-    match Sched.next t.sched ~core ~steal_order:order with
-    | Some (pcb, batch, _source) ->
-        run_batch t batch;
-        Sched.complete t.sched pcb;
-        loop 0
-    | None ->
-        if Atomic.get t.stop_flag && Atomic.get t.executed = Atomic.get t.submitted then ()
-        else begin
-          (* Idle loop: burn a few polls, then yield the processor so this
-             works on machines with fewer cores than workers. *)
-          if idle_spins > 64 then Domain.cpu_relax ();
-          if idle_spins > 1024 then Unix.sleepf 0.0001;
-          loop (idle_spins + 1)
-        end
+    if Sched.poll t.sched ~core ~steal_order:order then begin
+      run_batch t ~core;
+      Sched.complete t.sched (Sched.batch_pcb t.sched ~core);
+      loop 0
+    end
+    else if Atomic.get t.stop_flag && Atomic.get t.executed = Atomic.get t.submitted then ()
+    else begin
+      (* Idle loop: burn a few polls, then yield the processor so this
+         works on machines with fewer cores than workers. *)
+      if idle_spins > 64 then Domain.cpu_relax ();
+      if idle_spins > 1024 then Unix.sleepf 0.0001;
+      loop (idle_spins + 1)
+    end
   in
   loop 0
 

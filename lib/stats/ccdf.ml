@@ -29,6 +29,3 @@ let survival_at samples x =
     let above = Array.fold_left (fun acc v -> if v > x then acc + 1 else acc) 0 samples in
     float_of_int above /. float_of_int n
   end
-
-let pp_rows ppf points =
-  List.iter (fun { value; prob } -> Format.fprintf ppf "%.3f %.6f@." value prob) points

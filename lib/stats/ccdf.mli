@@ -13,6 +13,3 @@ val of_samples : ?points:int -> float array -> point list
 val survival_at : float array -> float -> float
 (** [survival_at samples x] = fraction of samples strictly greater than
     [x]. Input need not be sorted. *)
-
-val pp_rows : Format.formatter -> point list -> unit
-(** Print "value prob" rows, one per line. *)

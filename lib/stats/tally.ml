@@ -99,8 +99,6 @@ let percentile t p =
 
 let p50 t = percentile t 50.
 
-let p90 t = percentile t 90.
-
 let p99 t = percentile t 99.
 
 let p999 t = percentile t 99.9
@@ -114,10 +112,6 @@ let stddev t =
   end
 
 let samples t = Array.sub t.data 0 t.size
-
-let sorted_samples t =
-  ensure_sorted t;
-  Array.sub t.data 0 t.size
 
 let merge a b =
   let t = create () in

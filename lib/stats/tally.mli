@@ -34,8 +34,6 @@ val percentile : t -> float -> float
 
 val p50 : t -> float
 
-val p90 : t -> float
-
 val p99 : t -> float
 
 val p999 : t -> float
@@ -45,9 +43,6 @@ val stddev : t -> float
 val samples : t -> float array
 (** Copy of all recorded samples (order unspecified: percentile queries may
     reorder the internal store). *)
-
-val sorted_samples : t -> float array
-(** Copy of all recorded samples, ascending. *)
 
 val merge : t -> t -> t
 (** New tally holding both sample sets. *)

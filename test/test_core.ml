@@ -8,6 +8,27 @@ module Mt = Core.Sched.Mt_sched
 module Policy = Core.Steal_policy
 module RQ = Core.Remote_queue.Make (Core.Platform.Nolock)
 
+(* A dispatch read back through the batch accessors as
+   [(pcb, events in arrival order, victim)], with victim = -1 for a local
+   dispatch. Without [steal_order] it polls only the core's own queue. *)
+module View (X : Core.Sched.S) = struct
+  let next ?steal_order sched ~core =
+    let claimed =
+      match steal_order with
+      | None -> X.poll_local sched ~core
+      | Some steal_order -> X.poll sched ~core ~steal_order
+    in
+    if claimed then
+      Some
+        ( X.batch_pcb sched ~core,
+          List.init (X.batch_size sched ~core) (X.batch_event sched ~core),
+          X.batch_stolen_from sched ~core )
+    else None
+end
+
+module V = View (S)
+module Mt_view = View (Mt)
+
 (* ---- unit tests on the state machine ---- *)
 
 let mk ?(cores = 4) ?(conns = 8) () =
@@ -29,20 +50,20 @@ let test_dispatch_batches () =
   let sched, pcbs = mk () in
   S.deliver sched pcbs.(0) "a";
   S.deliver sched pcbs.(0) "b";
-  (match S.next_local sched ~core:0 with
-  | Some (pcb, batch, S.Local) ->
+  (match V.next sched ~core:0 with
+  | Some (pcb, batch, -1) ->
       Alcotest.(check (list string)) "whole batch in order" [ "a"; "b" ] batch;
       Alcotest.(check bool) "busy" true (S.state pcb = S.Busy);
       S.complete sched pcb;
       Alcotest.(check bool) "idle after" true (S.state pcb = S.Idle)
   | _ -> Alcotest.fail "expected local dispatch");
   Alcotest.(check (option unit)) "queue drained" None
-    (Option.map (fun _ -> ()) (S.next_local sched ~core:0))
+    (Option.map (fun _ -> ()) (V.next sched ~core:0))
 
 let test_events_during_busy_reready () =
   let sched, pcbs = mk () in
   S.deliver sched pcbs.(0) "a";
-  match S.next_local sched ~core:0 with
+  match V.next sched ~core:0 with
   | Some (pcb, _, _) ->
       S.deliver sched pcbs.(0) "late";
       Alcotest.(check bool) "still busy" true (S.state pcb = S.Busy);
@@ -56,8 +77,8 @@ let test_steal () =
   let sched, pcbs = mk () in
   S.deliver sched pcbs.(0) "a";
   (* core 1 steals from core 0 *)
-  match S.next sched ~core:1 ~steal_order:[| 0; 2; 3 |] with
-  | Some (pcb, [ "a" ], S.Stolen 0) ->
+  match V.next sched ~core:1 ~steal_order:[| 0; 2; 3 |] with
+  | Some (pcb, [ "a" ], 0) ->
       S.complete sched pcb;
       let c = S.counters sched ~core:1 in
       Alcotest.(check int) "steal counted" 1 c.S.steal_dispatches;
@@ -70,8 +91,8 @@ let test_local_preferred_over_steal () =
   S.deliver sched pcbs.(0) "remote";
   S.deliver sched pcbs.(1) "local";
   (* conn 1 homes on core 1; core 1 must take its own work first. *)
-  match S.next sched ~core:1 ~steal_order:[| 0; 2; 3 |] with
-  | Some (pcb, [ "local" ], S.Local) -> S.complete sched pcb
+  match V.next sched ~core:1 ~steal_order:[| 0; 2; 3 |] with
+  | Some (pcb, [ "local" ], -1) -> S.complete sched pcb
   | _ -> Alcotest.fail "expected local dispatch first"
 
 let test_complete_non_busy_raises () =
@@ -136,7 +157,7 @@ let prop_scheduler_model =
           | Dispatch core -> (
               let order = Array.init cores (fun i -> i) in
               Engine.Rng.shuffle_in_place rng order;
-              match S.next sched ~core ~steal_order:order with
+              match V.next sched ~core ~steal_order:order with
               | None -> ()
               | Some (pcb, batch, _) ->
                   let conn = S.conn pcb in
@@ -161,7 +182,7 @@ let prop_scheduler_model =
           S.complete sched pcb)
         flushed;
       let rec drain () =
-        match S.next sched ~core:0 ~steal_order:(Array.init cores (fun i -> i)) with
+        match V.next sched ~core:0 ~steal_order:(Array.init cores (fun i -> i)) with
         | Some (pcb, batch, _) ->
             executed.(S.conn pcb) <- List.rev_append batch executed.(S.conn pcb);
             S.complete sched pcb;
@@ -239,7 +260,7 @@ let test_mt_sched_stress () =
     let rng = Engine.Rng.create ~seed:(100 + core) in
     let policy = Policy.create ~rng ~cores ~self:core in
     let rec loop () =
-      match Mt.next sched ~core ~steal_order:(Policy.victim_order policy) with
+      match Mt_view.next sched ~core ~steal_order:(Policy.victim_order policy) with
       | Some (pcb, batch, _) ->
           let conn = Mt.conn pcb in
           List.iter

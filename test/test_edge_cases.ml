@@ -71,11 +71,6 @@ let test_rng_float_range_bounds () =
 
 (* ---- stats ---- *)
 
-let test_histogram_p100_is_max () =
-  let h = Stats.Histogram.create () in
-  List.iter (Stats.Histogram.record h) [ 3.; 1.; 15.; 0.2 ];
-  Alcotest.(check (float 1e-9)) "p100 = exact max" 15. (Stats.Histogram.percentile h 100.)
-
 let test_tally_invalid_percentile () =
   let t = Stats.Tally.create () in
   Stats.Tally.record t 1.;
@@ -303,7 +298,6 @@ let () =
         ] );
       ( "stats",
         [
-          Alcotest.test_case "histogram p100" `Quick test_histogram_p100_is_max;
           Alcotest.test_case "invalid percentile" `Quick test_tally_invalid_percentile;
           Alcotest.test_case "single sample" `Quick test_tally_single_sample;
         ] );

@@ -17,8 +17,21 @@ let test_system_names () =
   Alcotest.(check string) "ix" "ix" (Run.system_name (Run.Ix 1));
   Alcotest.(check string) "ix-b64" "ix-b64" (Run.system_name (Run.Ix 64));
   Alcotest.(check string) "zygos" "zygos" (Run.system_name Run.Zygos);
+  Alcotest.(check string) "zygos-rr" "zygos-rr" (Run.system_name Run.Zygos_round_robin);
+  Alcotest.(check string) "consolidated" "preempt-q10-consolidated"
+    (Run.system_name (Run.Preemptive_consolidated 10.));
   Alcotest.(check string) "model" "M/G/n/FCFS" (Run.system_name Run.Model_central_fcfs);
   Alcotest.(check int) "five real systems" 5 (List.length Run.all_real_systems)
+
+let test_make_system_rejects_models () =
+  let sim = Engine.Sim.create () in
+  match
+    Run.make_system Run.Model_central_fcfs sim ~cores:4 ~rpc_packets:1 ~stragglers:[]
+      ~rng:(Engine.Rng.create ~seed:1) ~pool:(Net.Request.create_pool ()) ~conns:8
+      ~respond:ignore
+  with
+  | _ -> Alcotest.fail "a queueing model has no simulated server"
+  | exception Invalid_argument _ -> ()
 
 let test_run_point_fields () =
   let cfg = Run.config ~system:Run.Zygos ~service:exp10 ~requests:8_000 () in
@@ -87,6 +100,8 @@ let () =
         [
           Alcotest.test_case "config defaults" `Quick test_config_defaults;
           Alcotest.test_case "system names" `Quick test_system_names;
+          Alcotest.test_case "make_system rejects models" `Quick
+            test_make_system_rejects_models;
           Alcotest.test_case "point fields" `Quick test_run_point_fields;
           Alcotest.test_case "model point" `Quick test_model_point;
           Alcotest.test_case "sweep" `Quick test_sweep;

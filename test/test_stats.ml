@@ -1,7 +1,6 @@
-(* Tests for lib/stats: exact tally, log-bucketed histogram, CCDF. *)
+(* Tests for lib/stats: exact tally, CCDF. *)
 
 module Tally = Stats.Tally
-module Histogram = Stats.Histogram
 module Ccdf = Stats.Ccdf
 module Rng = Engine.Rng
 
@@ -62,97 +61,6 @@ let test_tally_stddev () =
   let t = tally_of [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ] in
   Alcotest.(check (float 1e-6)) "sample stddev" 2.13808993 (Tally.stddev t)
 
-let prop_histogram_close_to_exact =
-  QCheck.Test.make ~name:"histogram percentile within quantization error" ~count:100
-    QCheck.(list_of_size Gen.(10 -- 300) (float_range 0.1 1e5))
-    (fun xs ->
-      let t = tally_of xs in
-      let h = Histogram.create ~significant_digits:3 () in
-      List.iter (Histogram.record h) xs;
-      List.for_all
-        (fun p ->
-          let exact = Tally.percentile t p in
-          let approx = Histogram.percentile h p in
-          abs_float (approx -. exact) <= (0.01 *. exact) +. 1e-3)
-        [ 50.; 90.; 99. ])
-
-let test_histogram_basics () =
-  let h = Histogram.create () in
-  List.iter (Histogram.record h) [ 10.; 20.; 30. ];
-  Alcotest.(check int) "count" 3 (Histogram.count h);
-  Alcotest.(check (float 0.3)) "mean near 20" 20. (Histogram.mean h);
-  Alcotest.(check (float 1e-9)) "max exact" 30. (Histogram.max_value h);
-  Alcotest.check_raises "negative raises" (Invalid_argument "Histogram.record: negative value")
-    (fun () -> Histogram.record h (-1.))
-
-let test_histogram_merge () =
-  let a = Histogram.create () and b = Histogram.create () in
-  List.iter (Histogram.record a) [ 1.; 2. ];
-  List.iter (Histogram.record b) [ 100.; 200. ];
-  Histogram.merge_into ~dst:a b;
-  Alcotest.(check int) "merged count" 4 (Histogram.count a);
-  Alcotest.(check (float 1e-9)) "merged max" 200. (Histogram.max_value a)
-
-let test_histogram_merge_exact () =
-  (* Bucket-array merging must be indistinguishable from recording every
-     sample into the destination directly: same counts per bucket, exact
-     sum (mean) and maximum. *)
-  let rng = Engine.Rng.create ~seed:11 in
-  let a = Histogram.create () and b = Histogram.create () in
-  let direct = Histogram.create () in
-  for i = 1 to 5_000 do
-    let v = Rng.exponential rng ~mean:25. in
-    Histogram.record (if i mod 2 = 0 then a else b) v;
-    Histogram.record direct v
-  done;
-  Histogram.merge_into ~dst:a b;
-  Alcotest.(check int) "count" (Histogram.count direct) (Histogram.count a);
-  Alcotest.(check (float 1e-9)) "exact mean" (Histogram.mean direct) (Histogram.mean a);
-  Alcotest.(check (float 1e-9)) "exact max" (Histogram.max_value direct) (Histogram.max_value a);
-  List.iter
-    (fun p ->
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "p%g" p)
-        (Histogram.percentile direct p) (Histogram.percentile a p))
-    [ 50.; 90.; 99.; 99.9 ]
-
-(* The log-free bucket index (IEEE-754 exponent/mantissa extraction plus a
-   table) must agree with the straightforward log-based formula across the
-   full value range, for every supported precision. *)
-let test_histogram_fast_bucketing_agrees () =
-  let rng = Engine.Rng.create ~seed:13 in
-  let lo = log 1e-4 and hi = log 1e8 in
-  List.iter
-    (fun digits ->
-      let h = Histogram.create ~significant_digits:digits () in
-      let log_ratio = log (1. +. (10. ** float_of_int (-digits))) in
-      let reference v =
-        if v <= 1e-3 then 0 else 1 + int_of_float (log (v /. 1e-3) /. log_ratio)
-      in
-      for _ = 1 to 250_000 do
-        (* log-uniform across [1e-4, 1e8]: covers sub-floor values, the
-           floor boundary, and ~12 decades of magnitude *)
-        let v = exp (lo +. (Rng.float rng *. (hi -. lo))) in
-        let fast = Histogram.bucket_of_value h v in
-        let slow = reference v in
-        if fast <> slow then
-          Alcotest.failf "digits=%d v=%h: fast bucket %d <> log bucket %d" digits v fast
-            slow
-      done)
-    [ 1; 2; 3; 4 ]
-
-let test_histogram_precision_mismatch () =
-  let a = Histogram.create ~significant_digits:2 () in
-  let b = Histogram.create ~significant_digits:3 () in
-  Alcotest.check_raises "mismatch" (Invalid_argument "Histogram.merge_into: precision mismatch")
-    (fun () -> Histogram.merge_into ~dst:a b)
-
-let test_histogram_clear () =
-  let h = Histogram.create () in
-  Histogram.record h 5.;
-  Histogram.clear h;
-  Alcotest.(check int) "cleared" 0 (Histogram.count h)
-
 let test_ccdf_monotone () =
   let samples = Array.init 500 (fun i -> float_of_int (i * i mod 997)) in
   let points = Ccdf.of_samples samples in
@@ -175,6 +83,21 @@ let test_ccdf_survival () =
   Alcotest.(check (float 1e-9)) "survival below" 1. (Ccdf.survival_at samples 0.);
   Alcotest.(check (float 1e-9)) "empty" 0. (Ccdf.survival_at [||] 1.)
 
+(* Tally and Ccdf must describe the same distribution: the nearest-rank
+   p-th percentile leaves at most (100 - p)% of the samples strictly above
+   it, and fewer than p% strictly below it. *)
+let prop_percentile_bounds_survival =
+  QCheck.Test.make ~name:"tally percentile vs ccdf survival" ~count:300
+    QCheck.(pair (list_of_size Gen.(1 -- 200) (float_range 0. 1e6)) (float_range 0. 100.))
+    (fun (xs, p) ->
+      let samples = Array.of_list xs in
+      let n = Array.length samples in
+      let v = Tally.percentile (tally_of xs) p in
+      let above = int_of_float (Float.round (Ccdf.survival_at samples v *. float_of_int n)) in
+      let below = Array.fold_left (fun acc x -> if x < v then acc + 1 else acc) 0 samples in
+      let rank = max 1 (int_of_float (ceil (p /. 100. *. float_of_int n))) in
+      n - above >= rank && below < rank)
+
 let test_ccdf_empty () = Alcotest.(check int) "no points" 0 (List.length (Ccdf.of_samples [||]))
 
 let () =
@@ -189,21 +112,11 @@ let () =
           Alcotest.test_case "merge/clear" `Quick test_tally_merge_and_clear;
           Alcotest.test_case "stddev" `Quick test_tally_stddev;
         ] );
-      ( "histogram",
-        [
-          QCheck_alcotest.to_alcotest prop_histogram_close_to_exact;
-          Alcotest.test_case "basics" `Quick test_histogram_basics;
-          Alcotest.test_case "merge" `Quick test_histogram_merge;
-          Alcotest.test_case "merge exact" `Quick test_histogram_merge_exact;
-          Alcotest.test_case "fast bucketing = log bucketing" `Slow
-            test_histogram_fast_bucketing_agrees;
-          Alcotest.test_case "precision mismatch" `Quick test_histogram_precision_mismatch;
-          Alcotest.test_case "clear" `Quick test_histogram_clear;
-        ] );
       ( "ccdf",
         [
           Alcotest.test_case "monotone" `Quick test_ccdf_monotone;
           Alcotest.test_case "survival" `Quick test_ccdf_survival;
           Alcotest.test_case "empty" `Quick test_ccdf_empty;
         ] );
+      ("quantiles", [ QCheck_alcotest.to_alcotest prop_percentile_bounds_survival ]);
     ]
