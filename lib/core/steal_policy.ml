@@ -1,5 +1,4 @@
 type t = {
-  self : int;
   rng : Engine.Rng.t;
   others : int array;  (* all cores but self; shuffled in place per call *)
   rr : int array;  (* fixed round-robin order *)
@@ -10,9 +9,7 @@ let create ~rng ~cores ~self =
   if self < 0 || self >= cores then invalid_arg "Steal_policy.create: self out of range";
   let others = Array.init (cores - 1) (fun i -> if i < self then i else i + 1) in
   let rr = Array.init (cores - 1) (fun i -> (self + 1 + i) mod cores) in
-  { self; rng; others; rr }
-
-let self t = t.self
+  { rng; others; rr }
 
 let[@zygos.hot] victim_order t =
   Engine.Rng.shuffle_in_place t.rng t.others;

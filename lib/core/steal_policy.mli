@@ -18,8 +18,6 @@ val create : rng:Engine.Rng.t -> cores:int -> self:int -> t
 (** Policy state for one core. Raises [Invalid_argument] when [self] is out
     of range or [cores < 1]. *)
 
-val self : t -> int
-
 val victim_order : t -> int array
 (** A fresh random permutation of all cores except [self]. The returned
     array is reused by the next call — copy it to retain it. *)

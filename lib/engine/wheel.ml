@@ -206,8 +206,10 @@ let[@zygos.hot] run_make_room t =
 
 (* Merge-insert at the (time, seq) position. The new seq is the largest
    live one, so the slot is after every entry with an equal time: first
-   index whose time is strictly greater. *)
-let[@zygos.hot] insert_into_run t ~time ~seq v =
+   index whose time is strictly greater. The time arrives in [buf.(0)],
+   like [add_key]'s, so this call boxes no float. *)
+let[@zygos.hot] insert_into_run t buf ~seq v =
+  let time = Array.unsafe_get buf 0 in
   run_make_room t;
   let lo = ref t.run_pos and hi = ref t.run_len in
   while !lo < !hi do
@@ -387,7 +389,7 @@ let[@zygos.hot] add_key t buf v =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let tick = tick_of_time time in
-  if tick <= t.cur then insert_into_run t ~time ~seq v
+  if tick <= t.cur then insert_into_run t buf ~seq v
   else begin
     let node = alloc_node t in
     Array.unsafe_set t.times node time;

@@ -7,9 +7,8 @@
       networking layer, coherence-free, home-core only);
     - the shuffle queue of ready connections ({!Core.Sched}), which the
       home core consumes and idle remote cores steal from;
-    - a multiple-producer/single-consumer queue of remote batched syscalls
-      ({!Core.Remote_queue}) carrying responses of stolen work back to the
-      home core's TCP output path.
+    - a FIFO of remote batched syscalls carrying the responses of stolen
+      work back to the home core's TCP output path.
 
     The idle loop follows §5's polling order: own hardware ring, then
     others' shuffle queues, then others' pending packet queues — sending an
@@ -48,7 +47,10 @@ val create :
   ?trace:(float -> trace_event -> unit) ->
   unit ->
   Iface.t
-(** Counters exposed through {!Iface.info}, in this order:
+(** Raises [Invalid_argument] above 62 cores: the model keeps per-core
+    idle-loop state as sets with one bit per core in an OCaml [int].
+
+    Counters exposed through {!Iface.info}, in this order:
     - ["steal_fraction"]: stolen events / dispatched events (Figure 8);
     - ["ipis_sent"]: IPIs sent;
     - ["victim_orders"]: randomized victim orders drawn (one per steal

@@ -1,12 +1,11 @@
 (* Tests for lib/core: the ZygOS shuffle layer — PCB state machine,
    per-connection ordering, work conservation, steal accounting — plus the
-   steal policy and the remote-syscall queue. Includes a model-based
-   property test and a真 multicore stress test of the Mutex instantiation. *)
+   steal policy. Includes a model-based property test and a real multicore
+   stress test of the Mutex instantiation. *)
 
 module S = Core.Sched.Sim_sched
 module Mt = Core.Sched.Mt_sched
 module Policy = Core.Steal_policy
-module RQ = Core.Remote_queue.Make (Core.Platform.Nolock)
 
 (* A dispatch read back through the batch accessors as
    [(pcb, events in arrival order, victim)], with victim = -1 for a local
@@ -236,17 +235,6 @@ let test_policy_validation () =
     (Invalid_argument "Steal_policy.create: self out of range") (fun () ->
       ignore (Policy.create ~rng ~cores:4 ~self:4 : Policy.t))
 
-(* ---- remote queue ---- *)
-
-let test_remote_queue_fifo () =
-  let q = RQ.create () in
-  Alcotest.(check bool) "empty" true (RQ.is_empty q);
-  List.iter (RQ.push q) [ 1; 2; 3 ];
-  Alcotest.(check int) "length" 3 (RQ.length q);
-  Alcotest.(check (list int)) "drain order" [ 1; 2; 3 ] (RQ.drain q);
-  Alcotest.(check (list int)) "drained empty" [] (RQ.drain q);
-  Alcotest.(check int) "pushed total" 3 (RQ.pushed_total q)
-
 (* ---- real multicore stress of the Mutex instantiation ---- *)
 
 let test_mt_sched_stress () =
@@ -322,6 +310,5 @@ let () =
           Alcotest.test_case "randomizes" `Quick test_policy_randomizes;
           Alcotest.test_case "validation" `Quick test_policy_validation;
         ] );
-      ("remote-queue", [ Alcotest.test_case "fifo" `Quick test_remote_queue_fifo ]);
       ("multicore", [ Alcotest.test_case "mt stress" `Slow test_mt_sched_stress ]);
     ]

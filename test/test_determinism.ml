@@ -207,6 +207,92 @@ let test_sixteen_core_zygos () =
       Alcotest.(check int) (ctx "wc_violations") z.z_wc_violations (counter "wc_violations"))
     zygos16_goldens
 
+(* The goldens above cover 4- and 16-core exp(10µs) points only. This
+   pins the ZygOS model's exact output over a random configuration
+   space that reaches its edges: one core, odd core counts, straggler
+   windows (the segment fault path), discrete service times (equal-time
+   ties), multi-packet RPCs, network faults and connection skew. Every
+   point field is rendered with %h, plus every info counter except the
+   simulator's own [sim_*] event-pool counters, which count scheduled
+   events rather than model behaviour.
+   Captured at commit 5a22b45. *)
+let randomized_zygos_digest = "167e24695867aea032af535fe92366c7"
+
+let randomized_zygos_configs () =
+  let rng = Engine.Rng.create ~seed:2017 in
+  let pick a = a.(Engine.Rng.int rng (Array.length a)) in
+  let one_in n = Engine.Rng.int rng n = 0 in
+  let requests = 1_500 in
+  List.init 200 (fun seed ->
+      let system =
+        pick [| Run.Zygos; Run.Zygos; Run.Zygos_no_interrupts; Run.Zygos_round_robin |]
+      in
+      let cores = pick [| 1; 2; 3; 4; 5; 8; 16 |] in
+      let conns = pick [| cores; 4 * cores; 64; 2752 |] in
+      let service =
+        pick
+          [|
+            Engine.Dist.exponential 10.;
+            Engine.Dist.deterministic 10.;
+            Engine.Dist.bimodal1 ~mean:10.;
+            Engine.Dist.bimodal2 ~mean:10.;
+            Engine.Dist.lognormal ~mean:10. ~sigma:1.;
+            Engine.Dist.exponential 2.;
+          |]
+      in
+      let load = Engine.Rng.float_range rng 0.05 0.95 in
+      let rpc_packets = pick [| 1; 1; 2; 3 |] in
+      (* Windows fall inside the warmup + measurement span of the point. *)
+      let span =
+        float_of_int requests *. Engine.Dist.mean service /. (load *. float_of_int cores)
+      in
+      let stragglers =
+        if one_in 4 then
+          [
+            {
+              Core.Corefault.core = Engine.Rng.int rng cores;
+              start = Engine.Rng.float_range rng 0. span;
+              duration = Engine.Rng.float_range rng 0.01 0.2 *. span;
+              slowdown = pick [| 2.; 5.; infinity |];
+            };
+          ]
+        else []
+      in
+      let faults =
+        if one_in 5 then Some (Net.Faults.plan ~drop:0.01 ~duplicate:0.01 ~reorder:0.02 ())
+        else None
+      in
+      let selection =
+        if one_in 4 then Net.Loadgen.Hot_cold { hot_fraction = 0.1; hot_load = 0.5 }
+        else Net.Loadgen.Uniform
+      in
+      let cfg =
+        Run.config ~cores ~conns ~requests ~seed ~rpc_packets ~selection ?faults ~stragglers ~system
+          ~service ()
+      in
+      (cfg, load))
+
+let render_point buf (p : Run.point) =
+  Printf.bprintf buf "%h %h %h %h %h %h %h %h %d %d" p.Run.load p.Run.offered_rate
+    p.Run.throughput p.Run.goodput p.Run.mean p.Run.p50 p.Run.p99 p.Run.p999 p.Run.completed
+    p.Run.order_violations;
+  List.iter
+    (fun (k, v) ->
+      if not (String.starts_with ~prefix:"sim_" k) then Printf.bprintf buf " %s=%h" k v)
+    p.Run.info;
+  Buffer.add_char buf '\n'
+
+let test_randomized_zygos_configs () =
+  let buf = Buffer.create 65_536 in
+  List.iter
+    (fun (cfg, load) -> render_point buf (Run.run_point cfg ~load))
+    (randomized_zygos_configs ());
+  let text = Buffer.contents buf in
+  let digest = Digest.to_hex (Digest.string text) in
+  if not (String.equal digest randomized_zygos_digest) then
+    Alcotest.failf "randomized zygos digest %s, want %s; rendered points:\n%s" digest
+      randomized_zygos_digest text
+
 let test_sweep_is_repeatable () =
   (* Two runs of the same config in one process must agree exactly (no
      hidden global state in the pooled engine). *)
@@ -227,5 +313,6 @@ let () =
             test_fixed_seed_sweep;
           Alcotest.test_case "16-core zygos golden points" `Quick test_sixteen_core_zygos;
           Alcotest.test_case "same-process repeatability" `Quick test_sweep_is_repeatable;
+          Alcotest.test_case "randomized zygos configs" `Quick test_randomized_zygos_configs;
         ] );
     ]

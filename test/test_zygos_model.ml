@@ -60,6 +60,51 @@ let test_single_request_cost () =
       Alcotest.(check (float 1e-9)) "exact completion time" expected at
   | other -> Alcotest.failf "expected 1 response, got %d" (List.length other)
 
+let conn_homed_on ~cores core =
+  let rss = Net.Rss.create ~queues:cores () in
+  let rec find c = if Net.Rss.queue_of_conn rss c = core then c else find (c + 1) in
+  find 0
+
+let test_marked_core_served_by_its_sweep () =
+  (* A packet for core 1 arrives while core 1 is idle and already marked
+     by a pending wake sweep, so submit opens no sweep of its own: only
+     that sweep can start core 1's rx, and it must see the packet in the
+     ring. Core 0's rx completes at 0.95 and marks core 1 for 1.15; core
+     1's packet arrives at 1.0. *)
+  let p = default_params 2 in
+  let open Systems.Params in
+  let c0 = conn_homed_on ~cores:2 0 and c1 = conn_homed_on ~cores:2 1 in
+  let sim, pool, iface, responses = make_machine ~cores:2 ~conns:(max c0 c1 + 1) () in
+  iface.Systems.Iface.submit (mk_req pool ~id:0 ~conn:c0 ~service:10. 0.);
+  let late = mk_req pool ~id:1 ~conn:c1 ~service:5. 1.0 in
+  let _ : Sim.handle = Sim.schedule sim ~at:1.0 (fun () -> iface.Systems.Iface.submit late) in
+  Sim.run sim;
+  (* The model's own float arithmetic, step by step. *)
+  let rx_cost = p.dp_loop +. (1. *. p.dp_rx) in
+  let sweep_at = 0. +. p.dp_loop +. rx_cost +. p.zy_poll_delay in
+  let expected = sweep_at +. rx_cost +. (0. +. p.zy_shuffle +. 5.) +. (1. *. p.dp_tx) in
+  match List.assoc_opt late !responses with
+  | Some at -> Alcotest.(check (float 0.)) "exact completion time" expected at
+  | None -> Alcotest.fail "the marked core's packet was never served"
+
+let test_core_set_limit () =
+  (* Core sets hold one bit per core in an OCaml int. *)
+  let create cores =
+    Systems.Zygos.create (Sim.create ()) (default_params cores) ~rng:(Rng.create ~seed:1)
+      ~pool:(Request.create_pool ()) ~conns:cores ~respond:ignore ()
+  in
+  Alcotest.check_raises "63 cores" (Invalid_argument "Zygos.create: more than 62 cores")
+    (fun () -> ignore (create 63 : Systems.Iface.t));
+  let cfg =
+    Experiments.Run.config ~cores:62 ~conns:620 ~requests:2_000 ~seed:5
+      ~system:Experiments.Run.Zygos ~service:(Engine.Dist.exponential 10.) ()
+  in
+  let pt = Experiments.Run.run_point cfg ~load:0.5 in
+  Alcotest.(check bool) "62-core point completes its requests" true
+    (pt.Experiments.Run.completed >= 1_900);
+  Alcotest.(check (option (float 0.))) "work conserving" (Some 0.)
+    (Experiments.Run.info_value pt "wc_violations")
+
 let test_idle_machine_draws_no_victim_order () =
   (* One request through an idle 16-core machine: the home core claims
      it from its own queue and no core can steal it or needs an IPI, so
@@ -253,5 +298,8 @@ let () =
           Alcotest.test_case "idle machine terminates" `Quick test_zero_load_idle_terminates;
           Alcotest.test_case "bounded rx batching" `Quick test_rx_batching_bounded;
           Alcotest.test_case "trace consistency" `Quick test_trace_consistency;
+          Alcotest.test_case "marked idle core is served by its sweep" `Quick
+            test_marked_core_served_by_its_sweep;
+          Alcotest.test_case "62 cores, one core-set bit each" `Quick test_core_set_limit;
         ] );
     ]

@@ -998,8 +998,9 @@ let suppressed_of fs = List.filter (fun f -> f.suppressed) fs
    One summary per syntactic function binding, keyed by a canonical
    dotted name ("Engine.Wheel.add"). Canonicalization undoes dune's
    [Lib__Module] name mangling and resolves local module aliases and
-   functor instantiations ([module RQ = Remote_queue.Make (Nolock)]:
-   calls through [RQ.f] resolve to the functor body's [...Make.f]).
+   functor instantiations ([module Sim_sched = Make (Platform.Nolock)]:
+   calls through [Sim_sched.f] resolve to the functor body's
+   [...Make.f]).
    Higher-order calls — a computed head, a call through a function
    parameter — resolve to [Callee_unknown], the top of the callee
    lattice: the graph must assume they may allocate. *)
