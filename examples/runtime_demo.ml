@@ -8,6 +8,7 @@ let () =
   let exec = Runtime.Executor.create ~cores ~conns () in
   Runtime.Executor.start exec;
   let rng = Engine.Rng.create ~seed:31 in
+  let spin = Engine.Dist.exponential 20. in
   (* Per-connection completion logs to verify the §4.3 ordering guarantee:
      tasks of one connection must finish in submission order even when
      stolen by other workers. *)
@@ -18,7 +19,7 @@ let () =
     let conn = Engine.Rng.int rng conns in
     let seqno = submitted.(conn) in
     submitted.(conn) <- seqno + 1;
-    let us = Engine.Rng.exponential rng ~mean:20. in
+    let us = Engine.Dist.sample spin rng in
     (* Each completion log is an Atomic cell; the [logs] array itself is
        fixed-shape and only indexed, never written across domains. *)
     (Runtime.Executor.submit exec ~conn (fun () ->

@@ -13,13 +13,14 @@ module Spin = Net.Framing.Spin
 let () =
   let cores = 4 and conns = 16 and requests = 400 in
   let rng = Engine.Rng.create ~seed:3 in
+  let spin = Engine.Dist.exponential 30. in
   (* Client side: build each connection's wire stream of framed requests,
      then chop everything into 64-byte "packets" to force fragmentation. *)
   let per_conn_reqs =
     Array.init conns (fun conn ->
         List.init (requests / conns) (fun i ->
             { Spin.id = (conn * 10_000) + i;
-              spin_us = Engine.Rng.exponential rng ~mean:30. }))
+              spin_us = Engine.Dist.sample spin rng }))
   in
   let packets =
     Array.to_list per_conn_reqs

@@ -200,9 +200,10 @@ let submit t (req : Request.t) =
    race on the same mutable started/completion fields. The rack runs its
    pool without recycling — a copy can outlive the first completion. *)
 let copy_req t (req : Request.t) =
+  let s = Request.slot t.pool req in
+  let times = [| (Request.arrivals t.pool).(s); (Request.services t.pool).(s) |] in
   Request.alloc t.pool ~id:(Request.id t.pool req) ~conn:(Request.conn t.pool req)
-    ~arrival:(Request.arrival t.pool req) ~service:(Request.service t.pool req)
-    ~measured:(Request.measured t.pool req)
+    ~measured:(Request.measured t.pool req) times
 
 let on_timeout t id =
   match Hashtbl.find_opt t.entries id with

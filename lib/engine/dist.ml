@@ -41,17 +41,30 @@ let squared_cv t =
   let m = mean t in
   if m = 0. then 0. else (second_moment t -. (m *. m)) /. (m *. m)
 
-(* Sampling returns a fresh float by contract; the boxes are part of
-   the measured per-request budget (see perf guard), not a regression,
-   so the cross-unit float returns below are documented suppressions. *)
-let[@zygos.hot] sample t rng =
+(* Each distribution's one sampler: draw and result travel through
+   [buf.(i)], so no float crosses a call boxed. *)
+let[@zygos.hot] sample_into t rng (buf : float array) i =
   match t with
-  | Deterministic s -> s
-  | Exponential s -> (Rng.exponential rng ~mean:s [@zygos.allow "r7"])
+  | Deterministic s -> buf.(i) <- s
+  | Exponential s ->
+      (* Inverse CDF; [1. -. u] avoids log 0. *)
+      Rng.float_into rng buf i;
+      buf.(i) <- -.s *. log (1. -. buf.(i))
   | Bimodal { p_slow; fast; slow } ->
-      if (Rng.bernoulli rng p_slow [@zygos.allow "r7"]) then slow else fast
-  | Lognormal { mu; sigma } -> exp (Rng.normal rng ~mu ~sigma [@zygos.allow "r7"])
-  | Empirical a -> a.(Rng.int rng (Array.length a))
+      Rng.float_into rng buf i;
+      buf.(i) <- (if buf.(i) < p_slow then slow else fast)
+  | Lognormal { mu; sigma } ->
+      Rng.float_into rng buf i;
+      let u1 = 1. -. buf.(i) in
+      Rng.float_into rng buf i;
+      let z = sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. buf.(i)) in
+      buf.(i) <- exp (mu +. (sigma *. z))
+  | Empirical a -> buf.(i) <- a.(Rng.int rng (Array.length a))
+
+let sample t rng =
+  let buf = [| 0. |] in
+  sample_into t rng buf 0;
+  buf.(0)
 
 let scale t k =
   match t with

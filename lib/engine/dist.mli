@@ -39,8 +39,13 @@ val squared_cv : t -> float
 (** Squared coefficient of variation, Var(X)/E(X)^2. 0 for deterministic,
     1 for exponential; distinguishes the dispersion regimes of §2.3. *)
 
+val sample_into : t -> Rng.t -> float array -> int -> unit
+(** [sample_into d rng buf i] draws one value into [buf.(i)]. Hot paths
+    sample through it: the value stays in flat float storage, where a
+    returned float would be boxed at the call. *)
+
 val sample : t -> Rng.t -> float
-(** Draw one value. *)
+(** Draw one value through {!sample_into}, for cold callers. *)
 
 val scale : t -> float -> t
 (** [scale t k] multiplies the distribution by [k] (so its mean scales by

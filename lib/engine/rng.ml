@@ -51,6 +51,16 @@ let[@zygos.hot] float (t : t) =
   let bits = Int64.shift_right_logical z 11 in
   Int64.to_float bits *. 0x1p-53
 
+(* [float] stored flat in [buf.(i)]: same chain and bits, but a float
+   stored into a float array is not boxed, a returned one is. *)
+let[@zygos.hot] float_into (t : t) (buf : float array) i =
+  let s = Int64.add (Bigarray.Array1.unsafe_get t 0) golden_gamma in
+  Bigarray.Array1.unsafe_set t 0 s;
+  let z = Int64.(mul (logxor s (shift_right_logical s 30)) 0xBF58476D1CE4E5B9L) in
+  let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
+  let z = Int64.(logxor z (shift_right_logical z 31)) in
+  buf.(i) <- Int64.to_float (Int64.shift_right_logical z 11) *. 0x1p-53
+
 let float_range (t : t) lo hi =
   assert (lo <= hi);
   lo +. (float t *. (hi -. lo))
@@ -72,15 +82,6 @@ let int_range (t : t) lo hi =
 let bool (t : t) = Int64.logand (next_int64 t) 1L = 1L
 
 let[@zygos.hot] bernoulli (t : t) p = float t < p
-
-let[@zygos.hot] exponential (t : t) ~mean =
-  (* Inverse CDF; [1. -. float t] avoids log 0. *)
-  -.mean *. log (1. -. float t)
-
-let[@zygos.hot] normal (t : t) ~mu ~sigma =
-  let u1 = 1. -. float t and u2 = float t in
-  let z = sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2) in
-  mu +. (sigma *. z)
 
 (* Fisher–Yates over an [int array], with the [int] draw chain inlined:
    each step computes exactly [int t (i + 1)]. Steal-victim shuffles

@@ -29,6 +29,10 @@ val next_int64 : t -> int64
 val float : t -> float
 (** Uniform float in [0, 1). *)
 
+val float_into : t -> float array -> int -> unit
+(** [float_into t buf i] stores the next {!float} draw in [buf.(i)]: the
+    same bits, without the box a float returned across modules pays. *)
+
 val float_range : t -> float -> float -> float
 (** [float_range t lo hi] is uniform in [lo, hi). Requires [lo <= hi]. *)
 
@@ -43,12 +47,6 @@ val bool : t -> bool
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
-
-val exponential : t -> mean:float -> float
-(** Exponentially distributed sample with the given mean. *)
-
-val normal : t -> mu:float -> sigma:float -> float
-(** Gaussian sample (Box–Muller). *)
 
 val shuffle_in_place : t -> int array -> unit
 (** Fisher–Yates shuffle of an [int array], drawing [int t (i + 1)] for

@@ -206,16 +206,6 @@ let schedule_after t ~delay action =
   enqueue_key t h;
   h
 
-let[@zygos.hot] schedule_fn t ~at fn iarg =
-  if at < Array.unsafe_get t.clock 0 then
-    invalid_arg
-      (Printf.sprintf "Sim.schedule_fn: at %g is in the past (now %g)" at
-         (Array.unsafe_get t.clock 0));
-  Array.unsafe_set t.tbuf 0 at;
-  let h = prep_fn t fn iarg in
-  enqueue_key t h;
-  h
-
 let[@zygos.hot] schedule_fn_after t ~delay fn iarg =
   if delay < 0. then invalid_arg "Sim.schedule_fn_after: negative delay";
   Array.unsafe_set t.tbuf 0 (Array.unsafe_get t.clock 0 +. delay);

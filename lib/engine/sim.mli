@@ -9,8 +9,11 @@
     a pool of recycled slots, handles are immediate integers carrying a
     per-slot generation, and the queue stores its keys in flat arrays.
     Two dispatch APIs share the pool: {!schedule} takes a closure (one
-    allocation per event), while {!schedule_fn} takes a long-lived
-    [int -> unit] plus an immediate payload and allocates nothing.
+    allocation per event), while {!schedule_fn_keyed} takes a long-lived
+    [int -> unit] plus an immediate payload and allocates nothing. Hot
+    paths hand the event time over in {!key_buffer}: a float argument to
+    a function in another module is boxed at the call, one stored in a
+    float array is not.
 
     The queue implementation — binary heap or hierarchical timing wheel,
     see {!Equeue} — is selectable per simulation, process-wide, or via
@@ -80,28 +83,24 @@ val schedule_keyed : t -> (unit -> unit) -> handle
 (** Like {!schedule}, with the time taken from {!key_buffer} slot 0. *)
 
 val schedule_fn_keyed : t -> (int -> unit) -> int -> handle
-(** Like {!schedule_fn}, with the time taken from {!key_buffer} slot 0. *)
+(** [schedule_fn_keyed t fn iarg] runs [fn iarg] at the time in
+    {!key_buffer} slot 0 (raises [Invalid_argument] if in the past). [fn]
+    must be long-lived (pre-bound at setup) and [iarg] is stored unboxed,
+    so it allocates nothing. One (time, seqno) order spans all APIs. *)
 
 val schedule : t -> at:float -> (unit -> unit) -> handle
 (** [schedule t ~at f] runs [f] when the clock reaches [at]. [at] must not
     be in the past (raises [Invalid_argument]). Allocates the closure the
-    caller builds; cold paths only — hot paths use {!schedule_fn}. *)
+    caller builds; cold paths only — hot paths use {!schedule_fn_keyed}. *)
 
 val schedule_after : t -> delay:float -> (unit -> unit) -> handle
 (** [schedule_after t ~delay f] = [schedule t ~at:(now t +. delay) f].
     [delay] must be non-negative. *)
 
-val schedule_fn : t -> at:float -> (int -> unit) -> int -> handle
-(** [schedule_fn t ~at fn iarg] runs [fn iarg] when the clock reaches
-    [at]. [fn] must be long-lived (pre-bound at setup, e.g. indexed by
-    core or connection id) and [iarg] is stored unboxed in the event
-    pool, so steady-state scheduling allocates zero words. Ordering is
-    identical to {!schedule}: one (time, seqno) sequence spans both
-    APIs. *)
-
 val schedule_fn_after : t -> delay:float -> (int -> unit) -> int -> handle
-(** [schedule_fn_after t ~delay fn iarg] =
-    [schedule_fn t ~at:(now t +. delay) fn iarg]. *)
+(** [schedule_fn_after t ~delay fn iarg] runs [fn iarg] at
+    [now t +. delay], like {!schedule_fn_keyed}. [delay] must be
+    non-negative; it is boxed at the call. *)
 
 val cancel : t -> handle -> unit
 (** Prevent a pending event from firing. Cancelling a fired or already

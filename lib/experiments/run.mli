@@ -107,8 +107,10 @@ val point_of_tally :
   Stats.Tally.t ->
   point
 (** Reduce a latency tally to a sweep point (percentiles zeroed when the
-    tally is empty). Exposed for runners outside this module —
-    {!Rackrun} reduces rack simulations with it. *)
+    tally is empty). The percentiles are taken first, so [mean] sums the
+    sorted samples: the point depends only on the sample multiset, not
+    on the order they were recorded in. Exposed for runners outside this
+    module — {!Rackrun} reduces rack simulations with it. *)
 
 val make_system :
   system_kind ->

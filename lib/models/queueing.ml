@@ -146,10 +146,11 @@ let simulate spec ~service ~load ~requests ~seed =
     | Fcfs -> fcfs_arrive sim station job ~record
     | Ps -> ps_arrive sim station job ~record
   in
+  let gaps = Dist.exponential (1. /. lambda) in
   let generated = ref 0 in
   let rec next_arrival () =
     if !generated < total then begin
-      let gap = Rng.exponential arrival_rng ~mean:(1. /. lambda) in
+      let gap = Dist.sample gaps arrival_rng in
       let _ : Sim.handle =
         Sim.schedule_after sim ~delay:gap (fun () ->
             let idx = !generated in

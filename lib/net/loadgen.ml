@@ -66,7 +66,12 @@ type t = {
   pool : Request.pool;  (* the experiment's request arena *)
   conns : int;
   rate : float;
+  gap : Dist.t;  (* inter-arrival gaps: exponential, mean [1 / rate] *)
   service : Dist.t;
+  (* Flat floats, so none crosses a call boxed: the next request's
+     arrival and service (what [Request.alloc] reads), then a gap or a
+     latency. *)
+  scratch : float array;
   selection : conn_selection;
   service_fn : (conn:int -> float) option;
   slo : float;
@@ -91,7 +96,7 @@ type t = {
   mutable window_completions : int;
   latencies : Stats.Tally.t;
   outstanding : Engine.Intq.t array;  (* per-conn FIFO of pending request ids *)
-  (* Long-lived timeout/retransmit dispatch fns ([Sim.schedule_fn]),
+  (* Long-lived timeout/retransmit dispatch fns ([Sim.schedule_fn_keyed]),
      keyed by logical request id; bound in [create] when retries are on. *)
   mutable fn_timeout : int -> unit;
   mutable fn_retry : int -> unit;
@@ -139,10 +144,9 @@ let[@zygos.hot] on_timeout t p r =
 
 and retransmit t p r =
   let id = t.next_id in
-  let req =
-    Request.alloc t.pool ~id ~conn:p.p_conn ~arrival:(Sim.now t.sim) ~service:p.p_service
-      ~measured:false
-  in
+  Array.unsafe_set t.scratch 0 (Array.unsafe_get t.clk 0);
+  Array.unsafe_set t.scratch 1 p.p_service;
+  let req = Request.alloc t.pool ~id ~conn:p.p_conn ~measured:false t.scratch in
   t.next_id <- t.next_id + 1;
   t.retries <- t.retries + 1;
   Hashtbl.replace t.phys2log id p.p_id;
@@ -169,7 +173,9 @@ let create sim ~rng ~pool ~conns ~rate ~service ?(selection = Uniform) ?service_
       pool;
       conns;
       rate;
+      gap = Dist.exponential (1. /. rate);
       service;
+      scratch = Array.make 3 0.;
       selection;
       service_fn;
       slo;
@@ -232,20 +238,14 @@ let[@zygos.hot] emit t ~measure_start ~stop_at =
         else if t.conns > hot_count then hot_count + Rng.int t.rng (t.conns - hot_count)
         else Rng.int t.rng t.conns
   in
-  let service =
-    match t.service_fn with
-    (* Experiment-supplied service model: opaque to the call graph. *)
-    | Some f -> (f ~conn [@zygos.allow "r6"])
-    (* Sampling returns a fresh float by contract (see [Dist.sample]). *)
-    | None -> (Dist.sample t.service t.rng [@zygos.allow "r7"])
-  in
+  Array.unsafe_set t.scratch 0 now;
+  (match t.service_fn with
+  (* Experiment-supplied service model: opaque to the call graph. *)
+  | Some f -> Array.unsafe_set t.scratch 1 (f ~conn [@zygos.allow "r6"])
+  | None -> Dist.sample_into t.service t.rng t.scratch 1);
   let measured = now >= measure_start && now < stop_at in
   let id = t.next_id in
-  (* Request timestamps land in the pool's flat float arrays; the boxed
-     labelled arguments are the documented alloc-time hand-off, inside
-     the 85-words-per-request budget the perf guard pins. *)
-  let req = (Request.alloc t.pool ~id ~conn ~arrival:now ~service ~measured
-             [@zygos.allow "r7"]) in
+  let req = Request.alloc t.pool ~id ~conn ~measured t.scratch in
   t.next_id <- t.next_id + 1;
   t.generated <- t.generated + 1;
   if measured then t.measured_generated <- t.measured_generated + 1;
@@ -262,7 +262,7 @@ let[@zygos.hot] emit t ~measure_start ~stop_at =
         {
           p_id = id;
           p_conn = conn;
-          p_service = service;
+          p_service = Array.unsafe_get t.scratch 1;
           p_measured = measured;
           p_first_arrival = now;
           p_attempts = 0;
@@ -285,21 +285,27 @@ let start t ~warmup ~measure =
   t.measure_span <- measure;
   t.measure_start <- measure_start;
   t.measure_end <- stop_at;
+  (* Room for the window's Poisson arrival count up to mean + 4 sigma,
+     so the reservoir does not double, leaving garbage, in the window. *)
+  let expected = t.rate *. measure in
+  Stats.Tally.reserve t.latencies (int_of_float (expected +. (4. *. sqrt expected) +. 16.));
   let rec arrival () =
     if Array.unsafe_get t.clk 0 < stop_at then begin
       emit t ~measure_start ~stop_at;
-      let gap = Rng.exponential t.rng ~mean:(1. /. t.rate) in
+      Dist.sample_into t.gap t.rng t.scratch 2;
       (* Keyed schedule: same [clock +. delay] arithmetic as
          [schedule_after], with the time handed over flat. *)
-      Array.unsafe_set t.kbuf 0 (Array.unsafe_get t.clk 0 +. gap);
+      Array.unsafe_set t.kbuf 0 (Array.unsafe_get t.clk 0 +. Array.unsafe_get t.scratch 2);
       ignore (Sim.schedule_keyed t.sim arrival : Sim.handle)
     end
   in
-  let first_gap = Rng.exponential t.rng ~mean:(1. /. t.rate) in
-  ignore (Sim.schedule_after t.sim ~delay:first_gap arrival : Sim.handle)
+  Dist.sample_into t.gap t.rng t.scratch 2;
+  ignore (Sim.schedule_after t.sim ~delay:(Array.unsafe_get t.scratch 2) arrival : Sim.handle)
 
-(* Record a distinct logical completion at time [now] with latency [lat]. *)
-let[@zygos.hot] record_completion t ~now ~measured ~lat =
+(* Record a distinct logical completion, now, with its latency in
+   scratch slot 2. *)
+let[@zygos.hot] record_completion t ~measured =
+  let now = Array.unsafe_get t.clk 0 in
   if now >= t.measure_start && now < t.measure_end then
     t.window_completions <- t.window_completions + 1;
   if measured then begin
@@ -308,23 +314,23 @@ let[@zygos.hot] record_completion t ~now ~measured ~lat =
       (* Goodput: distinct measured requests whose response made the SLO,
          completed inside the window — the metric that collapses under a
          retry storm while raw throughput still looks healthy. *)
-      if lat <= t.slo then t.goodput_completions <- t.goodput_completions + 1
+      if Array.unsafe_get t.scratch 2 <= t.slo then
+        t.goodput_completions <- t.goodput_completions + 1
     end;
     (* Latency is recorded for every measured request, so overload shows
-       up in the tail. One boxed float per measured completion feeds the
-       tally; the reservoir itself is a flat float array. *)
-    (Stats.Tally.record t.latencies lat [@zygos.allow "r7"])
+       up in the tail. *)
+    Stats.Tally.record_from t.latencies t.scratch 2
   end
 
 let[@zygos.hot] complete t (req : Request.t) =
-  if Request.is_completed t.pool req then
+  let s = Request.slot t.pool req in
+  let completions = Request.completions t.pool in
+  if Array.unsafe_get completions s >= 0. then
     (* Duplicate responses are legitimate under packet duplication and
        under client retries; count them instead of raising. *)
     t.duplicate_completions <- t.duplicate_completions + 1
   else begin
-    let now = Array.unsafe_get t.clk 0 in
-    (* Completion timestamp lands in the pool's flat float array. *)
-    (Request.set_completion t.pool req now [@zygos.allow "r7"]);
+    Array.unsafe_set completions s (Array.unsafe_get t.clk 0);
     let rid = Request.id t.pool req in
     (match t.retry with
     | None ->
@@ -339,8 +345,9 @@ let[@zygos.hot] complete t (req : Request.t) =
              dropped, later copies of [rid] are filtered out.) *)
           Engine.Intq.remove_all q rid
         end;
-        record_completion t ~now ~measured:(Request.measured t.pool req)
-          ~lat:((Request.latency t.pool req) [@zygos.allow "r7"])
+        Array.unsafe_set t.scratch 2
+          (Array.unsafe_get completions s -. Array.unsafe_get (Request.arrivals t.pool) s);
+        record_completion t ~measured:(Request.measured t.pool req)
     | Some _ -> (
         (* Retry-mode lookups; the [Some] boxes are retry bookkeeping,
            absent from the clean fast path. *)
@@ -364,7 +371,8 @@ let[@zygos.hot] complete t (req : Request.t) =
               end;
               (* Client-observed latency spans from the first send, not the
                  retransmission that finally got through. *)
-              record_completion t ~now ~measured:p.p_measured ~lat:(now -. p.p_first_arrival)
+              Array.unsafe_set t.scratch 2 (Array.unsafe_get t.clk 0 -. p.p_first_arrival);
+              record_completion t ~measured:p.p_measured
             end));
     (* The client is the end of the line for a response: hand the slot
        back. A no-op unless the pool recycles (clean fast path only). *)

@@ -98,12 +98,14 @@ val set_target : t -> (Request.t -> unit) -> unit
 val start : t -> warmup:float -> measure:float -> unit
 (** Schedule the arrival process: requests are generated from sim-time now
     until [warmup + measure]; those arriving in [[warmup, warmup+measure))
-    are measured. Run the simulation afterwards to completion. *)
+    are measured. Run the simulation afterwards to completion. The
+    {!tally} is reserved for λ + 4√λ + 16 samples, λ = rate × measure. *)
 
 val complete : t -> Request.t -> unit
 (** Called by the server when the response for [req] is on the wire.
     Records latency for measured requests and verifies per-connection
-    ordering. Completing a request twice — legitimate under packet
+    ordering. Times travel in flat float slots, so a clean request's
+    generation and completion allocate nothing. Completing a request twice — legitimate under packet
     duplication and client retries — is counted in
     {!duplicate_completions} and otherwise ignored. *)
 

@@ -78,13 +78,13 @@ let[@zygos.hot] grow p =
   p.gens <- extend p.gens ncap 0;
   p.free <- extend p.free ncap 0
 
-let[@zygos.hot] slot_of p (h : t) =
+let[@zygos.hot] slot p (h : t) =
   let slot = h land slot_mask in
   if h < 0 || slot >= p.next_slot || Array.unsafe_get p.gens slot <> h lsr slot_bits
   then invalid_arg "Request: stale or invalid handle";
   slot
 
-let[@zygos.hot] alloc p ~id ~conn ~arrival ~service ~measured =
+let[@zygos.hot] alloc p ~id ~conn ~measured (times : float array) =
   let slot =
     if p.free_n > 0 then begin
       p.free_n <- p.free_n - 1;
@@ -99,8 +99,8 @@ let[@zygos.hot] alloc p ~id ~conn ~arrival ~service ~measured =
   in
   Array.unsafe_set p.ids slot id;
   Array.unsafe_set p.conns slot conn;
-  Array.unsafe_set p.arrivals slot arrival;
-  Array.unsafe_set p.services slot service;
+  Array.unsafe_set p.arrivals slot times.(0);
+  Array.unsafe_set p.services slot times.(1);
   Array.unsafe_set p.measureds slot (if measured then 1 else 0);
   Array.unsafe_set p.starteds slot (-1.);
   Array.unsafe_set p.completions slot (-1.);
@@ -109,7 +109,7 @@ let[@zygos.hot] alloc p ~id ~conn ~arrival ~service ~measured =
   (Array.unsafe_get p.gens slot lsl slot_bits) lor slot
 
 let[@zygos.hot] release p h =
-  let slot = slot_of p h in
+  let slot = slot p h in
   if p.recycle then begin
     Array.unsafe_set p.gens slot (Array.unsafe_get p.gens slot + 1);
     if p.free_n = Array.length p.free then grow p;
@@ -118,25 +118,19 @@ let[@zygos.hot] release p h =
   end;
   p.live_count <- p.live_count - 1
 
-let[@zygos.hot] id p h = Array.unsafe_get p.ids (slot_of p h)
-let[@zygos.hot] conn p h = Array.unsafe_get p.conns (slot_of p h)
-let[@zygos.hot] arrival p h = Array.unsafe_get p.arrivals (slot_of p h)
-let[@zygos.hot] service p h = Array.unsafe_get p.services (slot_of p h)
-let[@zygos.hot] measured p h = Array.unsafe_get p.measureds (slot_of p h) = 1
-let[@zygos.hot] started p h = Array.unsafe_get p.starteds (slot_of p h)
-let[@zygos.hot] set_started p h v = Array.unsafe_set p.starteds (slot_of p h) v
-let[@zygos.hot] completion p h = Array.unsafe_get p.completions (slot_of p h)
-let[@zygos.hot] set_completion p h v = Array.unsafe_set p.completions (slot_of p h) v
-let[@zygos.hot] is_completed p h = Array.unsafe_get p.completions (slot_of p h) >= 0.
+let[@zygos.hot] id p h = Array.unsafe_get p.ids (slot p h)
+let[@zygos.hot] conn p h = Array.unsafe_get p.conns (slot p h)
+let[@zygos.hot] measured p h = Array.unsafe_get p.measureds (slot p h) = 1
 
-let[@zygos.hot] latency p h =
-  let slot = slot_of p h in
-  let c = Array.unsafe_get p.completions slot in
-  if c < 0. then invalid_arg "Request.latency: not completed";
-  c -. Array.unsafe_get p.arrivals slot
+(* The float columns themselves: a caller reads and writes a time at
+   [slot p h], so no float crosses a call. *)
+let[@zygos.hot] arrivals p = p.arrivals
+let[@zygos.hot] services p = p.services
+let[@zygos.hot] starteds p = p.starteds
+let[@zygos.hot] completions p = p.completions
 
 let pp p ppf h =
-  let slot = slot_of p h in
+  let slot = slot p h in
   Format.fprintf ppf "req#%d conn=%d arrival=%.3f service=%.3f completion=%.3f" p.ids.(slot)
     p.conns.(slot) p.arrivals.(slot) p.services.(slot) p.completions.(slot)
 

@@ -12,7 +12,9 @@
     allocates nothing on the OCaml heap. Handles carry a generation
     number; touching a handle whose slot was recycled raises, so
     use-after-release is caught deterministically rather than corrupting
-    another request's state. *)
+    another request's state. Times are read and written by {!slot} in
+    the pool's flat float columns: a float stored in a float array is not
+    boxed, one passed to or returned from another module is. *)
 
 type t = int
 (** Handle: [(generation lsl slot_bits) lor slot]. Immediate, so it can
@@ -33,10 +35,11 @@ val create_pool : ?recycle:bool -> ?capacity:int -> unit -> pool
     for the whole run. The clean fast path (no faults, no retries)
     enables recycling and runs in O(outstanding) slots. *)
 
-val alloc :
-  pool -> id:int -> conn:int -> arrival:float -> service:float -> measured:bool -> t
-(** [id] is explicit (not pool-assigned) because cluster re-dispatch
-    creates fresh handles carrying the same logical request id. *)
+val alloc : pool -> id:int -> conn:int -> measured:bool -> float array -> t
+(** [alloc p ~id ~conn ~measured times] takes the arrival from
+    [times.(0)] and the service demand from [times.(1)]. [id] is explicit
+    (not pool-assigned) because cluster re-dispatch creates fresh handles
+    carrying the same logical request id. *)
 
 val release : pool -> t -> unit
 (** Return the slot for reuse (generation-bumped). No-op when the pool
@@ -45,35 +48,33 @@ val release : pool -> t -> unit
 (** {2 Field access} — all raise [Invalid_argument] on a stale or
     [none] handle. *)
 
+val slot : pool -> t -> int
+(** The handle's slot in the float columns below. *)
+
 val id : pool -> t -> int
 (** Unique, increasing in arrival order (per load generator). *)
 
 val conn : pool -> t -> int
 (** Connection carrying this RPC. *)
 
-val arrival : pool -> t -> float
-(** Sim time the request hits the server NIC (µs). *)
-
-val service : pool -> t -> float
-(** Application service demand (µs). *)
-
 val measured : pool -> t -> bool
 (** Inside the measurement window (not warmup/drain)? *)
 
-val started : pool -> t -> float
-(** Sim time application execution began; -1 if not yet. *)
+(** {2 Float columns} — index with {!slot}. Pool growth replaces them,
+    so re-read a column after any {!alloc}. Latency is
+    [completions.(s) -. arrivals.(s)]. *)
 
-val set_started : pool -> t -> float -> unit
+val arrivals : pool -> float array
+(** Sim time each request hits the server NIC (µs). *)
 
-val completion : pool -> t -> float
-(** Sim time the response was sent; -1 if pending. *)
+val services : pool -> float array
+(** Application service demand (µs). *)
 
-val set_completion : pool -> t -> float -> unit
+val starteds : pool -> float array
+(** Sim time application execution began; -1 until then. *)
 
-val is_completed : pool -> t -> bool
-
-val latency : pool -> t -> float
-(** [completion - arrival]. Raises [Invalid_argument] if not completed. *)
+val completions : pool -> float array
+(** Sim time the response was sent; -1 while pending. *)
 
 val pp : pool -> Format.formatter -> t -> unit
 

@@ -6,7 +6,16 @@ type t = {
 
 let create () = { data = [||]; size = 0; sorted = true }
 
-let[@zygos.hot] record t x =
+let reserve t n =
+  if n > Array.length t.data then begin
+    let bigger = Array.make n 0. in
+    Array.blit t.data 0 bigger 0 t.size;
+    t.data <- bigger
+  end
+
+(* Inlined into [record_from], so the sample it stores there is never
+   boxed: a float argument to a call that is not inlined always is. *)
+let[@zygos.hot] [@inline] record t x =
   if t.size = Array.length t.data then begin
     (* Amortized doubling of the sample reservoir. *)
     let cap = max 256 (2 * Array.length t.data) in
@@ -18,22 +27,35 @@ let[@zygos.hot] record t x =
   t.size <- t.size + 1;
   t.sorted <- false
 
+let[@zygos.hot] record_from t (buf : float array) i = record t buf.(i)
+
 let count t = t.size
 
 let is_empty t = t.size = 0
 
-let fold f acc t =
-  let acc = ref acc in
+(* The reductions below are index loops in reservoir order with a float
+   accumulator the compiler keeps unboxed; a fold through a closure
+   would box it on every sample. *)
+let mean t =
+  let sum = ref 0. in
   for i = 0 to t.size - 1 do
-    acc := f !acc t.data.(i)
+    sum := !sum +. t.data.(i)
   done;
-  !acc
+  if t.size = 0 then 0. else !sum /. float_of_int t.size
 
-let mean t = if t.size = 0 then 0. else fold ( +. ) 0. t /. float_of_int t.size
+let max_value t =
+  let m = ref neg_infinity in
+  for i = 0 to t.size - 1 do
+    m := Float.max !m t.data.(i)
+  done;
+  if t.size = 0 then 0. else !m
 
-let max_value t = if t.size = 0 then 0. else fold Float.max neg_infinity t
-
-let min_value t = if t.size = 0 then 0. else fold Float.min infinity t
+let min_value t =
+  let m = ref infinity in
+  for i = 0 to t.size - 1 do
+    m := Float.min !m t.data.(i)
+  done;
+  if t.size = 0 then 0. else !m
 
 (* Monomorphic ascending float sort. [Array.sort Float.compare] pays a
    closure call and float boxing per comparison, and sorting the latency
@@ -107,8 +129,12 @@ let stddev t =
   if t.size < 2 then 0.
   else begin
     let m = mean t in
-    let ss = fold (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0. t in
-    sqrt (ss /. float_of_int (t.size - 1))
+    let ss = ref 0. in
+    for i = 0 to t.size - 1 do
+      let x = t.data.(i) in
+      ss := !ss +. ((x -. m) *. (x -. m))
+    done;
+    sqrt (!ss /. float_of_int (t.size - 1))
   end
 
 let samples t = Array.sub t.data 0 t.size

@@ -12,14 +12,22 @@ type t
 val create : unit -> t
 
 val record : t -> float -> unit
-(** Add one sample. Amortized O(1). *)
+(** Add one sample. Amortized O(1). The float is boxed at the call. *)
+
+val record_from : t -> float array -> int -> unit
+(** [record_from t buf i] adds the sample [buf.(i)], boxing nothing. *)
+
+val reserve : t -> int -> unit
+(** [reserve t n] makes room for [n] samples in all; recording past them
+    grows the reservoir as usual. *)
 
 val count : t -> int
 
 val is_empty : t -> bool
 
 val mean : t -> float
-(** Arithmetic mean; 0 when empty. *)
+(** Arithmetic mean, summed in the reservoir's current order (ascending
+    once a percentile query sorted it); 0 when empty. *)
 
 val max_value : t -> float
 (** Largest sample; 0 when empty. *)

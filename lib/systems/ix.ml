@@ -10,20 +10,26 @@ type icore = {
   tbuf : float array;  (* 1-slot unboxed clock accumulator (tbuf idiom) *)
 }
 
+(* Advance the core's clock slot by [work] µs, straggler-aware. With no
+   fault windows this is exactly [t +. work], inline: bit-identical to the
+   pre-fault model, and no float is boxed. *)
+let[@inline] advance faults ~fault_free c work =
+  let t = Array.unsafe_get c.tbuf 0 in
+  Array.unsafe_set c.tbuf 0
+    (if fault_free then t +. work else Corefault.completion_time faults ~core:c.id ~now:t ~work)
+
 (* [route req] returns the core for a request; [note] observes the
    arrival (slot counters for the control plane). *)
 let make sim (p : Params.t) ~pool ~route ~note ~respond =
   let p = Params.validate p in
   let faults = Params.corefaults p in
+  let fault_free = Corefault.is_none faults in
+  let clk = Sim.clock_buffer sim and kbuf = Sim.key_buffer sim in
   let cores =
     Array.init p.cores (fun id ->
         { id; ring = Net.Ring.create ~capacity:p.ring_capacity; busy = false;
           batch = Array.make p.ix_batch Request.none; tbuf = Array.make 1 0. })
   in
-  (* Straggler-aware clock arithmetic: with no fault windows this is
-     exactly [t +. work], so a fault-free run is bit-identical to the
-     pre-fault implementation. *)
-  let advance c t work = Corefault.completion_time faults ~core:c.id ~now:t ~work in
   (* Take up to B packets into the core's scratch slice: "adaptive"
      bounded batching processes whatever has accumulated, capped at B. *)
   let rec take c n =
@@ -48,33 +54,31 @@ let make sim (p : Params.t) ~pool ~route ~note ~respond =
           path — request 1's response waits for request k's execution,
           which is exactly why large B hurts tail latency (Fig. 11). *)
        let pkts = float_of_int p.rpc_packets in
-       let rx_done =
-         (* Two steps, preserving the original left-associated float sum
-            [now +. dp_loop +. k*rx] bit for bit. *)
-         let loop_done = advance c (Sim.now sim) p.dp_loop in
-         advance c loop_done (float_of_int k *. pkts *. p.dp_rx)
-       in
-       (* The running clock walks the batch through a 1-slot float array,
-          so neither loop boxes its accumulator. *)
-       Array.unsafe_set c.tbuf 0 rx_done;
+       (* The running clock walks the batch through the core's 1-slot
+          float array, so no step boxes it. The receive path is two
+          steps, preserving the left-associated sum
+          [now +. dp_loop +. k*rx] bit for bit. *)
+       Array.unsafe_set c.tbuf 0 (Array.unsafe_get clk 0);
+       advance faults ~fault_free c p.dp_loop;
+       advance faults ~fault_free c (float_of_int k *. pkts *. p.dp_rx);
+       let starteds = Request.starteds pool and services = Request.services pool in
        for i = 0 to k - 1 do
-         let req = Array.unsafe_get c.batch i in
-         let t = Array.unsafe_get c.tbuf 0 in
-         Request.set_started pool req t;
-         Array.unsafe_set c.tbuf 0 (advance c t (Request.service pool req))
+         let s = Request.slot pool (Array.unsafe_get c.batch i) in
+         Array.unsafe_set starteds s (Array.unsafe_get c.tbuf 0);
+         advance faults ~fault_free c (Array.unsafe_get services s)
        done;
        for i = 0 to k - 1 do
-         let sent = advance c (Array.unsafe_get c.tbuf 0) (pkts *. p.dp_tx) in
+         advance faults ~fault_free c (pkts *. p.dp_tx);
+         Array.unsafe_set kbuf 0 (Array.unsafe_get c.tbuf 0);
          let _ : Sim.handle =
            (* [respond] is itself an [int -> unit] over the handle: the
               long-lived dispatch fn, no per-response closure. *)
-           Sim.schedule_fn sim ~at:sent respond (Array.unsafe_get c.batch i)
+           Sim.schedule_fn_keyed sim respond (Array.unsafe_get c.batch i)
          in
-         Array.unsafe_set c.tbuf 0 sent
+         ()
        done;
-       let _ : Sim.handle =
-         Sim.schedule_fn sim ~at:(Array.unsafe_get c.tbuf 0) fn_iteration c.id
-       in
+       Array.unsafe_set kbuf 0 (Array.unsafe_get c.tbuf 0);
+       let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_iteration c.id in
        ()
      end)
   [@@zygos.hot]
@@ -88,7 +92,8 @@ let make sim (p : Params.t) ~pool ~route ~note ~respond =
         c.busy <- true;
         (* Polling loop: an idle core notices the packet within one loop
            iteration. *)
-        let _ : Sim.handle = Sim.schedule_fn_after sim ~delay:p.dp_loop fn_iteration c.id in
+        Array.unsafe_set kbuf 0 (Array.unsafe_get clk 0 +. p.dp_loop);
+        let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_iteration c.id in
         ()
       end
   in

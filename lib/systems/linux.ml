@@ -8,6 +8,10 @@ module Corefault = Core.Corefault
 let thread_overhead (p : Params.t) =
   (2. *. p.linux_syscall) +. (float_of_int p.rpc_packets *. 2. *. p.linux_netstack)
 
+(* With no fault windows both modes compute a completion inline as
+   [now +. work] (what [Corefault.completion_time] returns then) and
+   schedule it keyed, so the fault-free path boxes no float. *)
+
 (* ---- Partitioned: static connection->core assignment via RSS ---- *)
 
 type pcore = {
@@ -20,6 +24,8 @@ type pcore = {
 let partitioned sim (p : Params.t) ~pool ~conns ~respond =
   let p = Params.validate p in
   let faults = Params.corefaults p in
+  let fault_free = Corefault.is_none faults in
+  let clk = Sim.clock_buffer sim and kbuf = Sim.key_buffer sim in
   let rss = Net.Rss.create ~queues:p.cores () in
   let home = Array.init conns (fun c -> Net.Rss.queue_of_conn rss c) in
   let cores =
@@ -32,13 +38,15 @@ let partitioned sim (p : Params.t) ~pool ~conns ~respond =
     (let req = Net.Ring.pop_or c.ring ~default:Request.none in
      if req = Request.none then c.busy <- false
      else begin
-       Request.set_started pool req (Sim.now sim);
-       let work = per_request_overhead +. Request.service pool req in
-       let done_at =
-         Corefault.completion_time faults ~core:c.id ~now:(Sim.now sim) ~work
-       in
+       let s = Request.slot pool req in
+       let now = Array.unsafe_get clk 0 in
+       Array.unsafe_set (Request.starteds pool) s now;
+       let work = per_request_overhead +. Array.unsafe_get (Request.services pool) s in
+       Array.unsafe_set kbuf 0
+         (if fault_free then now +. work
+          else Corefault.completion_time faults ~core:c.id ~now ~work);
        c.cur <- req;
-       let _ : Sim.handle = Sim.schedule_fn sim ~at:done_at fn_done c.id in
+       let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_done c.id in
        ()
      end)
   [@@zygos.hot]
@@ -57,7 +65,8 @@ let partitioned sim (p : Params.t) ~pool ~conns ~respond =
         c.busy <- true;
         (* The thread is blocked in epoll_wait; it resumes after the wakeup
            latency and then drains its queue. *)
-        let _ : Sim.handle = Sim.schedule_fn_after sim ~delay:p.linux_wakeup fn_wake c.id in
+        Array.unsafe_set kbuf 0 (Array.unsafe_get clk 0 +. p.linux_wakeup);
+        let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_wake c.id in
         ()
       end
   in
@@ -98,6 +107,8 @@ type fstate = {
 let floating sim (p : Params.t) ~pool ~conns ~respond =
   let p = Params.validate p in
   let faults = Params.corefaults p in
+  let fault_free = Corefault.is_none faults in
+  let clk = Sim.clock_buffer sim and kbuf = Sim.key_buffer sim in
   (* The kernel buffers bursts in per-socket receive queues, not a NIC
      ring the application sees; the aggregate socket-buffer budget still
      bounds how far the backlog can grow before packets are refused. *)
@@ -118,19 +129,23 @@ let floating sim (p : Params.t) ~pool ~conns ~respond =
   (* Only the pool-lock hand-off serializes; each woken thread performs
      its own epoll_wait in parallel (EPOLLEXCLUSIVE). *)
   let dispatch_cost = p.linux_lock in
+  let overhead = thread_overhead p in
   let rec start ~woken req =
     (st.backlog <- st.backlog - 1;
      (* Threads are unpinned; model the antagonist by spreading executions
         round-robin over the cores it may land on. *)
      let core = st.next_thread in
      st.next_thread <- (st.next_thread + 1) mod p.cores;
-     Request.set_started pool req (Sim.now sim);
+     let s = Request.slot pool req in
+     let now = Array.unsafe_get clk 0 in
+     Array.unsafe_set (Request.starteds pool) s now;
      let work =
        (if woken then p.linux_wakeup else 0.)
-       +. p.linux_epoll +. thread_overhead p +. Request.service pool req
+       +. p.linux_epoll +. overhead +. Array.unsafe_get (Request.services pool) s
      in
-     let done_at = Corefault.completion_time faults ~core ~now:(Sim.now sim) ~work in
-     let _ : Sim.handle = Sim.schedule_fn sim ~at:done_at fn_finish req in
+     Array.unsafe_set kbuf 0
+       (if fault_free then now +. work else Corefault.completion_time faults ~core ~now ~work);
+     let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_finish req in
      ())
   [@@zygos.hot]
   and fn_finish req =
@@ -155,9 +170,8 @@ let floating sim (p : Params.t) ~pool ~conns ~respond =
        if not (Intq.is_empty st.dispatch_queue) then begin
          let req = Intq.pop st.dispatch_queue in
          st.dispatcher_busy <- true;
-         let _ : Sim.handle =
-           Sim.schedule_fn_after sim ~delay:dispatch_cost fn_dispatched req
-         in
+         Array.unsafe_set kbuf 0 (Array.unsafe_get clk 0 +. dispatch_cost);
+         let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_dispatched req in
          ()
        end)
   [@@zygos.hot]

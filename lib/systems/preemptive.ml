@@ -103,8 +103,9 @@ let create sim (p : Params.t) ~quantum ~switch_cost ~pool ~conns ~respond ?conso
         p.dp_loop +. (pkts *. p.dp_rx)
       end
     in
-    if Request.started pool job.req < 0. then
-      Request.set_started pool job.req (Sim.now sim +. setup);
+    let starteds = Request.starteds pool and s = Request.slot pool job.req in
+    if Array.unsafe_get starteds s < 0. then
+      Array.unsafe_set starteds s (Sim.now sim +. setup);
     st.busy_accum <- st.busy_accum +. setup +. slice;
     let _ : Sim.handle = Sim.schedule_fn_after sim ~delay:(setup +. slice) fn_slice_end job.slot in
     ()
@@ -137,7 +138,8 @@ let create sim (p : Params.t) ~quantum ~switch_cost ~pool ~conns ~respond ?conso
      (match Queue.take_opt st.conn_pending.(conn) with
      | Some next ->
          let job =
-           ({ req = next; remaining = Request.service pool next; dispatched = false; slot = -1 }
+           ({ req = next; remaining = (Request.services pool).(Request.slot pool next);
+              dispatched = false; slot = -1 }
            [@zygos.allow "hot-alloc"])
          in
          register_job job;
@@ -171,7 +173,8 @@ let create sim (p : Params.t) ~quantum ~switch_cost ~pool ~conns ~respond ?conso
     if st.conn_busy.(conn) then Queue.add req st.conn_pending.(conn)
     else begin
       st.conn_busy.(conn) <- true;
-      let job = { req; remaining = Request.service pool req; dispatched = false; slot = -1 } in
+      let remaining = (Request.services pool).(Request.slot pool req) in
+      let job = { req; remaining; dispatched = false; slot = -1 } in
       register_job job;
       if st.idle_cores > 0 then begin
         st.idle_cores <- st.idle_cores - 1;

@@ -75,7 +75,7 @@ type t = {
   mutable victim_orders : int;  (* randomized victim orders drawn *)
   mutable remote_batches : int;
   mutable wc_violations : int;
-  (* Long-lived dispatch fns for [Sim.schedule_fn]: bound once in
+  (* Long-lived dispatch fns for [Sim.schedule_fn_keyed]: bound once in
      [create], so the hot scheduling paths allocate no closures. *)
   (* Segment-completion fns, one per segment kind (iarg = core id): the
      segment event dispatches straight into its continuation — one
@@ -107,8 +107,9 @@ type t = {
    [extend_segment] can reschedule the same continuation. The completion
    time lives in [done_buf] / [Sim.key_buffer] flat storage end to end:
    [completion_time] is a real call with boxed float args, so the
-   fault-free steady state keeps the arithmetic inline and unboxed. *)
-let[@zygos.hot] start_segment t c ~user ~cost ~finish =
+   fault-free steady state keeps the arithmetic inline and unboxed. Both
+   are inlined, so their float [~cost] / [~extra] is never boxed. *)
+let[@zygos.hot] [@inline] start_segment t c ~user ~cost ~finish =
   assert (c.cur_handle = Sim.no_handle);
   t.idle <- t.idle land lnot c.bit;
   t.user <- (if user then t.user lor c.bit else t.user land lnot c.bit);
@@ -118,13 +119,13 @@ let[@zygos.hot] start_segment t c ~user ~cost ~finish =
     else
       (* fault windows active: boxed returns acceptable off steady state *)
       (Core.Corefault.completion_time t.faults ~core:c.id
-         ~now:(Sim.now t.sim) ~work:cost [@zygos.allow "r7"])
+         ~now:(Array.unsafe_get t.clk 0) ~work:cost [@zygos.allow "r7"])
   in
   Array.unsafe_set c.done_buf 0 at;
   Array.unsafe_set t.kbuf 0 at;
   c.cur_handle <- Sim.schedule_fn_keyed t.sim finish c.id
 
-let[@zygos.hot] extend_segment t c ~extra =
+let[@zygos.hot] [@inline] extend_segment t c ~extra =
   assert (c.cur_handle <> Sim.no_handle);
   assert (c.cur_fn != fn_none);
   Sim.cancel t.sim c.cur_handle;
@@ -251,14 +252,15 @@ let[@zygos.hot] pop_hw t v ~limit =
   n
 
 (* Schedule the transmit work of the home core's stolen batches, oldest
-   first, starting at [from], and empty its remote FIFO; returns the
-   finish time. Each response completes after its syscall + tx cost. A
-   batch's last response event also releases its connection
+   first, starting at [from], and empty its remote FIFO; the finish time
+   is left in [c.tbuf]. Each response completes after its syscall + tx
+   cost. A batch's last response event also releases its connection
    (Sched.complete) once its replies are on the wire, per the §4.3
    ownership rule. The running clock lives in the home core's 1-slot
-   float scratch so the walk boxes nothing; [t.respond] is itself the
+   float scratch so the walk boxes nothing, and the function is inlined
+   so [~from] is not boxed either; [t.respond] is itself the
    [int -> unit] dispatch fn for each response event. *)
-let[@zygos.hot] transmit_batches t c ~from =
+let[@zygos.hot] [@inline] transmit_batches t c ~from =
   Array.unsafe_set c.tbuf 0 from;
   let q = c.remote_fifo in
   let count = ref (Engine.Intq.pop q) in
@@ -281,8 +283,7 @@ let[@zygos.hot] transmit_batches t c ~from =
     done;
     count := Engine.Intq.pop q
   done;
-  t.remote <- t.remote land lnot c.bit;
-  Array.unsafe_get c.tbuf 0
+  t.remote <- t.remote land lnot c.bit
 
 let deliver_ipi t v =
   t.ipi <- t.ipi land lnot v.bit;
@@ -314,8 +315,8 @@ let deliver_ipi t v =
         in
         ()
       end;
-      let tx_end = transmit_batches t v ~from:after_rx in
-      extend_segment t v ~extra:(tx_end -. Array.unsafe_get t.clk 0)
+      transmit_batches t v ~from:after_rx;
+      extend_segment t v ~extra:(Array.unsafe_get v.tbuf 0 -. Array.unsafe_get t.clk 0)
     end
   end
 
@@ -359,8 +360,8 @@ let rec step t c =
 and try_drain_remote t c =
   (if t.remote land c.bit = 0 then false
    else begin
-     let finish_at = transmit_batches t c ~from:(Array.unsafe_get t.clk 0) in
-     start_segment t c ~user:false ~cost:(finish_at -. Array.unsafe_get t.clk 0)
+     transmit_batches t c ~from:(Array.unsafe_get t.clk 0);
+     start_segment t c ~user:false ~cost:(Array.unsafe_get c.tbuf 0 -. Array.unsafe_get t.clk 0)
        ~finish:t.fn_step;
      true
    end)
@@ -405,13 +406,11 @@ and try_dispatch t c =
 and exec_next t c =
   (if c.b_idx >= Sched.batch_size t.sched ~core:c.id then end_of_batch t c
    else begin
-     let req = Sched.batch_event t.sched ~core:c.id c.b_idx in
+     let s = Request.slot t.pool (Sched.batch_event t.sched ~core:c.id c.b_idx) in
      let steal_cost = if c.b_idx = 0 && c.b_stolen >= 0 then t.p.zy_steal else 0. in
-     (Request.set_started t.pool req (Array.unsafe_get t.clk 0)
-     [@zygos.allow "r7"]);
+     Array.unsafe_set (Request.starteds t.pool) s (Array.unsafe_get t.clk 0);
      let user_cost =
-       steal_cost +. t.p.zy_shuffle
-       +. (Request.service t.pool req [@zygos.allow "r7"])
+       steal_cost +. t.p.zy_shuffle +. Array.unsafe_get (Request.services t.pool) s
      in
      start_segment t c ~user:true ~cost:user_cost ~finish:t.fn_user_done
    end)

@@ -235,7 +235,7 @@ let fake_server sim ~pool ~delay ~respond =
       let _ : Sim.handle =
         Sim.schedule_after sim ~delay (fun () ->
             decr inflight;
-            Request.set_completion pool req (Sim.now sim);
+            (Request.completions pool).(Request.slot pool req) <- Sim.now sim;
             respond req)
       in
       ()
@@ -247,7 +247,11 @@ let fake_server sim ~pool ~delay ~respond =
    completion of a logical id. *)
 let mk_pool () = Request.create_pool ~recycle:false ()
 
-let mk_req pool id = Request.alloc pool ~id ~conn:id ~arrival:0. ~service:1. ~measured:true
+let mk_req pool id = Request.alloc pool ~id ~conn:id ~measured:true [| 0.; 1. |]
+
+let latency pool req =
+  let s = Request.slot pool req in
+  (Request.completions pool).(s) -. (Request.arrivals pool).(s)
 
 let test_jbsq_bound_invariant () =
   let sim = Sim.create () in
@@ -341,7 +345,7 @@ let test_hedge_first_response_wins () =
            ties break to index 0, so the primary goes to the straggler
            and the hedge must win. *)
         fst (fake_server sim ~pool ~delay:(if i = 0 then 500. else 5.) ~respond))
-      ~respond:(fun req -> latencies := Request.latency pool req :: !latencies)
+      ~respond:(fun req -> latencies := latency pool req :: !latencies)
   in
   (Rack.iface rack).Systems.Iface.submit (mk_req pool 1);
   Sim.run sim;

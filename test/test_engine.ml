@@ -57,12 +57,26 @@ let test_rng_int_bounds () =
 let test_rng_exponential_mean () =
   let rng = Rng.create ~seed:4 in
   let n = 200_000 in
+  let d = Dist.exponential 10. in
   let sum = ref 0. in
   for _ = 1 to n do
-    sum := !sum +. Rng.exponential rng ~mean:10.
+    sum := !sum +. Dist.sample d rng
   done;
   let mean = !sum /. float_of_int n in
   if abs_float (mean -. 10.) > 0.2 then Alcotest.failf "exponential mean off: %g" mean
+
+(* [float_into] is [float] with the result stored flat: same bits, same
+   stream position. *)
+let test_rng_float_into () =
+  let a = Rng.create ~seed:6 and b = Rng.create ~seed:6 in
+  let buf = [| 0.; 0.; 0. |] in
+  for _ = 1 to 10_000 do
+    Rng.float_into a buf 1;
+    let x = Rng.float b in
+    if Int64.bits_of_float buf.(1) <> Int64.bits_of_float x then
+      Alcotest.failf "float_into %h <> float %h" buf.(1) x
+  done;
+  Alcotest.(check (float 0.)) "neighbours untouched" 0. (buf.(0) +. buf.(2))
 
 let test_rng_bernoulli () =
   let rng = Rng.create ~seed:5 in
@@ -162,6 +176,37 @@ let prop_dist_scale =
           let scaled = Dist.scale d k in
           abs_float (Dist.mean scaled -. (k *. Dist.mean d)) < 1e-6 *. k *. mean)
         [ Dist.deterministic mean; Dist.exponential mean; Dist.bimodal1 ~mean ])
+
+(* [sample_into] is each distribution's one sampler: the inverse-CDF,
+   coin and Box-Muller (u1 then u2) formulas over [Rng.float], bit for
+   bit, consuming the same draws. *)
+let test_dist_sample_into_formulas () =
+  let reference d rng =
+    match d with
+    | Dist.Deterministic s -> s
+    | Dist.Exponential s -> -.s *. log (1. -. Rng.float rng)
+    | Dist.Bimodal { p_slow; fast; slow } -> if Rng.float rng < p_slow then slow else fast
+    | Dist.Lognormal { mu; sigma } ->
+        let u1 = 1. -. Rng.float rng in
+        let u2 = Rng.float rng in
+        exp (mu +. (sigma *. (sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2))))
+    | Dist.Empirical a -> a.(Rng.int rng (Array.length a))
+  in
+  List.iter
+    (fun d ->
+      let a = Rng.create ~seed:17 and b = Rng.create ~seed:17 in
+      let buf = [| 0.; 0. |] in
+      for _ = 1 to 2_000 do
+        Dist.sample_into d a buf 1;
+        let r = reference d b in
+        if Int64.bits_of_float buf.(1) <> Int64.bits_of_float r then
+          Alcotest.failf "%s: sample_into %h <> formula %h" (Dist.name d) buf.(1) r
+      done;
+      Alcotest.(check (float 0.)) (Dist.name d ^ ": same draws consumed") (Rng.float a)
+        (Rng.float b))
+    [ Dist.deterministic 3.; Dist.exponential 3.; Dist.bimodal1 ~mean:3.;
+      Dist.bimodal2 ~mean:3.; Dist.lognormal ~mean:3. ~sigma:1.;
+      Dist.empirical [| 1.; 2.5; 7. |] ]
 
 let test_dist_empirical () =
   let d = Dist.empirical [| 1.; 2.; 3.; 4. |] in
@@ -408,6 +453,7 @@ let () =
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "exponential mean" `Slow test_rng_exponential_mean;
           Alcotest.test_case "bernoulli" `Quick test_rng_bernoulli;
+          Alcotest.test_case "float_into = float" `Quick test_rng_float_into;
           QCheck_alcotest.to_alcotest prop_shuffle_is_permutation;
           Alcotest.test_case "shuffle stream pinned" `Quick test_shuffle_stream_pinned;
         ] );
@@ -418,6 +464,7 @@ let () =
           Alcotest.test_case "bimodal support" `Quick test_dist_sample_values;
           Alcotest.test_case "sample means" `Slow test_dist_sample_mean;
           Alcotest.test_case "empirical" `Quick test_dist_empirical;
+          Alcotest.test_case "sample_into formulas" `Quick test_dist_sample_into_formulas;
           QCheck_alcotest.to_alcotest prop_dist_scale;
         ] );
       ( "heap",

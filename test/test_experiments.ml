@@ -42,6 +42,33 @@ let test_run_point_fields () =
     (p.Run.p50 <= p.Run.p99 && p.Run.p99 <= p.Run.p999);
   Alcotest.(check bool) "mean sane" true (p.Run.mean >= 10.)
 
+(* A point is a function of its sample multiset: [point_of_tally] sorts
+   before it sums the mean, so recording the same samples in another
+   order must give the same bits in every field. *)
+let point_of_samples xs =
+  let t = Stats.Tally.create () in
+  Array.iter (Stats.Tally.record t) xs;
+  Run.point_of_tally ~load:0.5 ~offered_rate:1. ~throughput:1. ~goodput:1.
+    ~order_violations:0 ~info:[] t
+
+let point_bits p =
+  Printf.sprintf "mean %h p50 %h p99 %h p999 %h n %d" p.Run.mean p.Run.p50 p.Run.p99
+    p.Run.p999 p.Run.completed
+
+let prop_point_ignores_record_order =
+  QCheck.Test.make ~name:"point ignores record order" ~count:200
+    QCheck.(pair (array_of_size Gen.(0 -- 400) (float_range 0. 1e4)) int)
+    (fun (xs, seed) ->
+      let ys = Array.copy xs in
+      let rng = Engine.Rng.create ~seed in
+      for i = Array.length ys - 1 downto 1 do
+        let j = Engine.Rng.int rng (i + 1) in
+        let tmp = ys.(i) in
+        ys.(i) <- ys.(j);
+        ys.(j) <- tmp
+      done;
+      String.equal (point_bits (point_of_samples xs)) (point_bits (point_of_samples ys)))
+
 let test_model_point () =
   let cfg = Run.config ~system:Run.Model_central_fcfs ~service:exp10 ~requests:20_000 () in
   let p = Run.run_point cfg ~load:0.3 in
@@ -103,6 +130,7 @@ let () =
           Alcotest.test_case "make_system rejects models" `Quick
             test_make_system_rejects_models;
           Alcotest.test_case "point fields" `Quick test_run_point_fields;
+          QCheck_alcotest.to_alcotest prop_point_ignores_record_order;
           Alcotest.test_case "model point" `Quick test_model_point;
           Alcotest.test_case "sweep" `Quick test_sweep;
           Alcotest.test_case "max load at slo" `Slow test_max_load_at_slo;

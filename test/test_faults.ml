@@ -372,7 +372,7 @@ let test_duplicate_responses_tolerated () =
 
 (* ---- Overload policies ---- *)
 
-let mk_req pool id = Request.alloc pool ~id ~conn:0 ~arrival:0. ~service:1. ~measured:true
+let mk_req pool id = Request.alloc pool ~id ~conn:0 ~measured:true [| 0.; 1. |]
 
 let test_queue_length_boundary () =
   let sim = Sim.create () in
@@ -435,7 +435,7 @@ let test_ring_drops_sum () =
   let burst_into pool iface n =
     for i = 1 to n do
       iface.Systems.Iface.submit
-        (Request.alloc pool ~id:i ~conn:(i mod 8) ~arrival:0. ~service:1. ~measured:true)
+        (Request.alloc pool ~id:i ~conn:(i mod 8) ~measured:true [| 0.; 1. |])
     done
   in
   let check_system name make =

@@ -18,7 +18,7 @@ let make ?(batch = 1) ?(cores = 2) ~conns () =
   (sim, p, pool, iface, responses)
 
 let mk pool ~id ~conn ~service =
-  Request.alloc pool ~id ~conn ~arrival:0. ~service ~measured:true
+  Request.alloc pool ~id ~conn ~measured:true [| 0.; service |]
 
 let completion responses r =
   match List.assoc_opt r !responses with

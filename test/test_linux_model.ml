@@ -7,7 +7,7 @@ module Request = Net.Request
 module Params = Systems.Params
 
 let mk pool ~id ~conn ~service arrival =
-  Request.alloc pool ~id ~conn ~arrival ~service ~measured:true
+  Request.alloc pool ~id ~conn ~measured:true [| arrival; service |]
 
 let completion responses r =
   match List.assoc_opt r !responses with

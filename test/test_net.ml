@@ -168,39 +168,47 @@ let prop_ring_model =
 
 (* ---- Request ---- *)
 
+(* Client-side latency, read by slot from the pool's time columns. *)
+let latency p r =
+  let s = Request.slot p r in
+  (Request.completions p).(s) -. (Request.arrivals p).(s)
+
 let test_request_lifecycle () =
   let p = Request.create_pool () in
-  let r = Request.alloc p ~id:1 ~conn:2 ~arrival:10. ~service:5. ~measured:true in
+  let r = Request.alloc p ~id:1 ~conn:2 ~measured:true [| 10.; 5. |] in
+  let s = Request.slot p r in
   Alcotest.(check int) "id" 1 (Request.id p r);
   Alcotest.(check int) "conn" 2 (Request.conn p r);
-  Alcotest.(check bool) "not completed" false (Request.is_completed p r);
-  Alcotest.(check (float 1e-9)) "not started" (-1.) (Request.started p r);
-  Alcotest.check_raises "latency before completion"
-    (Invalid_argument "Request.latency: not completed") (fun () ->
-      ignore (Request.latency p r : float));
-  Request.set_completion p r 25.;
-  Alcotest.(check (float 1e-9)) "latency" 15. (Request.latency p r)
+  Alcotest.(check (float 0.)) "arrival" 10. (Request.arrivals p).(s);
+  Alcotest.(check (float 0.)) "service" 5. (Request.services p).(s);
+  Alcotest.(check (float 1e-9)) "not started" (-1.) (Request.starteds p).(s);
+  Alcotest.(check (float 1e-9)) "not completed" (-1.) (Request.completions p).(s);
+  (Request.completions p).(s) <- 25.;
+  Alcotest.(check (float 1e-9)) "latency" 15. (latency p r)
 
 let test_request_pool_recycling () =
   let p = Request.create_pool ~recycle:true ~capacity:2 () in
-  let r1 = Request.alloc p ~id:1 ~conn:0 ~arrival:0. ~service:1. ~measured:false in
-  let r2 = Request.alloc p ~id:2 ~conn:1 ~arrival:0. ~service:1. ~measured:false in
+  let r1 = Request.alloc p ~id:1 ~conn:0 ~measured:false [| 0.; 1. |] in
+  let r2 = Request.alloc p ~id:2 ~conn:1 ~measured:false [| 0.; 1. |] in
   Alcotest.(check int) "live" 2 (Request.live p);
   Request.release p r1;
   Alcotest.(check int) "live after release" 1 (Request.live p);
   (* The slot recycles under a fresh generation: the new handle works, the
      stale one is detected. *)
-  let r3 = Request.alloc p ~id:3 ~conn:2 ~arrival:5. ~service:1. ~measured:true in
+  let r3 = Request.alloc p ~id:3 ~conn:2 ~measured:true [| 5.; 1. |] in
   Alcotest.(check int) "slot reused" 2 (Request.hwm p);
   Alcotest.(check int) "fresh handle reads fresh fields" 3 (Request.id p r3);
   Alcotest.check_raises "stale handle caught"
     (Invalid_argument "Request: stale or invalid handle") (fun () ->
       ignore (Request.id p r1 : int));
+  Alcotest.check_raises "stale slot caught"
+    (Invalid_argument "Request: stale or invalid handle") (fun () ->
+      ignore (Request.slot p r1 : int));
   Alcotest.(check int) "live handle unaffected" 2 (Request.id p r2);
   (* Growth past the initial capacity preserves everything. *)
   let more =
     List.init 16 (fun i ->
-        Request.alloc p ~id:(100 + i) ~conn:i ~arrival:1. ~service:1. ~measured:false)
+        Request.alloc p ~id:(100 + i) ~conn:i ~measured:false [| 1.; 1. |])
   in
   List.iteri
     (fun i r -> Alcotest.(check int) "grown pool intact" (100 + i) (Request.id p r))
@@ -211,11 +219,11 @@ let test_request_no_recycle_keeps_handles () =
   (* recycle:false pools (faults/retry/cluster paths) must keep released
      handles readable: duplicate responses arrive after first completion. *)
   let p = Request.create_pool ~recycle:false () in
-  let r = Request.alloc p ~id:7 ~conn:3 ~arrival:2. ~service:1. ~measured:true in
-  Request.set_completion p r 9.;
+  let r = Request.alloc p ~id:7 ~conn:3 ~measured:true [| 2.; 1. |] in
+  (Request.completions p).(Request.slot p r) <- 9.;
   Request.release p r;
-  Alcotest.(check (float 1e-9)) "still readable after release" 7. (Request.latency p r);
-  let r' = Request.alloc p ~id:8 ~conn:3 ~arrival:3. ~service:1. ~measured:true in
+  Alcotest.(check (float 1e-9)) "still readable after release" 7. (latency p r);
+  let r' = Request.alloc p ~id:8 ~conn:3 ~measured:true [| 3.; 1. |] in
   Alcotest.(check bool) "no slot reuse" true (r' <> r)
 
 (* ---- Loadgen ---- *)

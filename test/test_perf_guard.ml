@@ -127,30 +127,34 @@ let test_pool_reuse_ratio () =
   if s.Sim.pool_slots > 128 then
     Alcotest.failf "pool grew to %d slots for 64 concurrent events" s.Sim.pool_slots
 
-(* PR 8 extends the guard from the bare engine cycle to the whole
-   request path: one fig6-style ZygOS point (the bench's
-   "experiments: ns per simulated request" config) must stay within a
-   fixed minor-words-per-simulated-request budget, point setup and
-   tally collection included. The floor is not 0: the engine cycle and
-   every pooled structure on the path (requests, events, parser, RSS)
-   are allocation-free, but non-flambda OCaml still boxes floats that
-   cross the remaining non-inlined call boundaries — two RNG
-   [exponential] draws per request (arrival gap, service sample, ~6
-   words each) plus the [~cost]/[~delay]/[~arrival]/latency floats
-   handed to segment starts, wakes, request allocs and tally records
-   (~2 words per crossing). Measured: 67.7 words/request while stolen
-   batches were copied into fresh arrays, records and queue cells and
-   the timing wheel boxed every current-tick event time; 49.2 without
-   those. The bound leaves ~12% headroom for compiler-version drift
-   while still tripping on any new per-request allocation (a single
-   stray closure or list cell per request costs 3+ words). *)
-let request_path_words_bound = 55.
+(* The guard extends from the bare engine cycle to the whole request
+   path: one fig6-style point (the bench's "experiments: ns per simulated
+   request" config) must stay within a fixed minor-words-per-simulated-
+   request budget, point setup and tally collection included. Every
+   pooled structure on the path (requests, events, parser, RSS) is
+   allocation-free, and every float on it travels through flat float
+   slots: the arrival gap and service draws ([Dist.sample_into]), the
+   request's time columns, the tally ([Tally.record_from]), event times
+   ([Sim.key_buffer]) and each core's clock. Under dune's default
+   profile every module is compiled with [-opaque], so a float passed to
+   or returned from another module is boxed at the call: one such float
+   per request costs 2 words. What remains is point setup (the system,
+   the pools, the reservoir) spread over the requests. Measured on ZygOS:
+   67.7 words/request while stolen batches were copied into fresh arrays
+   and the timing wheel boxed current-tick event times, 49.2 with boxed
+   draws, request times and latencies, 6.24 now; IX 60.9 → 3.92 and
+   Linux-partitioned 43.4 → 3.90. The bounds leave room for compiler
+   drift while any new boxed float per request (2 words) or closure
+   (3+ words) on IX or Linux trips them. *)
+let request_path_words_bound = 8.
 
-let test_request_path_minor_words () =
+let flat_request_path_words_bound = 6.
+
+let point_words_per_request system =
   let requests = 1_500 in
   let cfg =
-    Experiments.Run.config ~cores:4 ~conns:128 ~requests ~seed:1
-      ~system:Experiments.Run.Zygos ~service:(Engine.Dist.exponential 10.) ()
+    Experiments.Run.config ~cores:4 ~conns:128 ~requests ~seed:1 ~system
+      ~service:(Engine.Dist.exponential 10.) ()
   in
   let point () = ignore (Experiments.Run.run_point cfg ~load:0.5 : Experiments.Run.point) in
   point ();
@@ -159,10 +163,45 @@ let test_request_path_minor_words () =
   for _ = 1 to iters do
     point ()
   done;
-  let per_req = (Gc.minor_words () -. w0) /. float_of_int (iters * requests) in
-  if per_req > request_path_words_bound then
-    Alcotest.failf "request path allocates %.1f minor words/request (want <= %g)" per_req
-      request_path_words_bound
+  (Gc.minor_words () -. w0) /. float_of_int (iters * requests)
+
+let test_request_path_minor_words system ~bound () =
+  let per_req = point_words_per_request system in
+  if per_req > bound then
+    Alcotest.failf "%s request path allocates %.2f minor words/request (want <= %g)"
+      (Experiments.Run.system_name system) per_req bound
+
+(* The path every system shares, measured over [Sim.run] alone: the
+   load generator's arrivals and completions, the request pool, the
+   engine and the tally, behind a null server that answers each request
+   with one keyed event 1 µs later. It allocates nothing per request
+   (was 18.0 words: the arrival gap 6, the service draw 4, and 2 each
+   for the arrival handed to [Request.alloc], the completion time, the
+   returned latency and the clock handed to the completion record);
+   setup happens before [Sim.run]. *)
+let shared_path_words_bound = 0.5
+
+let test_shared_request_path_minor_words () =
+  let cores = 16 and conns = 2752 and load = 0.5 and requests = 20_000 in
+  let service = Engine.Dist.exponential 10. in
+  let sim = Sim.create () in
+  let rng = Engine.Rng.create ~seed:1 in
+  let rate = load *. float_of_int cores /. Engine.Dist.mean service in
+  let pool = Net.Request.create_pool ~recycle:true () in
+  let gen = Net.Loadgen.create sim ~rng ~pool ~conns ~rate ~service () in
+  let kbuf = Sim.key_buffer sim and clk = Sim.clock_buffer sim in
+  let respond = Net.Loadgen.complete gen in
+  Net.Loadgen.set_target gen (fun req ->
+      kbuf.(0) <- clk.(0) +. 1.;
+      ignore (Sim.schedule_fn_keyed sim respond req : Sim.handle));
+  let measure = float_of_int requests /. rate in
+  Net.Loadgen.start gen ~warmup:(0.2 *. measure) ~measure;
+  let w0 = Gc.minor_words () in
+  Sim.run sim;
+  let per_req = (Gc.minor_words () -. w0) /. float_of_int (Net.Loadgen.generated gen) in
+  if per_req > shared_path_words_bound then
+    Alcotest.failf "shared request path allocates %.2f minor words/request (want <= %g)"
+      per_req shared_path_words_bound
 
 (* Deterministic event budget for ZygOS's idle path. At load 0.1 on 16
    cores nearly every packet finds the other 15 cores idle, so how idle
@@ -253,7 +292,16 @@ let () =
           Alcotest.test_case "zygos point reuse ratio >= 0.9" `Quick
             test_end_to_end_reuse_ratio;
           Alcotest.test_case "request path minor words/request bounded" `Quick
-            test_request_path_minor_words;
+            (test_request_path_minor_words Experiments.Run.Zygos
+               ~bound:request_path_words_bound);
+          Alcotest.test_case "ix request path minor words/request bounded" `Quick
+            (test_request_path_minor_words (Experiments.Run.Ix 1)
+               ~bound:flat_request_path_words_bound);
+          Alcotest.test_case "linux-partitioned request path minor words/request bounded" `Quick
+            (test_request_path_minor_words Experiments.Run.Linux_partitioned
+               ~bound:flat_request_path_words_bound);
+          Alcotest.test_case "shared request path allocates nothing" `Quick
+            test_shared_request_path_minor_words;
           Alcotest.test_case "zygos low-load events/request bounded" `Quick
             test_zygos_low_load_events_per_request;
         ] );

@@ -57,6 +57,35 @@ let test_tally_merge_and_clear () =
   Tally.clear a;
   Alcotest.(check int) "cleared" 0 (Tally.count a)
 
+(* [reserve] only sizes the reservoir: with it, and with samples handed
+   over by [record_from], a tally holds the same samples and answers the
+   same percentiles as plain [record]s, also once recording runs past
+   the reservation. *)
+let prop_reserve_keeps_samples =
+  QCheck.Test.make ~name:"reserve keeps samples" ~count:300
+    QCheck.(
+      triple (list_of_size Gen.(0 -- 600) (float_range 0. 1e6)) (int_range 0 400)
+        (int_range 0 600))
+    (fun (xs, reservation, reserve_at) ->
+      let plain = tally_of xs in
+      let reserved = Tally.create () in
+      let buf = [| 0. |] in
+      List.iteri
+        (fun i x ->
+          if i = reserve_at then Tally.reserve reserved reservation;
+          buf.(0) <- x;
+          Tally.record_from reserved buf 0)
+        xs;
+      if reserve_at >= List.length xs then Tally.reserve reserved reservation;
+      let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      Array.for_all2 same_bits (Tally.samples plain) (Tally.samples reserved)
+      && Tally.count plain = Tally.count reserved
+      && same_bits (Tally.mean plain) (Tally.mean reserved)
+      && (xs = []
+         || List.for_all
+              (fun p -> same_bits (Tally.percentile plain p) (Tally.percentile reserved p))
+              [ 0.; 1.; 50.; 90.; 99.; 99.9; 100. ]))
+
 let test_tally_stddev () =
   let t = tally_of [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ] in
   Alcotest.(check (float 1e-6)) "sample stddev" 2.13808993 (Tally.stddev t)
@@ -111,6 +140,7 @@ let () =
           Alcotest.test_case "record after query" `Quick test_tally_record_after_query;
           Alcotest.test_case "merge/clear" `Quick test_tally_merge_and_clear;
           Alcotest.test_case "stddev" `Quick test_tally_stddev;
+          QCheck_alcotest.to_alcotest prop_reserve_keeps_samples;
         ] );
       ( "ccdf",
         [

@@ -24,7 +24,7 @@ let make_machine ?(cores = 2) ?(params = None) ~conns () =
   (sim, pool, iface, responses)
 
 let mk_req pool ~id ~conn ~service arrival =
-  Request.alloc pool ~id ~conn ~arrival ~service ~measured:true
+  Request.alloc pool ~id ~conn ~measured:true [| arrival; service |]
 
 (* Two connections homed on the same core, as computed by the same RSS
    configuration the system uses. *)
