@@ -1,12 +1,13 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (see DESIGN.md's per-experiment index) plus a Bechamel
-   microbenchmark suite over the core data structures.
+(* Benchmark harness for the simulator itself: a Bechamel
+   microbenchmark suite over the core data structures, the heap-vs-wheel
+   event-queue comparison, and sequential-vs-pooled sweep execution. The
+   paper's figures and tables run through the [zygos] CLI.
 
    Usage:
-     dune exec bench/main.exe                 -- everything
-     dune exec bench/main.exe -- fig7 table1  -- selected targets
-     dune exec bench/main.exe -- -j 4 fig6    -- sweep points on 4 domains
-     dune exec bench/main.exe -- --json       -- also write BENCH_PR8.json
+     dune exec bench/main.exe                  -- micro, equeue and sweep
+     dune exec bench/main.exe -- micro equeue  -- selected targets
+     dune exec bench/main.exe -- -j 4 sweep    -- pooled side on 4 domains
+     dune exec bench/main.exe -- --json micro  -- also write BENCH_PR8.json
      ZYGOS_BENCH_SCALE=0.2 dune exec bench/main.exe   -- quicker pass *)
 
 (* Driver-level suppressions, file-wide: the harness keys its target and
@@ -169,10 +170,13 @@ let micro_tests () =
     (* The same cycle through the closure-free API: no closure built per
        schedule, payload carried in the pool's int array. *)
     let sim = Engine.Sim.create () in
+    let clk = Engine.Sim.clock_buffer sim and kbuf = Engine.Sim.key_buffer sim in
     let noop_fn (_ : int) = () in
     one "sim: schedule_fn+cancel+fire cycle" (fun () ->
-        let _h1 : Engine.Sim.handle = Engine.Sim.schedule_fn_after sim ~delay:1.0 noop_fn 0 in
-        let h2 = Engine.Sim.schedule_fn_after sim ~delay:2.0 noop_fn 0 in
+        kbuf.(0) <- clk.(0) +. 1.0;
+        let _h1 : Engine.Sim.handle = Engine.Sim.schedule_fn_keyed sim noop_fn 0 in
+        kbuf.(0) <- clk.(0) +. 2.0;
+        let h2 = Engine.Sim.schedule_fn_keyed sim noop_fn 0 in
         Engine.Sim.cancel sim h2;
         ignore (Engine.Sim.step sim : bool))
   in
@@ -181,7 +185,11 @@ let micro_tests () =
        µs out): the queue discipline dominates, so this is where heap
        sift-depth and wheel bucketing actually separate. *)
     let sim = Engine.Sim.create ~queue:kind () in
-    let rec fn _ = ignore (Engine.Sim.schedule_fn_after sim ~delay:512.0 fn 0 : Engine.Sim.handle) in
+    let clk = Engine.Sim.clock_buffer sim and kbuf = Engine.Sim.key_buffer sim in
+    let rec fn _ =
+      kbuf.(0) <- clk.(0) +. 512.0;
+      ignore (Engine.Sim.schedule_fn_keyed sim fn 0 : Engine.Sim.handle)
+    in
     let () =
       for _ = 1 to 512 do
         fn 0
@@ -428,10 +436,12 @@ let equeue_bench ~jobs ~scale =
      the cancel path exercises lazy deletion in both queues. *)
   let sim_cycle kind ~fn_api n =
     let sim = Engine.Sim.create ~queue:kind () in
+    let clk = Engine.Sim.clock_buffer sim and kbuf = Engine.Sim.key_buffer sim in
     let noop () = () in
     let noop_fn (_ : int) = () in
     let rec keepalive _ =
-      ignore (Engine.Sim.schedule_fn_after sim ~delay:(float_of_int n) keepalive 0 : Engine.Sim.handle)
+      kbuf.(0) <- clk.(0) +. float_of_int n;
+      ignore (Engine.Sim.schedule_fn_keyed sim keepalive 0 : Engine.Sim.handle)
     in
     for _ = 1 to n do
       keepalive 0
@@ -440,7 +450,10 @@ let equeue_bench ~jobs ~scale =
     let t0 = Unix.gettimeofday () in
     for _ = 1 to cycles do
       let h =
-        if fn_api then Engine.Sim.schedule_fn_after sim ~delay:2.0 noop_fn 0
+        if fn_api then begin
+          kbuf.(0) <- clk.(0) +. 2.0;
+          Engine.Sim.schedule_fn_keyed sim noop_fn 0
+        end
         else Engine.Sim.schedule_after sim ~delay:2.0 noop
       in
       Engine.Sim.cancel sim h;
@@ -611,12 +624,11 @@ let write_trajectory ~path ~scale ~micro ~wall_clock =
 (* ---- target registry and driver ---- *)
 
 let targets =
-  Experiments.Figures.all_targets
-  @ [
-      ("micro", fun ~jobs ~scale -> ignore (jobs : int); micro ~scale);
-      ("equeue", equeue_bench);
-      ("sweep", sweep_bench);
-    ]
+  [
+    ("micro", fun ~jobs ~scale -> ignore (jobs : int); micro ~scale);
+    ("equeue", equeue_bench);
+    ("sweep", sweep_bench);
+  ]
 
 (* Consume "-j N" / "--jobs N" / "-jN" / "--jobs=N" from the argument
    list; everything else is a target name (or --json). *)
@@ -659,8 +671,8 @@ let () =
           names;
         names
   in
-  (* --json needs the microbench table; run it even when only figure
-     targets were selected explicitly. *)
+  (* --json needs the microbench and event-queue tables; run them even
+     when only other targets were selected explicitly. *)
   let selected =
     if json_mode && not (List.mem "micro" selected) then selected @ [ "micro" ] else selected
   in

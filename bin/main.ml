@@ -1,10 +1,13 @@
 (* zygos: run the paper's figure/table generators, optionally in
-   parallel on a domain pool.
+   parallel on a domain pool, or one experiment point.
 
    Examples:
      dune exec zygos -- fig6 -j 4
      dune exec zygos -- fig8 ablate-batch
      ZYGOS_BENCH_SCALE=0.05 dune exec zygos -- all -j 2
+     dune exec zygos -- point --system zygos --dist exp --mean 10 --load 0.8
+     dune exec zygos -- point --system ix --dist bimodal1 --mean 25 --sweep 0.2,0.5,0.8
+     dune exec zygos -- point --system M/G/n/FCFS --dist exp --mean 10 --slo 100
 
    Figure output goes to stdout and is byte-identical for every -j value
    (per-point seeds derive from stable point keys, and rendering happens
@@ -18,9 +21,100 @@ let usage () =
      \  -j N     run sweep points on N domains (default 1; also ZYGOS_JOBS)\n\
      \  --scale S  request-budget multiplier (default 1.0; also ZYGOS_BENCH_SCALE)\n\
      \  --equeue Q  event-queue back end: heap or wheel (default wheel; also\n\
-     \              ZYGOS_EQUEUE; output is byte-identical either way)\n"
+     \              ZYGOS_EQUEUE; output is byte-identical either way)\n\
+     usage: zygos point [--system S] [--dist D] [--mean US]\n\
+     \         [--load L | --sweep L1,L2,... | --slo US] [--cores N] [--conns N]\n\
+     \         [--requests N] [--seed N] [--packets N] [--skew FRAC:LOAD]\n\
+     \  one point; defaults zygos, exp, 10us, load 0.7, 16 cores, 2752 conns,\n\
+     \  30000 requests, seed 42, 1 packet. --slo finds the max load whose p99\n\
+     \  meets US. S as the figures print it: linux-partitioned linux-floating\n\
+     \  ix ix-bB zygos zygos-noint zygos-rr preempt-qQ preempt-qQ-consolidated\n\
+     \  ix-rebalanced M/G/n/FCFS nxM/G/1/FCFS. D: fixed exp bimodal1 bimodal2.\n\
+     \  --skew sends LOAD of the traffic to the first FRAC of connections.\n"
     (String.concat " " (List.map fst Experiments.Figures.all_targets));
   exit 1
+
+(* ---- zygos point: one experiment point ---- *)
+
+let make_dist name mean =
+  match name with
+  | "fixed" -> Engine.Dist.deterministic mean
+  | "exp" -> Engine.Dist.exponential mean
+  | "bimodal1" -> Engine.Dist.bimodal1 ~mean
+  | "bimodal2" -> Engine.Dist.bimodal2 ~mean
+  | s -> invalid_arg (Printf.sprintf "unknown distribution %S" s)
+
+let print_point (p : Experiments.Run.point) =
+  Printf.printf
+    "load=%.3f offered=%.3f MRPS tput=%.3f MRPS mean=%.1fus p50=%.1fus p99=%.1fus p999=%.1fus \
+     completed=%d order_violations=%d\n"
+    p.load p.offered_rate p.throughput p.mean p.p50 p.p99 p.p999 p.completed p.order_violations;
+  List.iter (fun (k, v) -> Printf.printf "  %s = %g\n" k v) p.info
+
+(* Every flag takes the next token as its value, so [--load -0.3]
+   reaches the library's range check. A malformed value and a library
+   [Invalid_argument] both end the same way: a message and exit 2. *)
+let point args =
+  let module Run = Experiments.Run in
+  let system = ref Run.Zygos and dist = ref "exp" and mean = ref 10. and load = ref 0.7 in
+  let sweep = ref None and slo = ref None and cores = ref 16 and conns = ref 2752 in
+  let requests = ref 30_000 and seed = ref 42 and packets = ref 1 in
+  let selection = ref Net.Loadgen.Uniform in
+  let parse_with conv what flag v =
+    match conv v with
+    | Some x -> x
+    | None -> invalid_arg (Printf.sprintf "%s expects %s, got %S" flag what v)
+  in
+  let float_ = parse_with float_of_string_opt "a number" in
+  let int_ = parse_with int_of_string_opt "an integer" in
+  let rec parse = function
+    | [] -> ()
+    | ("-h" | "--help") :: _ -> usage ()
+    | [ flag ] -> invalid_arg (Printf.sprintf "%s expects a value" flag)
+    | flag :: v :: rest ->
+        (match flag with
+        | "--system" -> system := parse_with Run.system_of_name "a system (see --help)" flag v
+        | "--dist" -> dist := v
+        | "--mean" -> mean := float_ flag v
+        | "--load" -> load := float_ flag v
+        | "--sweep" -> sweep := Some (List.map (float_ flag) (String.split_on_char ',' v))
+        | "--slo" -> slo := Some (float_ flag v)
+        | "--cores" -> cores := int_ flag v
+        | "--conns" -> conns := int_ flag v
+        | "--requests" -> requests := int_ flag v
+        | "--seed" -> seed := int_ flag v
+        | "--packets" -> packets := int_ flag v
+        | "--skew" ->
+            let hot_fraction, hot_load =
+              match String.split_on_char ':' v with
+              | [ f; l ] -> (float_ flag f, float_ flag l)
+              | _ -> invalid_arg (Printf.sprintf "--skew expects FRAC:LOAD, got %S" v)
+            in
+            selection := Net.Loadgen.Hot_cold { hot_fraction; hot_load }
+        | _ -> invalid_arg (Printf.sprintf "unknown option %S" flag));
+        parse rest
+  in
+  try
+    parse args;
+    let service = make_dist !dist !mean in
+    let cfg =
+      Run.config ~system:!system ~service ~cores:!cores ~conns:!conns ~requests:!requests
+        ~seed:!seed ~rpc_packets:!packets ~selection:!selection ()
+    in
+    Printf.printf "system=%s dist=%s mean=%gus cores=%d conns=%d requests=%d\n"
+      (Run.system_name !system) !dist !mean !cores !conns !requests;
+    match (!slo, !sweep) with
+    | Some slo_us, _ ->
+        let max_load, point = Run.max_load_at_slo cfg ~slo_p99:slo_us () in
+        Printf.printf "max load @ p99<=%.0fus: %.2f (%.3f MRPS)\n" slo_us max_load
+          point.Run.throughput;
+        print_point point
+    | None, Some loads -> List.iter (fun l -> print_point (Run.run_point cfg ~load:l)) loads
+    | None, None -> print_point (Run.run_point cfg ~load:!load)
+  with Invalid_argument msg ->
+    flush stdout;
+    Printf.eprintf "zygos point: %s\n" msg;
+    exit 2
 
 let env_float name default =
   match Sys.getenv_opt name with
@@ -42,7 +136,9 @@ let env_int name default =
           exit 1)
   | None -> default
 
-let () =
+(* ---- figure and table targets ---- *)
+
+let run_targets args =
   let jobs = ref (env_int "ZYGOS_JOBS" 1) in
   let scale = ref (env_float "ZYGOS_BENCH_SCALE" 1.0) in
   let names = ref [] in
@@ -80,7 +176,7 @@ let () =
         names := a :: !names;
         parse rest
   in
-  parse (List.tl (Array.to_list Sys.argv));
+  parse args;
   let selected =
     match List.rev !names with
     | [] | [ "all" ] -> List.map fst Experiments.Figures.all_targets
@@ -120,3 +216,8 @@ let () =
       totals.Experiments.Sweep.points totals.Experiments.Sweep.sweeps
       totals.Experiments.Sweep.steals totals.Experiments.Sweep.busy_s
       totals.Experiments.Sweep.wall_s totals.Experiments.Sweep.workers
+
+let () =
+  match List.tl (Array.to_list Sys.argv) with
+  | "point" :: args -> point args
+  | args -> run_targets args

@@ -91,11 +91,14 @@ let arm_detection t e =
   match t.detect with
   | None -> ()
   | Some d ->
-      e.e_timeout <- Sim.schedule_fn_after t.sim ~delay:d.retry.timeout t.fn_timeout e.e_id
+      (Sim.key_buffer t.sim).(0) <- Sim.now t.sim +. d.retry.timeout;
+      e.e_timeout <- Sim.schedule_fn_keyed t.sim t.fn_timeout e.e_id
 
 let arm_hedge t e =
-  if hedging t && t.n > 1 && e.e_hedge = no_handle && e.e_hedge_server < 0 then
-    e.e_hedge <- Sim.schedule_fn_after t.sim ~delay:t.hedge_delay t.fn_hedge e.e_id
+  if hedging t && t.n > 1 && e.e_hedge = no_handle && e.e_hedge_server < 0 then begin
+    (Sim.key_buffer t.sim).(0) <- Sim.now t.sim +. t.hedge_delay;
+    e.e_hedge <- Sim.schedule_fn_keyed t.sim t.fn_hedge e.e_id
+  end
 
 (* Dispatch [req] as the current primary copy of [e]. *)
 let dispatch_primary t e (req : Request.t) server =
@@ -224,8 +227,8 @@ let on_timeout t id =
               e.e_attempts <- e.e_attempts + 1;
               let nominal = Net.Loadgen.backoff_nominal d.retry ~attempt:e.e_attempts in
               let jittered = nominal *. (1. +. (d.retry.jitter *. Rng.float t.rng)) in
-              ignore
-                (Sim.schedule_fn_after t.sim ~delay:jittered t.fn_failover id : Sim.handle)
+              (Sim.key_buffer t.sim).(0) <- Sim.now t.sim +. jittered;
+              ignore (Sim.schedule_fn_keyed t.sim t.fn_failover id : Sim.handle)
             end
       end
 

@@ -30,13 +30,17 @@ let create sim ~live ~delay ~until () =
        of RackSched's evaluation. The loop stops at [until] (the end of
        request generation) so the simulation can drain and terminate;
        estimates are frozen from then on. *)
+    let clk = Sim.clock_buffer sim and kbuf = Sim.key_buffer sim in
+    let arm () =
+      Array.unsafe_set kbuf 0 (Array.unsafe_get clk 0 +. t.delay);
+      ignore (Sim.schedule_fn_keyed t.sim t.refresh_fn 0 : Sim.handle)
+    in
     t.refresh_fn <-
       (fun _ ->
         Array.blit t.live 0 t.visible 0 (Array.length t.live);
         t.refreshes <- t.refreshes + 1;
-        if Sim.now t.sim +. t.delay <= t.until then
-          ignore (Sim.schedule_fn_after t.sim ~delay:t.delay t.refresh_fn 0 : Sim.handle));
-    ignore (Sim.schedule_fn_after t.sim ~delay:t.delay t.refresh_fn 0 : Sim.handle)
+        if Array.unsafe_get clk 0 +. t.delay <= t.until then arm ());
+    arm ()
   end;
   t
 

@@ -7,12 +7,13 @@
    since reused) can never touch the wrong event: its packed generation no
    longer matches the slot's.
 
-   Dispatch comes in two flavours per slot: a closure ([actions]) or a
-   long-lived function plus an immediate int payload ([fns]/[iargs]).
-   The closure path allocates the closure per schedule; the fn path
-   allocates nothing, which is what the hot call sites in the system
-   models use. A slot is a fn-slot iff its [fns] entry is not the
-   [noop_fn] sentinel (physical equality).
+   Dispatch comes in two flavours per slot, one per schedule call: a
+   closure ([actions], [schedule_after]) or a long-lived function plus
+   an immediate int payload ([fns]/[iargs], [schedule_fn_keyed]). The
+   closure path allocates the closure per schedule; the fn path
+   allocates nothing, which is what every hot call site uses. A slot is
+   a fn-slot iff its [fns] entry is not the [noop_fn] sentinel
+   (physical equality).
 
    Hot-path notes. Both [actions] and [fns] are pointer arrays, so every
    store pays a write barrier; schedule and release therefore skip stores
@@ -165,22 +166,6 @@ let[@zygos.hot] alloc_slot t =
     s
   end
 
-(* Slot setup minus the float plumbing (the [at] key stays in the caller
-   so each schedule boxes it exactly once, at the queue-add call). *)
-let[@zygos.hot] prep_action t action =
-  let slot = alloc_slot t in
-  if Array.unsafe_get t.actions slot != action then Array.unsafe_set t.actions slot action;
-  if Array.unsafe_get t.fns slot != noop_fn then Array.unsafe_set t.fns slot noop_fn;
-  t.n_scheduled <- t.n_scheduled + 1;
-  (Array.unsafe_get t.gens slot lsl slot_bits) lor slot
-
-let[@zygos.hot] prep_fn t fn iarg =
-  let slot = alloc_slot t in
-  if Array.unsafe_get t.fns slot != fn then Array.unsafe_set t.fns slot fn;
-  Array.unsafe_set t.iargs slot iarg;
-  t.n_scheduled <- t.n_scheduled + 1;
-  (Array.unsafe_get t.gens slot lsl slot_bits) lor slot
-
 (* Enqueue the slot whose key the caller stored in [t.tbuf]: the time
    travels to the queue through the flat buffer ({!Heap.add_key}), so a
    steady-state schedule allocates nothing at all. *)
@@ -189,47 +174,32 @@ let[@zygos.hot] enqueue_key t h =
   | Equeue.H hp -> Heap.add_key hp t.tbuf h
   | Equeue.W w -> Wheel.add_key w t.tbuf h
 
-let schedule t ~at action =
-  if at < Array.unsafe_get t.clock 0 then
-    invalid_arg
-      (Printf.sprintf "Sim.schedule: at %g is in the past (now %g)" at
-         (Array.unsafe_get t.clock 0));
-  Array.unsafe_set t.tbuf 0 at;
-  let h = prep_action t action in
-  enqueue_key t h;
-  h
-
+(* The cold path's schedule: it allocates the closure its caller builds
+   and boxes [delay] at the call. *)
 let schedule_after t ~delay action =
   if delay < 0. then invalid_arg "Sim.schedule_after: negative delay";
   Array.unsafe_set t.tbuf 0 (Array.unsafe_get t.clock 0 +. delay);
-  let h = prep_action t action in
+  let slot = alloc_slot t in
+  if Array.unsafe_get t.actions slot != action then Array.unsafe_set t.actions slot action;
+  if Array.unsafe_get t.fns slot != noop_fn then Array.unsafe_set t.fns slot noop_fn;
+  t.n_scheduled <- t.n_scheduled + 1;
+  let h = (Array.unsafe_get t.gens slot lsl slot_bits) lor slot in
   enqueue_key t h;
   h
 
-let[@zygos.hot] schedule_fn_after t ~delay fn iarg =
-  if delay < 0. then invalid_arg "Sim.schedule_fn_after: negative delay";
-  Array.unsafe_set t.tbuf 0 (Array.unsafe_get t.clock 0 +. delay);
-  let h = prep_fn t fn iarg in
-  enqueue_key t h;
-  h
-
-(* Keyed variants: the caller stored the absolute time in [t.tbuf]
-   (see {!key_buffer}); no float crosses the call, so nothing boxes. *)
-let[@zygos.hot] schedule_keyed t action =
-  if Array.unsafe_get t.tbuf 0 < Array.unsafe_get t.clock 0 then
-    invalid_arg
-      (Printf.sprintf "Sim.schedule_keyed: at %g is in the past (now %g)"
-         (Array.unsafe_get t.tbuf 0) (Array.unsafe_get t.clock 0));
-  let h = prep_action t action in
-  enqueue_key t h;
-  h
-
+(* The hot path's schedule: the caller stored the absolute time in
+   [t.tbuf] (see {!key_buffer}); no float crosses the call, so nothing
+   boxes. *)
 let[@zygos.hot] schedule_fn_keyed t fn iarg =
   if Array.unsafe_get t.tbuf 0 < Array.unsafe_get t.clock 0 then
     invalid_arg
       (Printf.sprintf "Sim.schedule_fn_keyed: at %g is in the past (now %g)"
          (Array.unsafe_get t.tbuf 0) (Array.unsafe_get t.clock 0));
-  let h = prep_fn t fn iarg in
+  let slot = alloc_slot t in
+  if Array.unsafe_get t.fns slot != fn then Array.unsafe_set t.fns slot fn;
+  Array.unsafe_set t.iargs slot iarg;
+  t.n_scheduled <- t.n_scheduled + 1;
+  let h = (Array.unsafe_get t.gens slot lsl slot_bits) lor slot in
   enqueue_key t h;
   h
 

@@ -8,19 +8,21 @@
     The hot path is allocation-free in steady state: event records live in
     a pool of recycled slots, handles are immediate integers carrying a
     per-slot generation, and the queue stores its keys in flat arrays.
-    Two dispatch APIs share the pool: {!schedule} takes a closure (one
-    allocation per event), while {!schedule_fn_keyed} takes a long-lived
-    [int -> unit] plus an immediate payload and allocates nothing. Hot
-    paths hand the event time over in {!key_buffer}: a float argument to
-    a function in another module is boxed at the call, one stored in a
-    float array is not.
+    There are two ways to schedule an event, sharing the pool and one
+    (time, seqno) order:
+    - {!schedule_fn_keyed} for hot paths: a long-lived [int -> unit]
+      plus an immediate payload, with the event time written into
+      {!key_buffer} slot 0 first. It allocates nothing: a float argument
+      to a function in another module is boxed at the call, one stored
+      in a float array is not.
+    - {!schedule_after} for cold paths: a closure, [delay] after now.
 
     The queue implementation — binary heap or hierarchical timing wheel,
     see {!Equeue} — is selectable per simulation, process-wide, or via
     the [ZYGOS_EQUEUE] environment variable; both pop in identical
     (time, seqno) order so the choice never affects simulation output.
 
-    Events can be cancelled through the handle returned by {!schedule};
+    Events can be cancelled through the handle either call returns;
     cancellation is O(1) (the queue entry stays queued but is skipped, and
     the slot is recycled immediately). *)
 
@@ -75,32 +77,22 @@ val clock_buffer : t -> float array
 val key_buffer : t -> float array
 (** The one-element buffer through which event times travel to the
     queue. Write the absolute time into slot 0 and call
-    {!schedule_keyed} / {!schedule_fn_keyed}: the float never crosses a
-    call boundary, so a steady-state schedule allocates nothing (a
-    [~at:] float argument is boxed at every call site). *)
-
-val schedule_keyed : t -> (unit -> unit) -> handle
-(** Like {!schedule}, with the time taken from {!key_buffer} slot 0. *)
+    {!schedule_fn_keyed}: the float never crosses a call boundary, so a
+    steady-state schedule allocates nothing. A [delay] after now is
+    [clock.(0) +. delay] (see {!clock_buffer}); sum a composite delay
+    first, e.g. [clock.(0) +. (setup +. slice)], since float addition
+    does not associate. *)
 
 val schedule_fn_keyed : t -> (int -> unit) -> int -> handle
 (** [schedule_fn_keyed t fn iarg] runs [fn iarg] at the time in
     {!key_buffer} slot 0 (raises [Invalid_argument] if in the past). [fn]
     must be long-lived (pre-bound at setup) and [iarg] is stored unboxed,
-    so it allocates nothing. One (time, seqno) order spans all APIs. *)
-
-val schedule : t -> at:float -> (unit -> unit) -> handle
-(** [schedule t ~at f] runs [f] when the clock reaches [at]. [at] must not
-    be in the past (raises [Invalid_argument]). Allocates the closure the
-    caller builds; cold paths only — hot paths use {!schedule_fn_keyed}. *)
+    so it allocates nothing. *)
 
 val schedule_after : t -> delay:float -> (unit -> unit) -> handle
-(** [schedule_after t ~delay f] = [schedule t ~at:(now t +. delay) f].
-    [delay] must be non-negative. *)
-
-val schedule_fn_after : t -> delay:float -> (int -> unit) -> int -> handle
-(** [schedule_fn_after t ~delay fn iarg] runs [fn iarg] at
-    [now t +. delay], like {!schedule_fn_keyed}. [delay] must be
-    non-negative; it is boxed at the call. *)
+(** [schedule_after t ~delay f] runs [f] at [now t +. delay]. [delay]
+    must be non-negative (raises [Invalid_argument]). Allocates the
+    closure the caller builds and boxes [delay]: cold paths only. *)
 
 val cancel : t -> handle -> unit
 (** Prevent a pending event from firing. Cancelling a fired or already

@@ -32,6 +32,34 @@ let system_name = function
 let all_real_systems =
   [ Linux_partitioned; Linux_floating; Ix 1; Zygos; Zygos_no_interrupts ]
 
+(* Every name is spelled once, in [system_name]: a fixed kind is found by
+   printing it, and a parameterized name is parsed and then kept only if
+   it prints back as [s] (so "ix-b1", printed "ix", is rejected). *)
+let system_of_name s =
+  let fixed =
+    all_real_systems
+    @ [ Zygos_round_robin; Ix_rebalanced 200.; Model_central_fcfs; Model_partitioned_fcfs ]
+  in
+  (* the part of [s] between [prefix] and [suffix], parsed *)
+  let between ~prefix ~suffix of_string =
+    let p = String.length prefix and n = String.length s - String.length suffix in
+    if n >= p && String.starts_with ~prefix s && String.ends_with ~suffix s then
+      of_string (String.sub s p (n - p))
+    else None
+  in
+  let parsed =
+    [
+      Option.map (fun b -> Ix b) (between ~prefix:"ix-b" ~suffix:"" int_of_string_opt);
+      Option.map
+        (fun q -> Preemptive q)
+        (between ~prefix:"preempt-q" ~suffix:"" float_of_string_opt);
+      Option.map
+        (fun q -> Preemptive_consolidated q)
+        (between ~prefix:"preempt-q" ~suffix:"-consolidated" float_of_string_opt);
+    ]
+  in
+  List.find_opt (fun k -> String.equal (system_name k) s) (fixed @ List.filter_map Fun.id parsed)
+
 type config = {
   system : system_kind;
   cores : int;
@@ -276,6 +304,7 @@ let run_point cfg ~load =
 let sweep cfg ~loads = List.map (fun load -> run_point cfg ~load) loads
 
 let max_load_at_slo cfg ~slo_p99 ?(resolution = 0.01) () =
+  if Float.is_nan slo_p99 || slo_p99 <= 0. then invalid_arg "Run.max_load_at_slo: slo_p99 <= 0";
   let meets point = point.completed > 0 && point.p99 <= slo_p99 in
   let lowest = run_point cfg ~load:0.02 in
   if not (meets lowest) then (0., lowest)

@@ -30,6 +30,14 @@ type system_kind =
   | Model_partitioned_fcfs  (** zero-overhead n×M/G/1/FCFS bound *)
 
 val system_name : system_kind -> string
+(** The name the figures print, e.g. ["ix-b64"], ["preempt-q5"] or
+    ["M/G/n/FCFS"]. *)
+
+val system_of_name : string -> system_kind option
+(** The inverse of {!system_name}: [system_of_name (system_name k) = Some k]
+    for every kind except [Ix_rebalanced w], whose name omits the window;
+    ["ix-rebalanced"] parses to [Ix_rebalanced 200.]. A name that
+    {!system_name} never prints (["linux"], ["ix-b1"]) gives [None]. *)
 
 val all_real_systems : system_kind list
 (** The five simulated servers (both IX batchings excluded): partitioned,
@@ -146,4 +154,7 @@ val sweep : config -> loads:float list -> point list
 val max_load_at_slo : config -> slo_p99:float -> ?resolution:float -> unit -> float * point
 (** Bisection for the highest load whose p99 meets [slo_p99]; returns the
     load (0. when even 2% load violates) and the measured point at that
-    load. Resolution defaults to 0.01 of capacity. *)
+    load. Resolution defaults to 0.01 of capacity. Over the model kinds
+    this is how the paper computes e.g. "96.3% for centralized-FCFS"
+    (§3.1). Raises [Invalid_argument] when [slo_p99] is NaN or not
+    positive. *)

@@ -15,7 +15,11 @@
 
     These models have no system overheads of any kind; they provide the
     grey upper-bound lines of Figures 3 and 7 and the four curves of
-    Figure 2. *)
+    Figure 2. The FCFS models are exact recursions over the job stream:
+    a job starts at the later of its arrival and the earliest free time
+    of its station's processors (Kiefer–Wolfowitz for M/G/n, Lindley for
+    each M/G/1). The PS models run on the event engine. Both draw the
+    same arrivals, service demands and station choices for a seed. *)
 
 type policy = Fcfs | Ps
 
@@ -42,16 +46,8 @@ val simulate :
 (** [simulate spec ~service ~load ~requests ~seed] runs the model at
     offered load [load] (fraction of saturation; λ = load·n/S̄) until
     [requests] measured jobs complete. A warmup of [requests/5] jobs
-    precedes measurement. Deterministic in [seed]. *)
-
-val max_load_at_slo :
-  spec ->
-  service:Engine.Dist.t ->
-  slo_p99:float ->
-  ?requests:int ->
-  ?seed:int ->
-  unit ->
-  float
-(** Highest offered load (fraction of saturation, resolution 0.01) whose
-    measured p99 sojourn time meets [slo_p99], found by bisection. This is
-    how the paper computes e.g. "96.3% for centralized-FCFS" (§3.1). *)
+    precedes measurement. Deterministic in [seed]. Raises
+    [Invalid_argument] when [load] is outside (0, 1.05) or NaN, or when
+    the arrival rate is NaN (a NaN service mean). The highest load that
+    meets an SLO is [Experiments.Run.max_load_at_slo] over the model
+    kinds. *)

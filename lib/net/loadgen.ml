@@ -61,7 +61,7 @@ let no_timeout : Sim.handle = Sim.no_handle
 type t = {
   sim : Sim.t;
   clk : float array;  (* [Sim.clock_buffer sim]: inline now-reads on hot paths *)
-  kbuf : float array;  (* [Sim.key_buffer sim]: keyed schedules, no boxed [~at] *)
+  kbuf : float array;  (* [Sim.key_buffer sim]: keyed schedules, no boxed time *)
   rng : Rng.t;
   pool : Request.pool;  (* the experiment's request arena *)
   conns : int;
@@ -114,9 +114,8 @@ let[@zygos.hot] send t req =
 (* ---- client-side resilience: timeouts, capped backoff, retransmission ---- *)
 
 let[@zygos.hot] arm_timeout t p (r : retry) =
-  (* Keyed hand-off: same [clock +. delay] arithmetic that
-     [schedule_fn_after] performs internally, with the expiry time
-     written flat into the key buffer instead of boxed at the call. *)
+  (* Keyed hand-off: the expiry time is written flat into the key
+     buffer instead of boxed at the call. *)
   Array.unsafe_set t.kbuf 0 (Array.unsafe_get t.clk 0 +. r.timeout);
   p.p_timeout <- Sim.schedule_fn_keyed t.sim t.fn_timeout p.p_id
 
@@ -156,7 +155,7 @@ and retransmit t p r =
 let create sim ~rng ~pool ~conns ~rate ~service ?(selection = Uniform) ?service_fn
     ?(slo = infinity) ?retry () =
   if conns < 1 then invalid_arg "Loadgen.create: conns < 1";
-  if rate <= 0. then invalid_arg "Loadgen.create: rate <= 0";
+  if Float.is_nan rate || rate <= 0. then invalid_arg "Loadgen.create: rate <= 0";
   if Float.is_nan slo || slo <= 0. then invalid_arg "Loadgen.create: slo <= 0";
   Option.iter validate_retry retry;
   (match selection with
@@ -289,18 +288,18 @@ let start t ~warmup ~measure =
      so the reservoir does not double, leaving garbage, in the window. *)
   let expected = t.rate *. measure in
   Stats.Tally.reserve t.latencies (int_of_float (expected +. (4. *. sqrt expected) +. 16.));
-  let rec arrival () =
+  (* The next arrival is one drawn gap after now, handed over flat. *)
+  let rec schedule_arrival () =
+    Dist.sample_into t.gap t.rng t.scratch 2;
+    Array.unsafe_set t.kbuf 0 (Array.unsafe_get t.clk 0 +. Array.unsafe_get t.scratch 2);
+    ignore (Sim.schedule_fn_keyed t.sim arrival 0 : Sim.handle)
+  and arrival _ =
     if Array.unsafe_get t.clk 0 < stop_at then begin
       emit t ~measure_start ~stop_at;
-      Dist.sample_into t.gap t.rng t.scratch 2;
-      (* Keyed schedule: same [clock +. delay] arithmetic as
-         [schedule_after], with the time handed over flat. *)
-      Array.unsafe_set t.kbuf 0 (Array.unsafe_get t.clk 0 +. Array.unsafe_get t.scratch 2);
-      ignore (Sim.schedule_keyed t.sim arrival : Sim.handle)
+      schedule_arrival ()
     end
   in
-  Dist.sample_into t.gap t.rng t.scratch 2;
-  ignore (Sim.schedule_after t.sim ~delay:(Array.unsafe_get t.scratch 2) arrival : Sim.handle)
+  schedule_arrival ()
 
 (* Record a distinct logical completion, now, with its latency in
    scratch slot 2. *)

@@ -37,7 +37,7 @@ type state = {
 
 let create sim (p : Params.t) ~quantum ~switch_cost ~pool ~conns ~respond ?consolidate () =
   let p = Params.validate p in
-  if quantum <= 0. then invalid_arg "Preemptive.create: quantum <= 0";
+  if Float.is_nan quantum || quantum <= 0. then invalid_arg "Preemptive.create: quantum <= 0";
   if switch_cost < 0. then invalid_arg "Preemptive.create: switch_cost < 0";
   let st =
     {
@@ -55,6 +55,7 @@ let create sim (p : Params.t) ~quantum ~switch_cost ~pool ~conns ~respond ?conso
     }
   in
   let pkts = float_of_int p.rpc_packets in
+  let clk = Sim.clock_buffer sim and kbuf = Sim.key_buffer sim in
   let active () = p.cores - st.parked in
   (* Job registry: maps the immediate int payload of closure-free events
      back to the job, so per-slice and per-completion events allocate
@@ -107,7 +108,8 @@ let create sim (p : Params.t) ~quantum ~switch_cost ~pool ~conns ~respond ?conso
     if Array.unsafe_get starteds s < 0. then
       Array.unsafe_set starteds s (Sim.now sim +. setup);
     st.busy_accum <- st.busy_accum +. setup +. slice;
-    let _ : Sim.handle = Sim.schedule_fn_after sim ~delay:(setup +. slice) fn_slice_end job.slot in
+    Array.unsafe_set kbuf 0 (Array.unsafe_get clk 0 +. (setup +. slice));
+    let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_slice_end job.slot in
     ()
   and fn_slice_end s =
     (let job = !jobs.(s) in
@@ -119,9 +121,8 @@ let create sim (p : Params.t) ~quantum ~switch_cost ~pool ~conns ~respond ?conso
   [@@zygos.hot]
   and finish job =
     (st.busy_accum <- st.busy_accum +. (pkts *. p.dp_tx);
-     let _ : Sim.handle =
-       Sim.schedule_fn_after sim ~delay:(pkts *. p.dp_tx) fn_finish job.slot
-     in
+     Array.unsafe_set kbuf 0 (Array.unsafe_get clk 0 +. (pkts *. p.dp_tx));
+     let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_finish job.slot in
      ())
   [@@zygos.hot]
   and fn_finish s =
@@ -179,7 +180,8 @@ let create sim (p : Params.t) ~quantum ~switch_cost ~pool ~conns ~respond ?conso
       if st.idle_cores > 0 then begin
         st.idle_cores <- st.idle_cores - 1;
         (* An idle core notices the packet within one poll iteration. *)
-        let _ : Sim.handle = Sim.schedule_fn_after sim ~delay:p.dp_loop fn_first job.slot in
+        Array.unsafe_set kbuf 0 (Array.unsafe_get clk 0 +. p.dp_loop);
+        let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_first job.slot in
         ()
       end
       else Queue.add job st.runq

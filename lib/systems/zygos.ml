@@ -51,7 +51,7 @@ type zcore = {
 type t = {
   sim : Sim.t;
   clk : float array;  (* [Sim.clock_buffer sim]: inline now-reads on hot paths *)
-  kbuf : float array;  (* [Sim.key_buffer sim]: keyed schedules, no boxed [~at] *)
+  kbuf : float array;  (* [Sim.key_buffer sim]: keyed schedules, no boxed time *)
   p : Params.t;
   pool : Request.pool;
   faults : Core.Corefault.t;  (* straggler schedule; [none] = exact nominal times *)

@@ -67,32 +67,83 @@ let test_registry_complete () =
     (fun n -> if not (List.mem n names) then Alcotest.failf "missing: %s" n)
     (fast_targets @ slow_targets @ List.map fst pinned_targets)
 
-(* The CLI must reject an unknown figure target with a non-zero exit and
-   name the valid ones (the dune deps make the binary available). *)
+(* The CLI binary (the dune deps make it available): run it with [args],
+   returning its exit code, stdout and stderr. *)
+let run_cli args =
+  let out = Filename.temp_file "zygos_cli" ".out" and err = Filename.temp_file "zygos_cli" ".err" in
+  let read path =
+    let ic = open_in_bin path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    s
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove out;
+      Sys.remove err)
+    (fun () ->
+      let rc =
+        Sys.command
+          (Printf.sprintf "../bin/main.exe %s >%s 2>%s" args (Filename.quote out)
+             (Filename.quote err))
+      in
+      (rc, read out, read err))
+
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
   go 0
 
+(* The CLI must reject an unknown figure target with a non-zero exit and
+   name the valid ones. *)
 let test_unknown_target_cli () =
-  let err = Filename.temp_file "zygos_cli" ".err" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove err)
-    (fun () ->
-      let rc =
-        Sys.command
-          (Printf.sprintf "../bin/main.exe no-such-target >/dev/null 2>%s"
-             (Filename.quote err))
-      in
-      if rc = 0 then Alcotest.fail "unknown target must exit non-zero";
-      let ic = open_in_bin err in
-      let out = really_input_string ic (in_channel_length ic) in
-      close_in ic;
+  let rc, _, err = run_cli "no-such-target" in
+  if rc = 0 then Alcotest.fail "unknown target must exit non-zero";
+  List.iter
+    (fun needle ->
+      if not (contains err needle) then
+        Alcotest.failf "stderr must mention %S, got:\n%s" needle err)
+    [ "unknown target"; "valid targets:"; "rack"; "fig2"; "chaos" ]
+
+(* A bad [point] flag value, whether the library's range check or the
+   CLI's own name parsing rejects it, exits 2 with a message. *)
+let test_point_bad_flag_cli () =
+  List.iter
+    (fun (args, needle) ->
+      let rc, _, err = run_cli ("point " ^ args) in
+      if rc <> 2 then Alcotest.failf "point %s exited %d, want 2" args rc;
       List.iter
         (fun needle ->
-          if not (contains out needle) then
-            Alcotest.failf "stderr must mention %S, got:\n%s" needle out)
-        [ "unknown target"; "valid targets:"; "rack"; "fig2"; "chaos" ])
+          if not (contains err needle) then
+            Alcotest.failf "point %s: stderr must mention %S, got:\n%s" args needle err)
+        [ "zygos point: "; needle ])
+    [
+      ("--cores 0", "Loadgen.create");
+      ("--system linux", "got \"linux\"");
+      ("--system preempt-qnan", "Preemptive.create: quantum");
+    ]
+
+(* MD5 of [zygos point ARGS] stdout, captured from bin/zygsim at
+   e721c7b, the single-point CLI that [point] replaced (zygsim spelled
+   M/G/n/FCFS "model-central"). *)
+let pinned_points =
+  [
+    ("--system zygos --dist exp --mean 10 --load 0.8", "6d516b896515de7df40003669cb5db53");
+    ("--system ix --dist bimodal1 --mean 25 --slo 250", "55c8bef2559033235e5a85073a87471d");
+    ("--system preempt-q5 --dist bimodal2 --load 0.6", "3949a860562ef9773b62de2a8440d733");
+    ("--system ix-rebalanced --skew 0.05:0.5 --load 0.8", "22ea45b72cd473921df19b0ff7963761");
+    ("--system M/G/n/FCFS --sweep 0.5,0.9", "ad0b7bc15ebfe5b4e04bc6e846bd6b2a");
+  ]
+
+let test_point_digests () =
+  List.iter
+    (fun (args, digest) ->
+      let rc, out, err = run_cli ("point " ^ args) in
+      if rc <> 0 then Alcotest.failf "point %s exited %d:\n%s" args rc err;
+      let got = Digest.to_hex (Digest.string out) in
+      if got <> digest then
+        Alcotest.failf "point %s output digest %s, pinned %s; output:\n%s" args got digest out)
+    pinned_points
 
 let () =
   Alcotest.run "bench-targets"
@@ -102,6 +153,8 @@ let () =
           Alcotest.test_case "registry complete" `Quick test_registry_complete;
           Alcotest.test_case "unknown target exits non-zero" `Quick
             test_unknown_target_cli;
+          Alcotest.test_case "point: bad flag value exits 2" `Quick test_point_bad_flag_cli;
+          Alcotest.test_case "point: pinned outputs" `Quick test_point_digests;
           Alcotest.test_case "fast targets run" `Slow test_fast_targets;
           Alcotest.test_case "sweep targets run" `Slow test_slow_targets;
         ] );

@@ -309,8 +309,8 @@ let test_failover_recovers_dead_server () =
   let n = 40 in
   for id = 1 to n do
     let _ : Sim.handle =
-      Sim.schedule sim
-        ~at:(float_of_int id *. 10.)
+      Sim.schedule_after sim
+        ~delay:(float_of_int id *. 10.)
         (fun () -> iface.Systems.Iface.submit (mk_req pool id))
     in
     ()

@@ -23,7 +23,7 @@ let test_heap_interleaved () =
 
 let test_sim_cancel_after_fire () =
   let sim = Sim.create () in
-  let h = Sim.schedule sim ~at:1. (fun () -> ()) in
+  let h = Sim.schedule_after sim ~delay:1. (fun () -> ()) in
   Sim.run sim;
   (* cancelling a fired event is a harmless no-op *)
   Sim.cancel sim h;

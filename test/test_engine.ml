@@ -335,9 +335,9 @@ let test_heap_peek_then_drop () =
 let test_sim_ordering () =
   let sim = Sim.create () in
   let log = ref [] in
-  ignore (Sim.schedule sim ~at:3. (fun () -> log := 3 :: !log) : Sim.handle);
-  ignore (Sim.schedule sim ~at:1. (fun () -> log := 1 :: !log) : Sim.handle);
-  ignore (Sim.schedule sim ~at:2. (fun () -> log := 2 :: !log) : Sim.handle);
+  ignore (Sim.schedule_after sim ~delay:3. (fun () -> log := 3 :: !log) : Sim.handle);
+  ignore (Sim.schedule_after sim ~delay:1. (fun () -> log := 1 :: !log) : Sim.handle);
+  ignore (Sim.schedule_after sim ~delay:2. (fun () -> log := 2 :: !log) : Sim.handle);
   Sim.run sim;
   Alcotest.(check (list int)) "time order" [ 1; 2; 3 ] (List.rev !log);
   check_float "clock at last event" 3. (Sim.now sim)
@@ -345,7 +345,7 @@ let test_sim_ordering () =
 let test_sim_cancel () =
   let sim = Sim.create () in
   let fired = ref false in
-  let h = Sim.schedule sim ~at:1. (fun () -> fired := true) in
+  let h = Sim.schedule_after sim ~delay:1. (fun () -> fired := true) in
   Sim.cancel sim h;
   Sim.run sim;
   Alcotest.(check bool) "cancelled event did not fire" false !fired
@@ -372,10 +372,10 @@ let test_sim_stale_handle_is_inert () =
   (* After an event fires, its pool slot may be reused by a new event; the
      old handle must not be able to cancel the new occupant. *)
   let sim = Sim.create () in
-  let first = Sim.schedule sim ~at:1. (fun () -> ()) in
+  let first = Sim.schedule_after sim ~delay:1. (fun () -> ()) in
   Sim.run sim;
   let fired = ref false in
-  ignore (Sim.schedule sim ~at:2. (fun () -> fired := true) : Sim.handle);
+  ignore (Sim.schedule_after sim ~delay:1. (fun () -> fired := true) : Sim.handle);
   Sim.cancel sim first;
   (* stale: same slot, older generation *)
   Sim.run sim;
@@ -384,9 +384,9 @@ let test_sim_stale_handle_is_inert () =
 
 let test_sim_cancel_frees_slot () =
   let sim = Sim.create () in
-  let h = Sim.schedule sim ~at:5. (fun () -> ()) in
+  let h = Sim.schedule_after sim ~delay:5. (fun () -> ()) in
   Sim.cancel sim h;
-  ignore (Sim.schedule sim ~at:6. (fun () -> ()) : Sim.handle);
+  ignore (Sim.schedule_after sim ~delay:6. (fun () -> ()) : Sim.handle);
   Sim.run sim;
   let s = Sim.stats sim in
   Alcotest.(check int) "one cancel" 1 s.Sim.cancelled;
@@ -396,11 +396,12 @@ let test_sim_cancel_frees_slot () =
 
 let test_sim_past_raises () =
   let sim = Sim.create () in
-  ignore (Sim.schedule sim ~at:5. (fun () -> ()) : Sim.handle);
+  ignore (Sim.schedule_after sim ~delay:5. (fun () -> ()) : Sim.handle);
   Sim.run sim;
   Alcotest.check_raises "past scheduling rejected"
-    (Invalid_argument "Sim.schedule: at 1 is in the past (now 5)") (fun () ->
-      ignore (Sim.schedule sim ~at:1. (fun () -> ()) : Sim.handle))
+    (Invalid_argument "Sim.schedule_fn_keyed: at 1 is in the past (now 5)") (fun () ->
+      (Sim.key_buffer sim).(0) <- 1.;
+      ignore (Sim.schedule_fn_keyed sim ignore 0 : Sim.handle))
 
 let test_sim_negative_delay_raises () =
   let sim = Sim.create () in
@@ -411,7 +412,7 @@ let test_sim_nested_scheduling () =
   let sim = Sim.create () in
   let log = ref [] in
   ignore
-    (Sim.schedule sim ~at:1. (fun () ->
+    (Sim.schedule_after sim ~delay:1. (fun () ->
          log := "outer" :: !log;
          ignore (Sim.schedule_after sim ~delay:1. (fun () -> log := "inner" :: !log) : Sim.handle))
       : Sim.handle);
@@ -423,7 +424,7 @@ let test_sim_run_until () =
   let sim = Sim.create () in
   let count = ref 0 in
   for i = 1 to 10 do
-    ignore (Sim.schedule sim ~at:(float_of_int i) (fun () -> incr count) : Sim.handle)
+    ignore (Sim.schedule_after sim ~delay:(float_of_int i) (fun () -> incr count) : Sim.handle)
   done;
   Sim.run_until sim 5.5;
   Alcotest.(check int) "events before horizon" 5 !count;
@@ -435,7 +436,7 @@ let test_sim_same_time_fifo () =
   let sim = Sim.create () in
   let log = ref [] in
   for i = 1 to 5 do
-    ignore (Sim.schedule sim ~at:1. (fun () -> log := i :: !log) : Sim.handle)
+    ignore (Sim.schedule_after sim ~delay:1. (fun () -> log := i :: !log) : Sim.handle)
   done;
   Sim.run sim;
   Alcotest.(check (list int)) "FIFO at same instant" [ 1; 2; 3; 4; 5 ] (List.rev !log)

@@ -198,8 +198,8 @@ let run_script kind ops =
           let delay = float_of_int k /. 2. in
           handles := Sim.schedule_after sim ~delay (fun () -> fire k) :: !handles
       | 3 | 4 ->
-          let delay = float_of_int k /. 2. in
-          handles := Sim.schedule_fn_after sim ~delay fire (1000 + k) :: !handles
+          (Sim.key_buffer sim).(0) <- Sim.now sim +. (float_of_int k /. 2.);
+          handles := Sim.schedule_fn_keyed sim fire (1000 + k) :: !handles
       | 5 -> (
           (* cancel the k-th outstanding handle, if any *)
           match List.nth_opt !handles (k mod max 1 (List.length !handles)) with
@@ -229,7 +229,10 @@ let run_chain kind ~fn_api =
     if !remaining > 0 then begin
       decr remaining;
       let delay = Engine.Rng.float rng *. 20. in
-      if fn_api then ignore (Sim.schedule_fn_after sim ~delay fire id : Sim.handle)
+      if fn_api then begin
+        (Sim.key_buffer sim).(0) <- Sim.now sim +. delay;
+        ignore (Sim.schedule_fn_keyed sim fire id : Sim.handle)
+      end
       else ignore (Sim.schedule_after sim ~delay (fun () -> fire id) : Sim.handle)
     end
   and fire id =

@@ -23,6 +23,32 @@ let test_system_names () =
   Alcotest.(check string) "model" "M/G/n/FCFS" (Run.system_name Run.Model_central_fcfs);
   Alcotest.(check int) "five real systems" 5 (List.length Run.all_real_systems)
 
+(* [system_of_name] inverts [system_name] for every kind, at the
+   parameters the figures use; "ix-rebalanced" is the 200 µs window. *)
+let test_system_of_name () =
+  List.iter
+    (fun k ->
+      let name = Run.system_name k in
+      if Run.system_of_name name <> Some k then Alcotest.failf "%s does not round-trip" name)
+    [
+      Run.Linux_partitioned;
+      Run.Linux_floating;
+      Run.Ix 1;
+      Run.Ix 64;
+      Run.Zygos;
+      Run.Zygos_no_interrupts;
+      Run.Zygos_round_robin;
+      Run.Preemptive 5.;
+      Run.Preemptive_consolidated 10.;
+      Run.Ix_rebalanced 200.;
+      Run.Model_central_fcfs;
+      Run.Model_partitioned_fcfs;
+    ];
+  List.iter
+    (fun name ->
+      if Run.system_of_name name <> None then Alcotest.failf "%S must not parse" name)
+    [ "linux"; "partitioned"; "ix-b1"; "preempt-q1e3"; "model-central" ]
+
 let test_make_system_rejects_models () =
   let sim = Engine.Sim.create () in
   match
@@ -103,6 +129,15 @@ let test_max_load_zero_when_impossible () =
   let load, _ = Run.max_load_at_slo cfg ~slo_p99:5. () in
   Alcotest.(check (float 0.)) "impossible SLO" 0. load
 
+let test_max_load_rejects_bad_slo () =
+  let cfg = Run.config ~system:(Run.Ix 1) ~service:exp10 ~requests:1_000 () in
+  List.iter
+    (fun slo_p99 ->
+      Alcotest.check_raises (Printf.sprintf "slo %g" slo_p99)
+        (Invalid_argument "Run.max_load_at_slo: slo_p99 <= 0") (fun () ->
+          ignore (Run.max_load_at_slo cfg ~slo_p99 () : float * Run.point)))
+    [ nan; 0.; -1. ]
+
 let test_output_table_arity () =
   Alcotest.check_raises "row arity" (Invalid_argument "Output.print_table: row arity mismatch")
     (fun () -> Output.print_table ~columns:[ "a"; "b" ] ~rows:[ [ "only-one" ] ])
@@ -127,6 +162,7 @@ let () =
         [
           Alcotest.test_case "config defaults" `Quick test_config_defaults;
           Alcotest.test_case "system names" `Quick test_system_names;
+          Alcotest.test_case "system names parse back" `Quick test_system_of_name;
           Alcotest.test_case "make_system rejects models" `Quick
             test_make_system_rejects_models;
           Alcotest.test_case "point fields" `Quick test_run_point_fields;
@@ -135,6 +171,7 @@ let () =
           Alcotest.test_case "sweep" `Quick test_sweep;
           Alcotest.test_case "max load at slo" `Slow test_max_load_at_slo;
           Alcotest.test_case "impossible slo" `Quick test_max_load_zero_when_impossible;
+          Alcotest.test_case "bad slo rejected" `Quick test_max_load_rejects_bad_slo;
         ] );
       ( "output",
         [

@@ -114,7 +114,7 @@ let test_blackhole_window () =
   let delivered = ref [] in
   let send_at at =
     let _ : Sim.handle =
-      Sim.schedule sim ~at (fun () ->
+      Sim.schedule_after sim ~delay:at (fun () ->
           Faults.apply f at ~deliver:(fun t -> delivered := t :: !delivered))
     in
     ()

@@ -112,16 +112,16 @@ let test_paper_slo_loads () =
   (* §3.1: for the exponential distribution and an SLO of p99 <= 10x mean,
      queueing theory gives 53.7% for partitioned-FCFS and 96.3% for
      centralized-FCFS (n = 16). *)
-  let partitioned =
-    max_load_at_slo { servers = 16; policy = Fcfs; topology = Partitioned } ~service:exp1
-      ~slo_p99:10. ~requests:30_000 ()
+  let max_load system =
+    let cfg =
+      Experiments.Run.config ~cores:16 ~requests:30_000 ~seed:42 ~system ~service:exp1 ()
+    in
+    fst (Experiments.Run.max_load_at_slo cfg ~slo_p99:10. ())
   in
+  let partitioned = max_load Experiments.Run.Model_partitioned_fcfs in
   if abs_float (partitioned -. 0.537) > 0.05 then
     Alcotest.failf "partitioned max load %.3f (paper: 0.537)" partitioned;
-  let central =
-    max_load_at_slo { servers = 16; policy = Fcfs; topology = Central } ~service:exp1
-      ~slo_p99:10. ~requests:30_000 ()
-  in
+  let central = max_load Experiments.Run.Model_central_fcfs in
   if abs_float (central -. 0.963) > 0.04 then
     Alcotest.failf "central max load %.3f (paper: 0.963)" central
 
@@ -133,6 +133,14 @@ let test_simulate_validation () =
     (fun () ->
       ignore
         (simulate { spec with servers = 0 } ~service:exp1 ~load:0.5 ~requests:10 ~seed:1
+          : result));
+  (* NaN fails every comparison, so each check must name it. *)
+  Alcotest.check_raises "NaN load" (Invalid_argument "Queueing.simulate: load out of (0, 1.05)")
+    (fun () -> ignore (simulate spec ~service:exp1 ~load:nan ~requests:10 ~seed:1 : result));
+  Alcotest.check_raises "NaN service mean"
+    (Invalid_argument "Queueing.simulate: arrival rate is NaN") (fun () ->
+      ignore
+        (simulate spec ~service:(Engine.Dist.exponential nan) ~load:0.5 ~requests:10 ~seed:1
           : result))
 
 let test_names () =
@@ -147,6 +155,46 @@ let test_determinism () =
   let b = simulate spec ~service:exp1 ~load:0.7 ~requests:10_000 ~seed:42 in
   Alcotest.(check (float 0.)) "same p99 for same seed" (Stats.Tally.p99 a.latencies)
     (Stats.Tally.p99 b.latencies)
+
+(* The FCFS models' exact output on a grid that covers 1-server stations,
+   deterministic ties and both topologies: a digest of the hex bits of
+   mean, p50, p99, p999 and throughput per point. Captured at e721c7b,
+   where both models ran as event-driven stations; the percentiles are
+   taken first, so the mean sums the sorted samples and the digest
+   depends only on the latency multiset. *)
+let model_points_digest = "9d7200291db82fae1303e8bafee49261"
+
+let test_model_points_pinned () =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun topology ->
+      List.iter
+        (fun service ->
+          List.iter
+            (fun servers ->
+              List.iter
+                (fun load ->
+                  let spec = { servers; policy = Fcfs; topology } in
+                  let r = simulate spec ~service ~load ~requests:2_000 ~seed:11 in
+                  let t = r.latencies in
+                  let p50 = Stats.Tally.p50 t and p99 = Stats.Tally.p99 t in
+                  let p999 = Stats.Tally.p999 t in
+                  Printf.bprintf buf "%s %s %g: %h %h %h %h %h\n" (name spec)
+                    (Engine.Dist.name service) load (Stats.Tally.mean t) p50 p99 p999
+                    r.throughput)
+                [ 0.5; 0.95 ])
+            [ 1; 16; 64 ])
+        [
+          Engine.Dist.deterministic 10.;
+          Engine.Dist.exponential 10.;
+          Engine.Dist.bimodal2 ~mean:10.;
+        ])
+    [ Central; Partitioned ];
+  let out = Buffer.contents buf in
+  let got = Digest.to_hex (Digest.string out) in
+  if got <> model_points_digest then
+    Alcotest.failf "model points digest %s, pinned %s; points:\n%s" got model_points_digest
+      out
 
 let () =
   Alcotest.run "models"
@@ -173,5 +221,6 @@ let () =
           Alcotest.test_case "validation" `Quick test_simulate_validation;
           Alcotest.test_case "names" `Quick test_names;
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "FCFS model points pinned" `Quick test_model_points_pinned;
         ] );
     ]

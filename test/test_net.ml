@@ -315,6 +315,18 @@ let test_loadgen_requires_target () =
   Alcotest.check_raises "no target" (Invalid_argument "Loadgen.start: no target set") (fun () ->
       Loadgen.start gen ~warmup:0. ~measure:1.)
 
+(* NaN fails every comparison, so the rate check must name it: a NaN
+   rate (from a NaN load or service mean) is rejected like a zero one. *)
+let test_loadgen_rejects_nan_rate () =
+  let sim = Sim.create () in
+  let rng = Rng.create ~seed:12 in
+  let pool = Request.create_pool ~recycle:true () in
+  Alcotest.check_raises "NaN rate" (Invalid_argument "Loadgen.create: rate <= 0") (fun () ->
+      ignore
+        (Loadgen.create sim ~rng ~pool ~conns:1 ~rate:nan
+           ~service:(Engine.Dist.deterministic 1.) ()
+          : Loadgen.t))
+
 let () =
   Alcotest.run "net"
     [
@@ -348,5 +360,6 @@ let () =
           Alcotest.test_case "order violations" `Quick test_loadgen_order_violation_detected;
           Alcotest.test_case "double complete" `Quick test_loadgen_double_complete_counted;
           Alcotest.test_case "requires target" `Quick test_loadgen_requires_target;
+          Alcotest.test_case "rejects NaN rate" `Quick test_loadgen_rejects_nan_rate;
         ] );
     ]

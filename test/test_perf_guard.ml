@@ -75,7 +75,11 @@ let test_deep_heap_minor_words () =
    ZygOS events go (polls, wakes, IPIs); the 1 µs delay does not. *)
 let test_fn_minor_words_per_event ~delay () =
   let sim = Sim.create () in
-  let rec tick _ = ignore (Sim.schedule_fn_after sim ~delay tick 0 : Sim.handle) in
+  let clk = Sim.clock_buffer sim and kbuf = Sim.key_buffer sim in
+  let rec tick _ =
+    kbuf.(0) <- clk.(0) +. delay;
+    ignore (Sim.schedule_fn_keyed sim tick 0 : Sim.handle)
+  in
   tick 0;
   for _ = 1 to 1_000 do
     ignore (Sim.step sim : bool)
@@ -93,7 +97,11 @@ let test_fn_minor_words_per_event ~delay () =
 
 let test_fn_deep_minor_words () =
   let sim = Sim.create () in
-  let rec tick _ = ignore (Sim.schedule_fn_after sim ~delay:512.0 tick 0 : Sim.handle) in
+  let clk = Sim.clock_buffer sim and kbuf = Sim.key_buffer sim in
+  let rec tick _ =
+    kbuf.(0) <- clk.(0) +. 512.0;
+    ignore (Sim.schedule_fn_keyed sim tick 0 : Sim.handle)
+  in
   for _ = 1 to 512 do
     tick 0
   done;

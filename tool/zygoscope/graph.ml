@@ -46,7 +46,7 @@ type result = {
 (* The PR 8 keyed hand-off: float times move through a one-element
    key_buffer, and these entry points are the sanctioned boundary. *)
 let r7_sanctioned =
-  [ "pop_into"; "add_key"; "schedule_keyed"; "schedule_fn_keyed" ]
+  [ "pop_into"; "add_key"; "schedule_fn_keyed" ]
 
 let is_sanctioned_handoff name =
   List.exists
