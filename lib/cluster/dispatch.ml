@@ -28,6 +28,7 @@ type t = {
   rss : Net.Rss.t;
   outstanding : float array;  (* exact ToR-side in-flight per server *)
   est : Estimate.t;
+  visible : float array;  (* [Estimate.visible est]: what policies rank *)
   detect : detect option;
   health : Health.t option;  (* Some iff detect *)
   hedge_delay : float;  (* nan = hedging off *)
@@ -56,36 +57,54 @@ type t = {
 
 let hedging t = not (Float.is_nan t.hedge_delay)
 
-(* Health mask plus, under JBSQ, the exact credit gate. Ranking estimates
-   stay stale; only the bound check reads ground truth (JBSQ's credits are
-   an explicit ack channel, not telemetry). *)
-let routable t i ~now =
-  (match t.health with None -> true | Some h -> Health.routable h i ~now)
-  && (t.bound = max_int || Estimate.exact t.est i < float_of_int t.bound)
+(* The request path ([@zygos.hot] below) allocates nothing and makes no
+   clock call on a clean rack. The detection, hedging and health branches
+   are off that path and carry [@zygos.allow]: their entries, hashtables
+   and boxed [Sim.now] reads stay there. *)
 
-let choose t ~conn ~exclude =
-  let now = Sim.now t.sim in
-  let ok i = i <> exclude && routable t i ~now in
+(* The bit set of servers other than [exclude] (-1: none) that may take a
+   request: the exact credit gate (JBSQ's credits are an explicit ack
+   channel, not telemetry; other policies' bound, [max_int], is never
+   reached) and the health mask. Ranking estimates stay stale. *)
+let[@zygos.hot] routable_set t ~exclude =
+  let bound = float_of_int t.bound in
+  let set = ref 0 in
+  for i = 0 to t.n - 1 do
+    if i <> exclude && Array.unsafe_get t.outstanding i < bound then set := !set lor (1 lsl i)
+  done;
+  (match t.health with
+  | None -> ()
+  | Some h ->
+      (* [Health.routable] is pure, so one call per server is exact *)
+      (let now = Sim.now t.sim in
+       for i = 0 to t.n - 1 do
+         if not (Health.routable h i ~now) then set := !set land lnot (1 lsl i)
+       done)
+      [@zygos.allow "r6,r7"]);
+  !set
+
+let[@zygos.hot] choose t ~conn ~exclude =
   let s =
-    Policy.choose t.policy ~rss:t.rss ~rng:t.rng ~estimate:(Estimate.read t.est)
-      ~routable:ok ~n:t.n ~conn
+    Policy.choose t.policy ~rss:t.rss ~rng:t.rng ~estimates:t.visible
+      ~routable:(routable_set t ~exclude) ~n:t.n ~conn
   in
   if s >= 0 || exclude < 0 then s
   else
     (* The excluded server is the only candidate left: better than dropping. *)
-    Policy.choose t.policy ~rss:t.rss ~rng:t.rng ~estimate:(Estimate.read t.est)
-      ~routable:(fun i -> routable t i ~now) ~n:t.n ~conn
+    Policy.choose t.policy ~rss:t.rss ~rng:t.rng ~estimates:t.visible
+      ~routable:(routable_set t ~exclude:(-1)) ~n:t.n ~conn
 
 (* Physical dispatch: credit, probe bookkeeping, forward to the server's
    ingress (link faults and crash filters are composed outside). *)
-let send t server (req : Request.t) =
+let[@zygos.hot] send t server (req : Request.t) =
   t.outstanding.(server) <- t.outstanding.(server) +. 1.;
   t.dispatched <- t.dispatched + 1;
   t.per_server.(server) <- t.per_server.(server) + 1;
   (match t.health with
   | None -> ()
-  | Some h -> Health.note_probe h server ~now:(Sim.now t.sim));
-  t.forward server req
+  | Some h -> (Health.note_probe h server ~now:(Sim.now t.sim) [@zygos.allow "r6,r7"]));
+  (* the rack's ingress, ending in the server's [@zygos.hot] submit *)
+  (t.forward server req [@zygos.allow "r6"])
 
 let arm_detection t e =
   match t.detect with
@@ -107,7 +126,7 @@ let dispatch_primary t e (req : Request.t) server =
   arm_hedge t e;
   send t server req
 
-let enqueue_tor t (req : Request.t) =
+let[@zygos.hot] enqueue_tor t (req : Request.t) =
   Engine.Intq.push t.tor_queue req;
   t.tor_queued <- t.tor_queued + 1;
   let depth = Engine.Intq.length t.tor_queue in
@@ -115,7 +134,7 @@ let enqueue_tor t (req : Request.t) =
 
 (* JBSQ handoff: responses (and recoveries) free credits; drain the
    central FIFO into whichever servers have slots. *)
-let drain_tor t =
+let[@zygos.hot] drain_tor t =
   if t.bound < max_int then begin
     let continue_ = ref true in
     while !continue_ && not (Engine.Intq.is_empty t.tor_queue) do
@@ -125,11 +144,11 @@ let drain_tor t =
       | -1 -> continue_ := false
       | server ->
           let req = Engine.Intq.pop t.tor_queue in
-          if t.tracked then begin
-            match Hashtbl.find_opt t.entries (Request.id t.pool req) with
+          if t.tracked then
+            (match Hashtbl.find_opt t.entries (Request.id t.pool req) with
             | Some e when not e.e_done -> dispatch_primary t e req server
-            | Some _ | None -> ()
-          end
+            | Some _ | None -> ())
+            [@zygos.allow "r6"]
           else send t server req
     done
   end
@@ -139,44 +158,48 @@ let drain_tor t =
    so probing is the dispatcher's job: the next fresh arrival is routed to
    it as the probe, bypassing the policy and the JBSQ bound (a dead
    server's stuck credits must not block its own liveness check). *)
-let probe_target t =
+let[@zygos.hot] probe_target t =
   match t.health with
   | None -> -1
   | Some h ->
-      let now = Sim.now t.sim in
-      let rec scan i =
-        if i >= t.n then -1
-        else
-          match Health.state h i with
-          | Health.Down when Health.routable h i ~now -> i
-          | Health.Down | Health.Up | Health.Suspect -> scan (i + 1)
-      in
-      scan 0
+      (let now = Sim.now t.sim in
+       let rec scan i =
+         if i >= t.n then -1
+         else
+           match Health.state h i with
+           | Health.Down when Health.routable h i ~now -> i
+           | Health.Down | Health.Up | Health.Suspect -> scan (i + 1)
+       in
+       scan 0)
+      [@zygos.allow "hot-alloc,r6,r7"]
 
-let submit t (req : Request.t) =
+let[@zygos.hot] submit t (req : Request.t) =
   let e =
     if not t.tracked then None
-    else begin
-      let e =
-        {
-          e_id = Request.id t.pool req;
-          e_attempts = 0;
-          e_server = -1;
-          e_hedge_server = -1;
-          e_timeout = no_handle;
-          e_hedge = no_handle;
-          e_done = false;
-        }
-      in
-      Hashtbl.replace t.entries e.e_id e;
-      Some e
-    end
+    else
+      (* one entry per logical request; the request for its copies *)
+      (let id = Request.id t.pool req in
+       let e =
+         {
+           e_id = id;
+           e_attempts = 0;
+           e_server = -1;
+           e_hedge_server = -1;
+           e_timeout = no_handle;
+           e_hedge = no_handle;
+           e_done = false;
+         }
+       in
+       Hashtbl.replace t.reqs id req;
+       Hashtbl.replace t.entries id e;
+       Some e)
+      [@zygos.allow "hot-alloc,r6"]
   in
   let probe = probe_target t in
   if probe >= 0 then (
     match e with
     | None -> send t probe req
-    | Some e -> dispatch_primary t e req probe)
+    | Some e -> (dispatch_primary t e req probe [@zygos.allow "r6"]))
   else if
     (* JBSQ FIFO fairness: never overtake requests already held at the ToR. *)
     t.bound < max_int && not (Engine.Intq.is_empty t.tor_queue)
@@ -195,13 +218,13 @@ let submit t (req : Request.t) =
     | server -> (
         match e with
         | None -> send t server req
-        | Some e -> dispatch_primary t e req server)
+        | Some e -> (dispatch_primary t e req server [@zygos.allow "r6"]))
 
 (* Copy a request for a failover or hedge dispatch: same logical identity
    (id, conn, arrival, service, measured) so client-side latency spans
    from the original arrival, but a fresh pool slot so two servers never
-   race on the same mutable started/completion fields. The rack runs its
-   pool without recycling — a copy can outlive the first completion. *)
+   race on the same mutable started/completion fields. A copying rack
+   never recycles its pool: a copy can outlive the first completion. *)
 let copy_req t (req : Request.t) =
   let s = Request.slot t.pool req in
   let times = [| (Request.arrivals t.pool).(s); (Request.services t.pool).(s) |] in
@@ -274,25 +297,27 @@ let on_hedge t id =
                 send t server req)
       end
 
-let on_response t ~server (req : Request.t) =
-  let now = Sim.now t.sim in
-  t.outstanding.(server) <- Float.max 0. (t.outstanding.(server) -. 1.);
+let[@zygos.hot] on_response t ~server (req : Request.t) =
+  let left = t.outstanding.(server) -. 1. in
+  t.outstanding.(server) <- (if left > 0. then left else 0.);
   (match t.health with
   | None -> ()
   | Some h ->
-      let was_down = match Health.state h server with Health.Down -> true | _ -> false in
-      Health.note_response h server ~now;
-      if was_down then begin
-        (* Reconnect semantics: timeouts may have leaked credits while the
-           server was unreachable; restart its window from empty and push
-           the corrected value past the feedback delay. *)
-        t.outstanding.(server) <- 0.;
-        Estimate.force t.est server;
-        t.credit_resyncs <- t.credit_resyncs + 1
-      end);
-  (if not t.tracked then t.respond req
+      (let was_down = match Health.state h server with Health.Down -> true | _ -> false in
+       Health.note_response h server ~now:(Sim.now t.sim);
+       if was_down then begin
+         (* Reconnect semantics: timeouts may have leaked credits while the
+            server was unreachable; restart its window from empty and push
+            the corrected value past the feedback delay. *)
+         t.outstanding.(server) <- 0.;
+         Estimate.force t.est server;
+         t.credit_resyncs <- t.credit_resyncs + 1
+       end)
+      [@zygos.allow "r6,r7"]);
+  (* [respond] is the client's [@zygos.hot] completion *)
+  (if not t.tracked then (t.respond req [@zygos.allow "r6"])
    else
-     match Hashtbl.find_opt t.entries (Request.id t.pool req) with
+     (match Hashtbl.find_opt t.entries (Request.id t.pool req) with
      | None -> t.respond req
      | Some e ->
          if e.e_done then t.duplicates_dropped <- t.duplicates_dropped + 1
@@ -308,12 +333,14 @@ let on_response t ~server (req : Request.t) =
              e.e_hedge <- no_handle
            end;
            t.respond req
-         end);
+         end)
+     [@zygos.allow "r6"]);
   drain_tor t
 
 let create sim ~pool ~n ~policy ~rng ?(feedback_delay = 0.) ?(feedback_until = 0.) ?detect
     ?hedge ~respond () =
   if n < 1 then invalid_arg "Dispatch: n < 1";
+  if n > 62 then invalid_arg "Dispatch: more than 62 servers";
   Policy.validate policy;
   (match detect with
   | None -> ()
@@ -326,6 +353,7 @@ let create sim ~pool ~n ~policy ~rng ?(feedback_delay = 0.) ?(feedback_until = 0
       if Float.is_nan h || h <= 0. then invalid_arg "Dispatch: hedge delay <= 0");
   let outstanding = Array.make n 0. in
   let tracked = Option.is_some detect || Option.is_some hedge in
+  let est = Estimate.create sim ~live:outstanding ~delay:feedback_delay ~until:feedback_until () in
   let t =
     {
       sim;
@@ -336,7 +364,8 @@ let create sim ~pool ~n ~policy ~rng ?(feedback_delay = 0.) ?(feedback_until = 0
       bound = Policy.bound policy;
       rss = Net.Rss.create ~queues:n ();
       outstanding;
-      est = Estimate.create sim ~live:outstanding ~delay:feedback_delay ~until:feedback_until ();
+      est;
+      visible = Estimate.visible est;
       detect;
       health = Option.map (fun (d : detect) -> Health.create ~n d.health) detect;
       hedge_delay = (match hedge with Some h -> h | None -> nan);
@@ -369,13 +398,7 @@ let create sim ~pool ~n ~policy ~rng ?(feedback_delay = 0.) ?(feedback_until = 0
 
 let set_forward t forward = t.forward <- forward
 
-let submit t req =
-  if t.tracked then Hashtbl.replace t.reqs (Request.id t.pool req) req;
-  submit t req
-
 let tor_depth t = Engine.Intq.length t.tor_queue
-
-let estimator t = t.est
 
 let health t = t.health
 

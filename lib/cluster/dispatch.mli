@@ -12,6 +12,11 @@
     feedback delay); only JBSQ's bound check reads it exactly, because
     credits are an explicit ack channel rather than telemetry.
 
+    {b Request path.} A choice hands {!Policy.choose} the routable
+    servers as an int bit set and the {!Estimate.visible} array. Without
+    detection or hedging, {!submit} and {!on_response} allocate nothing
+    and make no clock call.
+
     {b JBSQ.} Under [Policy.Jbsq n], requests that find every healthy
     server at its bound wait in a central FIFO at the ToR and are handed
     out as responses free slots — the bounded single queue of nanoPU.
@@ -57,7 +62,8 @@ val create :
   t
 (** [rng] must be the dispatcher's own stream: it is drawn from only by
     randomized policies (and never when [n = 1]) and by failover backoff
-    jitter. [feedback_delay] (default 0 = exact estimates) and
+    jitter. Raises [Invalid_argument] unless [1 <= n <= 62] (routable
+    sets are int bit sets). [feedback_delay] (default 0 = exact estimates) and
     [feedback_until] bound the estimator. [respond] receives exactly one
     response per logical request. Servers attach via {!set_forward}. *)
 
@@ -75,8 +81,6 @@ val on_response : t -> server:int -> Net.Request.t -> unit
 
 val tor_depth : t -> int
 (** Current JBSQ central-FIFO depth (0 unless the policy is [Jbsq]). *)
-
-val estimator : t -> Estimate.t
 
 val health : t -> Health.t option
 (** [Some] iff created with [detect]. *)

@@ -44,13 +44,9 @@ let create sim ~live ~delay ~until () =
   end;
   t
 
-let read t i = t.visible.(i)
-
-let exact t i = t.live.(i)
+let visible t = t.visible
 
 let refreshes t = t.refreshes
-
-let delay t = t.delay
 
 (* Dispatcher-side resync (e.g. on failure-detection recovery): make the
    stale view agree with the corrected live value immediately — the real

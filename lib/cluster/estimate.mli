@@ -18,13 +18,11 @@ val create :
     which the view freezes so the simulation can drain). Raises
     [Invalid_argument] on a negative or NaN delay. *)
 
-val read : t -> int -> float
-(** Policy-visible estimate for server [i]: stale by up to the feedback
-    delay. *)
-
-val exact : t -> int -> float
-(** Ground truth ([live.(i)]); used by JBSQ credit gating, never by the
-    ranking policies. *)
+val visible : t -> float array
+(** The policy-visible estimates by server, stale by up to the feedback
+    delay: [live] itself when [delay = 0], else the snapshot that each
+    refresh (and {!force}) overwrites in place. It is one array for the
+    estimator's whole life, so a caller binds it once. *)
 
 val force : t -> int -> unit
 (** Synchronize server [i]'s visible estimate with the live value now
@@ -32,5 +30,3 @@ val force : t -> int -> unit
 
 val refreshes : t -> int
 (** Snapshot count so far. *)
-
-val delay : t -> float

@@ -22,41 +22,33 @@ let queue_aware = function
   | Static_hash | Random -> false
   | Po2 | Jsq | Jbsq _ -> true
 
-(* Index of the [j]-th (0-based) routable server. The caller guarantees
-   there are more than [j]; scanning is O(n) with n = rack size (single
-   digits), so no precomputed set is kept. *)
-let nth_routable ~routable ~n j =
-  let rec go i remaining =
-    if i >= n then invalid_arg "Policy: routable count changed underfoot"
-    else if routable i then if remaining = 0 then i else go (i + 1) (remaining - 1)
-    else go (i + 1) remaining
-  in
-  go 0 j
+(* A routable set is an [int] bit set (bit i: server i may take the
+   request); racks have at most 62 servers, so scans are short loops. *)
+let[@zygos.hot] mem set i = set land (1 lsl i) <> 0
 
-let count_routable ~routable ~n =
-  let k = ref 0 in
-  for i = 0 to n - 1 do
-    if routable i then incr k
-  done;
-  !k
+let[@zygos.hot] rec popcount set = if set = 0 then 0 else 1 + popcount (set land (set - 1))
 
-(* Lowest-index routable server with the smallest estimate. *)
-let argmin_estimate ~estimate ~routable ~n =
+(* Index of the [j]-th (0-based) member of [set], scanning from [i]; the
+   caller guarantees there are more than [j]. *)
+let[@zygos.hot] rec nth_member set i j =
+  if not (mem set i) then nth_member set (i + 1) j
+  else if j = 0 then i
+  else nth_member set (i + 1) (j - 1)
+
+(* Lowest-index member with the smallest estimate, or -1 on an empty set. *)
+let[@zygos.hot] argmin (estimates : float array) set ~n =
   let best = ref (-1) in
-  let best_e = ref infinity in
   for i = 0 to n - 1 do
-    if routable i then begin
-      let e = estimate i in
-      if !best < 0 || e < !best_e then begin
-        best := i;
-        best_e := e
-      end
-    end
+    if
+      mem set i
+      && (!best < 0 || Array.unsafe_get estimates i < Array.unsafe_get estimates !best)
+    then best := i
   done;
   !best
 
-let choose t ~rss ~rng ~estimate ~routable ~n ~conn =
-  if n = 1 then if routable 0 then 0 else -1
+let[@zygos.hot] choose t ~rss ~rng ~(estimates : float array) ~routable ~n ~conn =
+  let routable = routable land ((1 lsl n) - 1) in
+  if n = 1 then if mem routable 0 then 0 else -1
   else
     match t with
     | Static_hash ->
@@ -66,20 +58,20 @@ let choose t ~rss ~rng ~estimate ~routable ~n ~conn =
            linear probing) so hashing can still fail over when the caller
            masks servers out. *)
         let home = Net.Rss.queue_of_conn rss conn in
-        let rec probe k =
-          if k >= n then -1
-          else
-            let i = (home + k) mod n in
-            if routable i then i else probe (k + 1)
-        in
-        probe 0
+        let found = ref (-1) and k = ref 0 in
+        while !found < 0 && !k < n do
+          let i = (home + !k) mod n in
+          if mem routable i then found := i;
+          incr k
+        done;
+        !found
     | Random ->
-        let k = count_routable ~routable ~n in
-        if k = 0 then -1 else nth_routable ~routable ~n (Engine.Rng.int rng k)
+        let k = popcount routable in
+        if k = 0 then -1 else nth_member routable 0 (Engine.Rng.int rng k)
     | Po2 ->
-        let k = count_routable ~routable ~n in
+        let k = popcount routable in
         if k = 0 then -1
-        else if k = 1 then nth_routable ~routable ~n 0
+        else if k = 1 then nth_member routable 0 0
         else begin
           (* Two distinct candidates (sampling without replacement), then
              the shorter estimated queue; ties go to the first draw. *)
@@ -88,8 +80,8 @@ let choose t ~rss ~rng ~estimate ~routable ~n ~conn =
             let b = Engine.Rng.int rng (k - 1) in
             if b >= a then b + 1 else b
           in
-          let ia = nth_routable ~routable ~n a in
-          let ib = nth_routable ~routable ~n b in
-          if estimate ib < estimate ia then ib else ia
+          let ia = nth_member routable 0 a in
+          let ib = nth_member routable 0 b in
+          if Array.unsafe_get estimates ib < Array.unsafe_get estimates ia then ib else ia
         end
-    | Jsq | Jbsq _ -> argmin_estimate ~estimate ~routable ~n
+    | Jsq | Jbsq _ -> argmin estimates routable ~n

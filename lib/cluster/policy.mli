@@ -46,16 +46,19 @@ val choose :
   t ->
   rss:Net.Rss.t ->
   rng:Engine.Rng.t ->
-  estimate:(int -> float) ->
-  routable:(int -> bool) ->
+  estimates:float array ->
+  routable:int ->
   n:int ->
   conn:int ->
   int
 (** Pick a server in [0, n) for a request on [conn], or [-1] when no
-    server is routable. [estimate i] is the dispatcher-visible queue
-    estimate of server [i]; [routable i] masks out servers the health
-    layer considers down (and, under JBSQ, servers at their bound). [rss]
-    must have been created with [~queues:n]. Randomized policies draw only
-    from [rng], and only when [n > 1] and more than one server is
-    routable, so a 1-server rack consumes no draws whatever the policy —
-    the degeneracy the cluster tests pin down. *)
+    server is routable; allocates nothing. Bit [i] of [routable] (bits
+    [n] and up are ignored) means server [i] may take the request: the
+    dispatcher clears servers the health layer considers down and, under
+    JBSQ, servers at their bound. [estimates.(i)] is server [i]'s
+    dispatcher-visible queue estimate ({!Estimate.visible}). [rss] must
+    have been created with [~queues:n]. Randomized policies map a draw
+    [j] to the [j]-th set bit, draw only from [rng], and only when
+    [n > 1] and more than one server is routable, so a 1-server rack
+    consumes no draws whatever the policy — the degeneracy the cluster
+    tests pin down. *)

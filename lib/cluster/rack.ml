@@ -15,6 +15,7 @@ type config = {
 let config ?(feedback_delay = 0.) ?(feedback_until = 0.) ?detect ?hedge
     ?(failplan = Failplan.none) ~servers ~policy () =
   if servers < 1 then invalid_arg "Rack: servers < 1";
+  if servers > 62 then invalid_arg "Rack: more than 62 servers";
   Policy.validate policy;
   if Float.is_nan feedback_delay || feedback_delay < 0. then
     invalid_arg "Rack: feedback_delay < 0";

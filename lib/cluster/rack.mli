@@ -48,8 +48,8 @@ val config :
   policy:Policy.t ->
   unit ->
   config
-(** Validates everything ([servers >= 1], the policy, the failure plan);
-    raises [Invalid_argument] otherwise. *)
+(** Validates everything ([1 <= servers <= 62]: routable sets are int bit
+    sets; the policy; the failure plan); raises [Invalid_argument]. *)
 
 type t
 

@@ -20,9 +20,9 @@ let create ?(capacity = 8) () =
   if capacity < 1 then invalid_arg "Intq.create: capacity < 1";
   { buf = Array.make capacity 0; head = 0; len = 0 }
 
-let length t = t.len
+let[@zygos.hot] length t = t.len
 
-let is_empty t = t.len = 0
+let[@zygos.hot] is_empty t = t.len = 0
 
 let[@zygos.hot] grow t =
   let cap = Array.length t.buf in

@@ -64,9 +64,11 @@ let run cfg ~load =
   let loadgen_rng = Rng.split rng in
   let mean = Dist.mean cfg.service in
   let rate = load *. float_of_int (cfg.cores * cfg.servers) /. mean in
-  (* Never recycle slots in a rack: failover and hedge copies of a request
-     (same logical id, fresh slots) can outlive its first completion. *)
-  let pool = Net.Request.create_pool ~recycle:false () in
+  (* Slots recycle unless a copy of a request can outlive its first
+     completion: failover (detect), hedge and client retry copies. Failure
+     windows only lose or slow a request; its slot is released once. *)
+  let recycle = Option.(is_none cfg.detect && is_none cfg.hedge && is_none cfg.retry) in
+  let pool = Net.Request.create_pool ~recycle () in
   let gen =
     Net.Loadgen.create sim ~rng:loadgen_rng ~pool ~conns:cfg.conns ~rate
       ~service:cfg.service ~slo:cfg.slo ?retry:cfg.retry ()

@@ -32,8 +32,9 @@ val create_pool : ?recycle:bool -> ?capacity:int -> unit -> pool
     first completion (duplicate deliveries, hedged copies, failover)
     must run with [recycle:false]: the pool then grows monotonically —
     bounded by the total request count — and every handle stays valid
-    for the whole run. The clean fast path (no faults, no retries)
-    enables recycling and runs in O(outstanding) slots. *)
+    for the whole run. The clean fast path (no faults or retries; in a
+    rack, no detection, hedging or retries) enables recycling and runs
+    in O(outstanding) slots. *)
 
 val alloc : pool -> id:int -> conn:int -> measured:bool -> float array -> t
 (** [alloc p ~id ~conn ~measured times] takes the arrival from

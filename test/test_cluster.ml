@@ -1,7 +1,8 @@
 (* Rack tier tests (PR 7):
 
-   - Policy: selection semantics per policy, routable masking, and the
-     no-draw guarantee on a 1-server rack.
+   - Policy: selection semantics per policy, routable masking, the
+     no-draw guarantee on a 1-server rack, and agreement with a
+     closure-based reference on seeded random cases.
    - Estimate: zero-delay exactness, staleness under a feedback delay,
      forced resync, refresh horizon.
    - Health: timeout thresholding, probe-slot gating, recovery counters.
@@ -50,19 +51,21 @@ let test_policy_basics () =
   Alcotest.(check bool) "hash oblivious" false (Policy.queue_aware Policy.Static_hash);
   Alcotest.(check bool) "jsq aware" true (Policy.queue_aware Policy.Jsq)
 
-let choose ?(n = 4) ?(estimates = [| 0.; 0.; 0.; 0. |]) ?(routable = fun _ -> true)
-    ?(seed = 1) ?(conn = 7) policy =
+(* [routable] is a bit set: bit i = server i may take the request. *)
+let choose ?(n = 4) ?(estimates = [| 0.; 0.; 0.; 0. |]) ?routable ?(seed = 1) ?(conn = 7)
+    policy =
+  let routable = Option.value routable ~default:((1 lsl n) - 1) in
   let rss = Net.Rss.create ~queues:n () in
   let rng = Rng.create ~seed in
-  Policy.choose policy ~rss ~rng ~estimate:(fun i -> estimates.(i)) ~routable ~n ~conn
+  Policy.choose policy ~rss ~rng ~estimates ~routable ~n ~conn
 
 let test_policy_jsq () =
   Alcotest.(check int) "argmin" 2 (choose ~estimates:[| 3.; 2.; 1.; 2. |] Policy.Jsq);
   Alcotest.(check int) "tie -> lowest index" 1
     (choose ~estimates:[| 3.; 1.; 1.; 2. |] Policy.Jsq);
   Alcotest.(check int) "mask wins over estimate" 3
-    (choose ~estimates:[| 0.; 0.; 0.; 9. |] ~routable:(fun i -> i = 3) Policy.Jsq);
-  Alcotest.(check int) "nothing routable" (-1) (choose ~routable:(fun _ -> false) Policy.Jsq)
+    (choose ~estimates:[| 0.; 0.; 0.; 9. |] ~routable:(1 lsl 3) Policy.Jsq);
+  Alcotest.(check int) "nothing routable" (-1) (choose ~routable:0 Policy.Jsq)
 
 let test_policy_hash () =
   let n = 4 in
@@ -72,7 +75,7 @@ let test_policy_hash () =
   (* Masking the home server probes linearly to the next index. *)
   Alcotest.(check int) "rehash past masked home"
     ((home + 1) mod n)
-    (choose ~n ~routable:(fun i -> i <> home) Policy.Static_hash);
+    (choose ~n ~routable:(((1 lsl n) - 1) land lnot (1 lsl home)) Policy.Static_hash);
   (* Flow consistency: same conn, same answer, rng untouched. *)
   Alcotest.(check int) "stable" (choose ~n Policy.Static_hash) (choose ~n Policy.Static_hash)
 
@@ -94,16 +97,119 @@ let test_policy_single_server_no_draws () =
       let rng = Rng.create ~seed:9 in
       let witness = Rng.copy rng in
       let s =
-        Policy.choose policy ~rss:(Net.Rss.create ~queues:1 ()) ~rng
-          ~estimate:(fun _ -> 0.)
-          ~routable:(fun _ -> true)
-          ~n:1 ~conn:3
+        Policy.choose policy ~rss:(Net.Rss.create ~queues:1 ()) ~rng ~estimates:[| 0. |]
+          ~routable:1 ~n:1 ~conn:3
       in
       Alcotest.(check int) (Policy.name policy ^ " picks 0") 0 s;
       Alcotest.(check int64)
         (Policy.name policy ^ " drew nothing")
         (Rng.next_int64 witness) (Rng.next_int64 rng))
     all_policies
+
+(* The closure-based policy the bit-set [Policy.choose] replaced, kept as
+   the reference it must match: a server index in [routable], the same
+   draws in the same order, the same tie-breaks. *)
+module Closure_reference = struct
+  let nth_routable ~routable ~n j =
+    let rec go i remaining =
+      if i >= n then invalid_arg "nth_routable: too few routable servers"
+      else if routable i then if remaining = 0 then i else go (i + 1) (remaining - 1)
+      else go (i + 1) remaining
+    in
+    go 0 j
+
+  let count_routable ~routable ~n =
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      if routable i then incr k
+    done;
+    !k
+
+  let argmin_estimate ~estimate ~routable ~n =
+    let best = ref (-1) in
+    let best_e = ref infinity in
+    for i = 0 to n - 1 do
+      if routable i then begin
+        let e = estimate i in
+        if !best < 0 || e < !best_e then begin
+          best := i;
+          best_e := e
+        end
+      end
+    done;
+    !best
+
+  let choose (t : Policy.t) ~rss ~rng ~estimate ~routable ~n ~conn =
+    if n = 1 then if routable 0 then 0 else -1
+    else
+      match t with
+      | Static_hash ->
+          let home = Net.Rss.queue_of_conn rss conn in
+          let rec probe k =
+            if k >= n then -1
+            else
+              let i = (home + k) mod n in
+              if routable i then i else probe (k + 1)
+          in
+          probe 0
+      | Random ->
+          let k = count_routable ~routable ~n in
+          if k = 0 then -1 else nth_routable ~routable ~n (Rng.int rng k)
+      | Po2 ->
+          let k = count_routable ~routable ~n in
+          if k = 0 then -1
+          else if k = 1 then nth_routable ~routable ~n 0
+          else begin
+            let a = Rng.int rng k in
+            let b =
+              let b = Rng.int rng (k - 1) in
+              if b >= a then b + 1 else b
+            in
+            let ia = nth_routable ~routable ~n a in
+            let ib = nth_routable ~routable ~n b in
+            if estimate ib < estimate ia then ib else ia
+          end
+      | Jsq | Jbsq _ -> argmin_estimate ~estimate ~routable ~n
+end
+
+(* Seeded random cases over every policy: rack sizes 1..8, any routable
+   mask (empty and single-server ones forced often), estimates from three
+   values so ties are common, and any connection. Both versions must pick
+   the same server and leave their RNG copies in the same state. *)
+let test_policy_matches_closure_reference () =
+  let gen = Rng.create ~seed:2024 in
+  let rss = Array.init 8 (fun i -> Net.Rss.create ~queues:(i + 1) ()) in
+  for case = 1 to 4_000 do
+    let n = 1 + Rng.int gen 8 in
+    let routable =
+      match Rng.int gen 4 with
+      | 0 -> 0
+      | 1 -> 1 lsl Rng.int gen n
+      | _ -> Rng.int gen (1 lsl n)
+    in
+    let estimates = Array.init n (fun _ -> float_of_int (Rng.int gen 3)) in
+    let conn = Rng.int gen 100_000 in
+    let seed = Rng.int gen 1_000_000 in
+    List.iter
+      (fun policy ->
+        let rng = Rng.create ~seed and ref_rng = Rng.create ~seed in
+        let got =
+          Policy.choose policy ~rss:rss.(n - 1) ~rng ~estimates ~routable ~n ~conn
+        in
+        let want =
+          Closure_reference.choose policy ~rss:rss.(n - 1) ~rng:ref_rng
+            ~estimate:(fun i -> estimates.(i))
+            ~routable:(fun i -> routable land (1 lsl i) <> 0)
+            ~n ~conn
+        in
+        if got <> want then
+          Alcotest.failf "case %d, %s, n=%d, mask=%#x, conn=%d: picked %d, reference %d" case
+            (Policy.name policy) n routable conn got want;
+        if not (Int64.equal (Rng.next_int64 rng) (Rng.next_int64 ref_rng)) then
+          Alcotest.failf "case %d, %s, n=%d, mask=%#x: RNG state diverged" case
+            (Policy.name policy) n routable)
+      all_policies
+  done
 
 (* ---- Estimate ---- *)
 
@@ -112,7 +218,8 @@ let test_estimate_zero_delay_exact () =
   let live = [| 1.; 2. |] in
   let e = Estimate.create sim ~live ~delay:0. ~until:1000. () in
   live.(0) <- 7.;
-  Alcotest.(check (float 0.)) "read is live" 7. (Estimate.read e 0);
+  Alcotest.(check bool) "view is the live array" true (Estimate.visible e == live);
+  Alcotest.(check (float 0.)) "read is live" 7. (Estimate.visible e).(0);
   Sim.run sim;
   Alcotest.(check int) "no refresh events" 0 (Estimate.refreshes e)
 
@@ -120,18 +227,22 @@ let test_estimate_staleness () =
   let sim = Sim.create () in
   let live = [| 0. |] in
   let e = Estimate.create sim ~live ~delay:10. ~until:100. () in
+  (* One snapshot array for the estimator's whole life, apart from live. *)
+  let view = Estimate.visible e in
+  Alcotest.(check bool) "snapshot is its own array" true (view != live);
   live.(0) <- 4.;
-  Alcotest.(check (float 0.)) "stale before refresh" 0. (Estimate.read e 0);
-  Alcotest.(check (float 0.)) "exact sees it" 4. (Estimate.exact e 0);
+  Alcotest.(check (float 0.)) "stale before refresh" 0. view.(0);
+  Alcotest.(check (float 0.)) "exact sees it" 4. live.(0);
   Sim.run_until sim 10.5;
-  Alcotest.(check (float 0.)) "refreshed" 4. (Estimate.read e 0);
+  Alcotest.(check (float 0.)) "refreshed" 4. view.(0);
   live.(0) <- 9.;
   Estimate.force e 0;
-  Alcotest.(check (float 0.)) "forced resync" 9. (Estimate.read e 0);
+  Alcotest.(check (float 0.)) "forced resync" 9. view.(0);
   (* The refresh loop stops at [until] so the simulation can drain. *)
   Sim.run sim;
   live.(0) <- 13.;
-  Alcotest.(check (float 0.)) "frozen after horizon" 9. (Estimate.read e 0);
+  Alcotest.(check (float 0.)) "frozen after horizon" 9. view.(0);
+  Alcotest.(check bool) "same array throughout" true (Estimate.visible e == view);
   Alcotest.(check bool) "bounded refreshes" true (Estimate.refreshes e <= 11)
 
 (* ---- Health ---- *)
@@ -243,8 +354,8 @@ let fake_server sim ~pool ~delay ~respond =
   let info () = [ ("fake_peak", float_of_int !peak) ] in
   (Systems.Iface.{ name = "fake"; submit; info }, peak)
 
-(* Racks never recycle: failover and hedge copies outlive the first
-   completion of a logical id. *)
+(* Pools here never recycle: the detection and hedging tests' copies
+   outlive the first completion of a logical id. *)
 let mk_pool () = Request.create_pool ~recycle:false ()
 
 let mk_req pool id = Request.alloc pool ~id ~conn:id ~measured:true [| 0.; 1. |]
@@ -252,6 +363,19 @@ let mk_req pool id = Request.alloc pool ~id ~conn:id ~measured:true [| 0.; 1. |]
 let latency pool req =
   let s = Request.slot pool req in
   (Request.completions pool).(s) -. (Request.arrivals pool).(s)
+
+(* Routable sets are int bit sets, so a rack holds at most 62 servers. *)
+let test_rack_size_validation () =
+  check_raises_any "rack of 0" (fun () -> Rack.config ~servers:0 ~policy:Policy.Po2 ());
+  check_raises_any "rack of 63" (fun () -> Rack.config ~servers:63 ~policy:Policy.Po2 ());
+  ignore (Rack.config ~servers:62 ~policy:Policy.Po2 () : Rack.config);
+  let dispatch n () =
+    Dispatch.create (Sim.create ()) ~pool:(mk_pool ()) ~n ~policy:Policy.Po2
+      ~rng:(Rng.create ~seed:1) ~respond:ignore ()
+  in
+  check_raises_any "dispatcher over 0" (dispatch 0);
+  check_raises_any "dispatcher over 63" (dispatch 63);
+  ignore (dispatch 62 () : Dispatch.t)
 
 let test_jbsq_bound_invariant () =
   let sim = Sim.create () in
@@ -554,6 +678,8 @@ let () =
           Alcotest.test_case "hash + rehash" `Quick test_policy_hash;
           Alcotest.test_case "po2" `Quick test_policy_po2;
           Alcotest.test_case "1-server: no draws" `Quick test_policy_single_server_no_draws;
+          Alcotest.test_case "bit set == closure reference" `Quick
+            test_policy_matches_closure_reference;
         ] );
       ( "estimate",
         [
@@ -569,6 +695,7 @@ let () =
         ] );
       ( "dispatch",
         [
+          Alcotest.test_case "validation" `Quick test_rack_size_validation;
           Alcotest.test_case "jbsq bound invariant" `Quick test_jbsq_bound_invariant;
           Alcotest.test_case "failover recovers dead server" `Quick
             test_failover_recovers_dead_server;

@@ -263,6 +263,110 @@ let test_zygos_low_load_events_per_request () =
     Alcotest.failf "zygos at load 0.1 draws %.3f victim orders/request (%g / %d), want <= %g"
       orders_per_req orders generated zygos_low_load_orders_bound
 
+(* The rack's request path over [Sim.run] alone: 4 ZygOS servers of 16
+   cores behind the ToR dispatcher with 5 µs-stale estimates, 2752
+   connections, a recycling pool. The dispatcher picks from an int bit
+   set over the estimator's flat array and reads the clock only with
+   detection on, so it allocates nothing per request; what is left is
+   each server's per-connection setup (a PCB's first event buffer, made
+   when the connection first gets work), spread over the requests: 3.7
+   to 4.2 words/request here, against 34.7 to 40.2 while the policy took
+   closures and the dispatcher boxed the clock on every request and
+   response. One closure or two boxed floats per request trip the bound.
+   Exact for the seed. *)
+let rack_path_words_bound = 6.
+
+let rack_words_per_request policy ~load =
+  let servers = 4 and cores = 16 and conns = 2752 and requests = 20_000 in
+  let service = Engine.Dist.exponential 10. in
+  let sim = Sim.create () in
+  let rng = Engine.Rng.create ~seed:5 in
+  let loadgen_rng = Engine.Rng.split rng in
+  let rate = load *. float_of_int (servers * cores) /. Engine.Dist.mean service in
+  let pool = Net.Request.create_pool ~recycle:true () in
+  let gen = Net.Loadgen.create sim ~rng:loadgen_rng ~pool ~conns ~rate ~service () in
+  let measure = float_of_int requests /. rate in
+  let warmup = 0.2 *. measure in
+  let cfg =
+    Cluster.Rack.config ~servers ~policy ~feedback_delay:5. ~feedback_until:(warmup +. measure)
+      ()
+  in
+  let rack =
+    Cluster.Rack.create sim cfg ~rng ~pool
+      ~make_server:(fun ~i:_ ~rng ~respond ->
+        Systems.Zygos.create sim (Systems.Params.default ~cores ()) ~rng ~pool ~conns ~respond
+          ())
+      ~respond:(Net.Loadgen.complete gen)
+  in
+  Net.Loadgen.set_target gen (Cluster.Rack.iface rack).Systems.Iface.submit;
+  Net.Loadgen.start gen ~warmup ~measure;
+  let w0 = Gc.minor_words () in
+  Sim.run sim;
+  (Gc.minor_words () -. w0) /. float_of_int (Net.Loadgen.generated gen)
+
+let test_rack_path_minor_words () =
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun load ->
+          let per_req = rack_words_per_request policy ~load in
+          if per_req > rack_path_words_bound then
+            Alcotest.failf "rack (%s) at load %g allocates %.2f minor words/request (want <= %g)"
+              (Cluster.Policy.name policy) load per_req rack_path_words_bound)
+        [ 0.3; 0.8 ])
+    Cluster.Policy.[ Jbsq 32; Po2 ]
+
+(* A rack point recycles its request slots unless detection, hedging or
+   client retries can put a second copy of a request in flight. Pool
+   growth shows up in major words (its columns are allocated directly on
+   the major heap): this JBSQ(32) point reads 18.3 major words per
+   measured request with recycling when run alone (21.0 after the cases
+   above) and 60.7 with a pool that grows to one slot per generated
+   request. *)
+let rack_point_major_words_bound = 35.
+
+let rack_point ?detect ?hedge ?retry ?failplan ~requests ~load () =
+  let cfg =
+    Experiments.Rackrun.config ~requests ~seed:5 ~policy:(Cluster.Policy.Jbsq 32)
+      ~feedback_delay:5. ?detect ?hedge ?retry ?failplan
+      ~service:(Engine.Dist.exponential 10.) ()
+  in
+  Experiments.Rackrun.run cfg ~load
+
+let test_rack_point_recycles () =
+  let requests = 30_000 in
+  let _, _, major0 = Gc.counters () in
+  ignore (rack_point ~requests ~load:0.5 () : Experiments.Run.point);
+  let _, _, major1 = Gc.counters () in
+  let per_req = (major1 -. major0) /. float_of_int requests in
+  if per_req > rack_point_major_words_bound then
+    Alcotest.failf "clean rack point allocates %.1f major words/request (want <= %g)" per_req
+      rack_point_major_words_bound
+
+(* The other side of the rule: racks that can copy a request (failover
+   under detection, hedging, client retries) keep every slot. Each such
+   point must complete, with no stale-handle raise, and really make
+   copies, so the copying paths stay exercised. *)
+let test_copying_racks_keep_slots () =
+  let requests = 4_000 in
+  let count p key =
+    Option.value ~default:0. (List.assoc_opt key p.Experiments.Run.info)
+  in
+  let expect_copies name key p =
+    if not (count p key > 0.) then Alcotest.failf "%s point made no copies (%s = 0)" name key
+  in
+  let crash = [ Cluster.Failplan.Crash { server = 0; start = 100.; duration = 300. } ] in
+  let detect =
+    Cluster.Dispatch.
+      { retry = Net.Loadgen.retry ~timeout:50. (); health = Cluster.Health.config () }
+  in
+  expect_copies "detect" "rack_failovers"
+    (rack_point ~detect ~failplan:crash ~requests ~load:0.5 ());
+  expect_copies "hedge" "rack_hedges" (rack_point ~hedge:15. ~requests ~load:0.5 ());
+  expect_copies "retry" "client_retries"
+    (rack_point ~retry:(Net.Loadgen.retry ~timeout:50. ()) ~failplan:crash ~requests ~load:0.5
+       ())
+
 let test_end_to_end_reuse_ratio () =
   (* The same invariant through the full stack: a ZygOS point's event
      pool must serve almost every schedule from the free list. *)
@@ -312,5 +416,11 @@ let () =
             test_shared_request_path_minor_words;
           Alcotest.test_case "zygos low-load events/request bounded" `Quick
             test_zygos_low_load_events_per_request;
+          Alcotest.test_case "rack request path minor words/request bounded" `Quick
+            test_rack_path_minor_words;
+          Alcotest.test_case "clean rack point recycles request slots" `Quick
+            test_rack_point_recycles;
+          Alcotest.test_case "copying racks keep request slots" `Quick
+            test_copying_racks_keep_slots;
         ] );
     ]
