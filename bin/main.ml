@@ -4,7 +4,7 @@
    Examples:
      dune exec zygos -- fig6 -j 4
      dune exec zygos -- fig8 ablate-batch
-     ZYGOS_BENCH_SCALE=0.05 dune exec zygos -- all -j 2
+     dune exec zygos -- all --scale 0.05 -j 2
      dune exec zygos -- point --system zygos --dist exp --mean 10 --load 0.8
      dune exec zygos -- point --system ix --dist bimodal1 --mean 25 --sweep 0.2,0.5,0.8
      dune exec zygos -- point --system M/G/n/FCFS --dist exp --mean 10 --slo 100
@@ -12,16 +12,18 @@
    Figure output goes to stdout and is byte-identical for every -j value
    (per-point seeds derive from stable point keys, and rendering happens
    after the pool joins, in enumeration order). Run metadata and pool
-   statistics go to stderr so stdout can be diffed across -j values. *)
+   statistics go to stderr so stdout can be diffed across -j values.
+   A bad option or value prints a reason and exits 2; -h prints the
+   usage and exits 0. *)
 
 let usage () =
-  Printf.eprintf
+  Printf.printf
     "usage: zygos [TARGET...] [-j N] [--scale S] [--equeue heap|wheel]\n\
      \  TARGET   one of: %s (default: all)\n\
-     \  -j N     run sweep points on N domains (default 1; also ZYGOS_JOBS)\n\
-     \  --scale S  request-budget multiplier (default 1.0; also ZYGOS_BENCH_SCALE)\n\
-     \  --equeue Q  event-queue back end: heap or wheel (default wheel; also\n\
-     \              ZYGOS_EQUEUE; output is byte-identical either way)\n\
+     \  -j N     run sweep points on N domains (default 1)\n\
+     \  --scale S  request-budget multiplier (default 1.0)\n\
+     \  --equeue Q  event-queue back end: heap or wheel (default wheel;\n\
+     \              output is byte-identical either way)\n\
      usage: zygos point [--system S] [--dist D] [--mean US]\n\
      \         [--load L | --sweep L1,L2,... | --slo US] [--cores N] [--conns N]\n\
      \         [--requests N] [--seed N] [--packets N] [--skew FRAC:LOAD]\n\
@@ -32,7 +34,7 @@ let usage () =
      \  ix-rebalanced M/G/n/FCFS nxM/G/1/FCFS. D: fixed exp bimodal1 bimodal2.\n\
      \  --skew sends LOAD of the traffic to the first FRAC of connections.\n"
     (String.concat " " (List.map fst Experiments.Figures.all_targets));
-  exit 1
+  exit 0
 
 (* ---- zygos point: one experiment point ---- *)
 
@@ -116,84 +118,61 @@ let point args =
     Printf.eprintf "zygos point: %s\n" msg;
     exit 2
 
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some f when f > 0. -> f
-      | _ ->
-          Printf.eprintf "%s must be a positive float\n" name;
-          exit 1)
-  | None -> default
-
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some i when i >= 1 -> i
-      | _ ->
-          Printf.eprintf "%s must be a positive integer\n" name;
-          exit 1)
-  | None -> default
-
 (* ---- figure and table targets ---- *)
 
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "zygos: %s\n" msg;
+      exit 2)
+    fmt
+
+let positive_int flag v =
+  match int_of_string_opt v with
+  | Some j when j >= 1 -> j
+  | _ -> fail "%s expects a positive integer, got %S" flag v
+
+let rec parse_targets ~jobs ~scale names = function
+  | [] -> (jobs, scale, List.rev names)
+  | ("-h" | "--help") :: _ -> usage ()
+  | (("-j" | "--jobs") as flag) :: v :: rest ->
+      parse_targets ~jobs:(positive_int flag v) ~scale names rest
+  | "--scale" :: v :: rest -> (
+      match float_of_string_opt v with
+      | Some s when s > 0. -> parse_targets ~jobs ~scale:s names rest
+      | _ -> fail "--scale expects a positive number, got %S" v)
+  | "--equeue" :: v :: rest -> (
+      (* before any sweep spawns pool workers: every Sim.create () in
+         every domain then picks this back end *)
+      match Engine.Equeue.kind_of_string v with
+      | Some k ->
+          Engine.Sim.set_default_queue k;
+          parse_targets ~jobs ~scale names rest
+      | None -> fail "--equeue expects heap or wheel, got %S" v)
+  | [ (("-j" | "--jobs" | "--scale" | "--equeue") as flag) ] -> fail "%s expects a value" flag
+  | a :: rest when String.length a > 2 && String.sub a 0 2 = "-j" ->
+      parse_targets ~jobs:(positive_int "-j" (String.sub a 2 (String.length a - 2))) ~scale
+        names rest
+  | a :: _ when String.length a > 0 && a.[0] = '-' -> fail "unknown option %S" a
+  | a :: rest -> parse_targets ~jobs ~scale (a :: names) rest
+
 let run_targets args =
-  let jobs = ref (env_int "ZYGOS_JOBS" 1) in
-  let scale = ref (env_float "ZYGOS_BENCH_SCALE" 1.0) in
-  let names = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | ("-j" | "--jobs") :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some j when j >= 1 ->
-            jobs := j;
-            parse rest
-        | _ -> usage ())
-    | "--scale" :: v :: rest -> (
-        match float_of_string_opt v with
-        | Some s when s > 0. ->
-            scale := s;
-            parse rest
-        | _ -> usage ())
-    | "--equeue" :: v :: rest -> (
-        (* before any sweep spawns pool workers: every Sim.create () in
-           every domain then picks this back end *)
-        match Engine.Equeue.kind_of_string v with
-        | Some k ->
-            Engine.Sim.set_default_queue k;
-            parse rest
-        | None -> usage ())
-    | ("-h" | "--help") :: _ -> usage ()
-    | a :: rest when String.length a > 2 && String.sub a 0 2 = "-j" -> (
-        match int_of_string_opt (String.sub a 2 (String.length a - 2)) with
-        | Some j when j >= 1 ->
-            jobs := j;
-            parse rest
-        | _ -> usage ())
-    | a :: _ when String.length a > 0 && a.[0] = '-' -> usage ()
-    | a :: rest ->
-        names := a :: !names;
-        parse rest
-  in
-  parse args;
+  let jobs, scale, names = parse_targets ~jobs:1 ~scale:1.0 [] args in
   let selected =
-    match List.rev !names with
+    match names with
     | [] | [ "all" ] -> List.map fst Experiments.Figures.all_targets
     | names ->
         List.iter
           (fun n ->
             let known (name, _) = String.equal name n in
-            if not (List.exists known Experiments.Figures.all_targets) then begin
-              Printf.eprintf "unknown target %S\nvalid targets: %s all\n" n
-                (String.concat " " (List.map fst Experiments.Figures.all_targets));
-              exit 2
-            end)
+            if not (List.exists known Experiments.Figures.all_targets) then
+              fail "unknown target %S\nvalid targets: %s all" n
+                (String.concat " " (List.map fst Experiments.Figures.all_targets)))
           names;
         names
   in
   Printf.eprintf "zygos: targets [%s], scale=%g, jobs=%d\n%!"
-    (String.concat " " selected) !scale !jobs;
+    (String.concat " " selected) scale jobs;
   Experiments.Sweep.reset_totals ();
   List.iter
     (fun name ->
@@ -203,7 +182,7 @@ let run_targets args =
       let _, target =
         List.find (fun (n, _) -> String.equal n name) Experiments.Figures.all_targets
       in
-      target ~jobs:!jobs ~scale:!scale;
+      target ~jobs ~scale;
       flush stdout;
       Printf.eprintf "[%s done in %.1fs]\n%!" name
         ((Unix.gettimeofday () [@zygos.allow "determinism"]) -. t0))

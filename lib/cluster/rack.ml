@@ -22,13 +22,7 @@ let config ?(feedback_delay = 0.) ?(feedback_until = 0.) ?detect ?hedge
   Failplan.validate ~servers failplan;
   { servers; policy; feedback_delay; feedback_until; detect; hedge; failplan }
 
-type t = {
-  iface : Systems.Iface.t;
-  dispatch : Dispatch.t;
-  server_ifaces : Systems.Iface.t array;
-  lost_requests : int ref;  (* swallowed by a crash window on ingress *)
-  lost_responses : int ref;  (* suppressed by a crash window on egress *)
-}
+type t = { iface : Systems.Iface.t; dispatch : Dispatch.t }
 
 (* Build a list strictly left to right: several steps below split RNG
    streams or construct simulator state per server, so evaluation order is
@@ -74,8 +68,8 @@ let create sim cfg ~rng ~pool ~make_server ~respond =
       ~feedback_delay:cfg.feedback_delay ~feedback_until:cfg.feedback_until
       ?detect:cfg.detect ?hedge:cfg.hedge ~respond ()
   in
-  let lost_requests = ref 0 in
-  let lost_responses = ref 0 in
+  let lost_requests = ref 0 in (* swallowed by a crash window on ingress *)
+  let lost_responses = ref 0 in (* suppressed by a crash window on egress *)
   let crash_windows =
     List.exists
       (function Failplan.Crash _ -> true | Failplan.Blackhole _ | Failplan.Degraded _ -> false)
@@ -136,14 +130,8 @@ let create sim cfg ~rng ~pool ~make_server ~respond =
         info;
       }
   in
-  { iface; dispatch; server_ifaces; lost_requests; lost_responses }
+  { iface; dispatch }
 
 let iface t = t.iface
 
 let dispatch t = t.dispatch
-
-let server t i = t.server_ifaces.(i)
-
-let lost_requests t = !(t.lost_requests)
-
-let lost_responses t = !(t.lost_responses)

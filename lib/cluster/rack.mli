@@ -75,9 +75,3 @@ val iface : t -> Systems.Iface.t
     counters, and the key-wise sum of all per-server system counters. *)
 
 val dispatch : t -> Dispatch.t
-
-val server : t -> int -> Systems.Iface.t
-
-val lost_requests : t -> int
-
-val lost_responses : t -> int

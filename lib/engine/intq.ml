@@ -62,20 +62,11 @@ let[@zygos.hot] pop t =
 let[@zygos.hot] peek t =
   if t.len = 0 then empty else Array.unsafe_get t.buf t.head
 
-let clear t =
-  t.head <- 0;
-  t.len <- 0
-
 let[@zygos.hot] get t i =
   if i < 0 || i >= t.len then invalid_arg "Intq.get: out of range";
   let j = t.head + i in
   let cap = Array.length t.buf in
   Array.unsafe_get t.buf (if j >= cap then j - cap else j)
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f (get t i)
-  done
 
 (* Remove every occurrence of [x], preserving the order of the rest;
    used by the rare bookkeeping repair paths (client order-violation

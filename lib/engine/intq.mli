@@ -25,14 +25,6 @@ val length : t -> int
 
 val is_empty : t -> bool
 
-val clear : t -> unit
-
-val get : t -> int -> int
-(** [get t i] is the [i]-th oldest element. Raises [Invalid_argument]
-    out of range. *)
-
-val iter : (int -> unit) -> t -> unit
-
 val remove_all : t -> int -> unit
 (** Remove every occurrence, preserving the order of the rest. O(n);
     for rare repair paths, not the hot path. *)

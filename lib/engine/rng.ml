@@ -79,8 +79,6 @@ let int_range (t : t) lo hi =
   assert (lo <= hi);
   lo + int t (hi - lo + 1)
 
-let bool (t : t) = Int64.logand (next_int64 t) 1L = 1L
-
 let[@zygos.hot] bernoulli (t : t) p = float t < p
 
 (* Fisher–Yates over an [int array], with the [int] draw chain inlined:

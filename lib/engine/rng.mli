@@ -42,9 +42,6 @@ val int : t -> int -> int
 val int_range : t -> int -> int -> int
 (** [int_range t lo hi] is uniform in [lo, hi] (inclusive). *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 

@@ -28,11 +28,11 @@
    (<= capacity of every pool array) or produced by [alloc_slot].
 
    The queue is an {!Equeue}: the SoA binary heap or the hierarchical
-   timing wheel, selected per-simulation ([create ?queue]), process-wide
-   ([set_default_queue], the CLI's [--equeue]) or via the ZYGOS_EQUEUE
-   environment variable. Both pop in identical (time, seqno) order, so
-   the choice never affects simulation output. The step loop matches on
-   the back end once and calls {!Heap}/{!Wheel} directly. *)
+   timing wheel, selected per-simulation ([create ?queue]) or
+   process-wide ([set_default_queue], the CLI's [--equeue]). Both pop in
+   identical (time, seqno) order, so the choice never affects simulation
+   output. The step loop matches on the back end once and calls
+   {!Heap}/{!Wheel} directly. *)
 
 type handle = int
 
@@ -76,27 +76,14 @@ type t = {
 }
 
 (* Queue-kind selection: explicit [?queue] beats [set_default_queue]
-   beats ZYGOS_EQUEUE beats the built-in default (wheel — goldens are
-   bit-identical to the heap's, see test/test_equeue.ml). *)
-let forced_default : Equeue.kind option ref = ref None
+   beats the built-in default (wheel — goldens are bit-identical to the
+   heap's, see test/test_equeue.ml). *)
+let default_queue = ref Equeue.Wheel
 
-let set_default_queue kind = forced_default := Some kind
-
-let default_queue () =
-  match !forced_default with
-  | Some k -> k
-  | None -> (
-      match Sys.getenv_opt "ZYGOS_EQUEUE" with
-      | None | Some "" -> Equeue.Wheel
-      | Some s -> (
-          match Equeue.kind_of_string s with
-          | Some k -> k
-          | None ->
-              invalid_arg
-                (Printf.sprintf "ZYGOS_EQUEUE=%s: expected \"heap\" or \"wheel\"" s)))
+let set_default_queue kind = default_queue := kind
 
 let create ?queue () =
-  let kind = match queue with Some k -> k | None -> default_queue () in
+  let kind = match queue with Some k -> k | None -> !default_queue in
   {
     clock = [| 0. |];
     tbuf = [| 0. |];

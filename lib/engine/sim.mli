@@ -18,9 +18,9 @@
     - {!schedule_after} for cold paths: a closure, [delay] after now.
 
     The queue implementation — binary heap or hierarchical timing wheel,
-    see {!Equeue} — is selectable per simulation, process-wide, or via
-    the [ZYGOS_EQUEUE] environment variable; both pop in identical
-    (time, seqno) order so the choice never affects simulation output.
+    see {!Equeue} — is selectable per simulation or process-wide; both
+    pop in identical (time, seqno) order so the choice never affects
+    simulation output.
 
     Events can be cancelled through the handle either call returns;
     cancellation is O(1) (the queue entry stays queued but is skipped, and
@@ -55,13 +55,12 @@ type stats = {
 val create : ?queue:Equeue.kind -> unit -> t
 (** Fresh simulation with clock at 0. [queue] selects the event-queue
     back end; when omitted the process default applies
-    ({!set_default_queue}, else [ZYGOS_EQUEUE=heap|wheel], else
-    [Wheel]). *)
+    ({!set_default_queue}, else [Wheel]). *)
 
 val set_default_queue : Equeue.kind -> unit
 (** Process-wide queue default for subsequent {!create} calls without an
-    explicit [?queue]. Overrides [ZYGOS_EQUEUE]; the CLI's [--equeue]
-    flag calls this before spawning workers. *)
+    explicit [?queue]. The CLI's [--equeue] flag calls this before
+    spawning workers. *)
 
 val queue_kind : t -> Equeue.kind
 (** The back end this simulation's queue runs on. *)

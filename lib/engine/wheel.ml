@@ -444,14 +444,6 @@ let[@zygos.hot] pop_into t buf =
   end
   else t.dummy
 
-let pop_min t =
-  if ensure_run t then begin
-    let time = t.run_times.(t.run_pos) and v = t.run_vals.(t.run_pos) in
-    drop_min t;
-    Some (time, v)
-  end
-  else None
-
 let clear t =
   Array.fill t.nexts 0 t.n_alloc nil;
   Array.fill t.vals 0 t.n_alloc t.dummy;

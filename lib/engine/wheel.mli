@@ -47,9 +47,6 @@ val pop_into : t -> float array -> int
     its payload, or [dummy] (buffer untouched) when empty — the
     allocation-free dual of {!add_key}. *)
 
-val pop_min : t -> (float * int) option
-(** Convenience combining the three accessors; allocates the option. *)
-
 val length : t -> int
 (** Number of queued elements. O(1). *)
 

@@ -46,23 +46,23 @@ let print_table ~columns ~rows =
   print_row (List.map (fun w -> String.make w '-') widths);
   List.iter print_row rows
 
-let pool_stats_rows (s : Runtime.Pool.stats) =
+let print_pool_stats (s : Runtime.Pool.stats) =
   let total_busy = Array.fold_left ( +. ) 0. s.Runtime.Pool.busy_s in
   let speedup = if s.Runtime.Pool.wall_s > 0. then total_busy /. s.Runtime.Pool.wall_s else 1. in
-  [
-    ("workers", float_of_int s.Runtime.Pool.workers);
-    ("points_run", float_of_int s.Runtime.Pool.points);
-    ("steals", float_of_int s.Runtime.Pool.steals);
-    ("busy_s_total", total_busy);
-    ("wall_s", s.Runtime.Pool.wall_s);
-    ("speedup", speedup);
-  ]
-
-let print_pool_stats (s : Runtime.Pool.stats) =
   print_subheader "sweep pool";
   print_table
     ~columns:[ "counter"; "value" ]
-    ~rows:(List.map (fun (k, v) -> [ k; Printf.sprintf "%g" v ]) (pool_stats_rows s));
+    ~rows:
+      (List.map
+         (fun (k, v) -> [ k; Printf.sprintf "%g" v ])
+         [
+           ("workers", float_of_int s.Runtime.Pool.workers);
+           ("points_run", float_of_int s.Runtime.Pool.points);
+           ("steals", float_of_int s.Runtime.Pool.steals);
+           ("busy_s_total", total_busy);
+           ("wall_s", s.Runtime.Pool.wall_s);
+           ("speedup", speedup);
+         ]);
   let per_domain =
     Array.to_list
       (Array.mapi
@@ -72,34 +72,6 @@ let print_pool_stats (s : Runtime.Pool.stats) =
          s.Runtime.Pool.busy_s)
   in
   print_table ~columns:[ "domain"; "busy(s)"; "points" ] ~rows:per_domain
-
-(* Minimal JSON emission for the benchmark-trajectory file; no external
-   dependency, strings restricted to what Printf can escape. *)
-module Json = struct
-  let escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let str s = Printf.sprintf "\"%s\"" (escape s)
-
-  let num x = if Float.is_finite x then Printf.sprintf "%.6g" x else "null"
-
-  let obj fields =
-    "{" ^ String.concat ", " (List.map (fun (k, v) -> str k ^ ": " ^ v) fields) ^ "}"
-
-  let arr items = "[" ^ String.concat ", " items ^ "]"
-end
 
 let f1 x = Printf.sprintf "%.1f" x
 

@@ -21,31 +21,10 @@ val print_subheader : string -> unit
 val print_table : columns:string list -> rows:string list list -> unit
 (** Aligned columns; every row must have the arity of [columns]. *)
 
-val pool_stats_rows : Runtime.Pool.stats -> (string * float) list
-(** Sweep-pool counters as (name, value) pairs — workers, points run,
-    steals, total busy seconds, wall seconds, and busy/wall speedup —
-    for the benchmark trajectory file. *)
-
 val print_pool_stats : Runtime.Pool.stats -> unit
-(** Render {!pool_stats_rows} plus a per-domain busy-time table. *)
-
-(** Minimal JSON emission (no external dependency), used by the benchmark
-    harness's [--json] trajectory file. *)
-module Json : sig
-  val escape : string -> string
-
-  val str : string -> string
-  (** Quoted, escaped JSON string literal. *)
-
-  val num : float -> string
-  (** Decimal literal; NaN/infinity render as [null]. *)
-
-  val obj : (string * string) list -> string
-  (** Object from (key, already-rendered value) pairs. *)
-
-  val arr : string list -> string
-  (** Array of already-rendered values. *)
-end
+(** Sweep-pool counters (workers, points run, steals, total busy
+    seconds, wall seconds, busy/wall speedup) plus a per-domain
+    busy-time table. *)
 
 val f1 : float -> string
 (** Format helpers: fixed decimals. *)

@@ -401,5 +401,3 @@ let throughput t =
 
 let goodput t =
   if t.measure_span = 0. then 0. else float_of_int t.goodput_completions /. t.measure_span
-
-let conns t = t.conns

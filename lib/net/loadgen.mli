@@ -150,5 +150,3 @@ val goodput : t -> float
 (** Distinct measured requests completed inside the window {e and} within
     [slo] of their first send, per µs — the paper-facing "useful work"
     metric. Equals the measured completion rate when [slo] is infinite. *)
-
-val conns : t -> int

@@ -129,11 +129,6 @@ let[@zygos.hot] services p = p.services
 let[@zygos.hot] starteds p = p.starteds
 let[@zygos.hot] completions p = p.completions
 
-let pp p ppf h =
-  let slot = slot p h in
-  Format.fprintf ppf "req#%d conn=%d arrival=%.3f service=%.3f completion=%.3f" p.ids.(slot)
-    p.conns.(slot) p.arrivals.(slot) p.services.(slot) p.completions.(slot)
-
 let live p = p.live_count
 let allocated p = p.alloc_count
 let hwm p = p.next_slot

@@ -77,8 +77,6 @@ val starteds : pool -> float array
 val completions : pool -> float array
 (** Sim time the response was sent; -1 while pending. *)
 
-val pp : pool -> Format.formatter -> t -> unit
-
 (** {2 Introspection} (experiment info / perf guards) *)
 
 val live : pool -> int

@@ -59,8 +59,6 @@ let[@zygos.hot] length t = t.len
 
 let[@zygos.hot] is_empty t = t.len = 0
 
-let capacity t = t.capacity
-
 let drops t = t.dropped
 
 let iter f t =

@@ -26,8 +26,6 @@ val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-val capacity : 'a t -> int
-
 val drops : 'a t -> int
 (** Number of pushes rejected so far. *)
 

@@ -105,22 +105,30 @@ let test_unknown_target_cli () =
         Alcotest.failf "stderr must mention %S, got:\n%s" needle err)
     [ "unknown target"; "valid targets:"; "rack"; "fig2"; "chaos" ]
 
-(* A bad [point] flag value, whether the library's range check or the
-   CLI's own name parsing rejects it, exits 2 with a message. *)
+(* Every bad flag value, whether the library's range check or the CLI's
+   own parsing rejects it, in target mode or in [point], exits 2 with
+   stderr starting with a reason; [-h]/[--help] exits 0 with the usage
+   on stdout. Rows: full argument string, exit code, output prefix. *)
 let test_point_bad_flag_cli () =
   List.iter
-    (fun (args, needle) ->
-      let rc, _, err = run_cli ("point " ^ args) in
-      if rc <> 2 then Alcotest.failf "point %s exited %d, want 2" args rc;
-      List.iter
-        (fun needle ->
-          if not (contains err needle) then
-            Alcotest.failf "point %s: stderr must mention %S, got:\n%s" args needle err)
-        [ "zygos point: "; needle ])
+    (fun (args, want, prefix) ->
+      let rc, out, err = run_cli args in
+      if rc <> want then Alcotest.failf "%s exited %d, want %d" args rc want;
+      let shown = if want = 0 then out else err in
+      if not (String.starts_with ~prefix shown) then
+        Alcotest.failf "%s: output must start with %S, got:\n%s" args prefix shown)
     [
-      ("--cores 0", "Loadgen.create");
-      ("--system linux", "got \"linux\"");
-      ("--system preempt-qnan", "Preemptive.create: quantum");
+      ("point --cores 0", 2, "zygos point: Loadgen.create");
+      ( "point --system linux",
+        2,
+        "zygos point: --system expects a system (see --help), got \"linux\"" );
+      ("point --system preempt-qnan", 2, "zygos point: Preemptive.create: quantum");
+      ("fig2 --scale abc", 2, "zygos: --scale expects a positive number, got \"abc\"");
+      ("fig2 -j 0", 2, "zygos: -j expects a positive integer, got \"0\"");
+      ("fig2 --equeue bogus", 2, "zygos: --equeue expects heap or wheel, got \"bogus\"");
+      ("fig2 --scale", 2, "zygos: --scale expects a value");
+      ("--help", 0, "usage: zygos");
+      ("point -h", 0, "usage: zygos");
     ]
 
 (* MD5 of [zygos point ARGS] stdout, captured from bin/zygsim at

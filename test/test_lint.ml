@@ -43,12 +43,13 @@ let digest x = Hashtbl.hash x
 let table () : (int, int) Hashtbl.t = Hashtbl.create ~random:true 16
 let fine () : (int, int) Hashtbl.t = Hashtbl.create 16
 let own_rng seed = (seed * 25214903917) + 11
+let knob () = Sys.getenv_opt "KNOB"
 |}
 
 let test_r1_fires () =
   let fs = analyze ~r1:true ~name:"fixture_r1.ml" fixture_r1 in
   check_active "r1"
-    [ (Lint.R1, 2); (Lint.R1, 3); (Lint.R1, 4); (Lint.R1, 5) ]
+    [ (Lint.R1, 2); (Lint.R1, 3); (Lint.R1, 4); (Lint.R1, 5); (Lint.R1, 8) ]
     fs
 
 let test_r1_scoped_off_outside_deterministic_dirs () =
@@ -64,7 +65,7 @@ let test_r1_active_in_deterministic_dirs () =
      cover the executables. *)
   List.iter
     (fun file ->
-      Alcotest.(check int) file 4 (List.length (Lint.active (analyze ~name:file fixture_r1))))
+      Alcotest.(check int) file 5 (List.length (Lint.active (analyze ~name:file fixture_r1))))
     [ "lib/engine/sim.ml"; "bin/main.ml"; "examples/quickstart.ml" ]
 
 (* ---- R2: hot-path allocation ---- *)

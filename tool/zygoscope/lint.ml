@@ -13,7 +13,9 @@
 
    - R1 "determinism": wall-clock and nondeterminism primitives
      (Unix.gettimeofday / Unix.time / Sys.time, stdlib Random.*,
-     Hashtbl.hash*, Hashtbl.create ~random:true) are banned inside the
+     Hashtbl.hash*, Hashtbl.create ~random:true) and environment reads
+     (Sys.getenv / Sys.getenv_opt: an input the seed does not fix; run
+     options arrive as CLI flags) are banned inside the
      simulation-deterministic libraries (lib/{engine,systems,models,net,
      stats,experiments,cluster}) and the deterministic executables
      (bin/, examples/). lib/runtime and bench/ are allowlisted: they
@@ -626,9 +628,15 @@ let make_iterator ctx =
   let check_r1_ident loc name =
     let banned_exact = [ "Unix.gettimeofday"; "Unix.time"; "Sys.time" ] in
     let banned_hash = [ "Hashtbl.hash"; "Hashtbl.seeded_hash"; "Hashtbl.hash_param" ] in
+    let banned_env = [ "Sys.getenv"; "Sys.getenv_opt" ] in
     if List.mem name banned_exact then
       report ctx R1 loc
         (Printf.sprintf "%s reads the wall clock inside a simulation-deterministic library"
+           name)
+    else if List.mem name banned_env then
+      report ctx R1 loc
+        (Printf.sprintf
+           "%s reads the process environment, an input the seed does not fix; take a CLI flag"
            name)
     else if starts_with ~prefix:"Random." name then
       report ctx R1 loc
