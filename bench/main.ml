@@ -52,12 +52,12 @@ let micro_rows () =
     if Stats.Tally.count tally = 1 lsl 16 then Stats.Tally.clear tally;
     Stats.Tally.record tally 12.5
   in
-  let module S = Core.Sched.Sim_sched in
-  let sched = S.create ~cores:4 in
-  let pcb = S.register sched ~conn:0 ~home:0 in
+  let sched = Core.Sched.create ~cores:4 ~conns:1 in
+  Core.Sched.register sched ~conn:0 ~home:0;
   let sched_op () =
-    S.deliver sched pcb ();
-    if S.poll_local sched ~core:0 then S.complete sched (S.batch_pcb sched ~core:0)
+    Core.Sched.deliver sched 0 0;
+    if Core.Sched.poll_local sched ~core:0 then
+      Core.Sched.complete sched (Core.Sched.batch_conn sched ~core:0)
     else assert false
   in
   (* The steal-victim order every ZygOS poll draws on the 16-core

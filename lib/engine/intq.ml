@@ -1,8 +1,9 @@
 (* A growable circular FIFO of immediate ints.
 
    [Stdlib.Queue] allocates a 3-word cell per [add]; on the per-request
-   hot path (per-connection outstanding FIFOs, NIC rings, shuffle
-   queues) that is one minor allocation per message. This queue stores
+   hot path (NIC rings, shuffle queues, remote-syscall FIFOs) that is
+   one minor allocation per message. Per-connection FIFOs, of which a
+   point has thousands, live in {!Intqs} instead. This queue stores
    its elements flat in an int array, so steady-state push/pop allocate
    nothing; the array doubles on overflow and is never shrunk (the
    high-water mark of a queue is its natural working-set size).
@@ -62,24 +63,10 @@ let[@zygos.hot] pop t =
 let[@zygos.hot] peek t =
   if t.len = 0 then empty else Array.unsafe_get t.buf t.head
 
-let[@zygos.hot] get t i =
-  if i < 0 || i >= t.len then invalid_arg "Intq.get: out of range";
-  let j = t.head + i in
+(* Front to back, without consuming. *)
+let iter f t =
   let cap = Array.length t.buf in
-  Array.unsafe_get t.buf (if j >= cap then j - cap else j)
-
-(* Remove every occurrence of [x], preserving the order of the rest;
-   used by the rare bookkeeping repair paths (client order-violation
-   cleanup), not on the steady-state path. *)
-let[@zygos.hot] remove_all t x =
-  let kept = ref 0 in
   for i = 0 to t.len - 1 do
-    let v = get t i in
-    if v <> x then begin
-      let j = t.head + !kept in
-      let cap = Array.length t.buf in
-      t.buf.(if j >= cap then j - cap else j) <- v;
-      incr kept
-    end
-  done;
-  t.len <- !kept
+    let j = t.head + i in
+    f (Array.unsafe_get t.buf (if j >= cap then j - cap else j))
+  done

@@ -25,6 +25,5 @@ val length : t -> int
 
 val is_empty : t -> bool
 
-val remove_all : t -> int -> unit
-(** Remove every occurrence, preserving the order of the rest. O(n);
-    for rare repair paths, not the hot path. *)
+val iter : (int -> unit) -> t -> unit
+(** Front to back, without consuming. *)

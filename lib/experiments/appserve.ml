@@ -12,8 +12,8 @@ type t = {
   mutable ops : int;
 }
 
-(* zygos.allow determinism: appserve drives a live Runtime.Executor with
-   real domains, so latencies here are genuine wall-clock measurements. *)
+(* zygos.allow determinism: appserve times real application code, so
+   its service demands are genuine wall-clock measurements. *)
 let[@zygos.allow "determinism"] now_us () = Unix.gettimeofday () *. 1e6
 
 let execute_one workload rng worker =

@@ -95,7 +95,7 @@ type t = {
   mutable measure_end : float;
   mutable window_completions : int;
   latencies : Stats.Tally.t;
-  outstanding : Engine.Intq.t array;  (* per-conn FIFO of pending request ids *)
+  outstanding : Engine.Intqs.t;  (* per-conn FIFOs of pending request ids *)
   (* Long-lived timeout/retransmit dispatch fns ([Sim.schedule_fn_keyed]),
      keyed by logical request id; bound in [create] when retries are on. *)
   mutable fn_timeout : int -> unit;
@@ -161,8 +161,9 @@ let create sim ~rng ~pool ~conns ~rate ~service ?(selection = Uniform) ?service_
   (match selection with
   | Uniform -> ()
   | Hot_cold { hot_fraction; hot_load } ->
-      if hot_fraction <= 0. || hot_fraction >= 1. || hot_load <= 0. || hot_load >= 1. then
-        invalid_arg "Loadgen.create: Hot_cold fractions must be in (0, 1)");
+      if
+        not (hot_fraction > 0. && hot_fraction < 1. && hot_load > 0. && hot_load < 1.)
+      then invalid_arg "Loadgen.create: Hot_cold fractions must be in (0, 1)");
   let t =
     {
       sim;
@@ -200,7 +201,7 @@ let create sim ~rng ~pool ~conns ~rate ~service ?(selection = Uniform) ?service_
       measure_end = infinity;
       window_completions = 0;
       latencies = Stats.Tally.create ();
-      outstanding = Array.init conns (fun _ -> Engine.Intq.create ());
+      outstanding = Engine.Intqs.create ~queues:conns ();
       fn_timeout = ignore;
       fn_retry = ignore;
     }
@@ -253,7 +254,7 @@ let[@zygos.hot] emit t ~measure_start ~stop_at =
       (* Per-connection ordering bookkeeping (see [complete]). With retries
          on, the queues are unused: retransmissions make the FIFO invariant
          meaningless, so losses surface as timeouts instead. *)
-      Engine.Intq.push t.outstanding.(conn) id
+      Engine.Intqs.push t.outstanding conn id
   | Some r ->
       (* Per-logical-request state, retry mode only: one record per
          request for its whole lifetime, not per event. *)
@@ -277,7 +278,12 @@ let[@zygos.hot] emit t ~measure_start ~stop_at =
 
 let start t ~warmup ~measure =
   if Option.is_none t.target then invalid_arg "Loadgen.start: no target set";
-  if measure <= 0. then invalid_arg "Loadgen.start: measure <= 0";
+  (* Written so NaN fails too; an infinite window would never stop
+     generating. *)
+  if not (measure > 0. && measure < infinity) then
+    invalid_arg "Loadgen.start: measure must be finite and > 0";
+  if not (warmup >= 0. && warmup < infinity) then
+    invalid_arg "Loadgen.start: warmup must be finite and >= 0";
   let t0 = Sim.now t.sim in
   let measure_start = t0 +. warmup in
   let stop_at = measure_start +. measure in
@@ -335,14 +341,14 @@ let[@zygos.hot] complete t (req : Request.t) =
     | None ->
         (* Per-connection ordering check (§4.3): the completed request must
            be the oldest outstanding one on its connection. *)
-        let q = t.outstanding.(Request.conn t.pool req) in
-        let popped = Engine.Intq.pop q in
+        let conn = Request.conn t.pool req in
+        let popped = Engine.Intqs.pop t.outstanding conn in
         if popped <> rid then begin
           t.order_violations <- t.order_violations + 1;
           (* Drop the stale entry for this id so the queue does not grow.
              (Matches the historical repair: the mismatched head stays
              dropped, later copies of [rid] are filtered out.) *)
-          Engine.Intq.remove_all q rid
+          Engine.Intqs.remove_all t.outstanding conn rid
         end;
         Array.unsafe_set t.scratch 2
           (Array.unsafe_get completions s -. Array.unsafe_get (Request.arrivals t.pool) s);

@@ -99,7 +99,9 @@ val start : t -> warmup:float -> measure:float -> unit
 (** Schedule the arrival process: requests are generated from sim-time now
     until [warmup + measure]; those arriving in [[warmup, warmup+measure))
     are measured. Run the simulation afterwards to completion. The
-    {!tally} is reserved for λ + 4√λ + 16 samples, λ = rate × measure. *)
+    {!tally} is reserved for λ + 4√λ + 16 samples, λ = rate × measure.
+    Raises [Invalid_argument] unless [measure] is finite and positive and
+    [warmup] finite and non-negative. *)
 
 val complete : t -> Request.t -> unit
 (** Called by the server when the response for [req] is on the wire.

@@ -1,68 +1,38 @@
-(* Flat circular-array ring. The backing array is lazily created from
-   the first pushed element (a polymorphic ring has no dummy value to
-   pre-fill with) and sized exactly [capacity], so steady-state
-   push/pop allocate nothing — [Stdlib.Queue] costs a 3-word cell per
-   push, one minor alloc per simulated packet on the NIC paths. *)
+(* A bounded FIFO of immediate ints (request handles) over an [Intq]:
+   the storage doubles on demand, so a ring holds memory for its
+   high-water mark rather than for [capacity]. Whether a push drops
+   depends only on the ring's length, so when the storage grows does
+   not change behaviour. Steady-state push/pop allocate nothing. *)
 
-type 'a t = {
-  capacity : int;
-  mutable buf : 'a array; (* [||] until the first push *)
-  mutable head : int;
-  mutable len : int;
-  mutable dropped : int;
-}
+type t = { q : Engine.Intq.t; capacity : int; mutable dropped : int }
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Ring.create: capacity < 1";
-  { capacity; buf = [||]; head = 0; len = 0; dropped = 0 }
+  { q = Engine.Intq.create ~capacity:(min capacity 8) (); capacity; dropped = 0 }
 
 let[@zygos.hot] push t x =
-  if t.len >= t.capacity then begin
+  if Engine.Intq.length t.q >= t.capacity then begin
     t.dropped <- t.dropped + 1;
     false
   end
   else begin
-    (* One-time lazy init of the backing store. *)
-    if Array.length t.buf = 0 then t.buf <- (Array.make t.capacity x [@zygos.allow "hot-alloc"]);
-    let tail = t.head + t.len in
-    let tail = if tail >= t.capacity then tail - t.capacity else tail in
-    Array.unsafe_set t.buf tail x;
-    t.len <- t.len + 1;
+    Engine.Intq.push t.q x;
     true
   end
 
 (* Non-allocating pop: returns [default] when empty. The option-returning
    {!pop} remains for callers off the hot path. *)
 let[@zygos.hot] pop_or t ~default =
-  if t.len = 0 then default
-  else begin
-    let x = Array.unsafe_get t.buf t.head in
-    let head = t.head + 1 in
-    t.head <- (if head = t.capacity then 0 else head);
-    t.len <- t.len - 1;
-    x
-  end
+  if Engine.Intq.is_empty t.q then default else Engine.Intq.pop t.q
 
-let pop t =
-  if t.len = 0 then None
-  else begin
-    let x = Array.unsafe_get t.buf t.head in
-    let head = t.head + 1 in
-    t.head <- (if head = t.capacity then 0 else head);
-    t.len <- t.len - 1;
-    Some x
-  end
+let pop t = if Engine.Intq.is_empty t.q then None else Some (Engine.Intq.pop t.q)
 
-let peek t = if t.len = 0 then None else Some t.buf.(t.head)
+let peek t = if Engine.Intq.is_empty t.q then None else Some (Engine.Intq.peek t.q)
 
-let[@zygos.hot] length t = t.len
+let[@zygos.hot] length t = Engine.Intq.length t.q
 
-let[@zygos.hot] is_empty t = t.len = 0
+let[@zygos.hot] is_empty t = Engine.Intq.is_empty t.q
 
 let drops t = t.dropped
 
-let iter f t =
-  for i = 0 to t.len - 1 do
-    let j = t.head + i in
-    f t.buf.(if j >= t.capacity then j - t.capacity else j)
-  done
+let iter f t = Engine.Intq.iter f t.q

@@ -1,33 +1,34 @@
-(** Bounded FIFO ring, modelling a NIC hardware descriptor ring or a
-    bounded software packet queue.
+(** Bounded FIFO ring of immediate ints (request handles), modelling a
+    NIC hardware descriptor ring or a bounded software packet queue.
 
     Overflow behaviour matches hardware: a push to a full ring drops the
     element (and counts the drop) rather than blocking, like a NIC with no
-    free receive descriptors. *)
+    free receive descriptors. Storage grows on demand, so a ring costs
+    memory for what it has held at once, not for its capacity. *)
 
-type 'a t
+type t
 
-val create : capacity:int -> 'a t
+val create : capacity:int -> t
 (** Raises [Invalid_argument] if [capacity < 1]. *)
 
-val push : 'a t -> 'a -> bool
+val push : t -> int -> bool
 (** [push t x] enqueues [x]; returns [false] (and counts a drop) when
-    full. *)
+    [capacity] elements are queued. *)
 
-val pop : 'a t -> 'a option
+val pop : t -> int option
 
-val pop_or : 'a t -> default:'a -> 'a
+val pop_or : t -> default:int -> int
 (** Like {!pop} but returns [default] when empty — no [Some] allocation;
-    the hot-path variant for immediate payloads (request handles). *)
+    the hot-path variant. *)
 
-val peek : 'a t -> 'a option
+val peek : t -> int option
 
-val length : 'a t -> int
+val length : t -> int
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 
-val drops : 'a t -> int
+val drops : t -> int
 (** Number of pushes rejected so far. *)
 
-val iter : ('a -> unit) -> 'a t -> unit
+val iter : (int -> unit) -> t -> unit
 (** Front-to-back, without consuming. *)

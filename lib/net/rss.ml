@@ -8,7 +8,7 @@ let indirection_entries = 128
 (* The 4-tuple input is fixed at 12 bytes (IPv4 src/dst ip + ports), so
    the hash of an input is the XOR of 12 independent per-byte
    contributions: contribution(position, value) depends only on the key.
-   [lut] tabulates all 12×256 of them once per [create]; hashing a tuple
+   [lut] tabulates all 12×256 of them once per key; hashing a tuple
    is then 12 table loads and XORs instead of ~96 bit-serial 32-bit
    window rebuilds. Entries are 32-bit values held in immediate ints. *)
 type t = {
@@ -58,11 +58,23 @@ let build_lut key =
   done;
   lut
 
-let create ?(key = default_key) ~queues () =
+(* Every system of every point hashes with the default key, so its
+   table is built once, here, and shared. Nothing writes a [lut] after
+   [build_lut] returns, so domains running points in parallel share it
+   safely. *)
+let default_lut = build_lut default_key
+
+let create ?key ~queues () =
   if queues < 1 then invalid_arg "Rss.create: queues < 1";
-  if String.length key < 16 then invalid_arg "Rss.create: key too short";
+  let lut =
+    match key with
+    | None -> default_lut
+    | Some key ->
+        if String.length key < 16 then invalid_arg "Rss.create: key too short";
+        build_lut key
+  in
   let table = Array.init indirection_entries (fun i -> i mod queues) in
-  { table; nqueues = queues; lut = build_lut key; memo = Array.make 256 (-1) }
+  { table; nqueues = queues; lut; memo = Array.make 256 (-1) }
 
 let toeplitz ~key input =
   let hash = ref 0l in

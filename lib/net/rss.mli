@@ -26,9 +26,11 @@ val toeplitz : key:string -> bytes -> int32
     vectors and as the oracle for the precomputed fast path. *)
 
 val hash_of_tuple : t -> src_ip:int32 -> dst_ip:int32 -> src_port:int -> dst_port:int -> int
-(** The Toeplitz hash of a 4-tuple via the 12×256 per-byte lookup table
-    precomputed at {!create} (12 table XORs, no per-bit key-window
-    rebuilds). The 32-bit result is returned as a non-negative int;
+(** The Toeplitz hash of a 4-tuple via the key's 12×256 per-byte lookup
+    table (12 table XORs, no per-bit key-window rebuilds). The default
+    key's table is built once, when the module initialises, and shared
+    read-only by every {!t}; a custom [key] builds its own at
+    {!create}. The 32-bit result is returned as a non-negative int;
     bitwise-equal to {!toeplitz} over the same 12 bytes
     (qcheck-enforced). *)
 

@@ -6,9 +6,12 @@ type t = {
 
 let create () = { data = [||]; size = 0; sorted = true }
 
+(* Slots at or past [size] are never read, so neither the reservation
+   nor a growth step fills them: a 100k-sample reservation would
+   otherwise write 800 KB of zeros in every point's setup. *)
 let reserve t n =
   if n > Array.length t.data then begin
-    let bigger = Array.make n 0. in
+    let bigger = Array.create_float n in
     Array.blit t.data 0 bigger 0 t.size;
     t.data <- bigger
   end
@@ -19,7 +22,7 @@ let[@zygos.hot] [@inline] record t x =
   if t.size = Array.length t.data then begin
     (* Amortized doubling of the sample reservoir. *)
     let cap = max 256 (2 * Array.length t.data) in
-    let bigger = (Array.make cap 0. [@zygos.allow "hot-alloc"]) in
+    let bigger = (Array.create_float cap [@zygos.allow "hot-alloc"]) in
     Array.blit t.data 0 bigger 0 t.size;
     t.data <- bigger
   end;
@@ -112,7 +115,7 @@ let ensure_sorted t =
 
 let percentile t p =
   if t.size = 0 then invalid_arg "Tally.percentile: empty tally";
-  if p < 0. || p > 100. then invalid_arg "Tally.percentile: p out of [0,100]";
+  if not (p >= 0. && p <= 100.) then invalid_arg "Tally.percentile: p out of [0,100]";
   ensure_sorted t;
   (* Nearest-rank: smallest value whose cumulative frequency >= p%. *)
   let rank = int_of_float (ceil (p /. 100. *. float_of_int t.size)) in

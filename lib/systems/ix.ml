@@ -4,7 +4,7 @@ module Corefault = Core.Corefault
 
 type icore = {
   id : int;
-  ring : Request.t Net.Ring.t;
+  ring : Net.Ring.t;
   mutable busy : bool;
   batch : Request.t array;  (* scratch for the current iteration, capacity B *)
   tbuf : float array;  (* 1-slot unboxed clock accumulator (tbuf idiom) *)

@@ -1,5 +1,6 @@
 module Sim = Engine.Sim
 module Intq = Engine.Intq
+module Intqs = Engine.Intqs
 module Request = Net.Request
 module Corefault = Core.Corefault
 
@@ -16,7 +17,7 @@ let thread_overhead (p : Params.t) =
 
 type pcore = {
   id : int;
-  ring : Request.t Net.Ring.t;
+  ring : Net.Ring.t;
   mutable busy : bool;
   mutable cur : Request.t;  (* request executing on this core, else [Request.none] *)
 }
@@ -97,7 +98,7 @@ type fstate = {
   mutable dispatcher_busy : bool;
   ready : Intq.t;  (* dispatched, waiting for a free thread *)
   conn_busy : bool array;
-  conn_pending : Intq.t array;
+  conn_pending : Intqs.t;  (* per-connection requests parked behind a busy one *)
   mutable idle_threads : int;
   mutable backlog : int;  (* accepted, execution not yet started *)
   mutable drops : int;  (* refused: kernel backlog budget exhausted *)
@@ -119,7 +120,7 @@ let floating sim (p : Params.t) ~pool ~conns ~respond =
       dispatcher_busy = false;
       ready = Intq.create ();
       conn_busy = Array.make conns false;
-      conn_pending = Array.init conns (fun _ -> Intq.create ());
+      conn_pending = Intqs.create ~queues:conns ();
       idle_threads = p.cores;
       backlog = 0;
       drops = 0;
@@ -155,8 +156,8 @@ let floating sim (p : Params.t) ~pool ~conns ~respond =
      respond req;
      (* Socket serialization: release it, or send its next queued request
         back through the shared pool. *)
-     (if Intq.is_empty st.conn_pending.(conn) then st.conn_busy.(conn) <- false
-      else enqueue_dispatch (Intq.pop st.conn_pending.(conn)));
+     (if Intqs.is_empty st.conn_pending conn then st.conn_busy.(conn) <- false
+      else enqueue_dispatch (Intqs.pop st.conn_pending conn));
      (* This thread immediately picks up the next dispatched event. *)
      if Intq.is_empty st.ready then st.idle_threads <- st.idle_threads + 1
      else start ~woken:false (Intq.pop st.ready))
@@ -190,7 +191,7 @@ let floating sim (p : Params.t) ~pool ~conns ~respond =
     else begin
       st.backlog <- st.backlog + 1;
       let conn = Request.conn pool req in
-      if st.conn_busy.(conn) then Intq.push st.conn_pending.(conn) req
+      if st.conn_busy.(conn) then Intqs.push st.conn_pending conn req
       else begin
         st.conn_busy.(conn) <- true;
         enqueue_dispatch req

@@ -27,7 +27,7 @@ type state = {
   mutable parked : int;  (* consolidation: cores taken out of service *)
   mutable active_target : int;
   conn_busy : bool array;
-  conn_pending : Request.t Queue.t array;
+  conn_pending : Engine.Intqs.t;  (* per-connection requests parked behind a busy one *)
   mutable preemptions : int;
   mutable completed : int;
   mutable busy_accum : float;  (* total core-busy µs, for utilization *)
@@ -38,7 +38,7 @@ type state = {
 let create sim (p : Params.t) ~quantum ~switch_cost ~pool ~conns ~respond ?consolidate () =
   let p = Params.validate p in
   if Float.is_nan quantum || quantum <= 0. then invalid_arg "Preemptive.create: quantum <= 0";
-  if switch_cost < 0. then invalid_arg "Preemptive.create: switch_cost < 0";
+  if not (switch_cost >= 0.) then invalid_arg "Preemptive.create: switch_cost < 0";
   let st =
     {
       runq = Queue.create ();
@@ -46,7 +46,7 @@ let create sim (p : Params.t) ~quantum ~switch_cost ~pool ~conns ~respond ?conso
       parked = 0;
       active_target = p.cores;
       conn_busy = Array.make conns false;
-      conn_pending = Array.init conns (fun _ -> Queue.create ());
+      conn_pending = Engine.Intqs.create ~queues:conns ();
       preemptions = 0;
       completed = 0;
       busy_accum = 0.;
@@ -136,16 +136,17 @@ let create sim (p : Params.t) ~quantum ~switch_cost ~pool ~conns ~respond ?conso
      (* Per-connection serialization (§4.3): promote the next queued
         request of this connection, if any. The promoted job record is a
         per-logical-request allocation, not a per-event one. *)
-     (match Queue.take_opt st.conn_pending.(conn) with
-     | Some next ->
-         let job =
-           ({ req = next; remaining = (Request.services pool).(Request.slot pool next);
-              dispatched = false; slot = -1 }
-           [@zygos.allow "hot-alloc"])
-         in
-         register_job job;
-         Queue.add job st.runq
-     | None -> st.conn_busy.(conn) <- false);
+     (if Engine.Intqs.is_empty st.conn_pending conn then st.conn_busy.(conn) <- false
+      else begin
+        let next = Engine.Intqs.pop st.conn_pending conn in
+        let job =
+          ({ req = next; remaining = (Request.services pool).(Request.slot pool next);
+             dispatched = false; slot = -1 }
+          [@zygos.allow "hot-alloc"])
+        in
+        register_job job;
+        Queue.add job st.runq
+      end);
      next_work ())
   [@@zygos.hot]
   and preempt job =
@@ -171,7 +172,7 @@ let create sim (p : Params.t) ~quantum ~switch_cost ~pool ~conns ~respond ?conso
   and fn_first s = (run_slice ~resume_cost:0. !jobs.(s)) [@@zygos.hot] in
   let submit req =
     let conn = Request.conn pool req in
-    if st.conn_busy.(conn) then Queue.add req st.conn_pending.(conn)
+    if st.conn_busy.(conn) then Engine.Intqs.push st.conn_pending conn req
     else begin
       st.conn_busy.(conn) <- true;
       let remaining = (Request.services pool).(Request.slot pool req) in
@@ -191,7 +192,7 @@ let create sim (p : Params.t) ~quantum ~switch_cost ~pool ~conns ~respond ?conso
   (match consolidate with
   | None -> ()
   | Some { window; low_util; high_util; unpark_latency } ->
-      if window <= 0. then invalid_arg "Preemptive.create: consolidation window <= 0";
+      if not (window > 0.) then invalid_arg "Preemptive.create: consolidation window <= 0";
       let last_busy = ref 0. in
       let quiet = ref 0 in
       let unpark () =

@@ -1,6 +1,6 @@
 module Sim = Engine.Sim
 module Request = Net.Request
-module Sched = Core.Sched.Sim_sched
+module Sched = Core.Sched
 
 type trace_event =
   | Rx of { core : int; packets : int }
@@ -27,7 +27,7 @@ let fn_none (_ : int) = ()
 type zcore = {
   id : int;
   bit : int;  (* [1 lsl id]: this core's member bit in the core sets of [t] *)
-  hw : Request.t Net.Ring.t;
+  hw : Net.Ring.t;
   (* Remote batched syscalls (§4.2 step (b)): the stolen batches whose
      responses this home core must transmit, oldest first, each stored
      flat as its count followed by its request handles. *)
@@ -56,8 +56,7 @@ type t = {
   pool : Request.pool;
   faults : Core.Corefault.t;  (* straggler schedule; [none] = exact nominal times *)
   fault_free : bool;  (* [Corefault.is_none faults]: segments cost exactly [now +. cost] *)
-  sched : Request.t Sched.t;
-  pcbs : Request.t Sched.pcb array;
+  sched : Sched.t;  (* events are request handles; a PCB is its connection id *)
   zcores : zcore array;
   respond : Request.t -> unit;
   trace : (float -> trace_event -> unit) option;
@@ -380,14 +379,13 @@ and try_dispatch t c =
    else begin
      let stolen = Sched.batch_stolen_from t.sched ~core:c.id in
      (if tracing t then begin
-        let pcb = Sched.batch_pcb t.sched ~core:c.id in
+        let conn = Sched.batch_conn t.sched ~core:c.id in
         let n = Sched.batch_size t.sched ~core:c.id in
         if stolen < 0 then
-          (emit_trace t (Dispatch_local { core = c.id; conn = Sched.conn pcb; events = n })
+          (emit_trace t (Dispatch_local { core = c.id; conn; events = n })
           [@zygos.allow "hot-alloc"])
         else
-          (emit_trace t
-             (Steal { thief = c.id; victim = stolen; conn = Sched.conn pcb; events = n })
+          (emit_trace t (Steal { thief = c.id; victim = stolen; conn; events = n })
           [@zygos.allow "hot-alloc"])
       end);
      c.b_idx <- 0;
@@ -418,7 +416,7 @@ and exec_next t c =
 
 and end_of_batch t c =
   (if c.b_stolen < 0 then begin
-     Sched.complete t.sched (Sched.batch_pcb t.sched ~core:c.id);
+     Sched.complete t.sched (Sched.batch_conn t.sched ~core:c.id);
      step t c
    end
    else begin
@@ -468,7 +466,7 @@ and go_idle t c =
 let[@zygos.hot] deliver_batch t v n =
   for i = 0 to n - 1 do
     let req = Array.unsafe_get v.rxbuf i in
-    Sched.deliver t.sched t.pcbs.(Request.conn t.pool req) req
+    Sched.deliver t.sched (Request.conn t.pool req) req
   done
 
 let create sim (p : Params.t) ~rng ~pool ~conns ~respond ?trace () =
@@ -476,10 +474,10 @@ let create sim (p : Params.t) ~rng ~pool ~conns ~respond ?trace () =
   (* Core sets hold bit i for core i in an OCaml int, below its sign bit. *)
   if p.cores > 62 then invalid_arg "Zygos.create: more than 62 cores";
   let rss = Net.Rss.create ~queues:p.cores () in
-  let sched = Sched.create ~cores:p.cores in
-  let pcbs =
-    Array.init conns (fun c -> Sched.register sched ~conn:c ~home:(Net.Rss.queue_of_conn rss c))
-  in
+  let sched = Sched.create ~cores:p.cores ~conns in
+  for c = 0 to conns - 1 do
+    Sched.register sched ~conn:c ~home:(Net.Rss.queue_of_conn rss c)
+  done;
   let zcores =
     Array.init p.cores (fun id ->
         {
@@ -508,7 +506,6 @@ let create sim (p : Params.t) ~rng ~pool ~conns ~respond ?trace () =
       faults = Params.corefaults p;
       fault_free = Core.Corefault.is_none (Params.corefaults p);
       sched;
-      pcbs;
       zcores;
       respond;
       trace;
@@ -591,7 +588,7 @@ let create sim (p : Params.t) ~rng ~pool ~conns ~respond ?trace () =
          connection is read first: responding may recycle the request. *)
       let conn = Request.conn t.pool req in
       t.respond req;
-      Sched.complete t.sched t.pcbs.(conn);
+      Sched.complete t.sched conn;
       wake_idlers t ~delay:t.p.zy_poll_delay) [@zygos.hot];
   t.fn_rx_done <-
     (fun id ->
@@ -625,7 +622,7 @@ let create sim (p : Params.t) ~rng ~pool ~conns ~respond ?trace () =
       t.respond req;
       exec_next t c) [@zygos.hot];
   let[@zygos.hot] submit req =
-    let c = t.zcores.(Sched.home t.pcbs.(Request.conn pool req)) in
+    let c = t.zcores.(Sched.home t.sched (Request.conn pool req)) in
     if Net.Ring.push c.hw req then begin
       t.rx <- t.rx lor c.bit;
       if t.idle land c.bit <> 0 then wake t c ~delay:p.dp_loop

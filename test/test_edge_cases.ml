@@ -75,7 +75,9 @@ let test_tally_invalid_percentile () =
   let t = Stats.Tally.create () in
   Stats.Tally.record t 1.;
   Alcotest.check_raises "p out of range" (Invalid_argument "Tally.percentile: p out of [0,100]")
-    (fun () -> ignore (Stats.Tally.percentile t 101. : float))
+    (fun () -> ignore (Stats.Tally.percentile t 101. : float));
+  Alcotest.check_raises "p NaN" (Invalid_argument "Tally.percentile: p out of [0,100]")
+    (fun () -> ignore (Stats.Tally.percentile t nan : float))
 
 let test_tally_single_sample () =
   let t = Stats.Tally.create () in
@@ -116,7 +118,22 @@ let test_loadgen_conn_validation () =
       ignore
         (Net.Loadgen.create sim ~rng ~pool ~conns:1 ~rate:0.
            ~service:(Dist.deterministic 1.) ()
-          : Net.Loadgen.t))
+          : Net.Loadgen.t));
+  let gen = Net.Loadgen.create sim ~rng ~pool ~conns:1 ~rate:1. ~service:(Dist.deterministic 1.) () in
+  Net.Loadgen.set_target gen ignore;
+  let measure_msg = "Loadgen.start: measure must be finite and > 0" in
+  let warmup_msg = "Loadgen.start: warmup must be finite and >= 0" in
+  List.iter
+    (fun (name, warmup, measure, msg) ->
+      Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+          Net.Loadgen.start gen ~warmup ~measure))
+    [
+      ("measure 0", 0., 0., measure_msg);
+      ("measure NaN", 0., nan, measure_msg);
+      ("measure infinite", 0., infinity, measure_msg);
+      ("warmup < 0", -1., 10., warmup_msg);
+      ("warmup NaN", nan, 10., warmup_msg);
+    ]
 
 (* ---- silo ---- *)
 
@@ -271,19 +288,6 @@ let test_queueing_bimodal2_partitioned_pathological () =
     true
     (partitioned > 5. *. central)
 
-(* ---- runtime ---- *)
-
-let test_executor_many_conns_few_cores () =
-  let exec = Runtime.Executor.create ~cores:2 ~conns:100 () in
-  Runtime.Executor.start exec;
-  let n = Atomic.make 0 in
-  for i = 0 to 999 do
-    Runtime.Executor.submit exec ~conn:(i mod 100) (fun () ->
-        ignore (Atomic.fetch_and_add n 1 : int))
-  done;
-  Runtime.Executor.stop exec;
-  Alcotest.(check int) "all ran" 1000 (Atomic.get n)
-
 let () =
   Alcotest.run "edge-cases"
     [
@@ -331,7 +335,4 @@ let () =
           Alcotest.test_case "bimodal-2 pathology" `Slow
             test_queueing_bimodal2_partitioned_pathological;
         ] );
-      ( "runtime",
-        [ Alcotest.test_case "many conns few cores" `Quick test_executor_many_conns_few_cores ]
-      );
     ]

@@ -441,6 +441,73 @@ let test_sim_same_time_fifo () =
   Sim.run sim;
   Alcotest.(check (list int)) "FIFO at same instant" [ 1; 2; 3; 4; 5 ] (List.rev !log)
 
+(* ---- Intqs: many FIFOs in one node pool ---- *)
+
+type intqs_op = Push of int * int | Pop of int | Peek of int | Remove_all of int * int
+
+(* Random push, pop, peek and remove_all over 1-64 queues against one
+   [Queue.t] per queue. Values come from a small range so remove_all
+   finds repeats; pushes outnumber pops, so the pool (initial capacity
+   2) grows through several doublings while queues drain and refill. *)
+let prop_intqs_matches_queues =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 64 >>= fun queues ->
+      let q = int_bound (queues - 1) and v = int_bound 9 in
+      let op =
+        frequency
+          [
+            (5, map2 (fun q v -> Push (q, v)) q v);
+            (3, map (fun q -> Pop q) q);
+            (1, map (fun q -> Peek q) q);
+            (1, map2 (fun q v -> Remove_all (q, v)) q v);
+          ]
+      in
+      map (fun ops -> (queues, ops)) (list_size (int_range 0 500) op))
+  in
+  QCheck.Test.make ~name:"intqs agrees with one Queue per queue" ~count:300
+    (QCheck.make
+       ~print:(fun (queues, ops) -> Printf.sprintf "%d queues, %d ops" queues (List.length ops))
+       gen)
+    (fun (queues, ops) ->
+      let t = Engine.Intqs.create ~capacity:2 ~queues () in
+      let model = Array.init queues (fun _ -> Queue.create ()) in
+      let head q = Option.value ~default:Engine.Intqs.empty (Queue.peek_opt model.(q)) in
+      List.for_all
+        (function
+          | Push (q, v) ->
+              Engine.Intqs.push t q v;
+              Queue.add v model.(q);
+              true
+          | Pop q ->
+              let want = head q in
+              ignore (Queue.take_opt model.(q) : int option);
+              Engine.Intqs.pop t q = want
+          | Peek q -> Engine.Intqs.peek t q = head q
+          | Remove_all (q, v) ->
+              Engine.Intqs.remove_all t q v;
+              let kept = Queue.create () in
+              Queue.iter (fun x -> if x <> v then Queue.add x kept) model.(q);
+              Queue.clear model.(q);
+              Queue.transfer kept model.(q);
+              true)
+        ops
+      &&
+      (* Drain: every queue holds exactly its model's elements, in order. *)
+      let ok = ref true in
+      Array.iteri
+        (fun q m ->
+          Queue.iter (fun x -> if Engine.Intqs.pop t q <> x then ok := false) m;
+          if not (Engine.Intqs.is_empty t q) then ok := false)
+        model;
+      !ok)
+
+let test_intqs_validation () =
+  Alcotest.check_raises "queues < 0" (Invalid_argument "Intqs.create: queues < 0") (fun () ->
+      ignore (Engine.Intqs.create ~queues:(-1) () : Engine.Intqs.t));
+  Alcotest.check_raises "capacity < 1" (Invalid_argument "Intqs.create: capacity < 1")
+    (fun () -> ignore (Engine.Intqs.create ~capacity:0 ~queues:1 () : Engine.Intqs.t))
+
 let () =
   Alcotest.run "engine"
     [
@@ -489,5 +556,10 @@ let () =
           Alcotest.test_case "nested" `Quick test_sim_nested_scheduling;
           Alcotest.test_case "run_until" `Quick test_sim_run_until;
           Alcotest.test_case "same-time FIFO" `Quick test_sim_same_time_fifo;
+        ] );
+      ( "intqs",
+        [
+          QCheck_alcotest.to_alcotest prop_intqs_matches_queues;
+          Alcotest.test_case "validation" `Quick test_intqs_validation;
         ] );
     ]

@@ -48,14 +48,21 @@ let test_preemptive_ordering_and_args () =
   Alcotest.(check int) "per-conn ordering preserved" 0 p.Run.order_violations;
   let sim = Engine.Sim.create () in
   let params = Systems.Params.default () in
-  Alcotest.check_raises "quantum <= 0" (Invalid_argument "Preemptive.create: quantum <= 0")
-    (fun () ->
-      ignore
-        (Systems.Preemptive.create sim params ~quantum:0. ~switch_cost:0.1
-           ~pool:(Net.Request.create_pool ()) ~conns:1
-           ~respond:(fun _ -> ())
-           ()
-          : Systems.Iface.t))
+  let consolidate window = { Systems.Preemptive.default_consolidation with window } in
+  List.iter
+    (fun (name, quantum, switch_cost, consolidate, msg) ->
+      Alcotest.check_raises name (Invalid_argument ("Preemptive.create: " ^ msg)) (fun () ->
+          ignore
+            (Systems.Preemptive.create sim params ~quantum ~switch_cost
+               ~pool:(Net.Request.create_pool ()) ~conns:1
+               ~respond:(fun _ -> ())
+               ?consolidate ()
+              : Systems.Iface.t)))
+    [
+      ("quantum <= 0", 0., 0.1, None, "quantum <= 0");
+      ("switch_cost NaN", 5., nan, None, "switch_cost < 0");
+      ("window NaN", 5., 0.1, Some (consolidate nan), "consolidation window <= 0");
+    ]
 
 (* ---- RSS dynamic indirection ---- *)
 
@@ -101,14 +108,17 @@ let test_hot_cold_selection () =
 let test_hot_cold_validation () =
   let sim = Engine.Sim.create () in
   let rng = Engine.Rng.create ~seed:6 in
-  Alcotest.check_raises "bad fractions"
-    (Invalid_argument "Loadgen.create: Hot_cold fractions must be in (0, 1)") (fun () ->
-      ignore
-        (Net.Loadgen.create sim ~rng ~pool:(Net.Request.create_pool ()) ~conns:10
-           ~rate:1.0 ~service:(Dist.deterministic 1.)
-           ~selection:(Net.Loadgen.Hot_cold { hot_fraction = 1.5; hot_load = 0.5 })
-           ()
-          : Net.Loadgen.t))
+  List.iter
+    (fun (name, hot_fraction, hot_load) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Loadgen.create: Hot_cold fractions must be in (0, 1)") (fun () ->
+          ignore
+            (Net.Loadgen.create sim ~rng ~pool:(Net.Request.create_pool ()) ~conns:10
+               ~rate:1.0 ~service:(Dist.deterministic 1.)
+               ~selection:(Net.Loadgen.Hot_cold { hot_fraction; hot_load })
+               ()
+              : Net.Loadgen.t)))
+    [ ("bad fractions", 1.5, 0.5); ("NaN hot_fraction", nan, 0.5); ("NaN hot_load", 0.1, nan) ]
 
 (* ---- the control plane ---- *)
 

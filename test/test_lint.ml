@@ -309,7 +309,6 @@ let test_allow_warnings_at_attribute_location () =
 let documented_suppressions =
   [
     ("lib/runtime/pool.ml", Lint.R4);
-    ("lib/runtime/executor.ml", Lint.R4);
     ("lib/experiments/sweep.ml", Lint.R4);
     ("lib/experiments/figures.ml", Lint.R1);
     ("lib/experiments/appserve.ml", Lint.R1);

@@ -150,13 +150,12 @@ let test_pool_reuse_ratio () =
    the pools, the reservoir) spread over the requests. Measured on ZygOS:
    67.7 words/request while stolen batches were copied into fresh arrays
    and the timing wheel boxed current-tick event times, 49.2 with boxed
-   draws, request times and latencies, 6.24 now; IX 60.9 → 3.92 and
-   Linux-partitioned 43.4 → 3.90. The bounds leave room for compiler
-   drift while any new boxed float per request (2 words) or closure
-   (3+ words) on IX or Linux trips them. *)
-let request_path_words_bound = 8.
-
-let flat_request_path_words_bound = 6.
+   draws, request times and latencies, 6.24 with a heap-allocated PCB
+   per connection, 3.71 now; IX 60.9 → 3.92 → 2.96, Linux-partitioned
+   43.4 → 3.90 → 3.37, Linux-floating 3.03. One bound serves all four:
+   a new boxed float per request (2 words) or closure (3+ words) trips
+   it on every system. *)
+let request_path_words_bound = 5.
 
 let point_words_per_request system =
   let requests = 1_500 in
@@ -173,11 +172,11 @@ let point_words_per_request system =
   done;
   (Gc.minor_words () -. w0) /. float_of_int (iters * requests)
 
-let test_request_path_minor_words system ~bound () =
+let test_request_path_minor_words system () =
   let per_req = point_words_per_request system in
-  if per_req > bound then
+  if per_req > request_path_words_bound then
     Alcotest.failf "%s request path allocates %.2f minor words/request (want <= %g)"
-      (Experiments.Run.system_name system) per_req bound
+      (Experiments.Run.system_name system) per_req request_path_words_bound
 
 (* The path every system shares, measured over [Sim.run] alone: the
    load generator's arrivals and completions, the request pool, the
@@ -267,14 +266,15 @@ let test_zygos_low_load_events_per_request () =
    cores behind the ToR dispatcher with 5 µs-stale estimates, 2752
    connections, a recycling pool. The dispatcher picks from an int bit
    set over the estimator's flat array and reads the clock only with
-   detection on, so it allocates nothing per request; what is left is
-   each server's per-connection setup (a PCB's first event buffer, made
-   when the connection first gets work), spread over the requests: 3.7
-   to 4.2 words/request here, against 34.7 to 40.2 while the policy took
-   closures and the dispatcher boxed the clock on every request and
-   response. One closure or two boxed floats per request trip the bound.
-   Exact for the seed. *)
-let rack_path_words_bound = 6.
+   detection on, so it allocates nothing per request, and a PCB is an int
+   with its events in one shared node pool. What is left is the growth
+   of pools and queues to their high-water marks: 0.03 words/request at
+   load 0.3 and 0.48 to 0.52 at 0.8, against 3.7 to 4.2 while every PCB
+   allocated an event buffer on its first delivery and 34.7 to 40.2
+   while the policy took closures and the dispatcher boxed the clock on
+   every request and response. One closure or one boxed float per
+   request trips the bound. Exact for the seed. *)
+let rack_path_words_bound = 1.
 
 let rack_words_per_request policy ~load =
   let servers = 4 and cores = 16 and conns = 2752 and requests = 20_000 in
@@ -367,6 +367,80 @@ let test_copying_racks_keep_slots () =
     (rack_point ~retry:(Net.Loadgen.retry ~timeout:50. ()) ~failplan:crash ~requests ~load:0.5
        ())
 
+(* Point setup, from [Sim.create] through the system's [create] and the
+   rack's, in words per connection at the paper's 16 cores and 2,752
+   connections. [Loadgen.start] is left out: its tally reservation
+   grows with the request count, not the connections. Words are minor
+   words from [Gc.minor_words] plus major words allocated directly
+   (major minus promoted) from [Gc.counters]; [Gc.counters]' own minor
+   count lags on OCaml 5.1. With every per-connection FIFO in one
+   [Intqs], PCBs as int ids and rings that grow on demand, what scales
+   with connections is a handful of flat int arrays: the RSS memo and
+   home array, the client's and each server's queue heads, the ZygOS
+   state array. With a heap block or two per connection and NIC rings
+   allocated whole (4,097 words each, 16 per server), setup cost 20.6
+   (Linux-partitioned), 30.5 (Linux-floating), 20.7 (IX), 33.7 (ZygOS),
+   21.6 (Preemptive) and 89.6 (the 4-server rack) words per connection;
+   now 6.6, 4.6, 6.7, 9.8, 4.7 and 32.0. *)
+let setup_words_bound = 12.
+
+let rack_setup_words_bound = 45.
+
+let words_allocated () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let setup_cores = 16
+
+let setup_conns = 2752
+
+let setup_client () =
+  let sim = Sim.create () in
+  let rng = Engine.Rng.create ~seed:1 in
+  let pool = Net.Request.create_pool ~recycle:true () in
+  let gen =
+    Net.Loadgen.create sim ~rng:(Engine.Rng.split rng) ~pool ~conns:setup_conns ~rate:1.
+      ~service:(Engine.Dist.exponential 10.) ()
+  in
+  (sim, rng, pool, gen)
+
+let single_setup system () =
+  let sim, rng, pool, gen = setup_client () in
+  Experiments.Run.make_system system sim ~cores:setup_cores ~rpc_packets:1 ~stragglers:[] ~rng
+    ~pool ~conns:setup_conns ~respond:(Net.Loadgen.complete gen)
+
+let rack_setup () =
+  let sim, rng, pool, gen = setup_client () in
+  let cfg = Cluster.Rack.config ~servers:4 ~policy:(Cluster.Policy.Jbsq 32) () in
+  Cluster.Rack.iface
+    (Cluster.Rack.create sim cfg ~rng ~pool
+       ~make_server:(fun ~i:_ ~rng ~respond ->
+         Experiments.Run.make_system Experiments.Run.Zygos sim ~cores:setup_cores
+           ~rpc_packets:1 ~stragglers:[] ~rng ~pool ~conns:setup_conns ~respond)
+       ~respond:(Net.Loadgen.complete gen))
+
+let setup_words_per_conn setup =
+  ignore (setup () : Systems.Iface.t);
+  let w0 = words_allocated () in
+  let iface = setup () in
+  let words = words_allocated () -. w0 in
+  ignore (Sys.opaque_identity iface : Systems.Iface.t);
+  words /. float_of_int setup_conns
+
+let test_setup_words () =
+  let check name setup bound =
+    let per_conn = setup_words_per_conn setup in
+    if per_conn > bound then
+      Alcotest.failf "%s point setup allocates %.2f words/connection (want <= %g)" name
+        per_conn bound
+  in
+  List.iter
+    (fun system ->
+      check (Experiments.Run.system_name system) (single_setup system) setup_words_bound)
+    Experiments.Run.
+      [ Linux_partitioned; Linux_floating; Ix 1; Zygos; Preemptive 5. ];
+  check "4-server zygos rack" rack_setup rack_setup_words_bound
+
 let test_end_to_end_reuse_ratio () =
   (* The same invariant through the full stack: a ZygOS point's event
      pool must serve almost every schedule from the free list. *)
@@ -404,14 +478,13 @@ let () =
           Alcotest.test_case "zygos point reuse ratio >= 0.9" `Quick
             test_end_to_end_reuse_ratio;
           Alcotest.test_case "request path minor words/request bounded" `Quick
-            (test_request_path_minor_words Experiments.Run.Zygos
-               ~bound:request_path_words_bound);
+            (test_request_path_minor_words Experiments.Run.Zygos);
           Alcotest.test_case "ix request path minor words/request bounded" `Quick
-            (test_request_path_minor_words (Experiments.Run.Ix 1)
-               ~bound:flat_request_path_words_bound);
+            (test_request_path_minor_words (Experiments.Run.Ix 1));
           Alcotest.test_case "linux-partitioned request path minor words/request bounded" `Quick
-            (test_request_path_minor_words Experiments.Run.Linux_partitioned
-               ~bound:flat_request_path_words_bound);
+            (test_request_path_minor_words Experiments.Run.Linux_partitioned);
+          Alcotest.test_case "linux-floating request path minor words/request bounded" `Quick
+            (test_request_path_minor_words Experiments.Run.Linux_floating);
           Alcotest.test_case "shared request path allocates nothing" `Quick
             test_shared_request_path_minor_words;
           Alcotest.test_case "zygos low-load events/request bounded" `Quick
@@ -422,5 +495,6 @@ let () =
             test_rack_point_recycles;
           Alcotest.test_case "copying racks keep request slots" `Quick
             test_copying_racks_keep_slots;
+          Alcotest.test_case "point setup words/connection bounded" `Quick test_setup_words;
         ] );
     ]

@@ -57,6 +57,41 @@ let test_pool_rejects_bad_workers () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+(* N domains x M tasks through the work-stealing pool: every task runs
+   exactly once (per-task atomic counters), results land at their own
+   index regardless of steal order, and the per-worker run counts sum to
+   the task count. This is the behavioral contract behind the
+   [@zygos.owned "lock-protected"] annotations on the pool's deque
+   head/tail fields. *)
+let test_pool_exactly_once () =
+  let tasks_n = 2000 and workers = 4 in
+  let ran = Array.init tasks_n (fun _ -> Atomic.make 0) in
+  let busy_wait_us us =
+    let until = Unix.gettimeofday () +. (us *. 1e-6) in
+    while Unix.gettimeofday () < until do
+      ()
+    done
+  in
+  let tasks =
+    Array.init tasks_n (fun i () ->
+        (* occasional jitter so owners and thieves interleave *)
+        if i land 127 = 0 then busy_wait_us 30.;
+        ignore (Atomic.fetch_and_add ran.(i) 1 : int);
+        i * 3)
+  in
+  let results, stats = Pool.run ~workers ~tasks in
+  Alcotest.(check int) "points" tasks_n stats.Pool.points;
+  Array.iteri
+    (fun i r -> if r <> i * 3 then Alcotest.failf "task %d: result %d" i r)
+    results;
+  Array.iteri
+    (fun i c ->
+      let n = Atomic.get c in
+      if n <> 1 then Alcotest.failf "task %d ran %d times" i n)
+    ran;
+  Alcotest.(check int) "run_counts sum to task count" tasks_n
+    (Array.fold_left ( + ) 0 stats.Pool.run_counts)
+
 (* ---- Seed derivation ---- *)
 
 let test_point_seed_deterministic () =
@@ -138,6 +173,7 @@ let () =
           Alcotest.test_case "exceptions propagate after join" `Quick
             test_pool_propagates_exception;
           Alcotest.test_case "workers < 1 rejected" `Quick test_pool_rejects_bad_workers;
+          Alcotest.test_case "exactly-once under stealing" `Quick test_pool_exactly_once;
         ] );
       ( "seed derivation",
         [

@@ -73,7 +73,7 @@ let known_pure =
   ]
 
 (* Rewrite every resolved callee through the global module-alias list
-   ("Core.Sched.Sim_sched.poll" -> "Core.Sched.Make.poll") so a functor
+   ("Systems.Zygos.Sched.poll" -> "Core.Sched.poll") so a functor
    instantiation or module alias in one compilation unit resolves from
    call sites in another. Longest key wins; fuel bounds alias chains. *)
 let canonicalize ~(aliases : (string * string) list) summaries =

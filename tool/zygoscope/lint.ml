@@ -18,8 +18,8 @@
      options arrive as CLI flags) are banned inside the
      simulation-deterministic libraries (lib/{engine,systems,models,net,
      stats,experiments,cluster}) and the deterministic executables
-     (bin/, examples/). lib/runtime and bench/ are allowlisted: they
-     are the live wall-clock layers by design (legitimate timing sites
+     (bin/, examples/). lib/runtime (the domain pool's busy-time
+     accounting) and bench/ are allowlisted by design (legitimate timing sites
      in bin/ and examples/ carry [@zygos.allow "determinism"]).
    - R2 "hot-alloc": inside functions annotated [@zygos.hot], typedtree
      nodes that allocate are flagged — closure/fun introduction, partial
@@ -33,8 +33,8 @@
      types it cannot specialize: int/char/bool/unit plus float/string/
      bytes/int32/int64/nativeint) are banned everywhere in lib/.
    - R4 "domain-safety": in code that touches the domain layer
-     (lib/runtime, plus any module that submits work to Runtime.Pool or
-     Runtime.Executor), non-Atomic mutable record fields and ref cells
+     (lib/runtime, plus any module that submits work to Runtime.Pool),
+     non-Atomic mutable record fields and ref cells
      are flagged unless the declaration carries [@zygos.owned],
      documenting single-owner (or lock-protected) discipline.
    - R5 "obj": Obj.* is banned outright everywhere in lib/.
@@ -48,8 +48,8 @@
      is boxed by the calling convention; the flat float-array hand-off
      (Sim.key_buffer / Heap.pop_into) is the sanctioned alternative.
    - R8 "domain-escape": a value captured by a closure handed to the
-     domain layer (Runtime.Pool.run, Runtime.Executor.submit,
-     Experiments.Sweep.run*, Domain.spawn) whose type transitively
+     domain layer (Runtime.Pool.run, Experiments.Sweep.run*,
+     Domain.spawn) whose type transitively
      reaches non-Atomic mutable state is flagged unless the capture or
      the type carries [@zygos.owned].
 
@@ -422,15 +422,12 @@ let captured_by_closure id (body : Typedtree.expression) =
   !found
 
 (* Scan a structure for references that put the file in R4 scope: any
-   mention of the Runtime.Pool / Runtime.Executor modules means closures
-   from this file cross domain boundaries. *)
+   mention of the Runtime.Pool module means closures from this file
+   cross domain boundaries. *)
 let references_domain_layer (str : Typedtree.structure) =
   let found = ref false in
   let check_name s =
-    if
-      contains_sub s "Runtime.Pool" || contains_sub s "Runtime.Executor"
-      || contains_sub s "Runtime__Pool" || contains_sub s "Runtime__Executor"
-    then found := true
+    if contains_sub s "Runtime.Pool" || contains_sub s "Runtime__Pool" then found := true
   in
   let it =
     {
@@ -469,7 +466,7 @@ let core_type_is_atomic (ct : Typedtree.core_type) =
    normalized-path suffix so both [Runtime.Pool.run] and a local
    [module Pool = Runtime.Pool] alias resolve. *)
 let domain_sinks =
-  [ "Pool.run"; "Executor.submit"; "Sweep.run"; "Sweep.run_with_stats"; "Domain.spawn" ]
+  [ "Pool.run"; "Sweep.run"; "Sweep.run_with_stats"; "Domain.spawn" ]
 
 let is_domain_sink name =
   List.exists (fun s -> name = s || ends_with ~suffix:("." ^ s) name) domain_sinks
@@ -1006,9 +1003,8 @@ let suppressed_of fs = List.filter (fun f -> f.suppressed) fs
    One summary per syntactic function binding, keyed by a canonical
    dotted name ("Engine.Wheel.add"). Canonicalization undoes dune's
    [Lib__Module] name mangling and resolves local module aliases and
-   functor instantiations ([module Sim_sched = Make (Platform.Nolock)]:
-   calls through [Sim_sched.f] resolve to the functor body's
-   [...Make.f]).
+   functor instantiations ([module Inst = Make (Arg)]: calls through
+   [Inst.f] resolve to the functor body's [...Make.f]).
    Higher-order calls — a computed head, a call through a function
    parameter — resolve to [Callee_unknown], the top of the callee
    lattice: the graph must assume they may allocate. *)
@@ -1075,7 +1071,7 @@ let summarize_structure ?(warn = silent_warn) ~modname ~file
   let work = ref [] in
   let file_allows = ref [] in
   (* module aliases visible at a canonical path, exported for cross-file
-     resolution ("Core.Sched.Sim_sched" -> "Core.Sched.Make") *)
+     resolution ("Systems.Zygos.Sched" -> "Core.Sched") *)
   let galiases = ref [] in
   let resolve_comps comps =
     let rec go fuel comps =
