@@ -111,12 +111,14 @@ let micro ~jobs:_ ~scale =
     List.map
       (fun (name, ops, f) ->
         let median, iqr = time_op ~ops:(max 1 (int_of_float (float_of_int ops *. scale))) f in
-        [ name; Printf.sprintf "%.1f" median; Printf.sprintf "%.1f" iqr ])
+        Experiments.Output.[ Text name; Num (F1, median); Num (F1, iqr) ])
       (micro_rows ())
   in
-  Experiments.Output.print_header
-    (Printf.sprintf "Microbenchmarks (ns per operation, median of %d batches)" batches);
-  Experiments.Output.print_table ~columns:[ "operation"; "median ns/op"; "IQR" ] ~rows
+  Experiments.Output.
+    [
+      Header (Printf.sprintf "Microbenchmarks (ns per operation, median of %d batches)" batches);
+      Table { columns = [ "operation"; "median ns/op"; "IQR" ]; rows };
+    ]
 
 (* ---- equeue: heap vs wheel at 1e3..1e6 pending events ---- *)
 
@@ -229,14 +231,51 @@ let equeue_bench ~jobs:_ ~scale =
   record "sim closure cycle @512 (wheel)" (sim_cycle E.Wheel ~fn_api:false d);
   record "sim schedule_fn cycle @512 (heap)" (sim_cycle E.Heap ~fn_api:true d);
   record "sim schedule_fn cycle @512 (wheel)" (sim_cycle E.Wheel ~fn_api:true d);
-  let rows = List.rev !rows in
-  Experiments.Output.print_header
-    "Event queue: heap vs timing wheel (pop-order parity asserted, ns per op)";
-  Experiments.Output.print_table
-    ~columns:[ "benchmark"; "ns/op" ]
-    ~rows:(List.map (fun (name, ns) -> [ name; Printf.sprintf "%.1f" ns ]) rows)
+  Experiments.Output.
+    [
+      Header "Event queue: heap vs timing wheel (pop-order parity asserted, ns per op)";
+      Table
+        {
+          columns = [ "benchmark"; "ns/op" ];
+          rows = List.rev_map (fun (name, ns) -> [ Text name; Num (F1, ns) ]) !rows;
+        };
+    ]
 
 (* ---- sweep: sequential vs pooled wall clock on a fig6 slice ---- *)
+
+let int n = Experiments.Output.Num (Int, float_of_int n)
+
+(* Sweep-pool counters (workers, points run, steals, total busy seconds,
+   wall seconds, busy/wall speedup) plus a per-domain busy-time table. *)
+let pool_stats (s : Runtime.Pool.stats) =
+  let total_busy = Array.fold_left ( +. ) 0. s.busy_s in
+  let speedup = if s.wall_s > 0. then total_busy /. s.wall_s else 1. in
+  Experiments.Output.
+    [
+      Subheader "sweep pool";
+      Table
+        {
+          columns = [ "counter"; "value" ];
+          rows =
+            List.map
+              (fun (k, v) -> [ Text k; Num (G, v) ])
+              [
+                ("workers", float_of_int s.workers);
+                ("points_run", float_of_int s.points);
+                ("steals", float_of_int s.steals);
+                ("busy_s_total", total_busy);
+                ("wall_s", s.wall_s);
+                ("speedup", speedup);
+              ];
+        };
+      Table
+        {
+          columns = [ "domain"; "busy(s)"; "points" ];
+          rows =
+            Array.to_list
+              (Array.mapi (fun w busy -> [ int w; Num (F3, busy); int s.run_counts.(w) ]) s.busy_s);
+        };
+    ]
 
 let sweep_bench ~jobs ~scale =
   let module Run = Experiments.Run in
@@ -269,28 +308,31 @@ let sweep_bench ~jobs ~scale =
   let workers = if jobs > 1 then jobs else Runtime.Pool.recommended_workers () in
   let seq, seq_stats = Sweep.run_with_stats ~jobs:1 ~seed:42 points in
   let par, par_stats = Sweep.run_with_stats ~jobs:workers ~seed:42 points in
-  let parity = seq = par in
+  if seq <> par then failwith "sweep bench: pooled results differ from sequential";
   let speedup =
     if par_stats.Runtime.Pool.wall_s > 0. then
       seq_stats.Runtime.Pool.wall_s /. par_stats.Runtime.Pool.wall_s
     else 1.
   in
-  Experiments.Output.print_header
-    "Sweep runner: sequential vs pooled execution (fig6 slice: exp, S = 10us)";
-  Experiments.Output.print_table
-    ~columns:[ "metric"; "value" ]
-    ~rows:
-      [
-        [ "points"; string_of_int (List.length points) ];
-        [ "workers"; string_of_int par_stats.Runtime.Pool.workers ];
-        [ "sequential wall (s)"; Printf.sprintf "%.2f" seq_stats.Runtime.Pool.wall_s ];
-        [ "pooled wall (s)"; Printf.sprintf "%.2f" par_stats.Runtime.Pool.wall_s ];
-        [ "speedup"; Printf.sprintf "%.2fx" speedup ];
-        [ "steals"; string_of_int par_stats.Runtime.Pool.steals ];
-        [ "output parity"; (if parity then "byte-identical" else "MISMATCH") ];
-      ];
-  Experiments.Output.print_pool_stats par_stats;
-  if not parity then failwith "sweep bench: pooled results differ from sequential"
+  Experiments.Output.
+    [
+      Header "Sweep runner: sequential vs pooled execution (fig6 slice: exp, S = 10us)";
+      Table
+        {
+          columns = [ "metric"; "value" ];
+          rows =
+            [
+              [ Text "points"; int (List.length points) ];
+              [ Text "workers"; int par_stats.workers ];
+              [ Text "sequential wall (s)"; Num (F2, seq_stats.wall_s) ];
+              [ Text "pooled wall (s)"; Num (F2, par_stats.wall_s) ];
+              [ Text "speedup"; Text (Printf.sprintf "%.2fx" speedup) ];
+              [ Text "steals"; int par_stats.steals ];
+              [ Text "output parity"; Text "byte-identical" ];
+            ];
+        };
+    ]
+  @ pool_stats par_stats
 
 (* ---- target registry and entry point ---- *)
 
@@ -352,6 +394,6 @@ let () =
   List.iter
     (fun (name, run) ->
       let t0 = Unix.gettimeofday () in
-      run ~jobs ~scale;
+      print_string (Experiments.Output.render (run ~jobs ~scale));
       Printf.printf "\n[%s done in %.1fs]\n%!" name (Unix.gettimeofday () -. t0))
     selected

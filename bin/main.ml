@@ -182,7 +182,7 @@ let run_targets args =
       let _, target =
         List.find (fun (n, _) -> String.equal n name) Experiments.Figures.all_targets
       in
-      target ~jobs ~scale;
+      print_string (Experiments.Output.render (target ~jobs ~scale));
       flush stdout;
       Printf.eprintf "[%s done in %.1fs]\n%!" name
         ((Unix.gettimeofday () [@zygos.allow "determinism"]) -. t0))

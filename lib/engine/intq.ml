@@ -62,11 +62,3 @@ let[@zygos.hot] pop t =
 
 let[@zygos.hot] peek t =
   if t.len = 0 then empty else Array.unsafe_get t.buf t.head
-
-(* Front to back, without consuming. *)
-let iter f t =
-  let cap = Array.length t.buf in
-  for i = 0 to t.len - 1 do
-    let j = t.head + i in
-    f (Array.unsafe_get t.buf (if j >= cap then j - cap else j))
-  done

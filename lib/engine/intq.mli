@@ -24,6 +24,3 @@ val peek : t -> int
 val length : t -> int
 
 val is_empty : t -> bool
-
-val iter : (int -> unit) -> t -> unit
-(** Front to back, without consuming. *)

@@ -1,12 +1,14 @@
-(* Every figure is structured as enumerate -> run -> render: the figure
-   enumerates its grid of independent simulation points into a pure
-   [Sweep.point list], the sweep runner executes them (on [jobs] domains,
-   idle domains stealing), and a sequential render step assembles the
-   results in canonical enumeration order. Each point's randomness comes
-   from a seed derived from [master_seed] and the point's stable key, so
-   the rendered output is byte-identical for every [jobs] value. *)
+(* Every figure is data: describe -> resolve -> render. A target
+   describes its headers, notes and tables, and each table row holds its
+   label cells plus the sweep points that measure its value cells.
+   [resolve] runs all of a target's points in one [Sweep.run] (on [jobs]
+   domains, idle domains stealing) and fills the rows in enumeration
+   order; [Output.render] prints the blocks. Each point's randomness
+   comes from a seed derived from [master_seed] and the point's stable
+   key, so the output is byte-identical for every [jobs] value. *)
 
 module Dist = Engine.Dist
+open Output
 
 let requests ~scale base = max 4_000 (int_of_float (float_of_int base *. scale))
 
@@ -14,27 +16,65 @@ let cores = 16
 
 let master_seed = 42
 
-(* The three service-time distributions of §3.4/§6.1, at unit mean. *)
-let dists_of_mean mean =
-  [ Dist.deterministic mean; Dist.exponential mean; Dist.bimodal1 ~mean ]
+(* The three service-time distributions of §3.4/§6.1, by mean. *)
+let dists = [ Dist.deterministic; Dist.exponential; (fun mean -> Dist.bimodal1 ~mean) ]
 
-(* Split [l] into consecutive chunks of [size] (render-side reslicing of
-   the flat result list back into the enumeration's nested shape). *)
-let chunks size l =
-  let rec take k l acc = if k = 0 then (List.rev acc, l)
-    else match l with [] -> invalid_arg "chunks: ragged" | x :: tl -> take (k - 1) tl (x :: acc)
+(* ---- Describe and resolve ---- *)
+
+(* A table row: its label cells, then the cells its points measure, in
+   point order. *)
+type row = cell list * cell list Sweep.point list
+
+(* A described target: finished blocks, and tables (columns, rows) whose
+   rows still wait on their points. *)
+type part = Block of block | Pending of string list * row list
+
+let resolve ~jobs parts =
+  let points =
+    List.concat_map (function Pending (_, rows) -> List.concat_map snd rows | Block _ -> []) parts
   in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | l ->
-        let c, rest = take size l [] in
-        go (c :: acc) rest
-  in
-  go [] l
+  let results = Queue.of_seq (List.to_seq (Sweep.run ~jobs ~seed:master_seed points)) in
+  (* List.map and List.concat_map apply their function left to right, so
+     the rows take the results in enumeration order. *)
+  let fill (labels, points) = labels @ List.concat_map (fun _ -> Queue.take results) points in
+  List.map
+    (function
+      | Block b -> b
+      | Pending (columns, rows) -> Table { columns; rows = List.map fill rows })
+    parts
+
+let num fmt x = Num (fmt, x)
+
+let sys system = Text (Run.system_name system)
+
+(* [point "fig8/%s/%g" name load run]: a sweep point keyed by the
+   formatted string. *)
+let point fmt = Printf.ksprintf (fun key run -> Sweep.point ~key run) fmt
+
+let info p key = Option.value ~default:0. (Run.info_value p key)
+
+(* The 16-core configuration most targets measure: [base] requests at
+   scale 1. *)
+let cfg ~scale ?(base = 25_000) ?rpc_packets ?selection ~seed system service =
+  Run.config ~system ~service ~cores ~requests:(requests ~scale base) ?rpc_packets ?selection
+    ~seed ()
+
+(* One row per [x] and load, labelled [name x] and the load (in [fmt])
+   and measured by one point keyed [key/name x/load]. *)
+let grid ~key ~name ?(fmt = F2) xs loads measure =
+  List.concat_map
+    (fun x ->
+      List.map
+        (fun load ->
+          ( [ Text (name x); num fmt load ],
+            [ point "%s/%s/%g" key (name x) load (measure x load) ] ))
+        loads)
+    xs
 
 (* ---- Figure 2 ---- *)
 
-let fig2 ~jobs ~scale =
+(* Queueing-model p99 vs load, 4 models × 4 distributions (n = 16). *)
+let fig2 ~scale =
   let open Models.Queueing in
   let specs =
     [
@@ -45,102 +85,66 @@ let fig2 ~jobs ~scale =
     ]
   in
   let loads = [ 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 0.95 ] in
-  let service_mean = 1.0 in
-  let dists =
-    [
-      Dist.deterministic service_mean;
-      Dist.exponential service_mean;
-      Dist.bimodal1 ~mean:service_mean;
-      Dist.bimodal2 ~mean:service_mean;
-    ]
-  in
-  let points =
-    List.concat_map
-      (fun dist ->
-        List.concat_map
-          (fun load ->
-            List.map
-              (fun spec ->
-                Sweep.point
-                  ~key:
-                    (Printf.sprintf "fig2/%s/%s/%g" (Dist.name dist) (name spec) load)
-                  (fun ~seed ->
-                    let r =
-                      simulate spec ~service:dist ~load
-                        ~requests:(requests ~scale 40_000) ~seed
-                    in
-                    Output.f2 (Stats.Tally.p99 r.latencies)))
-              specs)
-          loads)
-      dists
-  in
-  let results = Sweep.run ~jobs ~seed:master_seed points in
-  Output.print_header "Figure 2: p99 latency vs load, idealized queueing models (n=16, S=1)";
-  List.iter2
-    (fun dist per_dist ->
-      Output.print_subheader (Printf.sprintf "distribution: %s" (Dist.name dist));
-      let rows =
-        List.map2 (fun load cells -> Output.f2 load :: cells) loads per_dist
-      in
-      Output.print_table ~columns:("load" :: List.map name specs) ~rows)
-    dists
-    (chunks (List.length loads * List.length specs) results
-    |> List.map (chunks (List.length specs)))
+  Block (Header "Figure 2: p99 latency vs load, idealized queueing models (n=16, S=1)")
+  :: List.concat_map
+       (fun dist ->
+         [
+           Block (Subheader ("distribution: " ^ Dist.name dist));
+           Pending
+             ( "load" :: List.map name specs,
+               List.map
+                 (fun load ->
+                   ( [ num F2 load ],
+                     List.map
+                       (fun spec ->
+                         point "fig2/%s/%s/%g" (Dist.name dist) (name spec) load (fun ~seed ->
+                             let r =
+                               simulate spec ~service:dist ~load
+                                 ~requests:(requests ~scale 40_000) ~seed
+                             in
+                             [ num F2 (Stats.Tally.p99 r.latencies) ]))
+                       specs ))
+                 loads );
+         ])
+       [
+         Dist.deterministic 1.0;
+         Dist.exponential 1.0;
+         Dist.bimodal1 ~mean:1.0;
+         Dist.bimodal2 ~mean:1.0;
+       ]
 
 (* ---- Max-load-at-SLO figures (3 and 7) ---- *)
 
-let slo_figure ~figkey ~jobs ~scale ~title ~service_means ~systems =
-  let makers =
-    [
-      (fun m -> Dist.deterministic m);
-      (fun m -> Dist.exponential m);
-      (fun m -> Dist.bimodal1 ~mean:m);
-    ]
-  in
-  let points =
-    List.concat_map
-      (fun make_dist ->
-        List.concat_map
-          (fun mean ->
-            List.map
-              (fun system ->
-                let service = make_dist mean in
-                Sweep.point
-                  ~key:
-                    (Printf.sprintf "%s/%s/%g/%s" figkey (Dist.name service) mean
-                       (Run.system_name system))
-                  (fun ~seed ->
-                    let slo = 10. *. mean in
-                    let cfg =
-                      Run.config ~system ~service ~cores
-                        ~requests:(requests ~scale 25_000) ~seed ()
-                    in
-                    let load, _ = Run.max_load_at_slo cfg ~slo_p99:slo ~resolution:0.02 () in
-                    Output.pct load))
-              systems)
-          service_means)
-      makers
-  in
-  let results = Sweep.run ~jobs ~seed:master_seed points in
-  Output.print_header title;
-  List.iter2
-    (fun make_dist per_dist ->
-      let sample = make_dist 1.0 in
-      Output.print_subheader (Printf.sprintf "distribution: %s" (Dist.name sample));
-      let rows =
-        List.map2
-          (fun mean cells -> Printf.sprintf "%g" mean :: cells)
-          service_means per_dist
-      in
-      Output.print_table
-        ~columns:("S(us)" :: List.map Run.system_name systems)
-        ~rows)
-    makers
-    (chunks (List.length service_means * List.length systems) results
-    |> List.map (chunks (List.length systems)))
+let slo_figure ~figkey ~scale ~title ~service_means ~systems =
+  Block (Header title)
+  :: List.concat_map
+       (fun make_dist ->
+         [
+           Block (Subheader ("distribution: " ^ Dist.name (make_dist 1.0)));
+           Pending
+             ( "S(us)" :: List.map Run.system_name systems,
+               List.map
+                 (fun mean ->
+                   ( [ num G mean ],
+                     List.map
+                       (fun system ->
+                         let service = make_dist mean in
+                         point "%s/%s/%g/%s" figkey (Dist.name service) mean
+                           (Run.system_name system) (fun ~seed ->
+                             let cfg = cfg ~scale ~seed system service in
+                             let load, _ =
+                               Run.max_load_at_slo cfg ~slo_p99:(10. *. mean) ~resolution:0.02 ()
+                             in
+                             [ num Pct load ]))
+                       systems ))
+                 service_means );
+         ])
+       dists
 
-let fig3 ~jobs ~scale =
-  slo_figure ~figkey:"fig3" ~jobs ~scale
+(* Baselines: max load meeting p99 <= 10·S̄ as a function of S̄ —
+   Linux-partitioned/floating, IX, and the two model bounds. *)
+let fig3 ~scale =
+  slo_figure ~figkey:"fig3" ~scale
     ~title:"Figure 3: max load @ SLO (p99 <= 10*S) vs service time -- baselines"
     ~service_means:[ 5.; 10.; 25.; 50.; 100.; 200. ]
     ~systems:
@@ -152,8 +156,9 @@ let fig3 ~jobs ~scale =
         Run.Ix 1;
       ]
 
-let fig7 ~jobs ~scale =
-  slo_figure ~figkey:"fig7" ~jobs ~scale
+(* Max load @ SLO vs S̄ with ZygOS included (1–50µs). *)
+let fig7 ~scale =
+  slo_figure ~figkey:"fig7" ~scale
     ~title:"Figure 7: max load @ SLO (p99 <= 10*S) vs service time -- with ZygOS"
     ~service_means:[ 2.; 5.; 10.; 15.; 20.; 30.; 40.; 50. ]
     ~systems:
@@ -166,139 +171,84 @@ let fig7 ~jobs ~scale =
         Run.Ix 1;
       ]
 
-(* ---- Load-sweep figures (6, 9, 10b): shared enumerate + render ---- *)
+(* ---- Load-sweep figures (6, 9, 10b) ---- *)
 
-let sweep_points ~figkey ~scale ~service ~systems ~loads ?(rpc_packets = 1) () =
-  List.concat_map
-    (fun system ->
-      List.map
-        (fun load ->
-          Sweep.point
-            ~key:(Printf.sprintf "%s/%s/%g" figkey (Run.system_name system) load)
-            (fun ~seed ->
-              let cfg =
-                Run.config ~system ~service ~cores ~requests:(requests ~scale 25_000)
-                  ~rpc_packets ~seed ()
-              in
-              (system, load, Run.run_point cfg ~load)))
-        loads)
-    systems
+(* System × load: throughput, p99 and whether p99 meets [slo]. *)
+let slo_sweep ~figkey ~scale ~service ~systems ~loads ~slo ?rpc_packets () =
+  Pending
+    ( [ "system"; "load"; "tput(MRPS)"; "p99(us)"; Printf.sprintf "SLO %.0fus" slo ],
+      grid ~key:figkey ~name:Run.system_name systems loads (fun system load ~seed ->
+          let p = Run.run_point (cfg ~scale ?rpc_packets ~seed system service) ~load in
+          [ num F3 p.throughput; num F1 p.p99; num (Meets slo) p.p99 ]) )
 
-let sweep_render ~slo all =
-  let rows =
-    List.map
-      (fun (system, load, (p : Run.point)) ->
-        [
-          Run.system_name system;
-          Output.f2 load;
-          Output.f3 p.throughput;
-          Output.f1 p.p99;
-          (if p.p99 <= slo then "meets" else "violates");
-        ])
-      all
-  in
-  Output.print_table
-    ~columns:[ "system"; "load"; "tput(MRPS)"; "p99(us)"; Printf.sprintf "SLO %.0fus" slo ]
-    ~rows
-
-let fig6 ~jobs ~scale =
+(* p99 latency vs throughput, {fixed, exp, bimodal-1} × {10µs, 25µs}:
+   Linux-floating, IX, ZygOS, ZygOS-no-interrupts, M/G/16/FCFS. *)
+let fig6 ~scale =
   let loads = [ 0.2; 0.35; 0.5; 0.6; 0.7; 0.8; 0.85; 0.9; 0.95 ] in
   let systems =
     [ Run.Model_central_fcfs; Run.Linux_floating; Run.Ix 1; Run.Zygos; Run.Zygos_no_interrupts ]
   in
-  let groups =
-    List.concat_map
-      (fun mean ->
-        List.map
-          (fun service ->
-            let figkey = Printf.sprintf "fig6/%s/%g" (Dist.name service) mean in
-            ( Printf.sprintf "%s, S = %gus" (Dist.name service) mean,
-              10. *. mean,
-              sweep_points ~figkey ~scale ~service ~systems ~loads () ))
-          (dists_of_mean mean))
-      [ 10.; 25. ]
-  in
-  let results =
-    Sweep.run ~jobs ~seed:master_seed (List.concat_map (fun (_, _, pts) -> pts) groups)
-  in
-  Output.print_header
-    "Figure 6: p99 latency vs throughput (SLO = 10*S), three distributions x {10us, 25us}";
-  List.iter2
-    (fun (title, slo, _) group_results ->
-      Output.print_subheader title;
-      sweep_render ~slo group_results)
-    groups
-    (chunks (List.length systems * List.length loads) results)
+  Block
+    (Header
+       "Figure 6: p99 latency vs throughput (SLO = 10*S), three distributions x {10us, 25us}")
+  :: List.concat_map
+       (fun mean ->
+         List.concat_map
+           (fun make_dist ->
+             let service = make_dist mean in
+             [
+               Block (Subheader (Printf.sprintf "%s, S = %gus" (Dist.name service) mean));
+               slo_sweep
+                 ~figkey:(Printf.sprintf "fig6/%s/%g" (Dist.name service) mean)
+                 ~scale ~service ~systems ~loads ~slo:(10. *. mean) ();
+             ])
+           dists)
+       [ 10.; 25. ]
 
 (* ---- Figure 8 ---- *)
 
-let fig8 ~jobs ~scale =
+(* Steal rate vs throughput, ZygOS with and without IPIs (exp, 25µs). *)
+let fig8 ~scale =
   let service = Dist.exponential 25. in
   let loads = [ 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.77; 0.85; 0.9; 0.95 ] in
-  let points =
-    List.concat_map
-      (fun system ->
-        List.map
-          (fun load ->
-            Sweep.point
-              ~key:(Printf.sprintf "fig8/%s/%g" (Run.system_name system) load)
-              (fun ~seed ->
-                let cfg =
-                  Run.config ~system ~service ~cores ~requests:(requests ~scale 25_000)
-                    ~seed ()
-                in
-                let p = Run.run_point cfg ~load in
-                let get key = Option.value ~default:0. (Run.info_value p key) in
-                let events = get "local_events" +. get "stolen_events" in
-                let ipis_per_event = if events = 0. then 0. else get "ipis_sent" /. events in
-                [
-                  Run.system_name system;
-                  Output.f2 load;
-                  Output.f3 p.Run.throughput;
-                  Output.pct (get "steal_fraction");
-                  Output.f3 ipis_per_event;
-                ]))
-          loads)
-      [ Run.Zygos; Run.Zygos_no_interrupts ]
-  in
-  let rows = Sweep.run ~jobs ~seed:master_seed points in
-  Output.print_header "Figure 8: steal rate vs throughput (exponential, S = 25us)";
-  Output.print_table
-    ~columns:[ "system"; "load"; "tput(MRPS)"; "steals/event"; "IPIs/event" ]
-    ~rows
+  [
+    Block (Header "Figure 8: steal rate vs throughput (exponential, S = 25us)");
+    Pending
+      ( [ "system"; "load"; "tput(MRPS)"; "steals/event"; "IPIs/event" ],
+        grid ~key:"fig8" ~name:Run.system_name [ Run.Zygos; Run.Zygos_no_interrupts ] loads
+          (fun system load ~seed ->
+            let p = Run.run_point (cfg ~scale ~seed system service) ~load in
+            let events = info p "local_events" +. info p "stolen_events" in
+            let ipis_per_event = if events = 0. then 0. else info p "ipis_sent" /. events in
+            [ num F3 p.throughput; num Pct (info p "steal_fraction"); num F3 ipis_per_event ]) );
+  ]
 
 (* ---- Figure 9 ---- *)
 
-let fig9 ~jobs ~scale =
-  let kinds = [ Kvstore.Workload.Etc; Kvstore.Workload.Usr ] in
+(* memcached ETC/USR: p99 vs throughput for Linux, IX B=1, IX B=64,
+   ZygOS. *)
+let fig9 ~scale =
   (* For sub-2µs tasks the per-request overheads dominate: real systems
      saturate at 30–60% of the zero-overhead capacity, so the sweep
      covers the low-load range (the paper's Fig. 9 x-axis is absolute
      MRPS for the same reason). *)
   let loads = [ 0.05; 0.1; 0.15; 0.2; 0.25; 0.3; 0.35; 0.4; 0.45; 0.5; 0.55; 0.6 ] in
   let systems = [ Run.Linux_floating; Run.Ix 1; Run.Ix 64; Run.Zygos ] in
-  let groups =
-    List.map
-      (fun kind ->
-        let wl = Kvstore.Workload.create kind in
-        let service = Kvstore.Workload.service_dist wl ~samples:20_000 in
-        let figkey = Printf.sprintf "fig9/%s" (Kvstore.Workload.name kind) in
-        (kind, service, sweep_points ~figkey ~scale ~service ~systems ~loads ()))
-      kinds
-  in
-  let results =
-    Sweep.run ~jobs ~seed:master_seed (List.concat_map (fun (_, _, pts) -> pts) groups)
-  in
-  Output.print_header "Figure 9: memcached ETC and USR (SLO 500us at p99)";
-  List.iter2
-    (fun (kind, service, _) group_results ->
-      Output.print_subheader
-        (Printf.sprintf "%s: mean task %.2fus, GET fraction %.1f%%"
-           (Kvstore.Workload.name kind) (Dist.mean service)
-           (100. *. Kvstore.Workload.get_fraction kind));
-      sweep_render ~slo:500. group_results)
-    groups
-    (chunks (List.length systems * List.length loads) results)
+  Block (Header "Figure 9: memcached ETC and USR (SLO 500us at p99)")
+  :: List.concat_map
+       (fun kind ->
+         let wl = Kvstore.Workload.create kind in
+         let service = Kvstore.Workload.service_dist wl ~samples:20_000 in
+         let name = Kvstore.Workload.name kind in
+         [
+           Block
+             (Subheader
+                (Printf.sprintf "%s: mean task %.2fus, GET fraction %.1f%%" name
+                   (Dist.mean service)
+                   (100. *. Kvstore.Workload.get_fraction kind)));
+           slo_sweep ~figkey:("fig9/" ^ name) ~scale ~service ~systems ~loads ~slo:500. ();
+         ])
+       [ Kvstore.Workload.Etc; Kvstore.Workload.Usr ]
 
 (* ---- Silo / TPC-C (Figures 10a, 10b, Table 1) ---- *)
 
@@ -360,47 +310,48 @@ let[@zygos.allow "determinism"] run_silo ~scale =
 
 let silo_service_samples ~scale = (run_silo ~scale).samples
 
-let fig10a ~jobs ~scale =
-  (* One real-time measured execution, not a simulation grid: nothing to
-     parallelize, and the Unix.gettimeofday timings would not be
-     deterministic anyway. *)
-  ignore (jobs : int);
-  Output.print_header "Figure 10a: CCDF of Silo/TPC-C service time (real execution)";
+let percentile samples p =
+  let t = Stats.Tally.create () in
+  Array.iter (Stats.Tally.record t) samples;
+  Stats.Tally.percentile t p
+
+(* CCDF of Silo/TPC-C service time per transaction type and for the mix.
+   One real-time measured execution, not a simulation grid: nothing to
+   parallelize ([jobs] is ignored), and the Unix.gettimeofday timings
+   would not be deterministic anyway. *)
+let fig10a ~jobs:_ ~scale =
   let run = run_silo ~scale in
-  Output.printf
-    "measured mean on this machine: %.1fus; samples normalized to the paper's %.0fus mean\n"
-    run.raw_mean paper_silo_mean_us;
-  let pct_of samples p =
-    let t = Stats.Tally.create () in
-    Array.iter (Stats.Tally.record t) samples;
-    Stats.Tally.percentile t p
+  let row (name, samples) =
+    let n = Array.length samples in
+    Text name
+    :: num Int (float_of_int n)
+    :: num F1 (Array.fold_left ( +. ) 0. samples /. float_of_int n)
+    :: List.map (fun p -> num F1 (percentile samples p)) [ 50.; 90.; 99.; 99.9 ]
   in
-  let rows =
-    List.map
-      (fun (name, samples) ->
-        [
-          name;
-          string_of_int (Array.length samples);
-          Output.f1 (Array.fold_left ( +. ) 0. samples /. float_of_int (Array.length samples));
-          Output.f1 (pct_of samples 50.);
-          Output.f1 (pct_of samples 90.);
-          Output.f1 (pct_of samples 99.);
-          Output.f1 (pct_of samples 99.9);
-        ])
-      (("Mix", run.samples)
-      :: List.sort (fun (a, _) (b, _) -> String.compare a b) run.by_type)
-  in
-  Output.print_table
-    ~columns:[ "transaction"; "count"; "mean"; "p50"; "p90"; "p99"; "p99.9" ]
-    ~rows;
-  Output.print_subheader "Mix CCDF (service time us, P[X > x])";
-  let points = Stats.Ccdf.of_samples ~points:14 run.samples in
-  Output.print_table
-    ~columns:[ "x(us)"; "P[X>x]" ]
-    ~rows:
-      (List.map
-         (fun { Stats.Ccdf.value; prob } -> [ Output.f1 value; Printf.sprintf "%.4f" prob ])
-         points)
+  [
+    Header "Figure 10a: CCDF of Silo/TPC-C service time (real execution)";
+    Note
+      (Printf.sprintf
+         "measured mean on this machine: %.1fus; samples normalized to the paper's %.0fus mean"
+         run.raw_mean paper_silo_mean_us);
+    Table
+      {
+        columns = [ "transaction"; "count"; "mean"; "p50"; "p90"; "p99"; "p99.9" ];
+        rows =
+          List.map row
+            (("Mix", run.samples)
+            :: List.sort (fun (a, _) (b, _) -> String.compare a b) run.by_type);
+      };
+    Subheader "Mix CCDF (service time us, P[X > x])";
+    Table
+      {
+        columns = [ "x(us)"; "P[X>x]" ];
+        rows =
+          List.map
+            (fun { Stats.Ccdf.value; prob } -> [ num F1 value; Text (Printf.sprintf "%.4f" prob) ])
+            (Stats.Ccdf.of_samples ~points:14 run.samples);
+      };
+  ]
 
 let silo_systems = [ Run.Linux_floating; Run.Ix 1; Run.Zygos ]
 
@@ -410,604 +361,373 @@ let silo_slo = 1000.
    way (the per-packet costs multiply; see EXPERIMENTS.md §Calibration). *)
 let silo_rpc_packets = 3
 
-let fig10b ~jobs ~scale =
-  let service = Dist.empirical (silo_service_samples ~scale) in
-  let loads = [ 0.2; 0.35; 0.5; 0.6; 0.7; 0.8; 0.85; 0.9; 0.95 ] in
-  let points =
-    sweep_points ~figkey:"fig10b" ~scale ~service ~systems:silo_systems ~loads
-      ~rpc_packets:silo_rpc_packets ()
-  in
-  let results = Sweep.run ~jobs ~seed:master_seed points in
-  Output.print_header
-    "Figure 10b: Silo/TPC-C p99 end-to-end latency vs throughput (SLO 1000us)";
-  sweep_render ~slo:silo_slo results
+(* Silo/TPC-C p99 end-to-end latency vs throughput on Linux, IX, ZygOS. *)
+let fig10b ~scale =
+  [
+    Block
+      (Header "Figure 10b: Silo/TPC-C p99 end-to-end latency vs throughput (SLO 1000us)");
+    slo_sweep ~figkey:"fig10b" ~scale
+      ~service:(Dist.empirical (silo_service_samples ~scale))
+      ~systems:silo_systems
+      ~loads:[ 0.2; 0.35; 0.5; 0.6; 0.7; 0.8; 0.85; 0.9; 0.95 ]
+      ~slo:silo_slo ~rpc_packets:silo_rpc_packets ();
+  ]
 
+(* Max load @ 1000µs SLO, speedups, and tails at 50/75/90% of max. The
+   speedup column divides by the first row, so the table is built after
+   its own sweep. *)
 let table1 ~jobs ~scale =
-  let service = Dist.empirical (silo_service_samples ~scale) in
-  let service_p99 =
-    let t = Stats.Tally.create () in
-    Array.iter (Stats.Tally.record t) (silo_service_samples ~scale);
-    Stats.Tally.p99 t
-  in
+  let samples = silo_service_samples ~scale in
+  let service = Dist.empirical samples in
+  let service_p99 = percentile samples 99. in
   let slo5 = 5. *. service_p99 in
   let capacity = float_of_int cores /. Dist.mean service in
   (* One point per system: the 1000µs bisection, the three tail probes at
      fractions of the max load, and the 5×p99 bisection — all under the
      same derived seed so the table is one coherent experiment. *)
-  let points =
-    List.map
-      (fun system ->
-        Sweep.point
-          ~key:(Printf.sprintf "table1/%s" (Run.system_name system))
-          (fun ~seed ->
-            let cfg =
-              Run.config ~system ~service ~cores ~requests:(requests ~scale 25_000)
-                ~rpc_packets:silo_rpc_packets ~seed ()
-            in
-            let max_load, point = Run.max_load_at_slo cfg ~slo_p99:silo_slo ~resolution:0.02 () in
-            let tail_at frac =
-              let p = Run.run_point cfg ~load:(max_load *. frac) in
-              Printf.sprintf "%.0fus (%.1fx) @%.0f KTPS" p.Run.p99 (p.Run.p99 /. service_p99)
-                (1000. *. p.Run.throughput)
-            in
-            let tails = (tail_at 0.5, tail_at 0.75, tail_at 0.9) in
-            let _, point5 = Run.max_load_at_slo cfg ~slo_p99:slo5 ~resolution:0.02 () in
-            (point.Run.throughput, tails, point5.Run.throughput)))
-      silo_systems
+  let results =
+    Sweep.run ~jobs ~seed:master_seed
+      (List.map
+         (fun system ->
+           point "table1/%s" (Run.system_name system) (fun ~seed ->
+               let cfg = cfg ~scale ~rpc_packets:silo_rpc_packets ~seed system service in
+               let max_load, best = Run.max_load_at_slo cfg ~slo_p99:silo_slo ~resolution:0.02 () in
+               let tails =
+                 List.map
+                   (fun frac -> Run.run_point cfg ~load:(max_load *. frac))
+                   [ 0.5; 0.75; 0.9 ]
+               in
+               let _, best5 = Run.max_load_at_slo cfg ~slo_p99:slo5 ~resolution:0.02 () in
+               (best.Run.throughput, tails, best5.Run.throughput)))
+         silo_systems)
   in
-  let results = Sweep.run ~jobs ~seed:master_seed points in
-  Output.print_header
-    "Table 1: Silo/TPC-C max load @ 1000us SLO and tails at 50/75/90% of max";
-  let linux_tput =
-    match results with (tput, _, _) :: _ -> tput | [] -> assert false
+  let ktps tput = Text (Printf.sprintf "%.0f KTPS" (1000. *. tput)) in
+  let tail (p : Run.point) =
+    Text
+      (Printf.sprintf "%.0fus (%.1fx) @%.0f KTPS" p.p99 (p.p99 /. service_p99)
+         (1000. *. p.throughput))
   in
-  let rows =
-    List.map2
-      (fun system (tput, (t50, t75, t90), _) ->
-        [
-          Run.system_name system;
-          Printf.sprintf "%.0f KTPS" (1000. *. tput);
-          Printf.sprintf "%.2fx" (tput /. linux_tput);
-          t50;
-          t75;
-          t90;
-        ])
-      silo_systems results
-  in
-  Output.printf "zero-overhead capacity: %.0f KTPS; service p99 = %.0fus\n"
-    (1000. *. capacity) service_p99;
-  Output.print_table
-    ~columns:[ "system"; "max load@SLO"; "speedup"; "tail@50%"; "tail@75%"; "tail@90%" ]
-    ~rows;
-  (* Our measured TPC-C service tail is heavier than the paper's (p99 here
-     vs 203µs there), so the fixed 1000µs SLO is a much tighter multiple of
-     p99 (2.7x vs the paper's ~5x) — which is the §7 tradeoff. Also report
-     max load at the paper's SLO-to-tail ratio. *)
-  Output.print_subheader
-    (Printf.sprintf "same experiment at the paper's SLO-to-tail ratio (SLO = 5 x p99 = %.0fus)"
-       slo5);
-  let rows5 =
-    List.map2
-      (fun system (_, _, tput5) ->
-        [ Run.system_name system; Printf.sprintf "%.0f KTPS" (1000. *. tput5) ])
-      silo_systems results
-  in
-  Output.print_table ~columns:[ "system"; "max load@5xp99" ] ~rows:rows5
+  let linux_tput, _, _ = List.hd results in
+  [
+    Header "Table 1: Silo/TPC-C max load @ 1000us SLO and tails at 50/75/90% of max";
+    Note
+      (Printf.sprintf "zero-overhead capacity: %.0f KTPS; service p99 = %.0fus"
+         (1000. *. capacity) service_p99);
+    Table
+      {
+        columns = [ "system"; "max load@SLO"; "speedup"; "tail@50%"; "tail@75%"; "tail@90%" ];
+        rows =
+          List.map2
+            (fun system (tput, tails, _) ->
+              sys system :: ktps tput
+              :: Text (Printf.sprintf "%.2fx" (tput /. linux_tput))
+              :: List.map tail tails)
+            silo_systems results;
+      };
+    (* Our measured TPC-C service tail is heavier than the paper's (p99
+       here vs 203µs there), so the fixed 1000µs SLO is a much tighter
+       multiple of p99 (2.7x vs the paper's ~5x) — which is the §7
+       tradeoff. Also report max load at the paper's SLO-to-tail ratio. *)
+    Subheader
+      (Printf.sprintf "same experiment at the paper's SLO-to-tail ratio (SLO = 5 x p99 = %.0fus)"
+         slo5);
+    Table
+      {
+        columns = [ "system"; "max load@5xp99" ];
+        rows =
+          List.map2 (fun system (_, _, tput5) -> [ sys system; ktps tput5 ]) silo_systems results;
+      };
+  ]
 
 (* ---- Figure 11 ---- *)
 
-let fig11 ~jobs ~scale =
+(* IX B=1 / B=64 / ZygOS under 100µs and 1000µs SLOs (fixed 10µs). *)
+let fig11 ~scale =
   let service = Dist.deterministic 10. in
-  let loads = [ 0.3; 0.5; 0.65; 0.8; 0.85; 0.9; 0.93; 0.95; 0.97 ] in
   let systems = [ Run.Ix 64; Run.Ix 1; Run.Zygos ] in
-  let sweep_pts =
-    List.concat_map
-      (fun system ->
+  [
+    Block
+      (Header
+         "Figure 11: SLO choice (100us vs 1000us), fixed 10us tasks -- IX B=1, IX B=64, ZygOS");
+    Pending
+      ( [ "system"; "load"; "tput(MRPS)"; "p99(us)"; "SLO 100us"; "SLO 1000us" ],
+        grid ~key:"fig11" ~name:Run.system_name systems
+          [ 0.3; 0.5; 0.65; 0.8; 0.85; 0.9; 0.93; 0.95; 0.97 ]
+          (fun system load ~seed ->
+            let p = Run.run_point (cfg ~scale ~seed system service) ~load in
+            [ num F3 p.throughput; num F1 p.p99; num (Meets 100.) p.p99; num (Meets 1000.) p.p99 ])
+      );
+    Block (Subheader "max throughput under each SLO");
+    Pending
+      ( [ "system"; "MRPS @100us"; "MRPS @1000us" ],
         List.map
-          (fun load ->
-            Sweep.point
-              ~key:(Printf.sprintf "fig11/%s/%g" (Run.system_name system) load)
-              (fun ~seed ->
-                let cfg =
-                  Run.config ~system ~service ~cores ~requests:(requests ~scale 25_000)
-                    ~seed ()
-                in
-                (system, Run.run_point cfg ~load)))
-          loads)
-      systems
-  in
-  let best_pts =
-    List.map
-      (fun system ->
-        Sweep.point
-          ~key:(Printf.sprintf "fig11/best/%s" (Run.system_name system))
-          (fun ~seed ->
-            let cfg =
-              Run.config ~system ~service ~cores ~requests:(requests ~scale 25_000) ~seed ()
-            in
-            let best slo =
-              let _, p = Run.max_load_at_slo cfg ~slo_p99:slo ~resolution:0.02 () in
-              Output.f3 p.Run.throughput
-            in
-            [ Run.system_name system; best 100.; best 1000. ]))
-      systems
-  in
-  let n_sweep = List.length sweep_pts in
-  let all =
-    Sweep.run ~jobs ~seed:master_seed
-      (List.map (fun p -> Sweep.point ~key:p.Sweep.key (fun ~seed -> `Point (p.Sweep.run ~seed))) sweep_pts
-      @ List.map (fun p -> Sweep.point ~key:p.Sweep.key (fun ~seed -> `Row (p.Sweep.run ~seed))) best_pts)
-  in
-  let sweep_results =
-    List.filteri (fun i _ -> i < n_sweep) all
-    |> List.map (function `Point x -> x | `Row _ -> assert false)
-  in
-  let best_rows =
-    List.filteri (fun i _ -> i >= n_sweep) all
-    |> List.map (function `Row x -> x | `Point _ -> assert false)
-  in
-  Output.print_header
-    "Figure 11: SLO choice (100us vs 1000us), fixed 10us tasks -- IX B=1, IX B=64, ZygOS";
-  Output.print_table
-    ~columns:[ "system"; "load"; "tput(MRPS)"; "p99(us)"; "SLO 100us"; "SLO 1000us" ]
-    ~rows:
-      (List.map
-         (fun (system, (p : Run.point)) ->
-           [
-             Run.system_name system;
-             Output.f2 p.Run.load;
-             Output.f3 p.Run.throughput;
-             Output.f1 p.Run.p99;
-             (if p.Run.p99 <= 100. then "meets" else "violates");
-             (if p.Run.p99 <= 1000. then "meets" else "violates");
-           ])
-         sweep_results);
-  Output.print_subheader "max throughput under each SLO";
-  Output.print_table ~columns:[ "system"; "MRPS @100us"; "MRPS @1000us" ] ~rows:best_rows
+          (fun system ->
+            ( [ sys system ],
+              [
+                point "fig11/best/%s" (Run.system_name system) (fun ~seed ->
+                    let best slo =
+                      let _, p =
+                        Run.max_load_at_slo (cfg ~scale ~seed system service) ~slo_p99:slo
+                          ~resolution:0.02 ()
+                      in
+                      num F3 p.throughput
+                    in
+                    [ best 100.; best 1000. ]);
+              ] ))
+          systems );
+  ]
 
 (* ---- Ablations (DESIGN.md §5) ---- *)
 
-let ablate_poll ~jobs ~scale =
+(* Ablation: randomized vs round-robin idle-loop victim order. *)
+let ablate_poll ~scale =
   let service = Dist.exponential 10. in
-  let loads = [ 0.5; 0.7; 0.8; 0.85; 0.9 ] in
-  let points =
-    List.concat_map
-      (fun (order, system) ->
+  [
+    Block (Header "Ablation: randomized vs round-robin steal-victim order (exp, 10us)");
+    Pending
+      ( [ "load"; "p99 randomized"; "p99 round-robin" ],
         List.map
           (fun load ->
-            Sweep.point
-              ~key:(Printf.sprintf "ablate-poll/%s/%g" order load)
-              (fun ~seed ->
-                let cfg =
-                  Run.config ~system ~service ~cores ~requests:(requests ~scale 25_000) ~seed ()
-                in
-                (Run.run_point cfg ~load).Run.p99))
-          loads)
-      [ ("random", Run.Zygos); ("rr", Run.Zygos_round_robin) ]
-  in
-  let results = Sweep.run ~jobs ~seed:master_seed points in
-  let random, rr = chunks (List.length loads) results |> function
-    | [ a; b ] -> (a, b)
-    | _ -> assert false
-  in
-  Output.print_header "Ablation: randomized vs round-robin steal-victim order (exp, 10us)";
-  Output.print_table
-    ~columns:[ "load"; "p99 randomized"; "p99 round-robin" ]
-    ~rows:
-      (List.map2
-         (fun load (a, b) -> [ Output.f2 load; Output.f1 a; Output.f1 b ])
-         loads
-         (List.combine random rr))
+            ( [ num F2 load ],
+              List.map
+                (fun (order, system) ->
+                  point "ablate-poll/%s/%g" order load (fun ~seed ->
+                      [ num F1 (Run.run_point (cfg ~scale ~seed system service) ~load).p99 ]))
+                [ ("random", Run.Zygos); ("rr", Run.Zygos_round_robin) ] ))
+          [ 0.5; 0.7; 0.8; 0.85; 0.9 ] );
+  ]
 
-let ablate_batch ~jobs ~scale =
+(* Ablation: IX batching bound B and ZygOS receive-batch sweep. *)
+let ablate_batch ~scale =
   let service = Dist.deterministic 10. in
-  let loads = [ 0.5; 0.7; 0.85; 0.93 ] in
-  let points =
-    List.concat_map
-      (fun b ->
-        List.map
-          (fun load ->
-            Sweep.point
-              ~key:(Printf.sprintf "ablate-batch/b%d/%g" b load)
-              (fun ~seed ->
-                let cfg =
-                  Run.config ~system:(Run.Ix b) ~service ~cores
-                    ~requests:(requests ~scale 20_000) ~seed ()
-                in
-                let p = Run.run_point cfg ~load in
-                [ Printf.sprintf "B=%d" b; Output.f2 load; Output.f3 p.Run.throughput;
-                  Output.f1 p.Run.p99 ]))
-          loads)
-      [ 1; 2; 8; 64 ]
-  in
-  let rows = Sweep.run ~jobs ~seed:master_seed points in
-  Output.print_header "Ablation: IX bounded-batching B sweep (fixed 10us tasks)";
-  Output.print_table ~columns:[ "batch"; "load"; "tput(MRPS)"; "p99(us)" ] ~rows
-
-(* Extension (paper §2.3 Observation 2 / §7): FCFS is tail-optimal only
-   for low dispersion. A preemptive centralized scheduler — the design
-   direction of the follow-up Shinjuku line — recovers the PS advantage on
-   bimodal-2 at the price of context-switch overhead on benign
-   workloads. *)
-let ext_preempt ~jobs ~scale =
-  let systems = [ Run.Ix 1; Run.Zygos; Run.Preemptive 5.; Run.Preemptive 1. ] in
-  let cases =
-    [
-      ("bimodal-2 (0.1% of requests are 500x the mean)", Dist.bimodal2 ~mean:10.);
-      ("deterministic (preemption cannot help, only cost)", Dist.deterministic 10.);
-    ]
-  in
-  let loads = [ 0.3; 0.5; 0.7 ] in
-  let points =
-    List.concat_map
-      (fun (_, service) ->
+  [
+    Block (Header "Ablation: IX bounded-batching B sweep (fixed 10us tasks)");
+    Pending
+      ( [ "batch"; "load"; "tput(MRPS)"; "p99(us)" ],
         List.concat_map
-          (fun system ->
+          (fun b ->
             List.map
               (fun load ->
-                Sweep.point
-                  ~key:
-                    (Printf.sprintf "ext-preempt/%s/%s/%g" (Dist.name service)
-                       (Run.system_name system) load)
-                  (fun ~seed ->
-                    let cfg =
-                      Run.config ~system ~service ~cores ~requests:(requests ~scale 25_000)
-                        ~seed ()
-                    in
-                    let p = Run.run_point cfg ~load in
-                    let preemptions =
-                      Option.value ~default:0. (Run.info_value p "preemptions_per_request")
-                    in
-                    [
-                      Run.system_name system;
-                      Output.f2 load;
-                      Output.f1 p.Run.p99;
-                      Output.f1 p.Run.p50;
-                      Output.f2 preemptions;
-                    ]))
-              loads)
-          systems)
-      cases
-  in
-  let results = Sweep.run ~jobs ~seed:master_seed points in
-  Output.print_header
-    "Extension: preemptive scheduling vs FCFS under extreme dispersion (S = 10us)";
-  List.iter2
-    (fun (label, _) rows ->
-      Output.print_subheader label;
-      Output.print_table
-        ~columns:[ "system"; "load"; "p99(us)"; "p50(us)"; "preempts/req" ]
-        ~rows)
-    cases
-    (chunks (List.length systems * List.length loads) results)
+                ( [ Text (Printf.sprintf "B=%d" b); num F2 load ],
+                  [
+                    point "ablate-batch/b%d/%g" b load (fun ~seed ->
+                        let p =
+                          Run.run_point (cfg ~scale ~base:20_000 ~seed (Run.Ix b) service) ~load
+                        in
+                        [ num F3 p.throughput; num F1 p.p99 ]);
+                  ] ))
+              [ 0.5; 0.7; 0.85; 0.93 ])
+          [ 1; 2; 8; 64 ] );
+  ]
 
-(* Extension (§5): RSS-reprogramming control plane against persistent
-   connection skew, vs static IX (suffers) and ZygOS (stealing absorbs
-   it). *)
-let ext_rebalance ~jobs ~scale =
+(* Extension (paper §2.3 Observation 2 / §7): FCFS is tail-optimal only
+   for low dispersion. A preemptive centralized scheduler (quantum +
+   switch cost) — the design direction of the follow-up Shinjuku line —
+   recovers the PS advantage on bimodal-2 at the price of
+   context-switch overhead on benign workloads: Observation 2 of §2.3
+   turned into a system. *)
+let ext_preempt ~scale =
+  let systems = [ Run.Ix 1; Run.Zygos; Run.Preemptive 5.; Run.Preemptive 1. ] in
+  Block
+    (Header "Extension: preemptive scheduling vs FCFS under extreme dispersion (S = 10us)")
+  :: List.concat_map
+       (fun (label, service) ->
+         [
+           Block (Subheader label);
+           Pending
+             ( [ "system"; "load"; "p99(us)"; "p50(us)"; "preempts/req" ],
+               grid ~key:("ext-preempt/" ^ Dist.name service) ~name:Run.system_name systems
+                 [ 0.3; 0.5; 0.7 ] (fun system load ~seed ->
+                   let p = Run.run_point (cfg ~scale ~seed system service) ~load in
+                   [ num F1 p.p99; num F1 p.p50; num F2 (info p "preemptions_per_request") ]) );
+         ])
+       [
+         ("bimodal-2 (0.1% of requests are 500x the mean)", Dist.bimodal2 ~mean:10.);
+         ("deterministic (preemption cannot help, only cost)", Dist.deterministic 10.);
+       ]
+
+(* Extension (§5 "control plane interactions", left as future work by
+   the paper): a control plane that re-programs the RSS indirection
+   table to fight persistent connection skew, vs static IX (suffers) and
+   ZygOS's work stealing (absorbs it). *)
+let ext_rebalance ~scale =
   let service = Dist.exponential 10. in
   let selection = Net.Loadgen.Hot_cold { hot_fraction = 0.05; hot_load = 0.5 } in
-  let systems = [ Run.Ix 1; Run.Ix_rebalanced 200.; Run.Zygos ] in
-  let points =
-    List.concat_map
-      (fun system ->
-        List.map
-          (fun load ->
-            Sweep.point
-              ~key:(Printf.sprintf "ext-rebalance/%s/%g" (Run.system_name system) load)
-              (fun ~seed ->
-                let cfg =
-                  Run.config ~system ~service ~cores ~requests:(requests ~scale 25_000)
-                    ~selection ~seed ()
-                in
-                let p = Run.run_point cfg ~load in
-                let moves =
-                  Option.value ~default:0. (Run.info_value p "rebalance_moves")
-                in
-                [
-                  Run.system_name system;
-                  Output.f2 load;
-                  Output.f1 p.Run.p99;
-                  Output.f3 p.Run.throughput;
-                  string_of_int (int_of_float moves);
-                  string_of_int p.Run.order_violations;
-                ]))
-          [ 0.3; 0.5; 0.65; 0.8 ])
-      systems
-  in
-  let rows = Sweep.run ~jobs ~seed:master_seed points in
-  Output.print_header
-    "Extension: RSS control plane under persistent connection skew (exp, S = 10us)";
-  Output.printf
-    "skew: 5%% of connections carry 50%% of the load; rebalance window 200us\n";
-  Output.print_table
-    ~columns:[ "system"; "load"; "p99(us)"; "tput(MRPS)"; "slot moves"; "order violations" ]
-    ~rows
+  [
+    Block (Header "Extension: RSS control plane under persistent connection skew (exp, S = 10us)");
+    Block (Note "skew: 5% of connections carry 50% of the load; rebalance window 200us");
+    Pending
+      ( [ "system"; "load"; "p99(us)"; "tput(MRPS)"; "slot moves"; "order violations" ],
+        grid ~key:"ext-rebalance" ~name:Run.system_name
+          [ Run.Ix 1; Run.Ix_rebalanced 200.; Run.Zygos ]
+          [ 0.3; 0.5; 0.65; 0.8 ]
+          (fun system load ~seed ->
+            let p = Run.run_point (cfg ~scale ~selection ~seed system service) ~load in
+            [
+              num F1 p.p99;
+              num F3 p.throughput;
+              num Int (info p "rebalance_moves");
+              num Int (float_of_int p.order_violations);
+            ]) );
+  ]
 
-(* Extension (§5): workload consolidation — the IX control plane's energy
-   proportionality function, on the centralized preemptive system where
-   core parking is safe. *)
-let ext_consolidate ~jobs ~scale =
+(* Extension (§5): workload consolidation — the IX control plane's
+   energy-proportionality function, dynamic core parking/unparking by
+   measured utilization — on the centralized preemptive system, where
+   core parking is safe, vs a static 16-core allocation. *)
+let ext_consolidate ~scale =
   let service = Dist.exponential 10. in
-  let loads = [ 0.1; 0.2; 0.35; 0.5; 0.7; 0.85 ] in
-  let run_one ~seed ~consolidate ~load =
-    let system = if consolidate then Run.Preemptive_consolidated 10. else Run.Preemptive 10. in
-    let cfg = Run.config ~system ~service ~cores ~requests:(requests ~scale 25_000) ~seed () in
-    let p = Run.run_point cfg ~load in
-    let avg_cores =
-      Option.value ~default:(float_of_int cores) (Run.info_value p "avg_active_cores")
-    in
-    (p.Run.p99, avg_cores)
+  let measure ~consolidate load =
+    point "ext-consolidate/%s/%g" (if consolidate then "on" else "off") load (fun ~seed ->
+        let system =
+          if consolidate then Run.Preemptive_consolidated 10. else Run.Preemptive 10.
+        in
+        let p = Run.run_point (cfg ~scale ~seed system service) ~load in
+        let avg_cores =
+          Option.value ~default:(float_of_int cores) (Run.info_value p "avg_active_cores")
+        in
+        num F1 p.p99 :: (if consolidate then [ num F1 avg_cores ] else []))
   in
-  let points =
-    List.concat_map
-      (fun consolidate ->
+  [
+    Block
+      (Header
+         "Extension: workload consolidation (core parking) vs static 16 cores (exp, S = 10us)");
+    Pending
+      ( [ "load"; "p99 static(us)"; "p99 consolidated(us)"; "avg active cores" ],
         List.map
           (fun load ->
-            Sweep.point
-              ~key:
-                (Printf.sprintf "ext-consolidate/%s/%g"
-                   (if consolidate then "on" else "off")
-                   load)
-              (fun ~seed -> run_one ~seed ~consolidate ~load))
-          loads)
-      [ false; true ]
-  in
-  let results = Sweep.run ~jobs ~seed:master_seed points in
-  let statics, conss =
-    chunks (List.length loads) results |> function [ a; b ] -> (a, b) | _ -> assert false
-  in
-  Output.print_header
-    "Extension: workload consolidation (core parking) vs static 16 cores (exp, S = 10us)";
-  let rows =
-    List.map2
-      (fun load ((static_p99, _), (cons_p99, avg)) ->
-        [ Output.f2 load; Output.f1 static_p99; Output.f1 cons_p99; Output.f1 avg ])
-      loads (List.combine statics conss)
-  in
-  Output.print_table
-    ~columns:[ "load"; "p99 static(us)"; "p99 consolidated(us)"; "avg active cores" ]
-    ~rows
+            ([ num F2 load ], [ measure ~consolidate:false load; measure ~consolidate:true load ]))
+          [ 0.1; 0.2; 0.35; 0.5; 0.7; 0.85 ] );
+  ]
 
 (* Chaos: the robustness experiment — degradation curves under injected
-   network faults, a straggler core, and retry storms past saturation,
-   for the three main systems. Goodput (distinct requests completed
-   within the SLO) is the headline metric; raw p99 rides along. *)
-let chaos ~jobs ~scale =
+   network faults (drop / duplicate / reorder), a straggler core, and
+   retry storms past saturation, for Linux-floating, IX and ZygOS, with
+   and without server-side load shedding. Goodput (distinct requests
+   completed within the SLO) is the headline metric; raw p99 rides
+   along. *)
+let chaos ~scale =
   let service = Dist.exponential 10. in
   let slo = 100. in
   let systems = [ Run.Linux_floating; Run.Ix 1; Run.Zygos ] in
   let req = requests ~scale 20_000 in
-  Output.print_header
-    "Chaos: degradation under faults & overload (exp, S = 10us, SLO = 100us)";
   (* (a) lossy network x offered load, client retries recovering losses *)
-  let retry = Net.Loadgen.retry ~timeout:300. () in
-  let points_a =
-    List.concat_map
-      (fun system ->
-        List.concat_map
-          (fun fr ->
-            List.map
-              (fun load ->
-                Sweep.point
-                  ~key:
-                    (Printf.sprintf "chaos/lossy/%s/%g/%g" (Run.system_name system) fr load)
-                  (fun ~seed ->
-                    let faults =
-                      if fr = 0. then None
-                      else Some (Net.Faults.plan ~drop:fr ~duplicate:(fr /. 2.) ~reorder:fr ())
-                    in
-                    let cfg =
-                      Run.config ~system ~service ~cores ~requests:req ~retry ~slo ~seed
-                        ?faults ()
-                    in
-                    let p = Run.run_point cfg ~load in
-                    let get key = Option.value ~default:0. (Run.info_value p key) in
-                    [
-                      Run.system_name system;
-                      Output.f3 fr;
-                      Output.f2 load;
-                      Output.f3 p.Run.goodput;
-                      Output.f1 p.Run.p99;
-                      string_of_int (int_of_float (get "fault_drops"));
-                      string_of_int (int_of_float (get "client_retries"));
-                    ]))
-              [ 0.3; 0.6; 0.8 ])
-          [ 0.; 0.01; 0.05 ])
-      systems
+  let lossy system fr load ~seed =
+    let faults =
+      if fr = 0. then None
+      else Some (Net.Faults.plan ~drop:fr ~duplicate:(fr /. 2.) ~reorder:fr ())
+    in
+    let retry = Net.Loadgen.retry ~timeout:300. () in
+    let cfg = Run.config ~system ~service ~cores ~requests:req ~retry ~slo ~seed ?faults () in
+    let p = Run.run_point cfg ~load in
+    [
+      num F3 p.goodput;
+      num F1 p.p99;
+      num Int (info p "fault_drops");
+      num Int (info p "client_retries");
+    ]
   in
-  let rows = Sweep.run ~jobs ~seed:master_seed points_a in
-  Output.print_subheader "lossy network x offered load (client retries on)";
-  Output.print_table
-    ~columns:
-      [ "system"; "fault rate"; "load"; "goodput(MRPS)"; "p99(us)"; "drops"; "retries" ]
-    ~rows;
   (* (b) straggler core: ZygOS steals around it, IX cannot *)
-  let points_b =
-    List.map
-      (fun system ->
-        Sweep.point
-          ~key:(Printf.sprintf "chaos/straggler/%s" (Run.system_name system))
-          (fun ~seed ->
-            let base_cfg = Run.config ~system ~service ~cores ~requests:req ~seed () in
-            let base = Run.run_point base_cfg ~load:0.7 in
-            let rate = 0.7 *. float_of_int cores /. Dist.mean service in
-            let measure = float_of_int req /. rate in
-            let stragglers =
-              [
-                Core.Corefault.
-                  { core = 0; start = 0.2 *. measure; duration = 0.25 *. measure; slowdown = 10. };
-              ]
-            in
-            let cfg = Run.config ~system ~service ~cores ~requests:req ~stragglers ~seed () in
-            let p = Run.run_point cfg ~load:0.7 in
-            [
-              Run.system_name system;
-              Output.f1 base.Run.p99;
-              Output.f1 p.Run.p99;
-              Output.f2 (p.Run.p99 /. Float.max 1e-9 base.Run.p99);
-            ]))
-      systems
-  in
-  let rows = Sweep.run ~jobs ~seed:master_seed points_b in
-  Output.print_subheader "straggler core (core 0 at 10x for 25% of the run, load 0.7)";
-  Output.print_table
-    ~columns:[ "system"; "p99 clean(us)"; "p99 straggler(us)"; "degradation" ]
-    ~rows;
-  (* (c) retry storm past saturation: load shedding keeps goodput alive *)
-  let retry = Net.Loadgen.retry ~timeout:200. ~max_retries:4 () in
-  let points_c =
-    List.concat_map
-      (fun (label, shed) ->
-        List.map
-          (fun load ->
-            Sweep.point
-              ~key:(Printf.sprintf "chaos/storm/%s/%g" label load)
-              (fun ~seed ->
-                let cfg =
-                  Run.config ~system:(Run.Ix 1) ~service ~cores ~requests:req ~retry ~slo
-                    ~shed ~seed ()
-                in
-                let p = Run.run_point cfg ~load in
-                let get key = Option.value ~default:0. (Run.info_value p key) in
-                [
-                  label;
-                  Output.f2 load;
-                  Output.f3 p.Run.goodput;
-                  Output.f3 p.Run.throughput;
-                  Output.f1 p.Run.p99;
-                  string_of_int (int_of_float (get "shed"));
-                ]))
-          [ 0.8; 0.95; 1.1; 1.3 ])
+  let straggler system ~seed =
+    let base =
+      Run.run_point (Run.config ~system ~service ~cores ~requests:req ~seed ()) ~load:0.7
+    in
+    let measure = float_of_int req /. (0.7 *. float_of_int cores /. Dist.mean service) in
+    let stragglers =
       [
-        ("no-shed", Systems.Overload.No_shed);
-        ("queue-len", Systems.Overload.Queue_length (8 * cores));
+        Core.Corefault.
+          { core = 0; start = 0.2 *. measure; duration = 0.25 *. measure; slowdown = 10. };
       ]
+    in
+    let cfg = Run.config ~system ~service ~cores ~requests:req ~stragglers ~seed () in
+    let p = Run.run_point cfg ~load:0.7 in
+    [ num F1 base.p99; num F1 p.p99; num F2 (p.p99 /. Float.max 1e-9 base.p99) ]
   in
-  let rows = Sweep.run ~jobs ~seed:master_seed points_c in
-  Output.print_subheader
-    "overload + retries: shedding (queue bound 8/core) vs none, ix";
-  Output.print_table
-    ~columns:[ "policy"; "load"; "goodput(MRPS)"; "tput(MRPS)"; "p99(us)"; "shed" ]
-    ~rows
+  (* (c) retry storm past saturation: load shedding keeps goodput alive *)
+  let storm (_, shed) load ~seed =
+    let retry = Net.Loadgen.retry ~timeout:200. ~max_retries:4 () in
+    let cfg =
+      Run.config ~system:(Run.Ix 1) ~service ~cores ~requests:req ~retry ~slo ~shed ~seed ()
+    in
+    let p = Run.run_point cfg ~load in
+    [ num F3 p.goodput; num F3 p.throughput; num F1 p.p99; num Int (info p "shed") ]
+  in
+  [
+    Block (Header "Chaos: degradation under faults & overload (exp, S = 10us, SLO = 100us)");
+    Block (Subheader "lossy network x offered load (client retries on)");
+    Pending
+      ( [ "system"; "fault rate"; "load"; "goodput(MRPS)"; "p99(us)"; "drops"; "retries" ],
+        List.concat_map
+          (fun system ->
+            List.concat_map
+              (fun fr ->
+                List.map
+                  (fun load ->
+                    ( [ sys system; num F3 fr; num F2 load ],
+                      [
+                        point "chaos/lossy/%s/%g/%g" (Run.system_name system) fr load
+                          (lossy system fr load);
+                      ] ))
+                  [ 0.3; 0.6; 0.8 ])
+              [ 0.; 0.01; 0.05 ])
+          systems );
+    Block (Subheader "straggler core (core 0 at 10x for 25% of the run, load 0.7)");
+    Pending
+      ( [ "system"; "p99 clean(us)"; "p99 straggler(us)"; "degradation" ],
+        List.map
+          (fun system ->
+            ( [ sys system ],
+              [ point "chaos/straggler/%s" (Run.system_name system) (straggler system) ] ))
+          systems );
+    Block (Subheader "overload + retries: shedding (queue bound 8/core) vs none, ix");
+    Pending
+      ( [ "policy"; "load"; "goodput(MRPS)"; "tput(MRPS)"; "p99(us)"; "shed" ],
+        grid ~key:"chaos/storm" ~name:fst
+          [
+            ("no-shed", Systems.Overload.No_shed);
+            ("queue-len", Systems.Overload.Queue_length (8 * cores));
+          ]
+          [ 0.8; 0.95; 1.1; 1.3 ] storm );
+  ]
 
-(* Rack-scale two-level scheduling (RackSched over our single-server
-   models): N servers behind a ToR dispatcher, compared against the
-   rack-wide M/G/(N*cores) centralized bound, under estimate staleness
-   and injected server failures. *)
-let rack ~jobs ~scale =
+(* Rack tier, rack-scale two-level scheduling (RackSched over our
+   single-server models): 4 ZygOS servers behind a ToR dispatcher.
+   Inter-server policy (hash / random / po2 / jsq / jbsq) x load against
+   the rack-wide M/G/64 centralized bound; estimate-staleness sweep; one
+   degraded server (queue-aware policies route around it, static hashing
+   collapses); and a crash window with timeout detection, failover
+   re-dispatch, and hedged requests. *)
+let rack ~scale =
   let servers = 4 in
   let service = Dist.exponential 10. in
   let req = requests ~scale 20_000 in
-  let policies =
-    Cluster.Policy.[ Static_hash; Random; Po2; Jsq; Jbsq 32 ]
-  in
+  let policies = Cluster.Policy.[ Static_hash; Random; Po2; Jsq; Jbsq 32 ] in
   let pname = Cluster.Policy.name in
-  let rcfg ?(policy = Cluster.Policy.Jsq) ?feedback_delay ?detect ?hedge ?failplan ?slo
-      ~seed () =
+  let rcfg ?(policy = Cluster.Policy.Jsq) ?feedback_delay ?detect ?hedge ?failplan ?slo ~seed ()
+      =
     Rackrun.config ~servers ~system:Run.Zygos ~cores ~requests:req ~seed ?feedback_delay
       ?detect ?hedge ?failplan ?slo ~policy ~service ()
   in
-  Output.print_header
-    (Printf.sprintf
-       "Rack: %d x zygos-16 behind a ToR dispatcher (exp, S = 10us) vs M/G/%d bound"
-       servers (servers * cores));
-  (* (a) inter-server policy x load, 5us-stale estimates *)
-  let loads_a = [ 0.3; 0.5; 0.7; 0.85; 0.95 ] in
-  let points_a =
-    List.concat_map
-      (fun policy ->
-        List.map
-          (fun load ->
-            Sweep.point
-              ~key:(Printf.sprintf "rack/policy/%s/%g" (pname policy) load)
-              (fun ~seed ->
-                let p = Rackrun.run (rcfg ~policy ~feedback_delay:5. ~seed ()) ~load in
-                [
-                  pname policy;
-                  Output.f2 load;
-                  Output.f3 p.Run.throughput;
-                  Output.f1 p.Run.p99;
-                  Output.f1 p.Run.p999;
-                ]))
-          loads_a)
-      policies
-    @ List.map
-        (fun load ->
-          Sweep.point
-            ~key:(Printf.sprintf "rack/bound/%g" load)
-            (fun ~seed ->
-              let p = Rackrun.central_bound (rcfg ~seed ()) ~load in
-              [
-                "central-bound";
-                Output.f2 load;
-                Output.f3 p.Run.throughput;
-                Output.f1 p.Run.p99;
-                Output.f1 p.Run.p999;
-              ]))
-        loads_a
+  (* The length of the measurement window at [load]. *)
+  let window load =
+    float_of_int req /. (load *. float_of_int (servers * cores) /. Dist.mean service)
   in
-  let rows = Sweep.run ~jobs ~seed:master_seed points_a in
-  Output.print_subheader "policy x load (5us feedback delay)";
-  Output.print_table
-    ~columns:[ "policy"; "load"; "tput(MRPS)"; "p99(us)"; "p999(us)" ]
-    ~rows;
-  (* (b) estimate staleness at fixed load: queue-aware policies degrade
-     as feedback lags; jbsq's credit gate keeps the bound exact *)
-  let points_b =
-    List.concat_map
-      (fun policy ->
-        List.map
-          (fun delay ->
-            Sweep.point
-              ~key:(Printf.sprintf "rack/stale/%s/%g" (pname policy) delay)
-              (fun ~seed ->
-                let p = Rackrun.run (rcfg ~policy ~feedback_delay:delay ~seed ()) ~load:0.85 in
-                [ pname policy; Output.f1 delay; Output.f1 p.Run.p99; Output.f1 p.Run.p999 ]))
-          [ 0.; 5.; 25.; 100. ])
-      Cluster.Policy.[ Po2; Jsq; Jbsq 32 ]
-  in
-  let rows = Sweep.run ~jobs ~seed:master_seed points_b in
-  Output.print_subheader "estimate staleness x policy (load 0.85)";
-  Output.print_table ~columns:[ "policy"; "delay(us)"; "p99(us)"; "p999(us)" ] ~rows;
+  let tput_tail (p : Run.point) = [ num F3 p.throughput; num F1 p.p99; num F1 p.p999 ] in
   (* (c) one degraded server: queue-aware policies route around the
      rack-scale straggler that static hashing keeps feeding *)
-  let points_c =
-    List.map
-      (fun policy ->
-        Sweep.point
-          ~key:(Printf.sprintf "rack/degraded/%s" (pname policy))
-          (fun ~seed ->
-            let load = 0.6 in
-            let rate = load *. float_of_int (servers * cores) /. Dist.mean service in
-            let measure = float_of_int req /. rate in
-            let clean = Rackrun.run (rcfg ~policy ~feedback_delay:5. ~seed ()) ~load in
-            let failplan =
-              [
-                Cluster.Failplan.Degraded
-                  {
-                    server = 0;
-                    slowdown = 10.;
-                    start = 0.2 *. measure;
-                    duration = 0.25 *. measure;
-                  };
-              ]
-            in
-            let p = Rackrun.run (rcfg ~policy ~feedback_delay:5. ~failplan ~seed ()) ~load in
-            [
-              pname policy;
-              Output.f1 clean.Run.p99;
-              Output.f1 p.Run.p99;
-              Output.f2 (p.Run.p99 /. Float.max 1e-9 clean.Run.p99);
-            ]))
-      policies
+  let degraded policy ~seed =
+    let load = 0.6 in
+    let clean = Rackrun.run (rcfg ~policy ~feedback_delay:5. ~seed ()) ~load in
+    let failplan =
+      let measure = window load in
+      [
+        Cluster.Failplan.Degraded
+          { server = 0; slowdown = 10.; start = 0.2 *. measure; duration = 0.25 *. measure };
+      ]
+    in
+    let p = Rackrun.run (rcfg ~policy ~feedback_delay:5. ~failplan ~seed ()) ~load in
+    [ num F1 clean.p99; num F1 p.p99; num F2 (p.p99 /. Float.max 1e-9 clean.p99) ]
   in
-  let rows = Sweep.run ~jobs ~seed:master_seed points_c in
-  Output.print_subheader
-    "one degraded server (server 0 at 10x for 25% of the run, load 0.6)";
-  Output.print_table
-    ~columns:[ "policy"; "p99 clean(us)"; "p99 degraded(us)"; "degradation" ]
-    ~rows;
   (* (d) server crash: timeout detection + failover re-dispatch recover
      the goodput a crash window would otherwise swallow *)
   let detect =
@@ -1017,69 +737,101 @@ let rack ~jobs ~scale =
         health = Cluster.Health.config ();
       }
   in
-  let points_d =
-    List.map
-      (fun (label, policy, detect, hedge) ->
-        Sweep.point
-          ~key:(Printf.sprintf "rack/crash/%s" label)
-          (fun ~seed ->
-            let load = 0.5 in
-            let rate = load *. float_of_int (servers * cores) /. Dist.mean service in
-            let measure = float_of_int req /. rate in
-            let failplan =
-              [
-                Cluster.Failplan.Crash
-                  { server = 0; start = 0.3 *. measure; duration = 0.25 *. measure };
-              ]
-            in
-            let cfg = rcfg ~policy ?detect ?hedge ~failplan ~slo:1000. ~seed () in
-            let p = Rackrun.run cfg ~load in
-            let get key = Option.value ~default:0. (Run.info_value p key) in
-            [
-              label;
-              Output.f3 p.Run.goodput;
-              Output.f1 p.Run.p99;
-              string_of_int (int_of_float (get "rack_lost_requests"));
-              string_of_int (int_of_float (get "rack_failovers"));
-              string_of_int (int_of_float (get "health_detections"));
-              string_of_int (int_of_float (get "health_recoveries"));
-              string_of_int (int_of_float (get "rack_hedges"));
-            ]))
-      [
-        ("jsq-nodetect", Cluster.Policy.Jsq, None, None);
-        ("jsq-detect", Cluster.Policy.Jsq, Some detect, None);
-        ("jsq-detect-hedge", Cluster.Policy.Jsq, Some detect, Some 200.);
-        ("hash-detect", Cluster.Policy.Static_hash, Some detect, None);
-        ("jbsq32-detect", Cluster.Policy.Jbsq 32, Some detect, None);
-      ]
+  let crash (policy, detect, hedge) ~seed =
+    let load = 0.5 in
+    let measure = window load in
+    let failplan =
+      [ Cluster.Failplan.Crash { server = 0; start = 0.3 *. measure; duration = 0.25 *. measure } ]
+    in
+    let p = Rackrun.run (rcfg ~policy ?detect ?hedge ~failplan ~slo:1000. ~seed ()) ~load in
+    num F3 p.goodput :: num F1 p.p99
+    :: List.map
+         (fun key -> num Int (info p key))
+         [
+           "rack_lost_requests";
+           "rack_failovers";
+           "health_detections";
+           "health_recoveries";
+           "rack_hedges";
+         ]
   in
-  let rows = Sweep.run ~jobs ~seed:master_seed points_d in
-  Output.print_subheader
-    "server 0 crashes for 25% of the run (load 0.5, SLO 1000us, detect: 300us timeout x3)";
-  Output.print_table
-    ~columns:
-      [ "variant"; "goodput(MRPS)"; "p99(us)"; "lost"; "failovers"; "detect"; "recover"; "hedges" ]
-    ~rows
+  let loads_a = [ 0.3; 0.5; 0.7; 0.85; 0.95 ] in
+  [
+    Block
+      (Header
+         (Printf.sprintf
+            "Rack: %d x zygos-16 behind a ToR dispatcher (exp, S = 10us) vs M/G/%d bound" servers
+            (servers * cores)));
+    (* (a) inter-server policy x load, 5us-stale estimates *)
+    Block (Subheader "policy x load (5us feedback delay)");
+    Pending
+      ( [ "policy"; "load"; "tput(MRPS)"; "p99(us)"; "p999(us)" ],
+        grid ~key:"rack/policy" ~name:pname policies loads_a (fun policy load ~seed ->
+            tput_tail (Rackrun.run (rcfg ~policy ~feedback_delay:5. ~seed ()) ~load))
+        @ List.map
+            (fun load ->
+              ( [ Text "central-bound"; num F2 load ],
+                [
+                  point "rack/bound/%g" load (fun ~seed ->
+                      tput_tail (Rackrun.central_bound (rcfg ~seed ()) ~load));
+                ] ))
+            loads_a );
+    (* (b) estimate staleness at fixed load: queue-aware policies degrade
+       as feedback lags; jbsq's credit gate keeps the bound exact *)
+    Block (Subheader "estimate staleness x policy (load 0.85)");
+    Pending
+      ( [ "policy"; "delay(us)"; "p99(us)"; "p999(us)" ],
+        grid ~key:"rack/stale" ~name:pname ~fmt:F1 Cluster.Policy.[ Po2; Jsq; Jbsq 32 ]
+          [ 0.; 5.; 25.; 100. ] (fun policy delay ~seed ->
+            let p = Rackrun.run (rcfg ~policy ~feedback_delay:delay ~seed ()) ~load:0.85 in
+            [ num F1 p.p99; num F1 p.p999 ]) );
+    Block (Subheader "one degraded server (server 0 at 10x for 25% of the run, load 0.6)");
+    Pending
+      ( [ "policy"; "p99 clean(us)"; "p99 degraded(us)"; "degradation" ],
+        List.map
+          (fun policy ->
+            ( [ Text (pname policy) ],
+              [ point "rack/degraded/%s" (pname policy) (degraded policy) ] ))
+          policies );
+    Block
+      (Subheader
+         "server 0 crashes for 25% of the run (load 0.5, SLO 1000us, detect: 300us timeout x3)");
+    Pending
+      ( [
+          "variant"; "goodput(MRPS)"; "p99(us)"; "lost"; "failovers"; "detect"; "recover"; "hedges";
+        ],
+        List.map
+          (fun (label, variant) ->
+            ([ Text label ], [ point "rack/crash/%s" label (crash variant) ]))
+          [
+            ("jsq-nodetect", (Cluster.Policy.Jsq, None, None));
+            ("jsq-detect", (Cluster.Policy.Jsq, Some detect, None));
+            ("jsq-detect-hedge", (Cluster.Policy.Jsq, Some detect, Some 200.));
+            ("hash-detect", (Cluster.Policy.Static_hash, Some detect, None));
+            ("jbsq32-detect", (Cluster.Policy.Jbsq 32, Some detect, None));
+          ] );
+  ]
 
-type target = jobs:int -> scale:float -> unit
+type target = jobs:int -> scale:float -> block list
 
 let all_targets : (string * target) list =
+  let described f ~jobs ~scale = resolve ~jobs (f ~scale) in
   [
-    ("fig2", fig2);
-    ("fig3", fig3);
-    ("fig6", fig6);
-    ("fig7", fig7);
-    ("fig8", fig8);
-    ("fig9", fig9);
+    ("fig2", described fig2);
+    ("fig3", described fig3);
+    ("fig6", described fig6);
+    ("fig7", described fig7);
+    ("fig8", described fig8);
+    ("fig9", described fig9);
     ("fig10a", fig10a);
-    ("fig10b", fig10b);
+    ("fig10b", described fig10b);
     ("table1", table1);
-    ("fig11", fig11);
-    ("ablate-poll", ablate_poll);
-    ("ablate-batch", ablate_batch);
-    ("ext-preempt", ext_preempt);
-    ("ext-rebalance", ext_rebalance);
-    ("ext-consolidate", ext_consolidate);
-    ("chaos", chaos);
-    ("rack", rack);
+    ("fig11", described fig11);
+    ("ablate-poll", described ablate_poll);
+    ("ablate-batch", described ablate_batch);
+    ("ext-preempt", described ext_preempt);
+    ("ext-rebalance", described ext_rebalance);
+    ("ext-consolidate", described ext_consolidate);
+    ("chaos", described chaos);
+    ("rack", described rack);
   ]

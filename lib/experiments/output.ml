@@ -1,82 +1,54 @@
-(* All rendering funnels through one sink so a test (or any caller) can
-   capture a figure's output as a string and compare it across worker
-   counts. Rendering is sequential — only the calling domain ever touches
-   the sink — so a plain ref suffices. *)
-let sink : Buffer.t option ref = ref None
+type fmt = F1 | F2 | F3 | Pct | G | Int | Meets of float
 
-let emit s = match !sink with None -> print_string s | Some b -> Buffer.add_string b s
+type cell = Text of string | Num of fmt * float
 
-let printf fmt = Printf.ksprintf emit fmt
+type block =
+  | Header of string
+  | Subheader of string
+  | Note of string
+  | Table of { columns : string list; rows : cell list list }
 
-let capture f =
+let show = function
+  | Text s -> s
+  | Num (F1, x) -> Printf.sprintf "%.1f" x
+  | Num (F2, x) -> Printf.sprintf "%.2f" x
+  | Num (F3, x) -> Printf.sprintf "%.3f" x
+  | Num (Pct, x) -> Printf.sprintf "%.1f%%" (100. *. x)
+  | Num (G, x) -> Printf.sprintf "%g" x
+  | Num (Int, x) -> string_of_int (int_of_float x)
+  | Num (Meets bound, x) -> if x <= bound then "meets" else "violates"
+
+let render blocks =
   let b = Buffer.create 4096 in
-  let saved = !sink in
-  sink := Some b;
-  Fun.protect ~finally:(fun () -> sink := saved) f;
-  Buffer.contents b
-
-let print_header title =
-  let line = String.make (String.length title + 4) '=' in
-  printf "\n%s\n= %s =\n%s\n" line title line
-
-let print_subheader title = printf "\n--- %s ---\n" title
-
-let print_table ~columns ~rows =
+  let table columns rows =
+    let arity = List.length columns in
+    let rows =
+      List.map
+        (fun row ->
+          if List.length row <> arity then invalid_arg "Output.render: row arity mismatch";
+          List.map show row)
+        rows
+    in
+    let widths =
+      List.fold_left
+        (List.map2 (fun w s -> max w (String.length s)))
+        (List.map String.length columns) rows
+    in
+    let line cells =
+      List.iter2 (fun w s -> Printf.bprintf b "%-*s  " w s) widths cells;
+      Buffer.add_char b '\n'
+    in
+    line columns;
+    line (List.map (fun w -> String.make w '-') widths);
+    List.iter line rows
+  in
   List.iter
-    (fun row ->
-      if List.length row <> List.length columns then
-        invalid_arg "Output.print_table: row arity mismatch")
-    rows;
-  let widths =
-    List.mapi
-      (fun i col ->
-        List.fold_left (fun acc row -> max acc (String.length (List.nth row i)))
-          (String.length col) rows)
-      columns
-  in
-  let print_row cells =
-    List.iteri
-      (fun i cell ->
-        let w = List.nth widths i in
-        printf "%s%s  " cell (String.make (w - String.length cell) ' '))
-      cells;
-    emit "\n"
-  in
-  print_row columns;
-  print_row (List.map (fun w -> String.make w '-') widths);
-  List.iter print_row rows
-
-let print_pool_stats (s : Runtime.Pool.stats) =
-  let total_busy = Array.fold_left ( +. ) 0. s.Runtime.Pool.busy_s in
-  let speedup = if s.Runtime.Pool.wall_s > 0. then total_busy /. s.Runtime.Pool.wall_s else 1. in
-  print_subheader "sweep pool";
-  print_table
-    ~columns:[ "counter"; "value" ]
-    ~rows:
-      (List.map
-         (fun (k, v) -> [ k; Printf.sprintf "%g" v ])
-         [
-           ("workers", float_of_int s.Runtime.Pool.workers);
-           ("points_run", float_of_int s.Runtime.Pool.points);
-           ("steals", float_of_int s.Runtime.Pool.steals);
-           ("busy_s_total", total_busy);
-           ("wall_s", s.Runtime.Pool.wall_s);
-           ("speedup", speedup);
-         ]);
-  let per_domain =
-    Array.to_list
-      (Array.mapi
-         (fun w busy ->
-           [ string_of_int w; Printf.sprintf "%.3f" busy;
-             string_of_int s.Runtime.Pool.run_counts.(w) ])
-         s.Runtime.Pool.busy_s)
-  in
-  print_table ~columns:[ "domain"; "busy(s)"; "points" ] ~rows:per_domain
-
-let f1 x = Printf.sprintf "%.1f" x
-
-let f2 x = Printf.sprintf "%.2f" x
-
-let f3 x = Printf.sprintf "%.3f" x
-
-let pct x = Printf.sprintf "%.1f%%" (100. *. x)
+    (function
+      | Header title ->
+          let bar = String.make (String.length title + 4) '=' in
+          Printf.bprintf b "\n%s\n= %s =\n%s\n" bar title bar
+      | Subheader title -> Printf.bprintf b "\n--- %s ---\n" title
+      | Note line -> Printf.bprintf b "%s\n" line
+      | Table { columns; rows } -> table columns rows)
+    blocks;
+  Buffer.contents b

@@ -1,37 +1,30 @@
-(** Plain-text table/series rendering for the benchmark harness.
+(** Plain-text figures and tables as data.
 
-    Everything renders through one process-wide sink: stdout by default,
-    or an in-memory buffer under {!capture}. Rendering always happens in
-    the calling domain (figure render steps run after the sweep pool has
-    joined), so the sink needs no synchronization. *)
+    A figure is a list of {!block}s whose table cells keep each number as
+    a float with its display format, so the number stays reachable after
+    the run. {!render} is the one formatter: it is pure, so a caller
+    prints, digests or diffs the string it returns. *)
 
-val printf : ('a, unit, string, unit) format4 -> 'a
-(** [Printf]-style formatting into the current sink. *)
+type fmt =
+  | F1  (** one decimal: [1.2] *)
+  | F2  (** two decimals *)
+  | F3  (** three decimals *)
+  | Pct  (** a fraction as a percentage with one decimal: 0.753 -> [75.3%] *)
+  | G  (** [%g]: [12.5], [2] *)
+  | Int  (** truncated toward zero: 2.9 -> [2] *)
+  | Meets of float  (** [meets] when the value is at most the bound, else [violates] *)
 
-val capture : (unit -> unit) -> string
-(** [capture f] runs [f] with the sink redirected to a fresh buffer and
-    returns everything it rendered. Restores the previous sink on exit
-    (exceptions included); nests. *)
+type cell = Text of string | Num of fmt * float
 
-val print_header : string -> unit
-(** Boxed section title. *)
+type block =
+  | Header of string  (** boxed section title *)
+  | Subheader of string
+  | Note of string  (** one line of free text *)
+  | Table of { columns : string list; rows : cell list list }
+      (** aligned columns; every row must have the arity of [columns] *)
 
-val print_subheader : string -> unit
+val show : cell -> string
 
-val print_table : columns:string list -> rows:string list list -> unit
-(** Aligned columns; every row must have the arity of [columns]. *)
-
-val print_pool_stats : Runtime.Pool.stats -> unit
-(** Sweep-pool counters (workers, points run, steals, total busy
-    seconds, wall seconds, busy/wall speedup) plus a per-domain
-    busy-time table. *)
-
-val f1 : float -> string
-(** Format helpers: fixed decimals. *)
-
-val f2 : float -> string
-
-val f3 : float -> string
-
-val pct : float -> string
-(** 0.753 -> "75.3%". *)
+val render : block list -> string
+(** Raises [Invalid_argument] when a table row's arity differs from its
+    columns'. *)

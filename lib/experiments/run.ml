@@ -305,6 +305,8 @@ let sweep cfg ~loads = List.map (fun load -> run_point cfg ~load) loads
 
 let max_load_at_slo cfg ~slo_p99 ?(resolution = 0.01) () =
   if Float.is_nan slo_p99 || slo_p99 <= 0. then invalid_arg "Run.max_load_at_slo: slo_p99 <= 0";
+  if not (Float.is_finite resolution && resolution > 0.) then
+    invalid_arg "Run.max_load_at_slo: resolution not finite and > 0";
   let meets point = point.completed > 0 && point.p99 <= slo_p99 in
   let lowest = run_point cfg ~load:0.02 in
   if not (meets lowest) then (0., lowest)

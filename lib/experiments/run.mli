@@ -157,4 +157,4 @@ val max_load_at_slo : config -> slo_p99:float -> ?resolution:float -> unit -> fl
     load. Resolution defaults to 0.01 of capacity. Over the model kinds
     this is how the paper computes e.g. "96.3% for centralized-FCFS"
     (§3.1). Raises [Invalid_argument] when [slo_p99] is NaN or not
-    positive. *)
+    positive, or when [resolution] is not finite or not positive. *)

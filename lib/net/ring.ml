@@ -20,19 +20,12 @@ let[@zygos.hot] push t x =
     true
   end
 
-(* Non-allocating pop: returns [default] when empty. The option-returning
-   {!pop} remains for callers off the hot path. *)
+(* Non-allocating pop: returns [default] when empty. *)
 let[@zygos.hot] pop_or t ~default =
   if Engine.Intq.is_empty t.q then default else Engine.Intq.pop t.q
-
-let pop t = if Engine.Intq.is_empty t.q then None else Some (Engine.Intq.pop t.q)
-
-let peek t = if Engine.Intq.is_empty t.q then None else Some (Engine.Intq.peek t.q)
 
 let[@zygos.hot] length t = Engine.Intq.length t.q
 
 let[@zygos.hot] is_empty t = Engine.Intq.is_empty t.q
 
 let drops t = t.dropped
-
-let iter f t = Engine.Intq.iter f t.q

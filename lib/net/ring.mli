@@ -15,13 +15,9 @@ val push : t -> int -> bool
 (** [push t x] enqueues [x]; returns [false] (and counts a drop) when
     [capacity] elements are queued. *)
 
-val pop : t -> int option
-
 val pop_or : t -> default:int -> int
-(** Like {!pop} but returns [default] when empty — no [Some] allocation;
-    the hot-path variant. *)
-
-val peek : t -> int option
+(** Removes and returns the oldest element, or [default] when empty — no
+    [Some] allocation. *)
 
 val length : t -> int
 
@@ -29,6 +25,3 @@ val is_empty : t -> bool
 
 val drops : t -> int
 (** Number of pushes rejected so far. *)
-
-val iter : (int -> unit) -> t -> unit
-(** Front-to-back, without consuming. *)

@@ -1,7 +1,10 @@
 (* Regression net over deliverable (d): every figure target must run to
    completion at the minimum request budget without raising, and the
    registry must stay complete. Each target runs once; the 14
-   deterministic ones must also keep a fixed digest. *)
+   deterministic ones must also keep a fixed digest and print only
+   finite numbers. *)
+
+module Output = Experiments.Output
 
 (* MD5 of each target's rendered output, equal to
    [zygos T --scale 0.05 -j 1 | md5sum]: [Figures.requests] clamps every
@@ -32,20 +35,36 @@ let heavy = [ "fig3"; "fig6"; "fig7" ]
 (* fig10a, fig10b and table1 time real Silo work, so they are only run. *)
 let silo_targets = [ "fig10a"; "fig10b"; "table1" ]
 
-let render ~jobs name =
+let resolve ~jobs name =
   match List.assoc_opt name Experiments.Figures.all_targets with
   | None -> Alcotest.failf "target %s missing from registry" name
-  | Some f -> Experiments.Output.capture (fun () -> f ~jobs ~scale:0.01)
+  | Some f -> f ~jobs ~scale:0.01
+
+(* A NaN would render as "nan" and still keep some fixed digest. *)
+let check_finite name blocks =
+  List.iter
+    (function
+      | Output.Table { rows; _ } ->
+          List.iter
+            (List.iter (function
+              | Output.Num (_, x) when not (Float.is_finite x) ->
+                  Alcotest.failf "%s: non-finite cell %h" name x
+              | _ -> ()))
+            rows
+      | _ -> ())
+    blocks
 
 let check_pinned ~jobs (name, digest) =
-  let out = render ~jobs name in
+  let blocks = resolve ~jobs name in
+  check_finite name blocks;
+  let out = Output.render blocks in
   let got = Digest.to_hex (Digest.string out) in
   if got <> digest then
     Alcotest.failf "%s output digest %s, pinned %s; output:\n%s" name got digest out
 
 (* jobs:2 so every fast target also exercises the pooled path. *)
 let test_fast_targets () =
-  List.iter (fun name -> ignore (render ~jobs:2 name : string)) silo_targets;
+  List.iter (fun name -> ignore (Output.render (resolve ~jobs:2 name) : string)) silo_targets;
   List.iter (check_pinned ~jobs:2) (List.filter (fun (n, _) -> not (List.mem n heavy)) pinned)
 
 let test_slow_targets () =

@@ -88,14 +88,6 @@ let test_tally_single_sample () =
 
 (* ---- net ---- *)
 
-let test_ring_iter () =
-  let r = Net.Ring.create ~capacity:8 in
-  List.iter (fun x -> ignore (Net.Ring.push r x : bool)) [ 1; 2; 3 ];
-  let acc = ref [] in
-  Net.Ring.iter (fun x -> acc := x :: !acc) r;
-  Alcotest.(check (list int)) "iter front-to-back" [ 1; 2; 3 ] (List.rev !acc);
-  Alcotest.(check int) "iter does not consume" 3 (Net.Ring.length r)
-
 let test_rss_odd_queue_counts () =
   List.iter
     (fun queues ->
@@ -307,7 +299,6 @@ let () =
         ] );
       ( "net",
         [
-          Alcotest.test_case "ring iter" `Quick test_ring_iter;
           Alcotest.test_case "rss odd queues" `Quick test_rss_odd_queue_counts;
           Alcotest.test_case "loadgen validation" `Quick test_loadgen_conn_validation;
         ] );

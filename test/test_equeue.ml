@@ -265,7 +265,7 @@ let render_figure target ~kind =
     (fun () ->
       match List.assoc_opt target Experiments.Figures.all_targets with
       | None -> Alcotest.failf "no such target %s" target
-      | Some f -> Output.capture (fun () -> f ~jobs:1 ~scale:0.01))
+      | Some f -> Output.render (f ~jobs:1 ~scale:0.01))
 
 let test_figure_parity_across_queues () =
   List.iter

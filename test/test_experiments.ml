@@ -129,24 +129,53 @@ let test_max_load_zero_when_impossible () =
   let load, _ = Run.max_load_at_slo cfg ~slo_p99:5. () in
   Alcotest.(check (float 0.)) "impossible SLO" 0. load
 
+(* A zero or negative resolution never ends the bisection, and a NaN or
+   infinite one ends it after the two bracket probes. *)
 let test_max_load_rejects_bad_slo () =
   let cfg = Run.config ~system:(Run.Ix 1) ~service:exp10 ~requests:1_000 () in
   List.iter
-    (fun slo_p99 ->
-      Alcotest.check_raises (Printf.sprintf "slo %g" slo_p99)
-        (Invalid_argument "Run.max_load_at_slo: slo_p99 <= 0") (fun () ->
-          ignore (Run.max_load_at_slo cfg ~slo_p99 () : float * Run.point)))
-    [ nan; 0.; -1. ]
+    (fun (slo_p99, resolution, msg) ->
+      Alcotest.check_raises
+        (Printf.sprintf "slo %g resolution %g" slo_p99 resolution)
+        (Invalid_argument ("Run.max_load_at_slo: " ^ msg))
+        (fun () -> ignore (Run.max_load_at_slo cfg ~slo_p99 ~resolution () : float * Run.point)))
+    [
+      (nan, 0.01, "slo_p99 <= 0");
+      (0., 0.01, "slo_p99 <= 0");
+      (-1., 0.01, "slo_p99 <= 0");
+      (60., 0., "resolution not finite and > 0");
+      (60., -0.1, "resolution not finite and > 0");
+      (60., nan, "resolution not finite and > 0");
+      (60., infinity, "resolution not finite and > 0");
+    ]
 
 let test_output_table_arity () =
-  Alcotest.check_raises "row arity" (Invalid_argument "Output.print_table: row arity mismatch")
-    (fun () -> Output.print_table ~columns:[ "a"; "b" ] ~rows:[ [ "only-one" ] ])
+  Alcotest.check_raises "row arity" (Invalid_argument "Output.render: row arity mismatch")
+    (fun () ->
+      ignore
+        (Output.render [ Table { columns = [ "a"; "b" ]; rows = [ [ Text "only-one" ] ] } ]
+          : string))
 
+(* Every cell format, through [show] and through a rendered table. *)
 let test_output_formatters () =
-  Alcotest.(check string) "f1" "1.2" (Output.f1 1.23);
-  Alcotest.(check string) "f2" "1.23" (Output.f2 1.234);
-  Alcotest.(check string) "f3" "1.234" (Output.f3 1.2341);
-  Alcotest.(check string) "pct" "75.3%" (Output.pct 0.753)
+  List.iter
+    (fun (label, want, fmt, x) ->
+      Alcotest.(check string) label want (Output.show (Num (fmt, x))))
+    [
+      ("f1", "1.2", Output.F1, 1.23);
+      ("f2", "1.23", Output.F2, 1.234);
+      ("f3", "1.234", Output.F3, 1.2341);
+      ("pct", "75.3%", Output.Pct, 0.753);
+      ("g fraction", "12.5", Output.G, 12.5);
+      ("g integral", "2", Output.G, 2.);
+      ("int truncates", "2", Output.Int, 2.9);
+      ("meets at the bound", "meets", Output.Meets 100., 100.);
+      ("violates above it", "violates", Output.Meets 100., Float.succ 100.);
+    ];
+  Alcotest.(check string) "rendered table"
+    "x    y         \n---  --------  \n1.2  violates  \n"
+    (Output.render
+       [ Table { columns = [ "x"; "y" ]; rows = [ [ Num (F1, 1.23); Num (Meets 1., 2.) ] ] } ])
 
 let test_figures_registry () =
   let names = List.map fst Experiments.Figures.all_targets in

@@ -131,11 +131,12 @@ let test_rss_remap_mass_conservation () =
 let test_ring_fifo () =
   let r = Ring.create ~capacity:4 in
   List.iter (fun i -> Alcotest.(check bool) "push ok" true (Ring.push r i)) [ 1; 2; 3 ];
-  Alcotest.(check (option int)) "peek" (Some 1) (Ring.peek r);
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Ring.pop r);
-  Alcotest.(check (option int)) "pop 2" (Some 2) (Ring.pop r);
-  Alcotest.(check (option int)) "pop 3" (Some 3) (Ring.pop r);
-  Alcotest.(check (option int)) "empty" None (Ring.pop r)
+  Alcotest.(check int) "length" 3 (Ring.length r);
+  Alcotest.(check int) "pop 1" 1 (Ring.pop_or r ~default:(-1));
+  Alcotest.(check int) "pop 2" 2 (Ring.pop_or r ~default:(-1));
+  Alcotest.(check int) "pop 3" 3 (Ring.pop_or r ~default:(-1));
+  Alcotest.(check bool) "empty" true (Ring.is_empty r);
+  Alcotest.(check int) "default when empty" (-1) (Ring.pop_or r ~default:(-1))
 
 let test_ring_overflow_drops () =
   let r = Ring.create ~capacity:2 in
@@ -144,7 +145,7 @@ let test_ring_overflow_drops () =
   Alcotest.(check bool) "3 dropped" false (Ring.push r 3);
   Alcotest.(check int) "drop counted" 1 (Ring.drops r);
   Alcotest.(check int) "length" 2 (Ring.length r);
-  ignore (Ring.pop r : int option);
+  ignore (Ring.pop_or r ~default:(-1) : int);
   Alcotest.(check bool) "fits again" true (Ring.push r 4)
 
 let prop_ring_model =
@@ -163,7 +164,9 @@ let prop_ring_model =
               let model_accepts = Queue.length model < 8 in
               if model_accepts then Queue.add x model;
               accepted = model_accepts
-          | None -> Ring.pop r = Queue.take_opt model)
+          | None ->
+              Ring.pop_or r ~default:(-1) = Option.value (Queue.take_opt model) ~default:(-1)
+              && Ring.length r = Queue.length model)
         ops)
 
 (* ---- Request ---- *)

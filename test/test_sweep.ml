@@ -143,7 +143,7 @@ let test_sweep_results_independent_of_jobs () =
 let render_figure target ~jobs =
   match List.assoc_opt target Figures.all_targets with
   | None -> Alcotest.failf "no such target %s" target
-  | Some f -> Output.capture (fun () -> f ~jobs ~scale:0.01)
+  | Some f -> Output.render (f ~jobs ~scale:0.01)
 
 let test_figure_parity () =
   List.iter
