@@ -1,7 +1,7 @@
 (* Benchmark harness for what perfbench does not run: per-operation
    costs of the paper's application substrates (RSS, the shuffle queue,
-   Silo/TPC-C, the memcached-style store), the heap-vs-wheel event-queue
-   comparison, and sequential-vs-pooled sweep execution. perfbench
+   Silo/TPC-C), the heap-vs-wheel event-queue comparison, and
+   sequential-vs-pooled sweep execution. perfbench
    (perfbench/run.py) times the simulator end to end and per layer; the
    paper's figures and tables run through the [zygos] CLI.
 
@@ -86,14 +86,6 @@ let micro_rows () =
   let tpcc_op kind () =
     ignore (Silo.Tpcc.execute tpcc worker tpcc_rng kind : Silo.Tpcc.outcome)
   in
-  let store = Kvstore.Store.create ~capacity:10_000 () in
-  Kvstore.Store.set store "bench-key" "bench-value";
-  let parser = Kvstore.Protocol.create_parser () in
-  let kv_op () =
-    match Kvstore.Protocol.feed parser "get bench-key\r\n" with
-    | [ Ok cmd ] -> ignore (Kvstore.Protocol.execute store cmd : Kvstore.Protocol.response)
-    | _ -> assert false
-  in
   [
     ("net: toeplitz RSS dispatch", 10_000_000, rss_op);
     ("stats: tally record", 10_000_000, tally_op);
@@ -103,7 +95,6 @@ let micro_rows () =
     ("silo: btree insert+remove", 200_000, btree_churn_op);
     ("silo: TPC-C Payment transaction", 10_000, tpcc_op Silo.Tpcc.Payment);
     ("silo: TPC-C NewOrder transaction", 2_000, tpcc_op Silo.Tpcc.New_order);
-    ("kvstore: parse+execute GET", 1_000_000, kv_op);
   ]
 
 let micro ~jobs:_ ~scale =

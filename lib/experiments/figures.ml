@@ -375,9 +375,10 @@ let fig10b ~scale =
 
 (* Max load @ 1000µs SLO, speedups, and tails at 50/75/90% of max. The
    speedup column divides by the first row, so the table is built after
-   its own sweep. *)
-let table1 ~jobs ~scale =
-  let samples = silo_service_samples ~scale in
+   its own sweep. A system that misses an SLO even at 2% load reads
+   0 KTPS there, and its tails and any speedup over it read "-": no point
+   runs at load 0. *)
+let table1 ~samples ~jobs ~scale =
   let service = Dist.empirical samples in
   let service_p99 = percentile samples 99. in
   let slo5 = 5. *. service_p99 in
@@ -391,21 +392,29 @@ let table1 ~jobs ~scale =
          (fun system ->
            point "table1/%s" (Run.system_name system) (fun ~seed ->
                let cfg = cfg ~scale ~rpc_packets:silo_rpc_packets ~seed system service in
-               let max_load, best = Run.max_load_at_slo cfg ~slo_p99:silo_slo ~resolution:0.02 () in
+               let max_tput slo =
+                 let load, best = Run.max_load_at_slo cfg ~slo_p99:slo ~resolution:0.02 () in
+                 (load, if load > 0. then best.Run.throughput else 0.)
+               in
+               let max_load, tput = max_tput silo_slo in
                let tails =
                  List.map
-                   (fun frac -> Run.run_point cfg ~load:(max_load *. frac))
+                   (fun frac ->
+                     if max_load > 0. then Some (Run.run_point cfg ~load:(max_load *. frac))
+                     else None)
                    [ 0.5; 0.75; 0.9 ]
                in
-               let _, best5 = Run.max_load_at_slo cfg ~slo_p99:slo5 ~resolution:0.02 () in
-               (best.Run.throughput, tails, best5.Run.throughput)))
+               let _, tput5 = max_tput slo5 in
+               (tput, tails, tput5)))
          silo_systems)
   in
   let ktps tput = Text (Printf.sprintf "%.0f KTPS" (1000. *. tput)) in
-  let tail (p : Run.point) =
-    Text
-      (Printf.sprintf "%.0fus (%.1fx) @%.0f KTPS" p.p99 (p.p99 /. service_p99)
-         (1000. *. p.throughput))
+  let tail = function
+    | Some (p : Run.point) ->
+        Text
+          (Printf.sprintf "%.0fus (%.1fx) @%.0f KTPS" p.p99 (p.p99 /. service_p99)
+             (1000. *. p.throughput))
+    | None -> Text "-"
   in
   let linux_tput, _, _ = List.hd results in
   [
@@ -420,7 +429,7 @@ let table1 ~jobs ~scale =
           List.map2
             (fun system (tput, tails, _) ->
               sys system :: ktps tput
-              :: Text (Printf.sprintf "%.2fx" (tput /. linux_tput))
+              :: Text (if linux_tput > 0. then Printf.sprintf "%.2fx" (tput /. linux_tput) else "-")
               :: List.map tail tails)
             silo_systems results;
       };
@@ -825,7 +834,7 @@ let all_targets : (string * target) list =
     ("fig9", described fig9);
     ("fig10a", fig10a);
     ("fig10b", described fig10b);
-    ("table1", table1);
+    ("table1", fun ~jobs ~scale -> table1 ~samples:(silo_service_samples ~scale) ~jobs ~scale);
     ("fig11", described fig11);
     ("ablate-poll", described ablate_poll);
     ("ablate-batch", described ablate_batch);

@@ -23,5 +23,9 @@ val silo_service_samples : scale:float -> float array
     normalized to the paper's 33µs mean (see EXPERIMENTS.md); memoized so
     fig10a/fig10b/table1 share one run. *)
 
+val table1 : samples:float array -> target
+(** Table 1 over Silo service-time [samples] (µs); the ["table1"] target
+    runs it on {!silo_service_samples}. *)
+
 val all_targets : (string * target) list
 (** Name → target, in run order (the [zygos] CLI's registry). *)

@@ -65,7 +65,6 @@ type config = {
   cores : int;
   conns : int;
   service : Engine.Dist.t;
-  service_fn : (conn:int -> float) option;
   requests : int;
   seed : int;
   rpc_packets : int;
@@ -79,7 +78,7 @@ type config = {
 
 let config ?(cores = 16) ?(conns = 2752) ?(requests = 30_000) ?(seed = 42) ?(rpc_packets = 1)
     ?(selection = Net.Loadgen.Uniform) ?faults ?(stragglers = []) ?retry ?(slo = infinity)
-    ?(shed = Systems.Overload.No_shed) ?service_fn ~system ~service () =
+    ?(shed = Systems.Overload.No_shed) ~system ~service () =
   Option.iter Net.Faults.validate_plan faults;
   List.iter Core.Corefault.validate_spec stragglers;
   Option.iter Net.Loadgen.validate_retry retry;
@@ -89,7 +88,6 @@ let config ?(cores = 16) ?(conns = 2752) ?(requests = 30_000) ?(seed = 42) ?(rpc
     cores;
     conns;
     service;
-    service_fn;
     requests;
     seed;
     rpc_packets;
@@ -222,8 +220,7 @@ let run_real_point cfg ~load =
   let rpool = Net.Request.create_pool ~recycle () in
   let gen =
     Net.Loadgen.create sim ~rng:loadgen_rng ~pool:rpool ~conns:cfg.conns ~rate
-      ~service:cfg.service ~selection:cfg.selection ?service_fn:cfg.service_fn ~slo:cfg.slo
-      ?retry:cfg.retry ()
+      ~service:cfg.service ~selection:cfg.selection ~slo:cfg.slo ?retry:cfg.retry ()
   in
   (* Admission control sits between the (possibly lossy) network and the
      server; built only when a shedding policy is configured so the

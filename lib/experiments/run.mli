@@ -48,10 +48,6 @@ type config = {
   cores : int;  (** default 16 *)
   conns : int;  (** default 2752, the paper's connection count *)
   service : Engine.Dist.t;
-  service_fn : (conn:int -> float) option;
-      (** per-request demand (µs) overriding samples of [service], which
-          then only sets the offered rate (see {!Net.Loadgen.create};
-          default none) *)
   requests : int;  (** measured request target per point (default 30_000) *)
   seed : int;
   rpc_packets : int;  (** packets per request each way (default 1) *)
@@ -75,7 +71,6 @@ val config :
   ?retry:Net.Loadgen.retry ->
   ?slo:float ->
   ?shed:Systems.Overload.policy ->
-  ?service_fn:(conn:int -> float) ->
   system:system_kind ->
   service:Engine.Dist.t ->
   unit ->

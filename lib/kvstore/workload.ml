@@ -6,11 +6,13 @@ let name = function Etc -> "ETC" | Usr -> "USR"
 
 let get_fraction = function Etc -> 0.967 | Usr -> 0.998
 
+type command = Get of string | Set of { key : string; data : string }
+
 type t = {
   workload : kind;
   n_records : int;
   zipf_cdf : float array;  (* cumulative probabilities over record ranks *)
-  rng : Rng.t;  (* private stream for sizes during populate *)
+  seed : int;  (* seed of [service_dist]'s stream *)
 }
 
 (* Zipf(0.99) over the key space, the usual key-popularity skew for these
@@ -28,11 +30,7 @@ let make_zipf_cdf n =
 
 let create ?(records = 100_000) ?(seed = 11) workload =
   if records < 1 then invalid_arg "Workload.create: records < 1";
-  { workload; n_records = records; zipf_cdf = make_zipf_cdf records; rng = Rng.create ~seed }
-
-let kind t = t.workload
-
-let records t = t.n_records
+  { workload; n_records = records; zipf_cdf = make_zipf_cdf records; seed }
 
 let sample_rank t rng =
   let u = Rng.float rng in
@@ -61,32 +59,21 @@ let value_size t rng =
       else if u < 0.95 then Rng.int_range rng 301 1024
       else Rng.int_range rng 1025 4096
 
-let make_value size = String.make size 'v'
-
-let populate t store =
-  for rank = 0 to t.n_records - 1 do
-    Store.set store (key_of_rank t rank) (make_value (value_size t t.rng))
-  done
-
 let next_command t rng =
   let rank = sample_rank t rng in
   let key = key_of_rank t rank in
-  if Rng.bernoulli rng (get_fraction t.workload) then Protocol.Get key
-  else Protocol.Set { key; flags = 0; exptime = 0; data = make_value (value_size t rng) }
+  if Rng.bernoulli rng (get_fraction t.workload) then Get key
+  else Set { key; data = String.make (value_size t rng) 'v' }
 
 (* Service-cost model: hash lookup + protocol handling ~0.7µs; SETs pay an
    allocation surcharge; value bytes move at ~10 GB/s (0.0001 µs/B). This
    lands the ETC/USR mean below 2µs, as §6.2 states. *)
-let service_time_us t cmd =
-  ignore t;
-  match cmd with
-  | Protocol.Get key -> 0.7 +. (0.0001 *. float_of_int (String.length key + 64))
-  | Protocol.Delete _ -> 0.7
-  | Protocol.Set { key; data; _ } ->
-      1.0 +. (0.0002 *. float_of_int (String.length key + String.length data))
+let service_time_us = function
+  | Get key -> 0.7 +. (0.0001 *. float_of_int (String.length key + 64))
+  | Set { key; data } -> 1.0 +. (0.0002 *. float_of_int (String.length key + String.length data))
 
 let service_dist t ~samples =
   if samples < 1 then invalid_arg "Workload.service_dist: samples < 1";
-  let rng = Rng.copy t.rng in
-  let a = Array.init samples (fun _ -> service_time_us t (next_command t rng)) in
+  let rng = Rng.create ~seed:t.seed in
+  let a = Array.init samples (fun _ -> service_time_us (next_command t rng)) in
   Engine.Dist.empirical a

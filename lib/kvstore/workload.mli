@@ -8,33 +8,31 @@
       over a generalized-Pareto-like range (tens of bytes to a few KB),
       ~3.3% SET.
 
-    Two uses: generating live (key, command) streams against a real
-    {!Store}, and deriving the per-request service-time distribution the
-    system simulators consume (base dataplane-app cost plus a size-
-    dependent term; §6.2 gives < 2µs mean task size). *)
+    The module draws request streams and prices each request with a
+    service-cost model (base dataplane-app cost plus a size-dependent
+    term; §6.2 gives < 2µs mean task size); {!service_dist} turns that
+    into the per-request service-time distribution the system simulators
+    consume. *)
 
 type kind = Etc | Usr
 
 val name : kind -> string
 
+type command = Get of string | Set of { key : string; data : string }
+(** One memcached request: the operations the ETC/USR workloads issue. *)
+
 type t
 
 val create : ?records:int -> ?seed:int -> kind -> t
-(** [records] is the key-space size (default 100_000). *)
+(** [records] is the key-space size (default 100_000); [seed] seeds
+    {!service_dist}'s request stream (default 11). *)
 
-val kind : t -> kind
-
-val records : t -> int
-
-val populate : t -> Store.t -> unit
-(** Preload every key with a value of the workload's size distribution. *)
-
-val next_command : t -> Engine.Rng.t -> Protocol.command
+val next_command : t -> Engine.Rng.t -> command
 (** Draw one request: GET with the workload's GET fraction, otherwise SET
     with a fresh value; keys are Zipf-skewed (popular keys exist, as in the
     trace). *)
 
-val service_time_us : t -> Protocol.command -> float
+val service_time_us : command -> float
 (** Deterministic service-cost model of one request on the store: base
     lookup cost plus a per-byte term for the value moved. *)
 

@@ -136,12 +136,3 @@ let info t =
     ("fault_blackholes", float_of_int t.blackholes);
     ("fault_injected", float_of_int t.injected);
   ]
-
-let corrupt_frame rng frame =
-  if String.length frame = 0 then frame
-  else begin
-    let i = Rng.int rng (String.length frame) in
-    let b = Bytes.of_string frame in
-    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x80));
-    Bytes.unsafe_to_string b
-  end

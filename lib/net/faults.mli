@@ -3,10 +3,9 @@
     A {!plan} gives per-packet probabilities for the four classic network
     faults — drop, duplicate, reorder, corrupt — applied on the
     client→server path just before the request reaches the server's NIC
-    ring. Corrupted packets model frames whose length prefix / checksum
-    fails validation (see {!Framing.Reassembler}): the NIC or framing layer
-    discards them, so for the simulation they are drops counted under a
-    separate cause.
+    ring. Corrupted packets model frames whose checksum fails validation:
+    the NIC discards them, so for the simulation they are drops counted
+    under a separate cause.
 
     All randomness is drawn from the dedicated [rng] stream handed to
     {!create} — never from the load generator's or the system's streams —
@@ -20,7 +19,7 @@ type plan = {
   reorder : float;  (** P(packet delayed by [reorder_delay], letting later
                         packets overtake it) *)
   corrupt : float;  (** P(packet corrupted in flight and discarded by
-                        framing validation) *)
+                        checksum validation) *)
   reorder_delay : float;  (** extra latency of a reordered packet (µs) *)
   dup_delay : float;  (** lag of the duplicate copy behind the original (µs) *)
   blackhole_from : float;
@@ -66,8 +65,3 @@ val info : t -> (string * float) list
     [fault_drops], [fault_corruptions], [fault_duplicates],
     [fault_reorders], [fault_blackholes], [fault_injected],
     [fault_packets]. *)
-
-val corrupt_frame : Engine.Rng.t -> string -> string
-(** Flip the top bit of one random byte of an encoded frame — the
-    corruption {!Framing.Reassembler} is expected to detect when the byte
-    lands in a length prefix. Used by framing/fault tests. *)

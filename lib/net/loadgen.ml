@@ -73,7 +73,6 @@ type t = {
      latency. *)
   scratch : float array;
   selection : conn_selection;
-  service_fn : (conn:int -> float) option;
   slo : float;
   retry : retry option;
   retry_rng : Rng.t option;  (* dedicated stream for backoff jitter *)
@@ -152,8 +151,8 @@ and retransmit t p r =
   arm_timeout t p r;
   send t req
 
-let create sim ~rng ~pool ~conns ~rate ~service ?(selection = Uniform) ?service_fn
-    ?(slo = infinity) ?retry () =
+let create sim ~rng ~pool ~conns ~rate ~service ?(selection = Uniform) ?(slo = infinity)
+    ?retry () =
   if conns < 1 then invalid_arg "Loadgen.create: conns < 1";
   if Float.is_nan rate || rate <= 0. then invalid_arg "Loadgen.create: rate <= 0";
   if Float.is_nan slo || slo <= 0. then invalid_arg "Loadgen.create: slo <= 0";
@@ -177,7 +176,6 @@ let create sim ~rng ~pool ~conns ~rate ~service ?(selection = Uniform) ?service_
       service;
       scratch = Array.make 3 0.;
       selection;
-      service_fn;
       slo;
       retry;
       (* Split only when retries are on: with [retry = None] the generator's
@@ -239,10 +237,7 @@ let[@zygos.hot] emit t ~measure_start ~stop_at =
         else Rng.int t.rng t.conns
   in
   Array.unsafe_set t.scratch 0 now;
-  (match t.service_fn with
-  (* Experiment-supplied service model: opaque to the call graph. *)
-  | Some f -> Array.unsafe_set t.scratch 1 (f ~conn [@zygos.allow "r6"])
-  | None -> Dist.sample_into t.service t.rng t.scratch 1);
+  Dist.sample_into t.service t.rng t.scratch 1;
   let measured = now >= measure_start && now < stop_at in
   let id = t.next_id in
   let req = Request.alloc t.pool ~id ~conn ~measured t.scratch in

@@ -70,7 +70,6 @@ val create :
   rate:float ->
   service:Engine.Dist.t ->
   ?selection:conn_selection ->
-  ?service_fn:(conn:int -> float) ->
   ?slo:float ->
   ?retry:retry ->
   unit ->
@@ -80,13 +79,6 @@ val create :
     [Uniform]. [pool] is the request arena handles are drawn from; the
     generator releases each handle at its first completion (a no-op
     unless the pool recycles).
-
-    [service_fn], when given, overrides [service]: it is invoked once per
-    generated request to produce its service demand (µs). This is how real
-    application work is coupled into the simulation (see
-    {!Experiments.Appserve}): the function executes actual application
-    code — a Silo transaction, a memcached op — measures it, and the
-    simulated server then "serves" that measured demand.
 
     [slo] (µs, default infinity) is the latency bound {!goodput} counts
     against. [retry], when given, enables timeouts and retransmission. *)

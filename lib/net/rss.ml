@@ -15,7 +15,6 @@ type t = {
   table : int array;
   nqueues : int;
   lut : int array; (* 12*256; index = byte_pos*256 + byte_value *)
-  mutable memo : int array; (* conn -> indirection slot; -1 = not yet hashed *)
 }
 
 let tuple_bytes_len = 12
@@ -74,7 +73,7 @@ let create ?key ~queues () =
         build_lut key
   in
   let table = Array.init indirection_entries (fun i -> i mod queues) in
-  { table; nqueues = queues; lut; memo = Array.make 256 (-1) }
+  { table; nqueues = queues; lut }
 
 let toeplitz ~key input =
   let hash = ref 0l in
@@ -122,36 +121,12 @@ let hash_of_tuple t ~src_ip ~dst_ip ~src_port ~dst_port =
     (Int32.to_int dst_ip land 0xffffffff)
     src_port dst_port
 
-let[@zygos.hot] grow_memo t c =
-  let cap = Array.length t.memo in
-  let ncap =
-    let n = ref (2 * cap) in
-    while !n <= c do
-      n := 2 * !n
-    done;
-    !n
-  in
-  (* Amortized doubling of the memo table (cold: new conns only). *)
-  let memo = (Array.make ncap (-1) [@zygos.allow "hot-alloc"]) in
-  Array.blit t.memo 0 memo 0 cap;
-  t.memo <- memo
-
-(* The conn→slot map is pure (remapping rewrites slot→queue, never the
-   hash), so it is memoised per connection: the steady-state lookup is
-   one array load. *)
 let[@zygos.hot] slot_of_conn t c =
   if c < 0 then invalid_arg "Rss.slot_of_conn: negative conn";
-  if c >= Array.length t.memo then grow_memo t c;
-  let s = Array.unsafe_get t.memo c in
-  if s >= 0 then s
-  else begin
-    (* The synthetic 4-tuple documented at [queue_of_conn], in plain ints:
-       10.0.(c/250).(c mod 250 + 1) : 1024+c -> 10.0.0.1 : 8000. *)
-    let si = 0x0A000000 lor (((c / 250) lsl 8) lor ((c mod 250) + 1)) in
-    let s = hash12 t si 0x0A000001 (1024 + c) 8000 land 0x7f in
-    Array.unsafe_set t.memo c s;
-    s
-  end
+  (* The synthetic 4-tuple documented at [queue_of_conn], in plain ints:
+     10.0.(c/250).(c mod 250 + 1) : 1024+c -> 10.0.0.1 : 8000. *)
+  let si = 0x0A000000 lor (((c / 250) lsl 8) lor ((c mod 250) + 1)) in
+  hash12 t si 0x0A000001 (1024 + c) 8000 land 0x7f
 
 let[@zygos.hot] queue_of_conn t c = Array.unsafe_get t.table (slot_of_conn t c)
 

@@ -52,9 +52,8 @@ val slots : t -> int
 
 val slot_of_conn : t -> int -> int
 (** The table slot a connection hashes to (stable across remapping —
-    remapping rewrites slot→queue, never the hash). Memoised per
-    connection: the first call per conn hashes, the rest are one array
-    load. *)
+    remapping rewrites slot→queue, never the hash). Each call hashes:
+    12 table loads and XORs. *)
 
 val queue_of_slot : t -> int -> int
 

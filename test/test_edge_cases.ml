@@ -214,47 +214,12 @@ let test_tpcc_full_profile_loads () =
 
 (* ---- kvstore ---- *)
 
-let test_protocol_zero_byte_set () =
-  let p = Kvstore.Protocol.create_parser () in
-  match Kvstore.Protocol.feed p "set empty 0 0 0\r\n\r\n" with
-  | [ Ok (Kvstore.Protocol.Set { key = "empty"; data = ""; _ }) ] -> ()
-  | _ -> Alcotest.fail "zero-byte set not parsed"
-
-let test_protocol_gets_alias () =
-  let p = Kvstore.Protocol.create_parser () in
-  match Kvstore.Protocol.feed p "gets k\r\n" with
-  | [ Ok (Kvstore.Protocol.Get "k") ] -> ()
-  | _ -> Alcotest.fail "gets not handled"
-
-let test_protocol_byte_at_a_time () =
-  let p = Kvstore.Protocol.create_parser () in
-  let wire = "set k 0 0 3\r\nxyz\r\nget k\r\n" in
-  let out = ref [] in
-  String.iter
-    (fun c -> out := List.rev_append (Kvstore.Protocol.feed p (String.make 1 c)) !out)
-    wire;
-  match List.rev !out with
-  | [ Ok (Kvstore.Protocol.Set _); Ok (Kvstore.Protocol.Get "k") ] -> ()
-  | l -> Alcotest.failf "byte-at-a-time parse gave %d results" (List.length l)
-
-let test_store_delete_then_reinsert () =
-  let s = Kvstore.Store.create ~capacity:4 () in
-  Kvstore.Store.set s "a" "1";
-  Alcotest.(check bool) "deleted" true (Kvstore.Store.delete s "a");
-  Kvstore.Store.set s "a" "2";
-  Alcotest.(check (option string)) "reinserted" (Some "2") (Kvstore.Store.get s "a");
-  (* fill beyond capacity to exercise eviction across dead slots *)
-  for i = 0 to 19 do
-    Kvstore.Store.set s (string_of_int i) "v"
-  done;
-  Alcotest.(check bool) "bounded" true (Kvstore.Store.size s <= 4)
-
 let test_workload_etc_value_range () =
   let rng = Rng.create ~seed:23 in
   let wl = Kvstore.Workload.create ~records:100 Kvstore.Workload.Etc in
   for _ = 1 to 3_000 do
     match Kvstore.Workload.next_command wl rng with
-    | Kvstore.Protocol.Set { data; _ } ->
+    | Kvstore.Workload.Set { data; _ } ->
         let n = String.length data in
         if n < 11 || n > 4096 then Alcotest.failf "ETC value size out of range: %d" n
     | _ -> ()
@@ -315,10 +280,6 @@ let () =
         ] );
       ( "kvstore",
         [
-          Alcotest.test_case "zero-byte set" `Quick test_protocol_zero_byte_set;
-          Alcotest.test_case "gets alias" `Quick test_protocol_gets_alias;
-          Alcotest.test_case "byte-at-a-time" `Quick test_protocol_byte_at_a_time;
-          Alcotest.test_case "delete/reinsert/evict" `Quick test_store_delete_then_reinsert;
           Alcotest.test_case "etc value range" `Quick test_workload_etc_value_range;
         ] );
       ( "models",

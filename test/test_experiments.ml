@@ -184,6 +184,33 @@ let test_figures_registry () =
       if not (List.mem expected names) then Alcotest.failf "missing bench target %s" expected)
     [ "fig2"; "fig3"; "fig6"; "fig7"; "fig8"; "fig9"; "fig10a"; "fig10b"; "table1"; "fig11" ]
 
+(* Silo timings where 2% of transactions were preempted: every 50th
+   sample is 100x the rest, normalized to the 33us mean, so 2% take
+   1,107us and every system misses the 1000us SLO even at 2% load.
+   table1 must still render: 0 KTPS there, "-" for the tails and
+   speedups (no point runs at load 0), and a real 5 x p99 search. *)
+let test_table1_slo_missed_at_every_load () =
+  let n = 5_000 in
+  let raw = Array.init n (fun i -> if i mod 50 = 0 then 100. else 1.) in
+  let k = 33. /. (Array.fold_left ( +. ) 0. raw /. float_of_int n) in
+  let samples = Array.map (fun x -> x *. k) raw in
+  let show rows = List.map (List.map Output.show) rows in
+  match Experiments.Figures.table1 ~samples ~jobs:1 ~scale:0.01 with
+  | [ _; _; Table { rows; _ }; _; Table { rows = rows5; _ } ] ->
+      Alcotest.(check (list (list string)))
+        "max load@SLO rows"
+        (List.map
+           (fun name -> [ name; "0 KTPS"; "-"; "-"; "-"; "-" ])
+           [ "linux-floating"; "ix"; "zygos" ])
+        (show rows);
+      List.iter
+        (function
+          | [ name; tput5 ] ->
+              if String.equal tput5 "0 KTPS" then Alcotest.failf "%s: no load meets 5 x p99" name
+          | row -> Alcotest.failf "5 x p99 row of %d cells" (List.length row))
+        (show rows5)
+  | blocks -> Alcotest.failf "table1 rendered %d blocks" (List.length blocks)
+
 let () =
   Alcotest.run "experiments"
     [
@@ -207,5 +234,7 @@ let () =
           Alcotest.test_case "table arity" `Quick test_output_table_arity;
           Alcotest.test_case "formatters" `Quick test_output_formatters;
           Alcotest.test_case "figures registry" `Quick test_figures_registry;
+          Alcotest.test_case "table1 misses the SLO at 2% load" `Quick
+            test_table1_slo_missed_at_every_load;
         ] );
     ]

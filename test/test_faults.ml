@@ -177,19 +177,6 @@ let test_fault_counters () =
   expect_around "corruptions" (0.9 *. 0.05) (get "fault_corruptions");
   Alcotest.(check bool) "injected > 0" true (Faults.injected mixed > 0)
 
-let test_corrupt_frame_detected () =
-  QCheck.Test.make ~name:"corrupted frames never reassemble intact" ~count:300
-    QCheck.(pair small_nat (string_of_size Gen.(0 -- 300)))
-    (fun (seed, payload) ->
-      let rng = Rng.create ~seed in
-      let wire = Net.Framing.encode payload in
-      let corrupted = Faults.corrupt_frame rng wire in
-      if corrupted = wire then QCheck.Test.fail_report "corruption was a no-op";
-      let r = Net.Framing.Reassembler.create () in
-      match Net.Framing.Reassembler.feed r corrupted with
-      | Error _ -> true (* length prefix rejected *)
-      | Ok msgs -> not (List.mem payload msgs))
-
 (* ---- Zero-rate plan: byte-identical histograms ---- *)
 
 let point_fingerprint (p : Run.point) =
@@ -544,7 +531,6 @@ let () =
           Alcotest.test_case "plan validation" `Quick test_plan_validation;
           Alcotest.test_case "counters" `Quick test_fault_counters;
           Alcotest.test_case "blackhole window" `Quick test_blackhole_window;
-          QCheck_alcotest.to_alcotest (test_corrupt_frame_detected ());
         ] );
       ( "determinism",
         [

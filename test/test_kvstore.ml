@@ -1,191 +1,7 @@
-(* Tests for lib/kvstore: the bounded store with CLOCK eviction, the
-   resumable memcached protocol parser (framing property tests), and the
-   ETC/USR workload generators. *)
+(* Tests for lib/kvstore: the ETC/USR workload generators and the
+   service-time distribution Figure 9 simulates on. *)
 
-module Store = Kvstore.Store
-module Protocol = Kvstore.Protocol
 module Workload = Kvstore.Workload
-
-(* ---- Store ---- *)
-
-let test_store_basics () =
-  let s = Store.create ~capacity:16 () in
-  Alcotest.(check (option string)) "miss" None (Store.get s "k");
-  Store.set s "k" "v";
-  Alcotest.(check (option string)) "hit" (Some "v") (Store.get s "k");
-  Store.set s "k" "v2";
-  Alcotest.(check (option string)) "overwrite" (Some "v2") (Store.get s "k");
-  Alcotest.(check int) "size" 1 (Store.size s);
-  Alcotest.(check bool) "delete" true (Store.delete s "k");
-  Alcotest.(check bool) "delete again" false (Store.delete s "k");
-  Alcotest.(check (option string)) "gone" None (Store.get s "k")
-
-let test_store_stats () =
-  let s = Store.create ~capacity:16 () in
-  Store.set s "a" "1";
-  ignore (Store.get s "a" : string option);
-  ignore (Store.get s "b" : string option);
-  let st = Store.stats s in
-  Alcotest.(check int) "hits" 1 st.Store.hits;
-  Alcotest.(check int) "misses" 1 st.Store.misses;
-  Alcotest.(check int) "sets" 1 st.Store.sets
-
-let test_store_eviction_bounded () =
-  let s = Store.create ~capacity:8 () in
-  for i = 0 to 99 do
-    Store.set s (string_of_int i) "v"
-  done;
-  Alcotest.(check bool) "bounded" true (Store.size s <= 8);
-  Alcotest.(check bool) "evictions counted" true ((Store.stats s).Store.evictions >= 92)
-
-let test_store_clock_second_chance () =
-  (* A key referenced between fills should survive one eviction pass in
-     preference to never-referenced keys. *)
-  let s = Store.create ~capacity:4 () in
-  List.iter (fun k -> Store.set s k "v") [ "a"; "b"; "c"; "d" ];
-  (* Clear reference bits via one eviction, then re-reference "a". *)
-  Store.set s "e" "v" (* evicts something, clears some bits *);
-  if Store.mem s "a" then begin
-    ignore (Store.get s "a" : string option);
-    (* Now "a" is referenced; inserting more should prefer other victims
-       at least once. *)
-    Store.set s "f" "v";
-    Alcotest.(check bool) "referenced key survives one pass" true (Store.mem s "a")
-  end
-
-let prop_store_capacity_respected =
-  QCheck.Test.make ~name:"store never exceeds capacity" ~count:100
-    QCheck.(list_of_size Gen.(1 -- 200) (string_of_size (Gen.int_range 1 8)))
-    (fun keys ->
-      let s = Store.create ~capacity:16 () in
-      List.iter (fun k -> Store.set s k "v") keys;
-      Store.size s <= 16)
-
-(* ---- Protocol ---- *)
-
-let feed_all parser chunks = List.concat_map (Protocol.feed parser) chunks
-
-let test_protocol_simple_commands () =
-  let p = Protocol.create_parser () in
-  match feed_all p [ "get foo\r\nset bar 1 0 3\r\nxyz\r\ndelete foo\r\n" ] with
-  | [ Ok (Protocol.Get "foo"); Ok (Protocol.Set { key = "bar"; flags = 1; data = "xyz"; _ });
-      Ok (Protocol.Delete "foo") ] ->
-      ()
-  | other -> Alcotest.failf "unexpected parse: %d results" (List.length other)
-
-let test_protocol_fragmented () =
-  let p = Protocol.create_parser () in
-  let r1 = Protocol.feed p "se" in
-  Alcotest.(check int) "incomplete line" 0 (List.length r1);
-  let r2 = Protocol.feed p "t k 0 0 5\r\nhe" in
-  Alcotest.(check int) "incomplete data" 0 (List.length r2);
-  Alcotest.(check bool) "bytes pending" true (Protocol.pending_bytes p > 0);
-  match Protocol.feed p "llo\r\n" with
-  | [ Ok (Protocol.Set { key = "k"; data = "hello"; _ }) ] -> ()
-  | _ -> Alcotest.fail "fragmented set not reassembled"
-
-let test_protocol_compact_bounded () =
-  (* 100k tiny commands through one parser: the consumed prefix must be
-     reclaimed continuously, so neither the pending bytes nor the backing
-     buffer may grow with the command count. *)
-  let p = Protocol.create_parser () in
-  let n = ref 0 in
-  for i = 0 to 99_999 do
-    Protocol.feed_iter p
-      (Printf.sprintf "get key%d\r\n" (i mod 1000))
-      (function Ok (Protocol.Get _) -> incr n | _ -> Alcotest.fail "bad parse");
-    if Protocol.pending_bytes p > 0 then Alcotest.fail "whole commands left pending"
-  done;
-  Alcotest.(check int) "all parsed" 100_000 !n;
-  Alcotest.(check bool)
-    (Printf.sprintf "capacity %d stays at the initial size" (Protocol.buffer_capacity p))
-    true
-    (Protocol.buffer_capacity p <= 256)
-
-let test_protocol_compact_straddling () =
-  (* Same bound when every command straddles a chunk boundary and the
-     parser must hold partial lines across feeds. *)
-  let p = Protocol.create_parser () in
-  let wire = Buffer.create 4096 in
-  for i = 0 to 9_999 do
-    Buffer.add_string wire (Printf.sprintf "set k%d 0 0 3\r\nabc\r\n" (i mod 100))
-  done;
-  let wire = Buffer.contents wire in
-  let n = ref 0 and i = ref 0 in
-  while !i < String.length wire do
-    let len = min 7 (String.length wire - !i) in
-    Protocol.feed_iter p (String.sub wire !i len) (function
-      | Ok (Protocol.Set _) -> incr n
-      | _ -> Alcotest.fail "bad parse");
-    i := !i + len
-  done;
-  Alcotest.(check int) "all parsed" 10_000 !n;
-  Alcotest.(check int) "nothing pending" 0 (Protocol.pending_bytes p);
-  Alcotest.(check bool) "capacity bounded" true (Protocol.buffer_capacity p <= 256)
-
-let test_protocol_errors () =
-  let p = Protocol.create_parser () in
-  (match Protocol.feed p "bogus command here\r\nget ok\r\n" with
-  | [ Error _; Ok (Protocol.Get "ok") ] -> ()
-  | _ -> Alcotest.fail "error recovery failed");
-  (match Protocol.feed p "set k x y z\r\n" with
-  | [ Error _ ] -> ()
-  | _ -> Alcotest.fail "bad set args accepted");
-  match Protocol.feed p "set k 0 0 3\r\nabcXX" with
-  | [ Error _ ] -> ()
-  | _ -> Alcotest.fail "missing CRLF after data accepted"
-
-let command_gen =
-  QCheck.Gen.(
-    let key = map (fun n -> Printf.sprintf "key%d" (abs n mod 1000)) int in
-    let data = string_size ~gen:(char_range 'a' 'z') (int_range 0 64) in
-    frequency
-      [
-        (5, map (fun k -> Protocol.Get k) key);
-        (3, map2 (fun k d -> Protocol.Set { key = k; flags = 0; exptime = 0; data = d }) key data);
-        (1, map (fun k -> Protocol.Delete k) key);
-      ])
-
-let prop_protocol_roundtrip_chunked =
-  (* Render a command list to bytes, split at random boundaries, feed the
-     chunks, and require the same commands back — the framing property at
-     the heart of §6.2's byte-stream discussion. *)
-  QCheck.Test.make ~name:"render/parse roundtrip under random chunking" ~count:300
-    (QCheck.make
-       QCheck.Gen.(pair (list_size (int_range 1 12) command_gen) (int_range 1 7))
-       ~print:(fun (cmds, n) -> Printf.sprintf "%d cmds, chunk %d" (List.length cmds) n))
-    (fun (cmds, chunk_size) ->
-      let wire = String.concat "" (List.map Protocol.render_command cmds) in
-      let parser = Protocol.create_parser () in
-      let parsed = ref [] in
-      let i = ref 0 in
-      while !i < String.length wire do
-        let len = min chunk_size (String.length wire - !i) in
-        parsed := List.rev_append (Protocol.feed parser (String.sub wire !i len)) !parsed;
-        i := !i + len
-      done;
-      let parsed = List.rev !parsed in
-      let ok = List.for_all (function Ok _ -> true | Error _ -> false) parsed in
-      ok
-      && List.map (function Ok c -> c | Error _ -> assert false) parsed = cmds
-      && Protocol.pending_bytes parser = 0)
-
-let test_protocol_execute_and_render () =
-  let store = Store.create ~capacity:16 () in
-  let set = Protocol.Set { key = "k"; flags = 7; exptime = 0; data = "hello" } in
-  Alcotest.(check string) "stored" "STORED\r\n"
-    (Protocol.render_response ~cmd:set (Protocol.execute store set));
-  let get = Protocol.Get "k" in
-  Alcotest.(check string) "value" "VALUE k 0 5\r\nhello\r\nEND\r\n"
-    (Protocol.render_response ~cmd:get (Protocol.execute store get));
-  let miss = Protocol.Get "nope" in
-  Alcotest.(check string) "miss is bare END" "END\r\n"
-    (Protocol.render_response ~cmd:miss (Protocol.execute store miss));
-  let del = Protocol.Delete "k" in
-  Alcotest.(check string) "deleted" "DELETED\r\n"
-    (Protocol.render_response ~cmd:del (Protocol.execute store del));
-  Alcotest.(check string) "delete miss" "NOT_FOUND\r\n"
-    (Protocol.render_response ~cmd:del (Protocol.execute store del))
 
 (* ---- Workload ---- *)
 
@@ -198,8 +14,8 @@ let test_workload_get_fractions () =
       let gets = ref 0 in
       for _ = 1 to n do
         match Workload.next_command wl rng with
-        | Protocol.Get _ -> incr gets
-        | Protocol.Set _ | Protocol.Delete _ -> ()
+        | Workload.Get _ -> incr gets
+        | Workload.Set _ -> ()
       done;
       let frac = float_of_int !gets /. float_of_int n in
       if abs_float (frac -. Workload.get_fraction kind) > 0.01 then
@@ -211,9 +27,9 @@ let test_workload_usr_value_sizes () =
   let wl = Workload.create ~records:1_000 Workload.Usr in
   for _ = 1 to 2_000 do
     match Workload.next_command wl rng with
-    | Protocol.Set { data; _ } ->
+    | Workload.Set { data; _ } ->
         Alcotest.(check int) "USR values are 2 bytes" 2 (String.length data)
-    | Protocol.Get _ | Protocol.Delete _ -> ()
+    | Workload.Get _ -> ()
   done
 
 let test_workload_zipf_skew () =
@@ -222,18 +38,15 @@ let test_workload_zipf_skew () =
   let counts = Hashtbl.create 64 in
   for _ = 1 to 50_000 do
     match Workload.next_command wl rng with
-    | Protocol.Get k | Protocol.Delete k | Protocol.Set { key = k; _ } ->
+    | Workload.Get k | Workload.Set { key = k; _ } ->
         Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k))
   done;
   (* Zipf: a handful of keys dominate. *)
   let top = Hashtbl.fold (fun _ n acc -> max n acc) counts 0 in
   Alcotest.(check bool) "popular key dominates" true (top > 50_000 / 100)
 
-let test_workload_populate_and_service () =
+let test_workload_service_dist () =
   let wl = Workload.create ~records:500 Workload.Etc in
-  let store = Store.create ~capacity:1_000 () in
-  Workload.populate wl store;
-  Alcotest.(check int) "populated" 500 (Store.size store);
   let dist = Workload.service_dist wl ~samples:5_000 in
   let mean = Engine.Dist.mean dist in
   Alcotest.(check bool)
@@ -243,31 +56,11 @@ let test_workload_populate_and_service () =
 let () =
   Alcotest.run "kvstore"
     [
-      ( "store",
-        [
-          Alcotest.test_case "basics" `Quick test_store_basics;
-          Alcotest.test_case "stats" `Quick test_store_stats;
-          Alcotest.test_case "eviction bounded" `Quick test_store_eviction_bounded;
-          Alcotest.test_case "clock second chance" `Quick test_store_clock_second_chance;
-          QCheck_alcotest.to_alcotest prop_store_capacity_respected;
-        ] );
-      ( "protocol",
-        [
-          Alcotest.test_case "simple commands" `Quick test_protocol_simple_commands;
-          Alcotest.test_case "fragmented" `Quick test_protocol_fragmented;
-          Alcotest.test_case "errors" `Quick test_protocol_errors;
-          Alcotest.test_case "compaction bounds the buffer" `Quick
-            test_protocol_compact_bounded;
-          Alcotest.test_case "compaction under straddling chunks" `Quick
-            test_protocol_compact_straddling;
-          QCheck_alcotest.to_alcotest prop_protocol_roundtrip_chunked;
-          Alcotest.test_case "execute/render" `Quick test_protocol_execute_and_render;
-        ] );
       ( "workload",
         [
           Alcotest.test_case "get fractions" `Quick test_workload_get_fractions;
           Alcotest.test_case "usr value sizes" `Quick test_workload_usr_value_sizes;
           Alcotest.test_case "zipf skew" `Quick test_workload_zipf_skew;
-          Alcotest.test_case "populate + service dist" `Quick test_workload_populate_and_service;
+          Alcotest.test_case "service dist" `Quick test_workload_service_dist;
         ] );
     ]

@@ -311,7 +311,6 @@ let documented_suppressions =
     ("lib/runtime/pool.ml", Lint.R4);
     ("lib/experiments/sweep.ml", Lint.R4);
     ("lib/experiments/figures.ml", Lint.R1);
-    ("lib/experiments/appserve.ml", Lint.R1);
     ("lib/net/loadgen.ml", Lint.R2);
     ("lib/systems/zygos.ml", Lint.R2);
     ("lib/systems/preemptive.ml", Lint.R2);
