@@ -1,13 +1,12 @@
 (* Benchmark harness for what perfbench does not run: per-operation
    costs of the paper's application substrates (RSS, the shuffle queue,
-   Silo/TPC-C), the heap-vs-wheel event-queue comparison, and
-   sequential-vs-pooled sweep execution. perfbench
+   Silo/TPC-C) and sequential-vs-pooled sweep execution. perfbench
    (perfbench/run.py) times the simulator end to end and per layer; the
    paper's figures and tables run through the [zygos] CLI.
 
    Usage:
-     dune exec bench/main.exe                       -- micro, equeue and sweep
-     dune exec bench/main.exe -- micro equeue       -- selected targets
+     dune exec bench/main.exe                       -- micro and sweep
+     dune exec bench/main.exe -- micro              -- selected targets
      dune exec bench/main.exe -- sweep -j 4         -- pooled side on 4 domains
      dune exec bench/main.exe -- --scale 0.05       -- quicker pass *)
 
@@ -111,127 +110,6 @@ let micro ~jobs:_ ~scale =
       Table { columns = [ "operation"; "median ns/op"; "IQR" ]; rows };
     ]
 
-(* ---- equeue: heap vs wheel at 1e3..1e6 pending events ---- *)
-
-let equeue_bench ~jobs:_ ~scale =
-  let module E = Engine.Equeue in
-  (* 1. Pop-order identity: both back ends must produce the same (time,
-     seqno) pop sequence for an adversarial interleaving of adds and pops
-     (duplicate times, past adds, far-future cascade targets). *)
-  let assert_parity () =
-    let rng = Engine.Rng.create ~seed:99 in
-    let heap = E.create E.Heap and wheel = E.create E.Wheel in
-    let n = 20_000 in
-    let clock = ref 0. in
-    for i = 0 to n - 1 do
-      let t =
-        match Engine.Rng.int rng 10 with
-        | 0 -> !clock (* tie with the current minimum *)
-        | 1 -> !clock +. 1e7 (* far future: multi-level cascade *)
-        | 2 -> !clock +. (float_of_int (Engine.Rng.int rng 1000) /. 16.) (* sub-us ties *)
-        | _ -> !clock +. float_of_int (Engine.Rng.int rng 4096)
-      in
-      E.add heap ~time:t i;
-      E.add wheel ~time:t i;
-      if Engine.Rng.int rng 3 = 0 then begin
-        let th = E.min_time heap and tw = E.min_time wheel in
-        let vh = E.min_elt heap and vw = E.min_elt wheel in
-        if th <> tw || vh <> vw then
-          failwith
-            (Printf.sprintf "equeue parity: heap (%g, %d) <> wheel (%g, %d)" th vh tw vw);
-        E.drop_min heap;
-        E.drop_min wheel;
-        clock := th
-      end
-    done;
-    while not (E.is_empty heap) do
-      let th = E.min_time heap and tw = E.min_time wheel in
-      let vh = E.min_elt heap and vw = E.min_elt wheel in
-      if th <> tw || vh <> vw then
-        failwith (Printf.sprintf "equeue parity: heap (%g, %d) <> wheel (%g, %d)" th vh tw vw);
-      E.drop_min heap;
-      E.drop_min wheel
-    done;
-    if not (E.is_empty wheel) then failwith "equeue parity: wheel longer than heap"
-  in
-  assert_parity ();
-  (* 2. Raw push+pop ns/op at growing pending-set sizes: the heap pays
-     O(log n) sifts, the wheel O(1) bucket ops. Rotating relative delays
-     keep the insert depth varied. *)
-  let ops = max 200_000 (int_of_float (2e6 *. scale)) in
-  let raw kind n =
-    let q = E.create ~capacity:n kind in
-    for i = 1 to n do
-      E.add q ~time:(float_of_int (i * 7 mod n)) 0
-    done;
-    let t0 = Unix.gettimeofday () in
-    for i = 1 to ops do
-      let m = E.min_time q in
-      ignore (E.min_elt q : int);
-      E.drop_min q;
-      E.add q ~time:(m +. float_of_int (i * 7 mod n)) 0
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    E.clear q;
-    dt /. float_of_int ops *. 1e9
-  in
-  (* 3. Schedule+cancel+fire through Sim at depth n, per dispatch API:
-     the cancel path exercises lazy deletion in both queues. *)
-  let sim_cycle kind ~fn_api n =
-    let sim = Engine.Sim.create ~queue:kind () in
-    let clk = Engine.Sim.clock_buffer sim and kbuf = Engine.Sim.key_buffer sim in
-    let noop () = () in
-    let noop_fn (_ : int) = () in
-    let rec keepalive _ =
-      kbuf.(0) <- clk.(0) +. float_of_int n;
-      ignore (Engine.Sim.schedule_fn_keyed sim keepalive 0 : Engine.Sim.handle)
-    in
-    for _ = 1 to n do
-      keepalive 0
-    done;
-    let cycles = max 1 (ops / 4) in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to cycles do
-      let h =
-        if fn_api then begin
-          kbuf.(0) <- clk.(0) +. 2.0;
-          Engine.Sim.schedule_fn_keyed sim noop_fn 0
-        end
-        else Engine.Sim.schedule_after sim ~delay:2.0 noop
-      in
-      Engine.Sim.cancel sim h;
-      ignore (Engine.Sim.step sim : bool)
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    dt /. float_of_int cycles *. 1e9
-  in
-  let sizes =
-    if scale >= 0.5 then [ 1_000; 10_000; 100_000; 1_000_000 ]
-    else [ 1_000; 10_000; 100_000 ]
-  in
-  let rows = ref [] in
-  let record name v = rows := (name, v) :: !rows in
-  List.iter
-    (fun n ->
-      let h = raw E.Heap n and w = raw E.Wheel n in
-      record (Printf.sprintf "heap push+pop @%d" n) h;
-      record (Printf.sprintf "wheel push+pop @%d" n) w)
-    sizes;
-  let d = 512 in
-  record "sim closure cycle @512 (heap)" (sim_cycle E.Heap ~fn_api:false d);
-  record "sim closure cycle @512 (wheel)" (sim_cycle E.Wheel ~fn_api:false d);
-  record "sim schedule_fn cycle @512 (heap)" (sim_cycle E.Heap ~fn_api:true d);
-  record "sim schedule_fn cycle @512 (wheel)" (sim_cycle E.Wheel ~fn_api:true d);
-  Experiments.Output.
-    [
-      Header "Event queue: heap vs timing wheel (pop-order parity asserted, ns per op)";
-      Table
-        {
-          columns = [ "benchmark"; "ns/op" ];
-          rows = List.rev_map (fun (name, ns) -> [ Text name; Num (F1, ns) ]) !rows;
-        };
-    ]
-
 (* ---- sweep: sequential vs pooled wall clock on a fig6 slice ---- *)
 
 let int n = Experiments.Output.Num (Int, float_of_int n)
@@ -327,7 +205,7 @@ let sweep_bench ~jobs ~scale =
 
 (* ---- target registry and entry point ---- *)
 
-let targets = [ ("micro", micro); ("equeue", equeue_bench); ("sweep", sweep_bench) ]
+let targets = [ ("micro", micro); ("sweep", sweep_bench) ]
 
 let fail fmt =
   Printf.ksprintf

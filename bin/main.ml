@@ -18,12 +18,10 @@
 
 let usage () =
   Printf.printf
-    "usage: zygos [TARGET...] [-j N] [--scale S] [--equeue heap|wheel]\n\
+    "usage: zygos [TARGET...] [-j N] [--scale S]\n\
      \  TARGET   one of: %s (default: all)\n\
      \  -j N     run sweep points on N domains (default 1)\n\
      \  --scale S  request-budget multiplier (default 1.0)\n\
-     \  --equeue Q  event-queue back end: heap or wheel (default wheel;\n\
-     \              output is byte-identical either way)\n\
      usage: zygos point [--system S] [--dist D] [--mean US]\n\
      \         [--load L | --sweep L1,L2,... | --slo US] [--cores N] [--conns N]\n\
      \         [--requests N] [--seed N] [--packets N] [--skew FRAC:LOAD]\n\
@@ -141,15 +139,7 @@ let rec parse_targets ~jobs ~scale names = function
       match float_of_string_opt v with
       | Some s when s > 0. -> parse_targets ~jobs ~scale:s names rest
       | _ -> fail "--scale expects a positive number, got %S" v)
-  | "--equeue" :: v :: rest -> (
-      (* before any sweep spawns pool workers: every Sim.create () in
-         every domain then picks this back end *)
-      match Engine.Equeue.kind_of_string v with
-      | Some k ->
-          Engine.Sim.set_default_queue k;
-          parse_targets ~jobs ~scale names rest
-      | None -> fail "--equeue expects heap or wheel, got %S" v)
-  | [ (("-j" | "--jobs" | "--scale" | "--equeue") as flag) ] -> fail "%s expects a value" flag
+  | [ (("-j" | "--jobs" | "--scale") as flag) ] -> fail "%s expects a value" flag
   | a :: rest when String.length a > 2 && String.sub a 0 2 = "-j" ->
       parse_targets ~jobs:(positive_int "-j" (String.sub a 2 (String.length a - 2))) ~scale
         names rest

@@ -5,7 +5,7 @@
     {b Credit accounting.} The dispatcher tracks each server's
     outstanding requests exactly from its own vantage point: +1 at
     dispatch, -1 at response (floored at zero). Timeouts do {e not}
-    return credits — a packet lost to a blackhole leaks its credit until
+    return credits — a request lost to a crash leaks its credit until
     the health layer declares the server [Down] and a later response
     triggers a resync to zero ([rack_credit_resyncs]). Policies rank
     servers on the {!Estimate} snapshot of this array (stale by the

@@ -1,6 +1,5 @@
 type event =
   | Crash of { server : int; start : float; duration : float }
-  | Blackhole of { server : int; start : float; duration : float }
   | Degraded of { server : int; slowdown : float; start : float; duration : float }
 
 type t = event list
@@ -19,25 +18,11 @@ let validate ~servers plan =
   List.iter
     (function
       | Crash { server; start; duration } -> window "crash" server start duration
-      | Blackhole { server; start; duration } -> window "blackhole" server start duration
       | Degraded { server; slowdown; start; duration } ->
           window "degraded" server start duration;
           if Float.is_nan slowdown || slowdown < 1. then
             invalid_arg "Failplan: degraded slowdown < 1")
-    plan;
-  (* One blackhole window per server: the per-link fault plan carries a
-     single partition window (Net.Faults), so a second one would be
-     silently ignored. *)
-  let rec dup_blackhole seen = function
-    | [] -> ()
-    | Blackhole { server; _ } :: rest ->
-        if List.mem server seen then
-          invalid_arg
-            (Printf.sprintf "Failplan: multiple blackhole windows for server %d" server);
-        dup_blackhole (server :: seen) rest
-    | (Crash _ | Degraded _) :: rest -> dup_blackhole seen rest
-  in
-  dup_blackhole [] plan
+    plan
 
 (* Is [server] inside one of its crash windows at [now]? O(plan length);
    plans are a handful of events, and the dispatcher caches nothing so a
@@ -47,24 +32,11 @@ let crashed plan ~server ~now =
     (function
       | Crash { server = s; start; duration } ->
           s = server && now >= start && now < start +. duration
-      | Blackhole _ | Degraded _ -> false)
+      | Degraded _ -> false)
     plan
 
 let has_crash plan ~server =
-  List.exists
-    (function Crash { server = s; _ } -> s = server | Blackhole _ | Degraded _ -> false)
-    plan
-
-(* Link-level fault plan for [server]'s ingress path: the blackhole window
-   becomes a Net.Faults partition. [None] when the server has no
-   blackhole, so fault-free links are composed out entirely. *)
-let link_plan plan ~server =
-  List.find_map
-    (function
-      | Blackhole { server = s; start; duration } when s = server ->
-          Some (Net.Faults.plan ~blackhole:(start, start +. duration) ())
-      | Blackhole _ | Crash _ | Degraded _ -> None)
-    plan
+  List.exists (function Crash { server = s; _ } -> s = server | Degraded _ -> false) plan
 
 (* Straggler specs for [server]'s intra-server params: a degraded server
    runs every one of its cores [slowdown]x slower inside the window —
@@ -74,5 +46,5 @@ let stragglers plan ~server ~cores =
     (function
       | Degraded { server = s; slowdown; start; duration } when s = server ->
           List.init cores (fun core -> Core.Corefault.{ core; start; duration; slowdown })
-      | Degraded _ | Crash _ | Blackhole _ -> [])
+      | Degraded _ | Crash _ -> [])
     plan

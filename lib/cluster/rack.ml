@@ -59,8 +59,8 @@ let create sim cfg ~rng ~pool ~make_server ~respond =
   let n = cfg.servers in
   (* RNG stream discipline: server streams split first, in index order, so
      a 1-server rack consumes exactly the splits a bare system run does
-     (loadgen, then system); dispatcher and link streams come after and
-     are never drawn from in the degenerate configuration. *)
+     (loadgen, then system); the dispatcher's stream comes after and is
+     never drawn from in the degenerate configuration. *)
   let server_rngs = Array.of_list (init_ordered n (fun _ -> Rng.split rng)) in
   let dispatcher_rng = Rng.split rng in
   let dispatch =
@@ -71,9 +71,7 @@ let create sim cfg ~rng ~pool ~make_server ~respond =
   let lost_requests = ref 0 in (* swallowed by a crash window on ingress *)
   let lost_responses = ref 0 in (* suppressed by a crash window on egress *)
   let crash_windows =
-    List.exists
-      (function Failplan.Crash _ -> true | Failplan.Blackhole _ | Failplan.Degraded _ -> false)
-      cfg.failplan
+    List.exists (function Failplan.Crash _ -> true | Failplan.Degraded _ -> false) cfg.failplan
   in
   (* Egress: a crashed server's responses are lost; everything else goes
      through the dispatcher (credit return, health, dedupe, client). *)
@@ -86,31 +84,19 @@ let create sim cfg ~rng ~pool ~make_server ~respond =
     Array.of_list
       (init_ordered n (fun i -> make_server ~i ~rng:server_rngs.(i) ~respond:(egress i)))
   in
-  (* Ingress: crash filter, then the server's link fault layer (its
-     blackhole window) when it has one, then the server NIC. Fault-free
-     links are composed out entirely so a clean rack adds no layers. *)
-  let links = ref [] in
+  (* Ingress: the crash filter, then the server NIC. A server with no
+     crash window adds no layer. *)
   let forwards =
-    Array.of_list
-      (init_ordered n (fun i ->
-           let submit = server_ifaces.(i).Systems.Iface.submit in
-           let deliver =
-             match Failplan.link_plan cfg.failplan ~server:i with
-             | None -> submit
-             | Some plan ->
-                 let f = Net.Faults.create sim ~rng:(Rng.split rng) ~plan () in
-                 links := f :: !links;
-                 fun req -> Net.Faults.apply f req ~deliver:submit
-           in
-           if crash_windows && Failplan.has_crash cfg.failplan ~server:i then
-             fun req ->
-               if Failplan.crashed cfg.failplan ~server:i ~now:(Sim.now sim) then
-                 incr lost_requests
-               else deliver req
-           else deliver))
+    Array.mapi
+      (fun i (s : Systems.Iface.t) ->
+        let submit = s.submit in
+        if crash_windows && Failplan.has_crash cfg.failplan ~server:i then fun req ->
+          if Failplan.crashed cfg.failplan ~server:i ~now:(Sim.now sim) then incr lost_requests
+          else submit req
+        else submit)
+      server_ifaces
   in
   Dispatch.set_forward dispatch (fun i req -> forwards.(i) req);
-  let links = List.rev !links in
   let info () =
     Dispatch.info dispatch
     @ [
@@ -118,7 +104,6 @@ let create sim cfg ~rng ~pool ~make_server ~respond =
         ("rack_lost_requests", float_of_int !lost_requests);
         ("rack_lost_responses", float_of_int !lost_responses);
       ]
-    @ sum_infos (List.map Net.Faults.info links)
     @ sum_infos
         (Array.to_list (Array.map (fun s -> s.Systems.Iface.info ()) server_ifaces))
   in

@@ -11,9 +11,6 @@
       detection timers, hedging);
     + the server's crash filter: requests arriving inside a
       [Failplan.Crash] window are lost ([rack_lost_requests]);
-    + the server's ingress link, which carries its [Failplan.Blackhole]
-      window as a {!Net.Faults} partition (composed out entirely for
-      servers with no blackhole);
     + the server system itself (any [make_server] — Linux, IX, ZygOS),
       whose [Failplan.Degraded] windows the caller applies as
       {!Core.Corefault} stragglers when building it.
@@ -22,11 +19,10 @@
     window: [rack_lost_responses]) into {!Dispatch.on_response}.
 
     {b Determinism.} [create] splits the caller's [rng] in a fixed
-    order — one stream per server (index order), then the dispatcher's,
-    then one per faulted link — so a 1-server rack with a zero failure
-    plan consumes exactly the splits a bare single-server run does and
-    reproduces it byte for byte (the degeneracy pinned by
-    [test_cluster]). *)
+    order — one stream per server (index order), then the dispatcher's —
+    so a 1-server rack with a zero failure plan consumes exactly the
+    splits a bare single-server run does and reproduces it byte for byte
+    (the degeneracy pinned by [test_cluster]). *)
 
 type config = {
   servers : int;
@@ -71,7 +67,7 @@ val create :
 val iface : t -> Systems.Iface.t
 (** The rack as a single server: [submit] dispatches, [info] merges the
     dispatcher's counters, rack-level loss counters ([rack_servers],
-    [rack_lost_requests], [rack_lost_responses]), summed link-fault
-    counters, and the key-wise sum of all per-server system counters. *)
+    [rack_lost_requests], [rack_lost_responses]) and the key-wise sum of
+    all per-server system counters. *)
 
 val dispatch : t -> Dispatch.t

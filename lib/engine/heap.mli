@@ -1,6 +1,7 @@
 (** Structure-of-arrays binary min-heap keyed by (time, sequence number).
 
-    The event queue of the discrete-event simulator. Ties on time break by
+    The reference model of the simulator's event queue: test/test_equeue.ml
+    checks {!Wheel}'s pop order against it. Ties on time break by
     insertion order (FIFO), which keeps simulations deterministic and makes
     "simultaneous" events execute in the order they were scheduled.
 

@@ -27,12 +27,9 @@
    Unsafe array accesses are confined to indices bounded by [t.fresh]
    (<= capacity of every pool array) or produced by [alloc_slot].
 
-   The queue is an {!Equeue}: the SoA binary heap or the hierarchical
-   timing wheel, selected per-simulation ([create ?queue]) or
-   process-wide ([set_default_queue], the CLI's [--equeue]). Both pop in
-   identical (time, seqno) order, so the choice never affects simulation
-   output. The step loop matches on the back end once and calls
-   {!Heap}/{!Wheel} directly. *)
+   The queue is the hierarchical timing wheel ({!Wheel}), which pops in
+   exactly (time, seqno) order; test/test_equeue.ml checks that order
+   against the binary heap ({!Heap}), its reference model. *)
 
 type handle = int
 
@@ -61,7 +58,7 @@ let noop_fn (_ : int) = ()
 type t = {
   clock : float array; (* one element; flat storage, see header comment *)
   tbuf : float array; (* one element; carries event times to/from the queue *)
-  queue : Equeue.t;
+  queue : Wheel.t;
   mutable actions : (unit -> unit) array;
   mutable fns : (int -> unit) array;
   mutable iargs : int array;
@@ -75,19 +72,11 @@ type t = {
   mutable n_reused : int;
 }
 
-(* Queue-kind selection: explicit [?queue] beats [set_default_queue]
-   beats the built-in default (wheel — goldens are bit-identical to the
-   heap's, see test/test_equeue.ml). *)
-let default_queue = ref Equeue.Wheel
-
-let set_default_queue kind = default_queue := kind
-
-let create ?queue () =
-  let kind = match queue with Some k -> k | None -> !default_queue in
+let create () =
   {
     clock = [| 0. |];
     tbuf = [| 0. |];
-    queue = Equeue.create ~dummy:0 kind;
+    queue = Wheel.create ();
     actions = Array.make 64 noop;
     fns = Array.make 64 noop_fn;
     iargs = Array.make 64 0;
@@ -106,8 +95,6 @@ let[@zygos.hot] now t = Array.unsafe_get t.clock 0
 let clock_buffer t = t.clock
 
 let key_buffer t = t.tbuf
-
-let queue_kind t = Equeue.kind t.queue
 
 let[@zygos.hot] grow_pool t =
   let cap = Array.length t.actions in
@@ -153,14 +140,6 @@ let[@zygos.hot] alloc_slot t =
     s
   end
 
-(* Enqueue the slot whose key the caller stored in [t.tbuf]: the time
-   travels to the queue through the flat buffer ({!Heap.add_key}), so a
-   steady-state schedule allocates nothing at all. *)
-let[@zygos.hot] enqueue_key t h =
-  match t.queue with
-  | Equeue.H hp -> Heap.add_key hp t.tbuf h
-  | Equeue.W w -> Wheel.add_key w t.tbuf h
-
 (* The cold path's schedule: it allocates the closure its caller builds
    and boxes [delay] at the call. *)
 let schedule_after t ~delay action =
@@ -171,12 +150,12 @@ let schedule_after t ~delay action =
   if Array.unsafe_get t.fns slot != noop_fn then Array.unsafe_set t.fns slot noop_fn;
   t.n_scheduled <- t.n_scheduled + 1;
   let h = (Array.unsafe_get t.gens slot lsl slot_bits) lor slot in
-  enqueue_key t h;
+  Wheel.add_key t.queue t.tbuf h;
   h
 
 (* The hot path's schedule: the caller stored the absolute time in
-   [t.tbuf] (see {!key_buffer}); no float crosses the call, so nothing
-   boxes. *)
+   [t.tbuf] (see {!key_buffer}), which {!Wheel.add_key} reads in turn;
+   no float crosses either call, so nothing boxes. *)
 let[@zygos.hot] schedule_fn_keyed t fn iarg =
   if Array.unsafe_get t.tbuf 0 < Array.unsafe_get t.clock 0 then
     invalid_arg
@@ -187,7 +166,7 @@ let[@zygos.hot] schedule_fn_keyed t fn iarg =
   Array.unsafe_set t.iargs slot iarg;
   t.n_scheduled <- t.n_scheduled + 1;
   let h = (Array.unsafe_get t.gens slot lsl slot_bits) lor slot in
-  enqueue_key t h;
+  Wheel.add_key t.queue t.tbuf h;
   h
 
 let[@zygos.hot] cancel t h =
@@ -201,7 +180,7 @@ let[@zygos.hot] cancel t h =
     t.n_cancelled <- t.n_cancelled + 1
   end
 
-let pending t = Equeue.length t.queue
+let pending t = Wheel.length t.queue
 
 let live t = t.n_scheduled - t.n_fired - t.n_cancelled
 
@@ -242,36 +221,21 @@ let[@zygos.hot] fire t h =
   end
 
 let[@zygos.hot] step t =
-  match t.queue with
-  | Equeue.H hp ->
-      let fired = ref false in
-      while (not !fired) && not (Heap.is_empty hp) do
-        fired := fire t (Heap.pop_into hp t.tbuf)
-      done;
-      !fired
-  | Equeue.W w ->
-      let fired = ref false in
-      while (not !fired) && not (Wheel.is_empty w) do
-        fired := fire t (Wheel.pop_into w t.tbuf)
-      done;
-      !fired
+  let fired = ref false in
+  while (not !fired) && not (Wheel.is_empty t.queue) do
+    fired := fire t (Wheel.pop_into t.queue t.tbuf)
+  done;
+  !fired
 
-(* The drain loop matches on the back end once, outside the loop; stale
-   (cancelled) pops need no retry here because the loop condition is
+(* Stale (cancelled) pops need no retry here: the loop condition is
    queue emptiness, not "fired". *)
 let run t =
-  match t.queue with
-  | Equeue.H hp ->
-      while not (Heap.is_empty hp) do
-        ignore (fire t (Heap.pop_into hp t.tbuf) : bool)
-      done
-  | Equeue.W w ->
-      while not (Wheel.is_empty w) do
-        ignore (fire t (Wheel.pop_into w t.tbuf) : bool)
-      done
+  while not (Wheel.is_empty t.queue) do
+    ignore (fire t (Wheel.pop_into t.queue t.tbuf) : bool)
+  done
 
 let run_until t horizon =
-  while (not (Equeue.is_empty t.queue)) && Equeue.min_time t.queue <= horizon do
+  while (not (Wheel.is_empty t.queue)) && Wheel.min_time t.queue <= horizon do
     ignore (step t : bool)
   done;
   if horizon > Array.unsafe_get t.clock 0 then Array.unsafe_set t.clock 0 horizon

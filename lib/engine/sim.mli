@@ -17,10 +17,8 @@
       in a float array is not.
     - {!schedule_after} for cold paths: a closure, [delay] after now.
 
-    The queue implementation — binary heap or hierarchical timing wheel,
-    see {!Equeue} — is selectable per simulation or process-wide; both
-    pop in identical (time, seqno) order so the choice never affects
-    simulation output.
+    The queue is a hierarchical timing wheel ({!Wheel}); its pop order
+    is checked against the binary heap ({!Heap}) in test/test_equeue.ml.
 
     Events can be cancelled through the handle either call returns;
     cancellation is O(1) (the queue entry stays queued but is skipped, and
@@ -52,18 +50,8 @@ type stats = {
     [pool_slots] stays at the high-water mark of concurrently pending
     events — the signature of an allocation-free hot path. *)
 
-val create : ?queue:Equeue.kind -> unit -> t
-(** Fresh simulation with clock at 0. [queue] selects the event-queue
-    back end; when omitted the process default applies
-    ({!set_default_queue}, else [Wheel]). *)
-
-val set_default_queue : Equeue.kind -> unit
-(** Process-wide queue default for subsequent {!create} calls without an
-    explicit [?queue]. The CLI's [--equeue] flag calls this before
-    spawning workers. *)
-
-val queue_kind : t -> Equeue.kind
-(** The back end this simulation's queue runs on. *)
+val create : unit -> t
+(** Fresh simulation with clock at 0. *)
 
 val now : t -> float
 (** Current simulated time (µs). *)

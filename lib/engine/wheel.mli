@@ -1,11 +1,11 @@
 (** Hierarchical timing wheel over integer event payloads.
 
-    A drop-in alternative to {!Heap} for the simulator's event queue:
-    O(1) add and amortized O(1) pop for the short-horizon timers the
-    simulations are dominated by, while popping in exactly the heap's
-    (time, insertion-sequence) order — ties at equal [time] break FIFO,
-    and the pop sequence is bit-identical to {!Heap}'s for any
-    interleaving of adds and pops.
+    The simulator's event queue ({!Sim}): O(1) add and amortized O(1)
+    pop for the short-horizon timers the simulations are dominated by,
+    while popping in exactly (time, insertion-sequence) order — ties at
+    equal [time] break FIFO, and the pop sequence is bit-identical to
+    {!Heap}'s, the reference model test/test_equeue.ml checks it
+    against, for any interleaving of adds and pops.
 
     Internals: 13 levels of 32 one-microsecond-granularity buckets
     (level l spans 32{^l} µs per bucket), per-level occupancy bitmaps,

@@ -171,11 +171,9 @@ let make_system kind sim ~cores ~rpc_packets ~stragglers ~rng ~pool ~conns ~resp
       Systems.Zygos.create sim
         { params with Systems.Params.zy_poll_random = false }
         ~rng ~pool ~conns ~respond ()
-  | Preemptive quantum ->
-      Systems.Preemptive.create sim params ~quantum ~switch_cost:0.3 ~pool ~conns ~respond ()
+  | Preemptive quantum -> Systems.Preemptive.create sim params ~quantum ~pool ~conns ~respond ()
   | Preemptive_consolidated quantum ->
-      Systems.Preemptive.create sim params ~quantum ~switch_cost:0.3 ~pool ~conns ~respond
-        ~consolidate:Systems.Preemptive.default_consolidation ()
+      Systems.Preemptive.create sim params ~quantum ~pool ~conns ~respond ~consolidate:true ()
   | Ix_rebalanced window ->
       let rss = Net.Rss.create ~queues:cores () in
       let iface, read_counts =

@@ -21,8 +21,9 @@ type system_kind =
       (** centralized preemptive scheduling with the given quantum (µs) —
           the §2.3 "PS wins under extreme dispersion" extension *)
   | Preemptive_consolidated of float
-      (** [Preemptive] with {!Systems.Preemptive.default_consolidation}
-          core parking (the [ext-consolidate] extension) *)
+      (** [Preemptive] with consolidation's core parking
+          ({!Systems.Preemptive.create}'s [consolidate]; the
+          [ext-consolidate] extension) *)
   | Ix_rebalanced of float
       (** IX with an RSS-reprogramming control plane, window in µs — the
           §5 "control plane interactions" extension *)

@@ -1,28 +1,14 @@
 module Sim = Engine.Sim
 module Rng = Engine.Rng
 
-type plan = {
-  drop : float;
-  duplicate : float;
-  reorder : float;
-  corrupt : float;
-  reorder_delay : float;
-  dup_delay : float;
-  blackhole_from : float;
-  blackhole_until : float;
-}
+type plan = { drop : float; duplicate : float; reorder : float; corrupt : float }
 
-let zero =
-  {
-    drop = 0.;
-    duplicate = 0.;
-    reorder = 0.;
-    corrupt = 0.;
-    reorder_delay = 5.;
-    dup_delay = 1.;
-    blackhole_from = 0.;
-    blackhole_until = 0.;
-  }
+(* Extra latency of a reordered packet, and the lag of a duplicate
+   behind its original (µs). *)
+let reorder_delay = 5.
+let dup_delay = 1.
+
+let zero = { drop = 0.; duplicate = 0.; reorder = 0.; corrupt = 0. }
 
 let validate_plan p =
   let rate name x =
@@ -32,27 +18,12 @@ let validate_plan p =
   rate "drop" p.drop;
   rate "duplicate" p.duplicate;
   rate "reorder" p.reorder;
-  rate "corrupt" p.corrupt;
-  if Float.is_nan p.reorder_delay || p.reorder_delay < 0. then
-    invalid_arg "Faults: reorder_delay < 0";
-  if Float.is_nan p.dup_delay || p.dup_delay < 0. then invalid_arg "Faults: dup_delay < 0";
-  if Float.is_nan p.blackhole_from || p.blackhole_from < 0. then
-    invalid_arg "Faults: blackhole_from < 0";
-  if Float.is_nan p.blackhole_until || p.blackhole_until < p.blackhole_from then
-    invalid_arg "Faults: blackhole_until < blackhole_from"
+  rate "corrupt" p.corrupt
 
-let plan ?(drop = 0.) ?(duplicate = 0.) ?(reorder = 0.) ?(corrupt = 0.)
-    ?(reorder_delay = zero.reorder_delay) ?(dup_delay = zero.dup_delay)
-    ?(blackhole = (0., 0.)) () =
-  let blackhole_from, blackhole_until = blackhole in
-  let p =
-    { drop; duplicate; reorder; corrupt; reorder_delay; dup_delay; blackhole_from;
-      blackhole_until }
-  in
+let plan ?(drop = 0.) ?(duplicate = 0.) ?(reorder = 0.) ?(corrupt = 0.) () =
+  let p = { drop; duplicate; reorder; corrupt } in
   validate_plan p;
   p
-
-let blackhole_active p ~now = now >= p.blackhole_from && now < p.blackhole_until
 
 type t = {
   sim : Sim.t;
@@ -63,7 +34,6 @@ type t = {
   mutable corruptions : int;
   mutable duplicates : int;
   mutable reorders : int;
-  mutable blackholes : int;
   mutable injected : int;
 }
 
@@ -78,7 +48,6 @@ let create sim ~rng ~plan () =
     corruptions = 0;
     duplicates = 0;
     reorders = 0;
-    blackholes = 0;
     injected = 0;
   }
 
@@ -86,19 +55,12 @@ let apply t pkt ~deliver =
   t.packets <- t.packets + 1;
   (* Fixed draw order keeps runs comparable across plans with the same
      seed: drop, corrupt, duplicate, reorder — every packet consumes
-     exactly four draws whichever faults fire. The blackhole window is
-     checked after the draws for the same reason: a packet swallowed by a
-     partition still consumes its four draws, so runs with and without a
-     window stay comparable outside it. *)
+     exactly four draws whichever faults fire. *)
   let dropped = Rng.bernoulli t.rng t.plan.drop in
   let corrupted = Rng.bernoulli t.rng t.plan.corrupt in
   let duplicated = Rng.bernoulli t.rng t.plan.duplicate in
   let reordered = Rng.bernoulli t.rng t.plan.reorder in
-  if blackhole_active t.plan ~now:(Sim.now t.sim) then begin
-    t.blackholes <- t.blackholes + 1;
-    t.injected <- t.injected + 1
-  end
-  else if dropped then begin
+  if dropped then begin
     t.drops <- t.drops + 1;
     t.injected <- t.injected + 1
   end
@@ -111,14 +73,14 @@ let apply t pkt ~deliver =
     if reordered then begin
       t.reorders <- t.reorders + 1;
       let _ : Sim.handle =
-        Sim.schedule_after t.sim ~delay:t.plan.reorder_delay (fun () -> deliver pkt)
+        Sim.schedule_after t.sim ~delay:reorder_delay (fun () -> deliver pkt)
       in
       ()
     end
     else deliver pkt;
     if duplicated then begin
       t.duplicates <- t.duplicates + 1;
-      let delay = t.plan.dup_delay +. if reordered then t.plan.reorder_delay else 0. in
+      let delay = dup_delay +. if reordered then reorder_delay else 0. in
       let _ : Sim.handle = Sim.schedule_after t.sim ~delay (fun () -> deliver pkt) in
       ()
     end
@@ -133,6 +95,5 @@ let info t =
     ("fault_corruptions", float_of_int t.corruptions);
     ("fault_duplicates", float_of_int t.duplicates);
     ("fault_reorders", float_of_int t.reorders);
-    ("fault_blackholes", float_of_int t.blackholes);
     ("fault_injected", float_of_int t.injected);
   ]

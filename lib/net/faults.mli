@@ -16,34 +16,21 @@
 type plan = {
   drop : float;  (** P(packet silently lost) *)
   duplicate : float;  (** P(packet delivered twice) *)
-  reorder : float;  (** P(packet delayed by [reorder_delay], letting later
-                        packets overtake it) *)
+  reorder : float;  (** P(packet delayed by 5 µs, letting later packets
+                        overtake it) *)
   corrupt : float;  (** P(packet corrupted in flight and discarded by
                         checksum validation) *)
-  reorder_delay : float;  (** extra latency of a reordered packet (µs) *)
-  dup_delay : float;  (** lag of the duplicate copy behind the original (µs) *)
-  blackhole_from : float;
-      (** partition window start (sim µs): the target is unreachable —
-          every packet silently swallowed — during
-          [[blackhole_from, blackhole_until)] *)
-  blackhole_until : float;  (** partition window end (exclusive) *)
 }
 
 val zero : plan
-(** All rates 0; delays at harmless defaults; empty blackhole window. *)
+(** All rates 0. *)
 
-val plan : ?drop:float -> ?duplicate:float -> ?reorder:float -> ?corrupt:float ->
-  ?reorder_delay:float -> ?dup_delay:float -> ?blackhole:float * float -> unit -> plan
-(** [zero] overridden field-wise; validates (rates in [0,1], delays >= 0,
-    rates summing <= 1 not required — drop/corrupt are exclusive, the rest
-    independent). [blackhole] is the [(from, until)] partition window,
-    default [(0., 0.)] — empty, since sim time is non-negative. Raises
-    [Invalid_argument] on out-of-range values. *)
+val plan : ?drop:float -> ?duplicate:float -> ?reorder:float -> ?corrupt:float -> unit -> plan
+(** [zero] overridden field-wise; validates (rates in [0,1], rates
+    summing <= 1 not required — drop/corrupt are exclusive, the rest
+    independent). Raises [Invalid_argument] on out-of-range values. *)
 
 val validate_plan : plan -> unit
-
-val blackhole_active : plan -> now:float -> bool
-(** Is [now] inside the plan's partition window? *)
 
 type t
 
@@ -54,8 +41,8 @@ val create : Engine.Sim.t -> rng:Engine.Rng.t -> plan:plan -> unit -> t
 val apply : t -> 'a -> deliver:('a -> unit) -> unit
 (** Run one packet through the plan. [deliver] is called zero, one or two
     times: never for a dropped/corrupted packet, immediately (same call
-    stack) for a clean packet, after [reorder_delay] for a reordered one,
-    and an extra time after [dup_delay] for a duplicated one. *)
+    stack) for a clean packet, 5 µs later for a reordered one, and an
+    extra time 1 µs after the original for a duplicated one. *)
 
 val injected : t -> int
 (** Packets that suffered at least one fault. *)
@@ -63,5 +50,4 @@ val injected : t -> int
 val info : t -> (string * float) list
 (** Per-kind counters for {!Systems.Iface.info}-style reporting:
     [fault_drops], [fault_corruptions], [fault_duplicates],
-    [fault_reorders], [fault_blackholes], [fault_injected],
-    [fault_packets]. *)
+    [fault_reorders], [fault_injected], [fault_packets]. *)

@@ -1,20 +1,17 @@
 module Sim = Engine.Sim
 module Request = Net.Request
 
-type policy = No_shed | Queue_length of int | Sojourn of float
+type policy = No_shed | Queue_length of int
 
 let validate_policy = function
   | No_shed -> ()
   | Queue_length k -> if k < 1 then invalid_arg "Overload: Queue_length bound < 1"
-  | Sojourn s ->
-      if Float.is_nan s || s <= 0. then invalid_arg "Overload: Sojourn bound <= 0"
 
 type t = {
   sim : Sim.t;
   pool : Request.pool;
   policy : policy;
   live : (int, unit) Hashtbl.t;  (* admitted request ids awaiting a response *)
-  fifo : (int * float) Queue.t;  (* (id, admit time), stale entries skipped lazily *)
   mutable inflight : int;
   mutable admitted : int;
   mutable shed : int;
@@ -28,36 +25,19 @@ let create sim ~pool ~policy () =
     pool;
     policy;
     live = Hashtbl.create 1024;
-    fifo = Queue.create ();
     inflight = 0;
     admitted = 0;
     shed = 0;
     peak = 0;
   }
 
-(* Pop fifo entries whose request already completed (lazy deletion). *)
-let rec evict_retired t =
-  match Queue.peek_opt t.fifo with
-  | Some (id, _) when not (Hashtbl.mem t.live id) ->
-      ignore (Queue.pop t.fifo : int * float);
-      evict_retired t
-  | _ -> ()
-
 let over_limit t =
-  match t.policy with
-  | No_shed -> false
-  | Queue_length k -> t.inflight >= k
-  | Sojourn bound -> (
-      evict_retired t;
-      match Queue.peek_opt t.fifo with
-      | Some (_, admitted_at) -> Sim.now t.sim -. admitted_at > bound
-      | None -> false)
+  match t.policy with No_shed -> false | Queue_length k -> t.inflight >= k
 
 let track t (req : Request.t) =
   let id = Request.id t.pool req in
   if not (Hashtbl.mem t.live id) then begin
     Hashtbl.replace t.live id ();
-    Queue.add (id, Sim.now t.sim) t.fifo;
     t.inflight <- t.inflight + 1;
     if t.inflight > t.peak then t.peak <- t.inflight
   end

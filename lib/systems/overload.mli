@@ -20,11 +20,6 @@ type policy =
   | Queue_length of int
       (** refuse when the server already holds this many admitted,
           unanswered requests (>= 1) *)
-  | Sojourn of float
-      (** refuse while the oldest admitted, unanswered request has been
-          in the server longer than this bound (µs, > 0) — a
-          CoDel-flavoured head-sojourn rule that adapts to service-time
-          dispersion where a fixed queue bound cannot *)
 
 val validate_policy : policy -> unit
 (** Raises [Invalid_argument] on a non-positive bound. *)
@@ -47,5 +42,7 @@ val note_response : t -> Net.Request.t -> unit
 val inflight : t -> int
 
 val info : t -> (string * float) list
-(** [admitted], [shed], [inflight_peak] — merged into the wrapped
+(** [admitted], [shed], [inflight_peak], and the simulator's own queue
+    depth at the time of the call: [sim_live] ({!Engine.Sim.live}) and
+    [sim_pending] ({!Engine.Sim.pending}) — merged into the wrapped
     system's {!Iface.info} output by the experiment runner. *)

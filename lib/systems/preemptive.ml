@@ -1,15 +1,16 @@
 module Sim = Engine.Sim
 module Request = Net.Request
 
-type consolidation = {
-  window : float;
-  low_util : float;
-  high_util : float;
-  unpark_latency : float;
-}
+(* Context-switch cost of a preemption (µs). *)
+let switch_cost = 0.3
 
-let default_consolidation =
-  { window = 200.; low_util = 0.5; high_util = 0.85; unpark_latency = 10. }
+(* The consolidation controller's window (µs), the utilization below which
+   it parks a core and above which it unparks one, and a woken core's
+   wakeup latency (µs). *)
+let window = 200.
+let low_util = 0.5
+let high_util = 0.85
+let unpark_latency = 10.
 
 type job = {
   req : Request.t;
@@ -35,10 +36,9 @@ type state = {
   mutable windows : int;
 }
 
-let create sim (p : Params.t) ~quantum ~switch_cost ~pool ~conns ~respond ?consolidate () =
+let create sim (p : Params.t) ~quantum ~pool ~conns ~respond ?(consolidate = false) () =
   let p = Params.validate p in
   if Float.is_nan quantum || quantum <= 0. then invalid_arg "Preemptive.create: quantum <= 0";
-  if not (switch_cost >= 0.) then invalid_arg "Preemptive.create: switch_cost < 0";
   let st =
     {
       runq = Queue.create ();
@@ -189,46 +189,44 @@ let create sim (p : Params.t) ~quantum ~switch_cost ~pool ~conns ~respond ?conso
     end
   in
   (* ---- consolidation controller ---- *)
-  (match consolidate with
-  | None -> ()
-  | Some { window; low_util; high_util; unpark_latency } ->
-      if not (window > 0.) then invalid_arg "Preemptive.create: consolidation window <= 0";
-      let last_busy = ref 0. in
-      let quiet = ref 0 in
-      let unpark () =
-        st.parked <- st.parked - 1;
-        let _ : Sim.handle =
-          Sim.schedule_after sim ~delay:unpark_latency (fun () ->
-              (* The woken core joins the pool and pulls work if any. *)
-              match Queue.take_opt st.runq with
-              | Some job -> run_slice ~resume_cost:switch_cost job
-              | None -> st.idle_cores <- st.idle_cores + 1)
-        in
-        ()
+  if consolidate then begin
+    let last_busy = ref 0. in
+    let quiet = ref 0 in
+    let unpark () =
+      st.parked <- st.parked - 1;
+      let _ : Sim.handle =
+        Sim.schedule_after sim ~delay:unpark_latency (fun () ->
+            (* The woken core joins the pool and pulls work if any. *)
+            match Queue.take_opt st.runq with
+            | Some job -> run_slice ~resume_cost:switch_cost job
+            | None -> st.idle_cores <- st.idle_cores + 1)
       in
-      let rec tick () =
-        st.windows <- st.windows + 1;
-        let act = active () in
-        st.core_time <- st.core_time +. (float_of_int act *. window);
-        let busy = st.busy_accum -. !last_busy in
-        last_busy := st.busy_accum;
-        let util = busy /. (float_of_int (max 1 act) *. window) in
-        if busy = 0. && Queue.is_empty st.runq then incr quiet else quiet := 0;
-        if util < low_util && st.active_target > 1 then begin
-          st.active_target <- st.active_target - 1;
-          (* Park an idle core immediately if one exists. *)
-          if active () > st.active_target && st.idle_cores > 0 then begin
-            st.idle_cores <- st.idle_cores - 1;
-            st.parked <- st.parked + 1
-          end
+      ()
+    in
+    let rec tick () =
+      st.windows <- st.windows + 1;
+      let act = active () in
+      st.core_time <- st.core_time +. (float_of_int act *. window);
+      let busy = st.busy_accum -. !last_busy in
+      last_busy := st.busy_accum;
+      let util = busy /. (float_of_int (max 1 act) *. window) in
+      if busy = 0. && Queue.is_empty st.runq then incr quiet else quiet := 0;
+      if util < low_util && st.active_target > 1 then begin
+        st.active_target <- st.active_target - 1;
+        (* Park an idle core immediately if one exists. *)
+        if active () > st.active_target && st.idle_cores > 0 then begin
+          st.idle_cores <- st.idle_cores - 1;
+          st.parked <- st.parked + 1
         end
-        else if util > high_util && st.active_target < p.cores then begin
-          st.active_target <- st.active_target + 1;
-          if st.parked > 0 then unpark ()
-        end;
-        if !quiet < 2 then ignore (Sim.schedule_after sim ~delay:window tick : Sim.handle)
-      in
-      ignore (Sim.schedule_after sim ~delay:window tick : Sim.handle));
+      end
+      else if util > high_util && st.active_target < p.cores then begin
+        st.active_target <- st.active_target + 1;
+        if st.parked > 0 then unpark ()
+      end;
+      if !quiet < 2 then ignore (Sim.schedule_after sim ~delay:window tick : Sim.handle)
+    in
+    ignore (Sim.schedule_after sim ~delay:window tick : Sim.handle)
+  end;
   let info () =
     let base =
       [
@@ -238,15 +236,14 @@ let create sim (p : Params.t) ~quantum ~switch_cost ~pool ~conns ~respond ?conso
           else float_of_int st.preemptions /. float_of_int st.completed );
       ]
     in
-    match consolidate with
-    | None -> base
-    | Some _ ->
-        let elapsed = float_of_int st.windows *. (Option.get consolidate).window in
-        base
-        @ [
-            ( "avg_active_cores",
-              if elapsed = 0. then float_of_int p.cores else st.core_time /. elapsed );
-            ("consolidation_windows", float_of_int st.windows);
-          ]
+    if not consolidate then base
+    else
+      let elapsed = float_of_int st.windows *. window in
+      base
+      @ [
+          ( "avg_active_cores",
+            if elapsed = 0. then float_of_int p.cores else st.core_time /. elapsed );
+          ("consolidation_windows", float_of_int st.windows);
+        ]
   in
   { Iface.name = Printf.sprintf "preempt-q%g" quantum; submit; info }

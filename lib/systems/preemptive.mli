@@ -16,38 +16,27 @@
     Counters exposed through {!Iface.info}: ["preemptions"],
     ["preemptions_per_request"]. *)
 
-(** Workload-consolidation control plane (§5's other IX control-plane
-    function, "energy proportionality [and] workload consolidation ...
-    dynamically adjusting ... core allocation"): every [window] µs the
-    controller measures utilization of the active cores and parks one core
-    below [low_util], or unparks one above [high_util] (paying
-    [unpark_latency] before the woken core serves). A centralized run
-    queue makes this safe — parked cores simply stop pulling work. *)
-type consolidation = {
-  window : float;
-  low_util : float;
-  high_util : float;
-  unpark_latency : float;
-}
-
-val default_consolidation : consolidation
-(** window 200µs, park below 50%, unpark above 85%, 10µs wakeup. *)
-
 val create :
   Engine.Sim.t ->
   Params.t ->
   quantum:float ->
-  switch_cost:float ->
   pool:Net.Request.pool ->
   conns:int ->
   respond:(Net.Request.t -> unit) ->
-  ?consolidate:consolidation ->
+  ?consolidate:bool ->
   unit ->
   Iface.t
-(** [quantum] is the maximum uninterrupted execution slice (µs);
-    [switch_cost] is charged at every preemption (save/restore, queue
-    traffic). Raises [Invalid_argument] if [quantum <= 0] or
-    [switch_cost < 0].
+(** [quantum] is the maximum uninterrupted execution slice (µs); every
+    preemption costs a 0.3 µs context switch (save/restore, queue
+    traffic). Raises [Invalid_argument] if [quantum <= 0].
 
-    With [consolidate], {!Iface.info} additionally exposes
-    ["avg_active_cores"] (time-weighted) and ["consolidation_windows"]. *)
+    [consolidate] (default [false]) runs the workload-consolidation
+    control plane (§5's other IX control-plane function, "energy
+    proportionality [and] workload consolidation ... dynamically
+    adjusting ... core allocation"): every 200 µs the controller
+    measures utilization of the active cores and parks one core below
+    50%, or unparks one above 85% (paying a 10 µs wakeup before the
+    woken core serves). A centralized run queue makes this safe — parked
+    cores simply stop pulling work. {!Iface.info} then additionally
+    exposes ["avg_active_cores"] (time-weighted) and
+    ["consolidation_windows"]. *)

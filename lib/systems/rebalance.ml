@@ -2,9 +2,11 @@ module Sim = Engine.Sim
 
 type stats = { mutable windows : int; mutable moves : int }
 
-let attach sim ~rss ~queues ~read_counts ~window ?(imbalance_threshold = 1.3) () =
+(* Hottest-to-coldest traffic ratio above which a slot moves. *)
+let imbalance_threshold = 1.3
+
+let attach sim ~rss ~queues ~read_counts ~window () =
   if window <= 0. then invalid_arg "Rebalance.attach: window <= 0";
-  if imbalance_threshold < 1. then invalid_arg "Rebalance.attach: threshold < 1";
   let stats = { windows = 0; moves = 0 } in
   let idle_windows = ref 0 in
   let rec tick () =

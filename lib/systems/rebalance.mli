@@ -5,9 +5,9 @@
     leaves the evaluation of such a control plane with ZygOS to future
     work. This module implements that controller for the simulated
     systems: every [window] µs it reads per-slot packet counts, and when
-    the hottest core receives more than [imbalance_threshold] times the
-    coldest core's traffic, it moves the busiest indirection slot of the
-    hottest core to the coldest core.
+    the hottest core receives more than 1.3 times the coldest core's
+    traffic, it moves the busiest indirection slot of the hottest core to
+    the coldest core.
 
     Two caveats the experiment (bench target `ext-rebalance`) surfaces:
 
@@ -29,10 +29,8 @@ val attach :
   queues:int ->
   read_counts:(unit -> int array) ->
   window:float ->
-  ?imbalance_threshold:float ->
   unit ->
   stats
 (** Start the periodic controller. It stops by itself after two
     consecutive windows with no traffic (so simulations terminate).
-    [imbalance_threshold] defaults to 1.3. Raises [Invalid_argument] on a
-    non-positive window or a threshold < 1. *)
+    Raises [Invalid_argument] on a non-positive window. *)

@@ -134,7 +134,7 @@ let test_point_bad_flag_cli () =
       ("point --system preempt-qnan", 2, "zygos point: Preemptive.create: quantum");
       ("fig2 --scale abc", 2, "zygos: --scale expects a positive number, got \"abc\"");
       ("fig2 -j 0", 2, "zygos: -j expects a positive integer, got \"0\"");
-      ("fig2 --equeue bogus", 2, "zygos: --equeue expects heap or wheel, got \"bogus\"");
+      ("fig2 --equeue heap", 2, "zygos: unknown option \"--equeue\"");
       ("fig2 --scale", 2, "zygos: --scale expects a value");
       ("--help", 0, "usage: zygos");
       ("point -h", 0, "usage: zygos");

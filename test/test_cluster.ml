@@ -291,24 +291,16 @@ let test_failplan_validation () =
       Failplan.validate ~servers:2
         [ Failplan.Crash { server = 2; start = 0.; duration = 1. } ]);
   check_raises_any "empty window" (fun () ->
-      Failplan.validate ~servers:2
-        [ Failplan.Blackhole { server = 0; start = 5.; duration = 0. } ]);
+      Failplan.validate ~servers:2 [ Failplan.Crash { server = 0; start = 5.; duration = 0. } ]);
   check_raises_any "slowdown < 1" (fun () ->
       Failplan.validate ~servers:2
         [ Failplan.Degraded { server = 0; slowdown = 0.5; start = 0.; duration = 1. } ]);
-  check_raises_any "two blackholes on one server" (fun () ->
-      Failplan.validate ~servers:2
-        [
-          Failplan.Blackhole { server = 1; start = 0.; duration = 1. };
-          Failplan.Blackhole { server = 1; start = 5.; duration = 1. };
-        ]);
   Failplan.validate ~servers:1 Failplan.none
 
 let test_failplan_lowering () =
   let plan =
     [
       Failplan.Crash { server = 0; start = 10.; duration = 5. };
-      Failplan.Blackhole { server = 1; start = 20.; duration = 10. };
       Failplan.Degraded { server = 2; slowdown = 4.; start = 0.; duration = 50. };
     ]
   in
@@ -318,15 +310,6 @@ let test_failplan_lowering () =
     (Failplan.crashed plan ~server:0 ~now:15.);
   Alcotest.(check bool) "other server clean" false (Failplan.crashed plan ~server:1 ~now:12.);
   Alcotest.(check bool) "has_crash" true (Failplan.has_crash plan ~server:0);
-  (match Failplan.link_plan plan ~server:1 with
-  | Some p ->
-      Alcotest.(check bool) "blackhole active at 25" true
-        (Net.Faults.blackhole_active p ~now:25.);
-      Alcotest.(check bool) "inactive at 30" false (Net.Faults.blackhole_active p ~now:30.)
-  | None -> Alcotest.fail "server 1 must have a link plan");
-  (match Failplan.link_plan plan ~server:0 with
-  | None -> ()
-  | Some _ -> Alcotest.fail "server 0 has no blackhole: no link layer");
   let specs = Failplan.stragglers plan ~server:2 ~cores:4 in
   Alcotest.(check int) "one spec per core" 4 (List.length specs);
   Alcotest.(check int) "no stragglers elsewhere" 0
@@ -579,7 +562,7 @@ let test_rackrun_degenerates () =
         Alcotest.failf "rackrun(%s) diverges from bare run" (Policy.name policy))
     Policy.[ Static_hash; Random; Po2; Jsq; Jbsq 1_000_000 ]
 
-(* ---- Determinism: equeue back ends and Sweep jobs ---- *)
+(* ---- Determinism: Sweep jobs ---- *)
 
 let rack_point ~policy ~seed =
   let cfg =
@@ -587,19 +570,6 @@ let rack_point ~policy ~seed =
       ~feedback_delay:5. ~policy ~service:(Dist.exponential 10.) ()
   in
   Rackrun.run cfg ~load:0.8
-
-let test_rack_equeue_parity () =
-  let with_queue kind f =
-    Sim.set_default_queue kind;
-    Fun.protect ~finally:(fun () -> Sim.set_default_queue Engine.Equeue.Wheel) f
-  in
-  List.iter
-    (fun policy ->
-      let heap = with_queue Engine.Equeue.Heap (fun () -> rack_point ~policy ~seed:23) in
-      let wheel = with_queue Engine.Equeue.Wheel (fun () -> rack_point ~policy ~seed:23) in
-      if point_fingerprint heap <> point_fingerprint wheel then
-        Alcotest.failf "%s: heap and wheel runs differ" (Policy.name policy))
-    all_policies
 
 let test_rack_sweep_jobs_parity () =
   let points =
@@ -709,7 +679,6 @@ let () =
         ] );
       ( "determinism",
         [
-          Alcotest.test_case "heap == wheel" `Slow test_rack_equeue_parity;
           Alcotest.test_case "-j1 == -j4 sweep" `Slow test_rack_sweep_jobs_parity;
         ] );
       ( "acceptance",

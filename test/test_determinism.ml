@@ -215,8 +215,11 @@ let test_sixteen_core_zygos () =
    point field is rendered with %h, plus every info counter except the
    simulator's own [sim_*] event-pool counters, which count scheduled
    events rather than model behaviour.
-   Captured at commit 5a22b45. *)
-let randomized_zygos_digest = "167e24695867aea032af535fe92366c7"
+   Captured at commit 5a22b45; re-pinned once when the always-zero
+   [fault_blackholes] counter left the fault info (the old text with
+   every " fault_blackholes=0x0p+0" deleted is byte-identical to the
+   new). *)
+let randomized_zygos_digest = "eb2776cfc0cf811b5bb6e2ea4955b25a"
 
 let randomized_zygos_configs () =
   let rng = Engine.Rng.create ~seed:2017 in

@@ -47,22 +47,14 @@ let test_preemptive_ordering_and_args () =
   let p = point (Run.Preemptive 5.) ~service ~load:0.7 in
   Alcotest.(check int) "per-conn ordering preserved" 0 p.Run.order_violations;
   let sim = Engine.Sim.create () in
-  let params = Systems.Params.default () in
-  let consolidate window = { Systems.Preemptive.default_consolidation with window } in
-  List.iter
-    (fun (name, quantum, switch_cost, consolidate, msg) ->
-      Alcotest.check_raises name (Invalid_argument ("Preemptive.create: " ^ msg)) (fun () ->
-          ignore
-            (Systems.Preemptive.create sim params ~quantum ~switch_cost
-               ~pool:(Net.Request.create_pool ()) ~conns:1
-               ~respond:(fun _ -> ())
-               ?consolidate ()
-              : Systems.Iface.t)))
-    [
-      ("quantum <= 0", 0., 0.1, None, "quantum <= 0");
-      ("switch_cost NaN", 5., nan, None, "switch_cost < 0");
-      ("window NaN", 5., 0.1, Some (consolidate nan), "consolidation window <= 0");
-    ]
+  Alcotest.check_raises "quantum <= 0" (Invalid_argument "Preemptive.create: quantum <= 0")
+    (fun () ->
+      ignore
+        (Systems.Preemptive.create sim (Systems.Params.default ()) ~quantum:0.
+           ~pool:(Net.Request.create_pool ()) ~conns:1
+           ~respond:(fun _ -> ())
+           ()
+          : Systems.Iface.t))
 
 (* ---- RSS dynamic indirection ---- *)
 
@@ -168,10 +160,9 @@ let run_consolidated ~load =
     Net.Loadgen.create sim ~rng:(Engine.Rng.split rng) ~pool ~conns:512 ~rate ~service ()
   in
   let system =
-    Systems.Preemptive.create sim (Systems.Params.default ()) ~quantum:10. ~switch_cost:0.3
-      ~pool ~conns:512
+    Systems.Preemptive.create sim (Systems.Params.default ()) ~quantum:10. ~pool ~conns:512
       ~respond:(fun req -> Net.Loadgen.complete gen req)
-      ~consolidate:Systems.Preemptive.default_consolidation ()
+      ~consolidate:true ()
   in
   Net.Loadgen.set_target gen system.Systems.Iface.submit;
   let measure = 8_000. /. rate in

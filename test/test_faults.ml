@@ -96,42 +96,8 @@ let test_corefault_validation () =
 let test_plan_validation () =
   check_raises_any "rate > 1" (fun () -> Faults.plan ~drop:1.5 ());
   check_raises_any "negative rate" (fun () -> Faults.plan ~reorder:(-0.1) ());
-  check_raises_any "negative delay" (fun () -> Faults.plan ~reorder_delay:(-1.) ());
-  check_raises_any "blackhole from < 0" (fun () -> Faults.plan ~blackhole:(-1., 5.) ());
-  check_raises_any "blackhole until < from" (fun () -> Faults.plan ~blackhole:(10., 5.) ());
-  check_raises_any "blackhole NaN" (fun () -> Faults.plan ~blackhole:(Float.nan, 5.) ());
   Faults.validate_plan Faults.zero;
-  (* An explicit empty window is the zero plan. *)
-  Alcotest.(check bool) "empty window = zero" true
-    (Faults.plan ~blackhole:(0., 0.) () = Faults.zero)
-
-let test_blackhole_window () =
-  (* Packets inside the partition window are swallowed (with their own
-     counter); before and after, delivery is untouched. *)
-  let sim = Sim.create () in
-  let rng = Rng.create ~seed:21 in
-  let f = Faults.create sim ~rng ~plan:(Faults.plan ~blackhole:(10., 20.) ()) () in
-  let delivered = ref [] in
-  let send_at at =
-    let _ : Sim.handle =
-      Sim.schedule_after sim ~delay:at (fun () ->
-          Faults.apply f at ~deliver:(fun t -> delivered := t :: !delivered))
-    in
-    ()
-  in
-  List.iter send_at [ 5.; 10.; 15.; 19.9; 20.; 25. ];
-  Sim.run sim;
-  Alcotest.(check (list (float 0.)))
-    "window [10,20) swallowed, end exclusive" [ 5.; 20.; 25. ]
-    (List.rev !delivered);
-  let get k = int_of_float (List.assoc k (Faults.info f)) in
-  Alcotest.(check int) "blackhole counter" 3 (get "fault_blackholes");
-  Alcotest.(check int) "counted as injected" 3 (get "fault_injected");
-  Alcotest.(check int) "not counted as drops" 0 (get "fault_drops");
-  Alcotest.(check bool) "active inside" true
-    (Faults.blackhole_active (Faults.plan ~blackhole:(10., 20.) ()) ~now:15.);
-  Alcotest.(check bool) "inactive at end" false
-    (Faults.blackhole_active (Faults.plan ~blackhole:(10., 20.) ()) ~now:20.)
+  Alcotest.(check bool) "default plan = zero" true (Faults.plan () = Faults.zero)
 
 let test_fault_counters () =
   let sim = Sim.create () in
@@ -200,25 +166,6 @@ let test_zero_plan_identical () =
       let zeroed = Run.run_point (cfg ~faults:Faults.zero ()) ~load in
       if point_fingerprint base <> point_fingerprint zeroed then
         QCheck.Test.fail_report "summary stats differ under zero-rate plan";
-      true)
-
-(* The blackhole draws nothing from the rng: a run whose window never
-   opens (entirely after the horizon) is bitwise-identical to no plan. *)
-let test_future_blackhole_bitwise () =
-  QCheck.Test.make ~name:"unreached blackhole window is byte-identical to no plan"
-    ~count:6
-    QCheck.(pair (int_range 1 1000) (int_range 3 9))
-    (fun (seed, load10) ->
-      let load = float_of_int load10 /. 10. in
-      let cfg ?faults () =
-        Run.config ~system:Run.Zygos ~service:(Dist.exponential 10.) ~cores:4 ~conns:64
-          ~requests:800 ~seed ?faults ()
-      in
-      let base = Run.run_point (cfg ()) ~load in
-      let far = Faults.plan ~blackhole:(1e15, 2e15) () in
-      let holed = Run.run_point (cfg ~faults:far ()) ~load in
-      if point_fingerprint base <> point_fingerprint holed then
-        QCheck.Test.fail_report "summary stats differ under unreached blackhole";
       true)
 
 (* Bitwise histogram comparison needs the tallies themselves; run the
@@ -383,39 +330,6 @@ let test_queue_length_boundary () =
   check_raises_any "bound 0 rejected" (fun () ->
       Overload.validate_policy (Overload.Queue_length 0))
 
-let test_sojourn_boundary () =
-  let sim = Sim.create () in
-  let pool = Request.create_pool () in
-  let mk_req = mk_req pool in
-  let g = Overload.create sim ~pool ~policy:(Overload.Sojourn 10.) () in
-  let forwarded = ref 0 in
-  let fwd _ = incr forwarded in
-  let r1 = mk_req 1 in
-  Overload.admit g r1 ~forward:fwd;
-  (* Head has been in for < bound: still admitting. *)
-  let _ : Sim.handle =
-    Sim.schedule_after sim ~delay:5. (fun () ->
-        Overload.admit g (mk_req 2) ~forward:fwd)
-  in
-  (* Head exceeds the bound: shed. *)
-  let _ : Sim.handle =
-    Sim.schedule_after sim ~delay:20. (fun () ->
-        Overload.admit g (mk_req 3) ~forward:fwd)
-  in
-  (* Head retired: admitting again even though time has passed. *)
-  let _ : Sim.handle =
-    Sim.schedule_after sim ~delay:30. (fun () ->
-        Overload.note_response g r1;
-        Overload.note_response g (mk_req 2);
-        Overload.admit g (mk_req 4) ~forward:fwd)
-  in
-  Sim.run sim;
-  Alcotest.(check int) "admitted 1, 2 and 4" 3 !forwarded;
-  let info = Overload.info g in
-  Alcotest.(check int) "shed exactly one" 1 (int_of_float (List.assoc "shed" info));
-  check_raises_any "bound 0 rejected" (fun () ->
-      Overload.validate_policy (Overload.Sojourn 0.))
-
 (* ---- Ring drops summed across queues, all systems ---- *)
 
 let test_ring_drops_sum () =
@@ -530,12 +444,10 @@ let () =
         [
           Alcotest.test_case "plan validation" `Quick test_plan_validation;
           Alcotest.test_case "counters" `Quick test_fault_counters;
-          Alcotest.test_case "blackhole window" `Quick test_blackhole_window;
         ] );
       ( "determinism",
         [
           QCheck_alcotest.to_alcotest (test_zero_plan_identical ());
-          QCheck_alcotest.to_alcotest (test_future_blackhole_bitwise ());
           Alcotest.test_case "zero plan, bitwise samples" `Quick
             test_zero_plan_samples_bitwise;
         ] );
@@ -549,7 +461,6 @@ let () =
       ( "overload",
         [
           Alcotest.test_case "queue-length boundary" `Quick test_queue_length_boundary;
-          Alcotest.test_case "sojourn boundary" `Quick test_sojourn_boundary;
         ] );
       ( "rings",
         [ Alcotest.test_case "drops sum across queues" `Quick test_ring_drops_sum ] );
