@@ -112,40 +112,6 @@ let micro ~jobs:_ ~scale =
 
 (* ---- sweep: sequential vs pooled wall clock on a fig6 slice ---- *)
 
-let int n = Experiments.Output.Num (Int, float_of_int n)
-
-(* Sweep-pool counters (workers, points run, steals, total busy seconds,
-   wall seconds, busy/wall speedup) plus a per-domain busy-time table. *)
-let pool_stats (s : Runtime.Pool.stats) =
-  let total_busy = Array.fold_left ( +. ) 0. s.busy_s in
-  let speedup = if s.wall_s > 0. then total_busy /. s.wall_s else 1. in
-  Experiments.Output.
-    [
-      Subheader "sweep pool";
-      Table
-        {
-          columns = [ "counter"; "value" ];
-          rows =
-            List.map
-              (fun (k, v) -> [ Text k; Num (G, v) ])
-              [
-                ("workers", float_of_int s.workers);
-                ("points_run", float_of_int s.points);
-                ("steals", float_of_int s.steals);
-                ("busy_s_total", total_busy);
-                ("wall_s", s.wall_s);
-                ("speedup", speedup);
-              ];
-        };
-      Table
-        {
-          columns = [ "domain"; "busy(s)"; "points" ];
-          rows =
-            Array.to_list
-              (Array.mapi (fun w busy -> [ int w; Num (F3, busy); int s.run_counts.(w) ]) s.busy_s);
-        };
-    ]
-
 let sweep_bench ~jobs ~scale =
   let module Run = Experiments.Run in
   let module Sweep = Experiments.Sweep in
@@ -174,15 +140,17 @@ let sweep_bench ~jobs ~scale =
           loads)
       systems
   in
-  let workers = if jobs > 1 then jobs else Runtime.Pool.recommended_workers () in
-  let seq, seq_stats = Sweep.run_with_stats ~jobs:1 ~seed:42 points in
-  let par, par_stats = Sweep.run_with_stats ~jobs:workers ~seed:42 points in
-  if seq <> par then failwith "sweep bench: pooled results differ from sequential";
-  let speedup =
-    if par_stats.Runtime.Pool.wall_s > 0. then
-      seq_stats.Runtime.Pool.wall_s /. par_stats.Runtime.Pool.wall_s
-    else 1.
+  let workers = if jobs > 1 then jobs else Domain.recommended_domain_count () in
+  let timed jobs =
+    let t0 = Unix.gettimeofday () in
+    let results = Sweep.run ~jobs ~seed:42 points in
+    (results, Unix.gettimeofday () -. t0)
   in
+  let seq, seq_wall = timed 1 in
+  let par, par_wall = timed workers in
+  if seq <> par then failwith "sweep bench: pooled results differ from sequential";
+  let speedup = if par_wall > 0. then seq_wall /. par_wall else 1. in
+  let int n = Experiments.Output.Num (Int, float_of_int n) in
   Experiments.Output.
     [
       Header "Sweep runner: sequential vs pooled execution (fig6 slice: exp, S = 10us)";
@@ -192,16 +160,14 @@ let sweep_bench ~jobs ~scale =
           rows =
             [
               [ Text "points"; int (List.length points) ];
-              [ Text "workers"; int par_stats.workers ];
-              [ Text "sequential wall (s)"; Num (F2, seq_stats.wall_s) ];
-              [ Text "pooled wall (s)"; Num (F2, par_stats.wall_s) ];
+              [ Text "workers"; int workers ];
+              [ Text "sequential wall (s)"; Num (F2, seq_wall) ];
+              [ Text "pooled wall (s)"; Num (F2, par_wall) ];
               [ Text "speedup"; Text (Printf.sprintf "%.2fx" speedup) ];
-              [ Text "steals"; int par_stats.steals ];
               [ Text "output parity"; Text "byte-identical" ];
             ];
         };
     ]
-  @ pool_stats par_stats
 
 (* ---- target registry and entry point ---- *)
 

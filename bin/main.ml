@@ -11,8 +11,9 @@
 
    Figure output goes to stdout and is byte-identical for every -j value
    (per-point seeds derive from stable point keys, and rendering happens
-   after the pool joins, in enumeration order). Run metadata and pool
-   statistics go to stderr so stdout can be diffed across -j values.
+   after the pool joins, in enumeration order). Run metadata and
+   per-target times go to stderr so stdout can be diffed across -j
+   values.
    A bad option or value prints a reason and exits 2; -h prints the
    usage and exits 0. *)
 
@@ -163,7 +164,6 @@ let run_targets args =
   in
   Printf.eprintf "zygos: targets [%s], scale=%g, jobs=%d\n%!"
     (String.concat " " selected) scale jobs;
-  Experiments.Sweep.reset_totals ();
   List.iter
     (fun name ->
       (* Progress reporting on stderr: wall-clock never reaches the
@@ -176,15 +176,7 @@ let run_targets args =
       flush stdout;
       Printf.eprintf "[%s done in %.1fs]\n%!" name
         ((Unix.gettimeofday () [@zygos.allow "determinism"]) -. t0))
-    selected;
-  let totals = Experiments.Sweep.read_totals () in
-  if totals.Experiments.Sweep.points > 0 then
-    Printf.eprintf
-      "[sweep pool: %d points over %d sweeps, %d steals, busy %.1fs / wall %.1fs, max %d \
-       workers]\n"
-      totals.Experiments.Sweep.points totals.Experiments.Sweep.sweeps
-      totals.Experiments.Sweep.steals totals.Experiments.Sweep.busy_s
-      totals.Experiments.Sweep.wall_s totals.Experiments.Sweep.workers
+    selected
 
 let () =
   match List.tl (Array.to_list Sys.argv) with

@@ -234,12 +234,6 @@ let run t =
     ignore (fire t (Wheel.pop_into t.queue t.tbuf) : bool)
   done
 
-let run_until t horizon =
-  while (not (Wheel.is_empty t.queue)) && Wheel.min_time t.queue <= horizon do
-    ignore (step t : bool)
-  done;
-  if horizon > Array.unsafe_get t.clock 0 then Array.unsafe_set t.clock 0 horizon
-
 let stats t =
   {
     scheduled = t.n_scheduled;

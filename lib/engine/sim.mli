@@ -101,9 +101,5 @@ val step : t -> bool
 val run : t -> unit
 (** Run until no events remain. *)
 
-val run_until : t -> float -> unit
-(** [run_until t horizon] executes events with timestamp <= [horizon], then
-    advances the clock to [horizon]. Events beyond stay queued. *)
-
 val stats : t -> stats
 (** Snapshot of the event-pool counters. *)

@@ -5,10 +5,10 @@
    point's result. The derived seed is a pure function of (master seed,
    key) — SplitMix64 finalizer over an FNV-1a hash of the key, re-mixed
    with the master seed — so it does not depend on the enumeration
-   order, the worker count, or the steal schedule. Results come back in
-   enumeration order; rendering happens after the join, in the calling
-   domain. Together these make parallel output byte-identical to the
-   sequential run. *)
+   order, the worker count, or which worker runs the point. Results
+   come back in enumeration order; rendering happens after the join, in
+   the calling domain. Together these make parallel output
+   byte-identical to the sequential run. *)
 
 type 'a point = { key : string; run : seed:int -> 'a }
 
@@ -36,34 +36,7 @@ let point_seed ~seed ~key =
   (* Positive int so the seed survives printf/reparse round trips. *)
   Int64.to_int (Int64.shift_right_logical (mix64 z) 1)
 
-(* Cumulative pool statistics across every sweep since the last reset,
-   read by the benchmark harness after its targets ran. Only touched from
-   the calling domain (the pool joins before returning). *)
-type totals = {
-  mutable sweeps : int;
-  mutable points : int;
-  mutable steals : int;
-  mutable busy_s : float;
-  mutable wall_s : float;
-  mutable workers : int;  (** max workers used by any sweep *)
-}
-[@@zygos.owned
-  "single-owner: mutated only by the calling domain, after Pool.run has joined \
-   every worker"]
-
-let totals = { sweeps = 0; points = 0; steals = 0; busy_s = 0.; wall_s = 0.; workers = 1 }
-
-let reset_totals () =
-  totals.sweeps <- 0;
-  totals.points <- 0;
-  totals.steals <- 0;
-  totals.busy_s <- 0.;
-  totals.wall_s <- 0.;
-  totals.workers <- 1
-
-let read_totals () = totals
-
-let run_with_stats ?(jobs = 1) ~seed points =
+let run ?(jobs = 1) ~seed points =
   let tasks =
     Array.of_list
       (List.map
@@ -72,13 +45,4 @@ let run_with_stats ?(jobs = 1) ~seed points =
            fun () -> p.run ~seed:derived)
          points)
   in
-  let results, stats = Runtime.Pool.run ~workers:jobs ~tasks in
-  totals.sweeps <- totals.sweeps + 1;
-  totals.points <- totals.points + stats.Runtime.Pool.points;
-  totals.steals <- totals.steals + stats.Runtime.Pool.steals;
-  totals.busy_s <- totals.busy_s +. Array.fold_left ( +. ) 0. stats.Runtime.Pool.busy_s;
-  totals.wall_s <- totals.wall_s +. stats.Runtime.Pool.wall_s;
-  totals.workers <- max totals.workers stats.Runtime.Pool.workers;
-  (Array.to_list results, stats)
-
-let run ?jobs ~seed points = fst (run_with_stats ?jobs ~seed points)
+  Array.to_list (Runtime.Pool.run ~workers:jobs ~tasks)

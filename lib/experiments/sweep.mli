@@ -10,7 +10,7 @@
       master seed and the point's stable key (SplitMix64 of an FNV-1a
       hash), never from execution order;
     - results are returned in enumeration order, so the render step that
-      consumes them is oblivious to the steal schedule;
+      consumes them is oblivious to which worker ran which point;
     - with [jobs = 1] (the default) no domain is spawned at all. *)
 
 type 'a point = { key : string; run : seed:int -> 'a }
@@ -27,20 +27,3 @@ val run : ?jobs:int -> seed:int -> 'a point list -> 'a list
 (** [run ~jobs ~seed points] executes every point (on [jobs] workers)
     and returns the results in input order. Output is independent of
     [jobs]. Default [jobs = 1] runs sequentially in the calling domain. *)
-
-val run_with_stats : ?jobs:int -> seed:int -> 'a point list -> 'a list * Runtime.Pool.stats
-
-(** Cumulative pool counters across sweeps (for the bench harness's
-    trajectory file); reset at the start of a measured region. *)
-type totals = {
-  mutable sweeps : int;
-  mutable points : int;
-  mutable steals : int;
-  mutable busy_s : float;
-  mutable wall_s : float;
-  mutable workers : int;
-}
-
-val reset_totals : unit -> unit
-
-val read_totals : unit -> totals

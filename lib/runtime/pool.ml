@@ -1,148 +1,36 @@
-(* Fixed-size domain pool with per-worker deques and work stealing.
+(* Fixed-size domain pool: one shared FCFS queue of task indices.
 
-   Tasks are coarse (whole simulation points, micro- to milliseconds of
-   work each), so plain mutex-protected deques are far below the noise
-   floor; the discipline — owner pops the front of its own queue, idle
-   workers steal from the back of a victim's queue, scanning the other
-   workers round-robin from themselves — is the same shuffle-queue shape
-   the simulated scheduler uses. Determinism is the caller's concern:
-   tasks must be independent (results are stored by index, so the output
-   order never depends on the steal order). *)
-
-type stats = {
-  workers : int;
-  points : int;
-  steals : int;
-  busy_s : float array;
-  run_counts : int array;
-  wall_s : float;
-}
-
-let sequential_stats ~points ~busy ~wall =
-  {
-    workers = 1;
-    points;
-    steals = 0;
-    busy_s = [| busy |];
-    run_counts = [| points |];
-    wall_s = wall;
-  }
-
-let recommended_workers () = Domain.recommended_domain_count ()
-
-(* One worker's slice of the task indices: [items.(head .. tail-1)] are
-   still runnable. The owner takes from [head], thieves from [tail-1]. *)
-type deque = {
-  items : int array;
-  mutable head : int
-      [@zygos.owned
-        "lock-protected: written only by pop_own/pop_steal under [lock]; \
-         initialisation happens-before every worker via Domain.spawn"];
-  mutable tail : int
-      [@zygos.owned
-        "lock-protected: written only by pop_own/pop_steal under [lock]; \
-         initialisation happens-before every worker via Domain.spawn"];
-  lock : Mutex.t;
-}
-
-let pop_own dq =
-  Mutex.lock dq.lock;
-  let r =
-    if dq.head < dq.tail then begin
-      let i = dq.items.(dq.head) in
-      dq.head <- dq.head + 1;
-      Some i
-    end
-    else None
-  in
-  Mutex.unlock dq.lock;
-  r
-
-let pop_steal dq =
-  Mutex.lock dq.lock;
-  let r =
-    if dq.head < dq.tail then begin
-      let i = dq.items.(dq.tail - 1) in
-      dq.tail <- dq.tail - 1;
-      Some i
-    end
-    else None
-  in
-  Mutex.unlock dq.lock;
-  r
-
-let run_sequential tasks =
-  let n = Array.length tasks in
-  let t0 = Unix.gettimeofday () in
-  let results = Array.map (fun task -> task ()) tasks in
-  let dt = Unix.gettimeofday () -. t0 in
-  (results, sequential_stats ~points:n ~busy:dt ~wall:dt)
+   Tasks are coarse (whole simulation points, milliseconds of work
+   each), so the queue is a single atomic counter: every worker claims
+   the next unclaimed index until none is left, which is work-conserving
+   at the cost of one atomic increment per task. Determinism is the
+   caller's concern: tasks must be independent (results are stored by
+   index, so the output order never depends on which worker ran what). *)
 
 let run ~workers ~tasks =
-  let n = Array.length tasks in
   if workers < 1 then invalid_arg "Pool.run: workers < 1";
-  if workers = 1 || n <= 1 then run_sequential tasks
-  else begin
-    let workers = min workers n in
-    (* Static round-robin partition; stealing rebalances at runtime. *)
-    let owned w =
-      let count = ((n - 1 - w) / workers) + 1 in
-      Array.init count (fun k -> w + (k * workers))
-    in
-    let deques =
-      Array.init workers (fun w ->
-          let items = owned w in
-          { items; head = 0; tail = Array.length items; lock = Mutex.create () })
-    in
-    let results = Array.make n None in
-    let failure = Atomic.make None in
-    let steals = Array.make workers 0 in
-    let busy = Array.make workers 0. in
-    let runs = Array.make workers 0 in
-    let exec w i =
-      let t0 = Unix.gettimeofday () in
+  let n = Array.length tasks in
+  let results = Array.make n None in
+  let next = Atomic.make 0 and failure = Atomic.make None in
+  let rec work () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
       (match tasks.(i) () with
       | v -> results.(i) <- Some v
       | exception e ->
-          (* Keep the first failure; the others still drain their work. *)
+          (* Keep the first failure; the other tasks still run. *)
           ignore (Atomic.compare_and_set failure None (Some e) : bool));
-      busy.(w) <- busy.(w) +. (Unix.gettimeofday () -. t0);
-      runs.(w) <- runs.(w) + 1
-    in
-    let worker w =
-      let rec own () =
-        match pop_own deques.(w) with
-        | Some i ->
-            exec w i;
-            own ()
-        | None -> steal 1
-      and steal k =
-        if k < workers then
-          match pop_steal deques.((w + k) mod workers) with
-          | Some i ->
-              steals.(w) <- steals.(w) + 1;
-              exec w i;
-              own ()
-          | None -> steal (k + 1)
-      in
-      own ()
-    in
-    let t0 = Unix.gettimeofday () in
-    let domains = List.init (workers - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1))) in
-    worker 0;
-    List.iter Domain.join domains;
-    let wall = Unix.gettimeofday () -. t0 in
-    (match Atomic.get failure with Some e -> raise e | None -> ());
-    let results =
-      Array.map (function Some v -> v | None -> assert false) results
-    in
-    ( results,
-      {
-        workers;
-        points = n;
-        steals = Array.fold_left ( + ) 0 steals;
-        busy_s = busy;
-        run_counts = runs;
-        wall_s = wall;
-      } )
-  end
+      work ()
+    end
+  in
+  let spawn _ =
+    (Domain.spawn work
+    [@zygos.owned
+      "single-owner: tasks is only read; each results cell is written only by the \
+       worker that claimed its index, and read after Domain.join"])
+  in
+  let domains = List.init (max 0 (min workers n - 1)) spawn in
+  work ();
+  List.iter Domain.join domains;
+  (match Atomic.get failure with Some e -> raise e | None -> ());
+  Array.map (function Some v -> v | None -> assert false) results

@@ -1,31 +1,18 @@
 (** Fixed-size OCaml 5 domain pool for independent coarse-grained tasks.
 
-    The pool applies the repo's own scheduling argument to its harness:
-    tasks start statically partitioned round-robin across per-worker
-    deques, the owner pops from the front, and an idle worker scans the
-    other deques round-robin and steals from the back — work conservation
-    without a central lock. Results are stored by task index, so the
-    output array (and anything rendered from it) is independent of the
-    steal order and of the worker count.
+    The pool is the paper's §2 ideal, a single shared FCFS queue: the
+    calling domain and [min workers n - 1] spawned domains each claim
+    the next unclaimed task index from one atomic counter until every
+    index is taken. Results are stored by task index, so the output
+    array (and anything rendered from it) is independent of which
+    worker ran which task, and of the worker count.
 
     Tasks must be independent: they run concurrently on separate domains
     and must not share mutable state. With [workers = 1] (or fewer than
     two tasks) everything runs in the calling domain and no domain is
-    spawned — the graceful single-CPU fallback. *)
+    spawned. *)
 
-type stats = {
-  workers : int;  (** workers actually used (<= requested) *)
-  points : int;  (** tasks executed *)
-  steals : int;  (** tasks run by a worker that did not own them *)
-  busy_s : float array;  (** per-worker seconds spent inside tasks *)
-  run_counts : int array;  (** per-worker tasks run *)
-  wall_s : float;  (** wall-clock seconds for the whole batch *)
-}
-
-val recommended_workers : unit -> int
-(** [Domain.recommended_domain_count ()] — 1 on single-CPU hosts. *)
-
-val run : workers:int -> tasks:(unit -> 'a) array -> 'a array * stats
+val run : workers:int -> tasks:(unit -> 'a) array -> 'a array
 (** [run ~workers ~tasks] executes every task exactly once and returns
     the results in task order. If any task raises, the remaining tasks
     still run and the first exception is re-raised after the join.

@@ -12,18 +12,10 @@ let low_util = 0.5
 let high_util = 0.85
 let unpark_latency = 10.
 
-type job = {
-  req : Request.t;
-  mutable remaining : float;
-  mutable dispatched : bool;
-  mutable slot : int;  (* index in the job registry, -1 when unregistered *)
-}
-
-(* Registry placeholder; also the content of freed registry slots. *)
-let no_job = { req = Request.none; remaining = 0.; dispatched = true; slot = -1 }
-
 type state = {
-  runq : job Queue.t;  (* centralized, preemptible run queue *)
+  runq : Engine.Intq.t;  (* centralized, preemptible run queue of request handles *)
+  mutable remaining : float array;  (* per request slot: service µs still to run *)
+  mutable dispatched : bool array;  (* per request slot: receive path paid *)
   mutable idle_cores : int;
   mutable parked : int;  (* consolidation: cores taken out of service *)
   mutable active_target : int;
@@ -41,7 +33,9 @@ let create sim (p : Params.t) ~quantum ~pool ~conns ~respond ?(consolidate = fal
   if Float.is_nan quantum || quantum <= 0. then invalid_arg "Preemptive.create: quantum <= 0";
   let st =
     {
-      runq = Queue.create ();
+      runq = Engine.Intq.create ();
+      remaining = Array.make 64 0.;
+      dispatched = Array.make 64 false;
       idle_cores = p.cores;
       parked = 0;
       active_target = p.cores;
@@ -57,135 +51,104 @@ let create sim (p : Params.t) ~quantum ~pool ~conns ~respond ?(consolidate = fal
   let pkts = float_of_int p.rpc_packets in
   let clk = Sim.clock_buffer sim and kbuf = Sim.key_buffer sim in
   let active () = p.cores - st.parked in
-  (* Job registry: maps the immediate int payload of closure-free events
-     back to the job, so per-slice and per-completion events allocate
-     nothing. Slots recycle through a stack, like the Sim event pool. *)
-  let jobs = ref (Array.make 64 no_job) in
-  let job_free = ref (Array.make 64 0) in
-  let job_free_top = ref 0 in
-  let job_fresh = ref 0 in
-  let register_job job =
-    let s =
-      if !job_free_top > 0 then begin
-        decr job_free_top;
-        !job_free.(!job_free_top)
-      end
-      else begin
-        if !job_fresh = Array.length !jobs then begin
-          let cap = Array.length !jobs in
-          let grown = Array.make (2 * cap) no_job in
-          Array.blit !jobs 0 grown 0 cap;
-          jobs := grown;
-          let free' = Array.make (2 * cap) 0 in
-          Array.blit !job_free 0 free' 0 !job_free_top;
-          job_free := free'
-        end;
-        let s = !job_fresh in
-        incr job_fresh;
-        s
-      end
-    in
-    !jobs.(s) <- job;
-    job.slot <- s
+  (* Events carry the request handle as their int payload, and a job's
+     state lives in the per-slot columns, so per-slice and
+     per-completion events allocate nothing. [submit] grows the columns
+     to cover every slot before the job can start. A duplicated packet
+     re-submits the same handle, so starting resets both columns and the
+     copy pays the receive path again. *)
+  let[@zygos.hot] start req =
+    let s = Request.slot pool req in
+    st.remaining.(s) <- (Request.services pool).(s);
+    st.dispatched.(s) <- false
   in
-  let unregister_job job =
-    !jobs.(job.slot) <- no_job;
-    !job_free.(!job_free_top) <- job.slot;
-    incr job_free_top;
-    job.slot <- -1
-  in
-  let[@zygos.hot] rec run_slice ~resume_cost job =
-    let slice = Float.min quantum job.remaining in
+  let[@zygos.hot] rec run_slice ~resume_cost req =
+    let s = Request.slot pool req in
+    let slice = Float.min quantum st.remaining.(s) in
     let setup =
-      if job.dispatched then resume_cost
+      if st.dispatched.(s) then resume_cost
       else begin
         (* First dispatch pays the receive path. *)
-        job.dispatched <- true;
+        st.dispatched.(s) <- true;
         p.dp_loop +. (pkts *. p.dp_rx)
       end
     in
-    let starteds = Request.starteds pool and s = Request.slot pool job.req in
+    let starteds = Request.starteds pool in
     if Array.unsafe_get starteds s < 0. then
       Array.unsafe_set starteds s (Sim.now sim +. setup);
     st.busy_accum <- st.busy_accum +. setup +. slice;
     Array.unsafe_set kbuf 0 (Array.unsafe_get clk 0 +. (setup +. slice));
-    let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_slice_end job.slot in
+    let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_slice_end req in
     ()
-  and fn_slice_end s =
-    (let job = !jobs.(s) in
+  and fn_slice_end req =
+    (let s = Request.slot pool req in
      (* [remaining] is untouched between schedule and fire, so this
         recomputes exactly the slice the event was scheduled for. *)
-     let slice = Float.min quantum job.remaining in
-     job.remaining <- job.remaining -. slice;
-     if job.remaining <= 1e-9 then finish job else preempt job)
+     let slice = Float.min quantum st.remaining.(s) in
+     st.remaining.(s) <- st.remaining.(s) -. slice;
+     if st.remaining.(s) <= 1e-9 then finish req else preempt req)
   [@@zygos.hot]
-  and finish job =
+  and finish req =
     (st.busy_accum <- st.busy_accum +. (pkts *. p.dp_tx);
      Array.unsafe_set kbuf 0 (Array.unsafe_get clk 0 +. (pkts *. p.dp_tx));
-     let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_finish job.slot in
+     let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_finish req in
      ())
   [@@zygos.hot]
-  and fn_finish s =
-    (let job = !jobs.(s) in
-     unregister_job job;
-     st.completed <- st.completed + 1;
+  and fn_finish req =
+    (st.completed <- st.completed + 1;
      (* The handle dies at [respond] (the client may recycle its slot), so
         the connection is read out first. *)
-     let conn = Request.conn pool job.req in
-     respond job.req;
+     let conn = Request.conn pool req in
+     respond req;
      (* Per-connection serialization (§4.3): promote the next queued
-        request of this connection, if any. The promoted job record is a
-        per-logical-request allocation, not a per-event one. *)
+        request of this connection, if any. *)
      (if Engine.Intqs.is_empty st.conn_pending conn then st.conn_busy.(conn) <- false
       else begin
         let next = Engine.Intqs.pop st.conn_pending conn in
-        let job =
-          ({ req = next; remaining = (Request.services pool).(Request.slot pool next);
-             dispatched = false; slot = -1 }
-          [@zygos.allow "hot-alloc"])
-        in
-        register_job job;
-        Queue.add job st.runq
+        start next;
+        Engine.Intq.push st.runq next
       end);
      next_work ())
   [@@zygos.hot]
-  and preempt job =
-    (if Queue.is_empty st.runq then
+  and preempt req =
+    (if Engine.Intq.is_empty st.runq then
        (* Nothing else to run: keep going, no context switch to pay. *)
-       run_slice ~resume_cost:0. job
+       run_slice ~resume_cost:0. req
      else begin
        st.preemptions <- st.preemptions + 1;
-       Queue.add job st.runq;
-       match Queue.take_opt st.runq with
-       | Some next -> run_slice ~resume_cost:switch_cost next
-       | None -> assert false
+       Engine.Intq.push st.runq req;
+       run_slice ~resume_cost:switch_cost (Engine.Intq.pop st.runq)
      end)
   [@@zygos.hot]
   and next_work () =
-    (match Queue.take_opt st.runq with
-     | Some job -> run_slice ~resume_cost:switch_cost job
-     | None ->
-         (* Consolidation: surplus cores park instead of idling. *)
-         if active () > st.active_target then st.parked <- st.parked + 1
-         else st.idle_cores <- st.idle_cores + 1)
+    (* Consolidation: surplus cores park instead of idling. *)
+    (if not (Engine.Intq.is_empty st.runq) then
+       run_slice ~resume_cost:switch_cost (Engine.Intq.pop st.runq)
+     else if active () > st.active_target then st.parked <- st.parked + 1
+     else st.idle_cores <- st.idle_cores + 1)
   [@@zygos.hot]
-  and fn_first s = (run_slice ~resume_cost:0. !jobs.(s)) [@@zygos.hot] in
+  and fn_first req = (run_slice ~resume_cost:0. req) [@@zygos.hot] in
   let submit req =
+    let s = Request.slot pool req in
+    let cap = Array.length st.remaining in
+    if s >= cap then begin
+      let grown = max (2 * cap) (s + 1) in
+      st.remaining <- Array.append st.remaining (Array.make (grown - cap) 0.);
+      st.dispatched <- Array.append st.dispatched (Array.make (grown - cap) false)
+    end;
     let conn = Request.conn pool req in
     if st.conn_busy.(conn) then Engine.Intqs.push st.conn_pending conn req
     else begin
       st.conn_busy.(conn) <- true;
-      let remaining = (Request.services pool).(Request.slot pool req) in
-      let job = { req; remaining; dispatched = false; slot = -1 } in
-      register_job job;
+      start req;
       if st.idle_cores > 0 then begin
         st.idle_cores <- st.idle_cores - 1;
         (* An idle core notices the packet within one poll iteration. *)
         Array.unsafe_set kbuf 0 (Array.unsafe_get clk 0 +. p.dp_loop);
-        let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_first job.slot in
+        let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_first req in
         ()
       end
-      else Queue.add job st.runq
+      else Engine.Intq.push st.runq req
     end
   in
   (* ---- consolidation controller ---- *)
@@ -197,9 +160,8 @@ let create sim (p : Params.t) ~quantum ~pool ~conns ~respond ?(consolidate = fal
       let _ : Sim.handle =
         Sim.schedule_after sim ~delay:unpark_latency (fun () ->
             (* The woken core joins the pool and pulls work if any. *)
-            match Queue.take_opt st.runq with
-            | Some job -> run_slice ~resume_cost:switch_cost job
-            | None -> st.idle_cores <- st.idle_cores + 1)
+            if Engine.Intq.is_empty st.runq then st.idle_cores <- st.idle_cores + 1
+            else run_slice ~resume_cost:switch_cost (Engine.Intq.pop st.runq))
       in
       ()
     in
@@ -210,7 +172,7 @@ let create sim (p : Params.t) ~quantum ~pool ~conns ~respond ?(consolidate = fal
       let busy = st.busy_accum -. !last_busy in
       last_busy := st.busy_accum;
       let util = busy /. (float_of_int (max 1 act) *. window) in
-      if busy = 0. && Queue.is_empty st.runq then incr quiet else quiet := 0;
+      if busy = 0. && Engine.Intq.is_empty st.runq then incr quiet else quiet := 0;
       if util < low_util && st.active_target > 1 then begin
         st.active_target <- st.active_target - 1;
         (* Park an idle core immediately if one exists. *)

@@ -233,7 +233,10 @@ let test_estimate_staleness () =
   live.(0) <- 4.;
   Alcotest.(check (float 0.)) "stale before refresh" 0. view.(0);
   Alcotest.(check (float 0.)) "exact sees it" 4. live.(0);
-  Sim.run_until sim 10.5;
+  (* Step up to the first refresh, at 10 µs. *)
+  while Sim.now sim < 10. && Sim.step sim do
+    ()
+  done;
   Alcotest.(check (float 0.)) "refreshed" 4. view.(0);
   live.(0) <- 9.;
   Estimate.force e 0;

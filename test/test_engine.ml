@@ -420,18 +420,6 @@ let test_sim_nested_scheduling () =
   Alcotest.(check (list string)) "nested" [ "outer"; "inner" ] (List.rev !log);
   check_float "clock" 2. (Sim.now sim)
 
-let test_sim_run_until () =
-  let sim = Sim.create () in
-  let count = ref 0 in
-  for i = 1 to 10 do
-    ignore (Sim.schedule_after sim ~delay:(float_of_int i) (fun () -> incr count) : Sim.handle)
-  done;
-  Sim.run_until sim 5.5;
-  Alcotest.(check int) "events before horizon" 5 !count;
-  check_float "clock advanced to horizon" 5.5 (Sim.now sim);
-  Sim.run sim;
-  Alcotest.(check int) "rest after run" 10 !count
-
 let test_sim_same_time_fifo () =
   let sim = Sim.create () in
   let log = ref [] in
@@ -554,7 +542,6 @@ let () =
           Alcotest.test_case "past raises" `Quick test_sim_past_raises;
           Alcotest.test_case "negative delay" `Quick test_sim_negative_delay_raises;
           Alcotest.test_case "nested" `Quick test_sim_nested_scheduling;
-          Alcotest.test_case "run_until" `Quick test_sim_run_until;
           Alcotest.test_case "same-time FIFO" `Quick test_sim_same_time_fifo;
         ] );
       ( "intqs",

@@ -56,6 +56,30 @@ let test_preemptive_ordering_and_args () =
            ()
           : Systems.Iface.t))
 
+(* A duplicated packet re-submits the same request handle. The copy
+   waits behind the original on its connection and, like any first
+   dispatch, pays the receive path again. *)
+let test_preemptive_duplicate_pays_rx () =
+  let sim = Engine.Sim.create () in
+  let p = Systems.Params.default ~cores:1 () in
+  let pool = Net.Request.create_pool () in
+  let req = Net.Request.alloc pool ~id:0 ~conn:0 ~measured:true [| 0.; 1. |] in
+  let responses = ref [] in
+  let system =
+    Systems.Preemptive.create sim p ~quantum:100. ~pool ~conns:1
+      ~respond:(fun _ -> responses := Engine.Sim.now sim :: !responses)
+      ()
+  in
+  system.Systems.Iface.submit req;
+  system.Systems.Iface.submit req;
+  Engine.Sim.run sim;
+  match !responses with
+  | [ second; first ] ->
+      (* Only the original waits one poll iteration for the idle core. *)
+      Alcotest.(check (float 1e-9)) "copy runs the same path" (first -. p.dp_loop)
+        (second -. first)
+  | l -> Alcotest.failf "expected 2 responses, got %d" (List.length l)
+
 (* ---- RSS dynamic indirection ---- *)
 
 let test_rss_slot_reprogramming () =
@@ -199,6 +223,8 @@ let () =
           Alcotest.test_case "wins on bimodal-2" `Quick test_preemptive_wins_on_bimodal2;
           Alcotest.test_case "overhead on fixed" `Quick test_preemptive_overhead_on_fixed;
           Alcotest.test_case "ordering + validation" `Quick test_preemptive_ordering_and_args;
+          Alcotest.test_case "duplicate pays the receive path" `Quick
+            test_preemptive_duplicate_pays_rx;
         ] );
       ( "rss-control",
         [

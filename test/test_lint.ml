@@ -308,12 +308,10 @@ let test_allow_warnings_at_attribute_location () =
    [dune build @lint] fails; this test pins the inventory. *)
 let documented_suppressions =
   [
-    ("lib/runtime/pool.ml", Lint.R4);
-    ("lib/experiments/sweep.ml", Lint.R4);
+    ("lib/runtime/pool.ml", Lint.R8);
     ("lib/experiments/figures.ml", Lint.R1);
     ("lib/net/loadgen.ml", Lint.R2);
     ("lib/systems/zygos.ml", Lint.R2);
-    ("lib/systems/preemptive.ml", Lint.R2);
   ]
 
 let test_lib_tree_clean () =

@@ -14,55 +14,48 @@ let test_pool_results_in_order () =
     (fun workers ->
       let n = 100 in
       let tasks = Array.init n (fun i () -> i * i) in
-      let results, stats = Pool.run ~workers ~tasks in
       Alcotest.(check (array int))
         (Printf.sprintf "workers=%d" workers)
         (Array.init n (fun i -> i * i))
-        results;
-      Alcotest.(check int) "points" n stats.Pool.points;
-      Alcotest.(check int) "run_counts sum" n (Array.fold_left ( + ) 0 stats.Pool.run_counts))
+        (Pool.run ~workers ~tasks))
     [ 1; 2; 3; 8; 200 ]
 
 let test_pool_runs_each_task_once () =
   let n = 64 in
   let counts = Array.init n (fun _ -> Atomic.make 0) in
   let tasks = Array.init n (fun i () -> Atomic.incr counts.(i)) in
-  let _, _ = Pool.run ~workers:4 ~tasks in
+  let _ = Pool.run ~workers:4 ~tasks in
   Array.iteri
     (fun i c ->
       Alcotest.(check int) (Printf.sprintf "task %d runs once" i) 1 (Atomic.get c))
     counts
 
+(* The failing run still executes everything else before re-raising,
+   whether one worker runs the tasks in order or three claim them. *)
 let test_pool_propagates_exception () =
-  let tasks =
-    Array.init 16 (fun i () -> if i = 13 then failwith "boom" else ())
-  in
-  (* The failing run still executes everything else before re-raising. *)
-  let survivors = Atomic.make 0 in
-  let tasks =
-    Array.mapi
-      (fun i task ->
-        fun () ->
-          task ();
-          if i <> 13 then Atomic.incr survivors)
-      tasks
-  in
-  (match Pool.run ~workers:3 ~tasks with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure m -> Alcotest.(check string) "message" "boom" m);
-  Alcotest.(check int) "other tasks still ran" 15 (Atomic.get survivors)
+  List.iter
+    (fun workers ->
+      let survivors = Atomic.make 0 in
+      let tasks =
+        Array.init 16 (fun i () -> if i = 13 then failwith "boom" else Atomic.incr survivors)
+      in
+      (match Pool.run ~workers ~tasks with
+      | _ -> Alcotest.failf "workers=%d: expected Failure" workers
+      | exception Failure m -> Alcotest.(check string) "message" "boom" m);
+      Alcotest.(check int)
+        (Printf.sprintf "workers=%d: other tasks still ran" workers)
+        15 (Atomic.get survivors))
+    [ 1; 3 ]
 
 let test_pool_rejects_bad_workers () =
   match Pool.run ~workers:0 ~tasks:[| (fun () -> ()) |] with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
-(* N domains x M tasks through the work-stealing pool: every task runs
-   exactly once (per-task atomic counters), results land at their own
-   index regardless of steal order, and the per-worker run counts sum to
-   the task count. This is the behavioral contract behind the
-   [@zygos.owned "lock-protected"] annotations on the pool's deque
-   head/tail fields. *)
+(* N domains x M tasks claimed from the shared counter: every task runs
+   exactly once (per-task atomic counters) and results land at their own
+   index whichever worker claimed them. This is the behavioral contract
+   behind the [@zygos.owned] annotation on the pool's [Domain.spawn]. *)
 let test_pool_exactly_once () =
   let tasks_n = 2000 and workers = 4 in
   let ran = Array.init tasks_n (fun _ -> Atomic.make 0) in
@@ -74,23 +67,23 @@ let test_pool_exactly_once () =
   in
   let tasks =
     Array.init tasks_n (fun i () ->
-        (* occasional jitter so owners and thieves interleave *)
+        (* occasional jitter so the workers' claims interleave *)
         if i land 127 = 0 then busy_wait_us 30.;
         ignore (Atomic.fetch_and_add ran.(i) 1 : int);
         i * 3)
   in
-  let results, stats = Pool.run ~workers ~tasks in
-  Alcotest.(check int) "points" tasks_n stats.Pool.points;
   Array.iteri
     (fun i r -> if r <> i * 3 then Alcotest.failf "task %d: result %d" i r)
-    results;
+    (Pool.run ~workers ~tasks);
   Array.iteri
     (fun i c ->
       let n = Atomic.get c in
       if n <> 1 then Alcotest.failf "task %d ran %d times" i n)
-    ran;
-  Alcotest.(check int) "run_counts sum to task count" tasks_n
-    (Array.fold_left ( + ) 0 stats.Pool.run_counts)
+    ran
+
+(* No task: no domain to spawn, not a negative count of them. *)
+let test_pool_zero_tasks () =
+  Alcotest.(check int) "no results" 0 (Array.length (Pool.run ~workers:4 ~tasks:[||]))
 
 (* ---- Seed derivation ---- *)
 
@@ -173,7 +166,8 @@ let () =
           Alcotest.test_case "exceptions propagate after join" `Quick
             test_pool_propagates_exception;
           Alcotest.test_case "workers < 1 rejected" `Quick test_pool_rejects_bad_workers;
-          Alcotest.test_case "exactly-once under stealing" `Quick test_pool_exactly_once;
+          Alcotest.test_case "exactly-once under contention" `Quick test_pool_exactly_once;
+          Alcotest.test_case "zero tasks" `Quick test_pool_zero_tasks;
         ] );
       ( "seed derivation",
         [

@@ -18,8 +18,8 @@
      options arrive as CLI flags) are banned inside the
      simulation-deterministic libraries (lib/{engine,systems,models,net,
      stats,experiments,cluster}) and the deterministic executables
-     (bin/, examples/). lib/runtime (the domain pool's busy-time
-     accounting) and bench/ are allowlisted by design (legitimate timing sites
+     (bin/, examples/). lib/runtime (the domain pool, which runs no
+     simulation) and bench/ are allowlisted by design (legitimate timing sites
      in bin/ and examples/ carry [@zygos.allow "determinism"]).
    - R2 "hot-alloc": inside functions annotated [@zygos.hot], typedtree
      nodes that allocate are flagged — closure/fun introduction, partial
