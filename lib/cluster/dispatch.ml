@@ -70,7 +70,7 @@ let[@zygos.hot] routable_set t ~exclude =
   let bound = float_of_int t.bound in
   let set = ref 0 in
   for i = 0 to t.n - 1 do
-    if i <> exclude && Array.unsafe_get t.outstanding i < bound then set := !set lor (1 lsl i)
+    if i <> exclude && t.outstanding.(i) < bound then set := !set lor (1 lsl i)
   done;
   (match t.health with
   | None -> ()

@@ -32,14 +32,14 @@ let create sim ~live ~delay ~until () =
        estimates are frozen from then on. *)
     let clk = Sim.clock_buffer sim and kbuf = Sim.key_buffer sim in
     let arm () =
-      Array.unsafe_set kbuf 0 (Array.unsafe_get clk 0 +. t.delay);
+      kbuf.(0) <- clk.(0) +. t.delay;
       ignore (Sim.schedule_fn_keyed t.sim t.refresh_fn 0 : Sim.handle)
     in
     t.refresh_fn <-
       (fun _ ->
         Array.blit t.live 0 t.visible 0 (Array.length t.live);
         t.refreshes <- t.refreshes + 1;
-        if Array.unsafe_get clk 0 +. t.delay <= t.until then arm ());
+        if clk.(0) +. t.delay <= t.until then arm ());
     arm ()
   end;
   t

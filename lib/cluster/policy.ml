@@ -41,7 +41,7 @@ let[@zygos.hot] argmin (estimates : float array) set ~n =
   for i = 0 to n - 1 do
     if
       mem set i
-      && (!best < 0 || Array.unsafe_get estimates i < Array.unsafe_get estimates !best)
+      && (!best < 0 || estimates.(i) < estimates.(!best))
     then best := i
   done;
   !best
@@ -82,6 +82,6 @@ let[@zygos.hot] choose t ~rss ~rng ~(estimates : float array) ~routable ~n ~conn
           in
           let ia = nth_member routable 0 a in
           let ib = nth_member routable 0 b in
-          if Array.unsafe_get estimates ib < Array.unsafe_get estimates ia then ib else ia
+          if estimates.(ib) < estimates.(ia) then ib else ia
         end
     | Jsq | Jbsq _ -> argmin estimates routable ~n

@@ -96,7 +96,7 @@ let[@zygos.hot] claim_from t ~core ~victim =
     let n = ref 0 in
     while not (Intqs.is_empty t.events conn) do
       if !n = Array.length me.batch then grow_batch me;
-      Array.unsafe_set me.batch !n (Intqs.pop t.events conn);
+      me.batch.(!n) <- Intqs.pop t.events conn;
       incr n
     done;
     let n = !n in
@@ -118,7 +118,7 @@ let[@zygos.hot] claim_from t ~core ~victim =
 let[@zygos.hot] rec try_victims t ~core ~steal_order i n =
   if i >= n then false
   else begin
-    let victim = Array.unsafe_get steal_order i in
+    let victim = steal_order.(i) in
     if victim = core then try_victims t ~core ~steal_order (i + 1) n
     else if claim_from t ~core ~victim then true
     else try_victims t ~core ~steal_order (i + 1) n
@@ -141,7 +141,7 @@ let[@zygos.hot] batch_size t ~core = t.core_states.(core).batch_n
 let[@zygos.hot] batch_event t ~core i =
   let me = t.core_states.(core) in
   if i < 0 || i >= me.batch_n then invalid_arg "Sched.batch_event: out of range";
-  Array.unsafe_get me.batch i
+  me.batch.(i)
 
 let[@zygos.hot] batch_stolen_from t ~core = t.core_states.(core).cur_src
 

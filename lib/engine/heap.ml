@@ -6,9 +6,10 @@
    allocating an option or tuple. The [dummy] element fills unused value
    slots so the heap never retains (or exposes) stale payloads.
 
-   The sift loops move a hole instead of swapping, and use unsafe array
-   accesses: every index is bounded by [t.size], which the public
-   operations keep within the capacity of all three arrays. *)
+   The sift loops move a hole instead of swapping. Their array accesses
+   are unchecked outside the checked profile: every index is bounded by
+   [t.size], which the public operations keep within the capacity of all
+   three arrays. *)
 
 type 'a t = {
   mutable times : float array;  (* slots [0, size) are live *)
@@ -55,7 +56,7 @@ let[@zygos.hot] grow t =
    through a flat one-element array and steady-state adds allocate
    nothing. [add] below keeps the ergonomic labelled-argument form. *)
 let[@zygos.hot] add_key t buf value =
-  let time = Array.unsafe_get buf 0 in
+  let time = buf.(0) in
   if t.size = Array.length t.times then grow t;
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -67,26 +68,26 @@ let[@zygos.hot] add_key t buf value =
   let moving = ref true in
   while !moving && !i > 0 do
     let parent = (!i - 1) / 2 in
-    let pt = Array.unsafe_get times parent in
+    let pt = times.(parent) in
     if time < pt then begin
-      Array.unsafe_set times !i pt;
-      Array.unsafe_set seqs !i (Array.unsafe_get seqs parent);
-      Array.unsafe_set values !i (Array.unsafe_get values parent);
+      times.(!i) <- pt;
+      seqs.(!i) <- seqs.(parent);
+      values.(!i) <- values.(parent);
       i := parent
     end
     else moving := false
   done;
-  Array.unsafe_set times !i time;
-  Array.unsafe_set seqs !i seq;
-  Array.unsafe_set values !i value
+  times.(!i) <- time;
+  seqs.(!i) <- seq;
+  values.(!i) <- value
 
 let[@zygos.hot] add t ~time value =
-  Array.unsafe_set t.kbuf 0 time;
+  t.kbuf.(0) <- time;
   add_key t t.kbuf value
 
-let[@zygos.hot] min_time t = if t.size = 0 then infinity else Array.unsafe_get t.times 0
+let[@zygos.hot] min_time t = if t.size = 0 then infinity else t.times.(0)
 
-let[@zygos.hot] min_elt t = if t.size = 0 then t.dummy else Array.unsafe_get t.values 0
+let[@zygos.hot] min_elt t = if t.size = 0 then t.dummy else t.values.(0)
 
 let[@zygos.hot] drop_min t =
   if t.size > 0 then begin
@@ -96,9 +97,9 @@ let[@zygos.hot] drop_min t =
     else begin
       let times = t.times and seqs = t.seqs and values = t.values in
       (* Move the last element into the root's hole, sifting it down. *)
-      let time = Array.unsafe_get times n and seq = Array.unsafe_get seqs n in
-      let value = Array.unsafe_get values n in
-      Array.unsafe_set values n t.dummy;
+      let time = times.(n) and seq = seqs.(n) in
+      let value = values.(n) in
+      values.(n) <- t.dummy;
       let i = ref 0 in
       let moving = ref true in
       while !moving do
@@ -109,26 +110,26 @@ let[@zygos.hot] drop_min t =
           let child =
             if
               right < n
-              && (let rt = Array.unsafe_get times right
-                  and lt = Array.unsafe_get times left in
+              && (let rt = times.(right)
+                  and lt = times.(left) in
                   rt < lt
-                  || (rt = lt && Array.unsafe_get seqs right < Array.unsafe_get seqs left))
+                  || (rt = lt && seqs.(right) < seqs.(left)))
             then right
             else left
           in
-          let ct = Array.unsafe_get times child in
-          if ct < time || (ct = time && Array.unsafe_get seqs child < seq) then begin
-            Array.unsafe_set times !i ct;
-            Array.unsafe_set seqs !i (Array.unsafe_get seqs child);
-            Array.unsafe_set values !i (Array.unsafe_get values child);
+          let ct = times.(child) in
+          if ct < time || (ct = time && seqs.(child) < seq) then begin
+            times.(!i) <- ct;
+            seqs.(!i) <- seqs.(child);
+            values.(!i) <- values.(child);
             i := child
           end
           else moving := false
         end
       done;
-      Array.unsafe_set times !i time;
-      Array.unsafe_set seqs !i seq;
-      Array.unsafe_set values !i value
+      times.(!i) <- time;
+      seqs.(!i) <- seq;
+      values.(!i) <- value
     end
   end
 
@@ -136,8 +137,8 @@ let[@zygos.hot] drop_min t =
    boxed-float return) and returning its payload. The heap must be
    non-empty; the caller checks [is_empty] first. *)
 let[@zygos.hot] pop_into t buf =
-  Array.unsafe_set buf 0 (Array.unsafe_get t.times 0);
-  let v = Array.unsafe_get t.values 0 in
+  buf.(0) <- t.times.(0);
+  let v = t.values.(0) in
   drop_min t;
   v
 

@@ -41,7 +41,7 @@ let[@zygos.hot] push t x =
   let cap = Array.length t.buf in
   let tail = t.head + t.len in
   let tail = if tail >= cap then tail - cap else tail in
-  Array.unsafe_set t.buf tail x;
+  t.buf.(tail) <- x;
   t.len <- t.len + 1
 
 (* [pop]/[peek] return [empty] when the queue is empty: a flat sentinel
@@ -53,7 +53,7 @@ let empty = min_int
 let[@zygos.hot] pop t =
   if t.len = 0 then empty
   else begin
-    let x = Array.unsafe_get t.buf t.head in
+    let x = t.buf.(t.head) in
     let head = t.head + 1 in
     t.head <- (if head = Array.length t.buf then 0 else head);
     t.len <- t.len - 1;
@@ -61,4 +61,4 @@ let[@zygos.hot] pop t =
   end
 
 let[@zygos.hot] peek t =
-  if t.len = 0 then empty else Array.unsafe_get t.buf t.head
+  if t.len = 0 then empty else t.buf.(t.head)

@@ -25,9 +25,9 @@ let empty = Intq.empty
 (* Chain nodes [lo, hi) into a free list, [lo] first. *)
 let[@zygos.hot] link_free next ~lo ~hi =
   for i = lo to hi - 2 do
-    Array.unsafe_set next i (i + 1)
+    next.(i) <- i + 1
   done;
-  Array.unsafe_set next (hi - 1) (-1)
+  next.(hi - 1) <- -1
 
 let create ?(capacity = 64) ~queues () =
   if queues < 0 then invalid_arg "Intqs.create: queues < 0";
@@ -55,34 +55,34 @@ let[@zygos.hot] push t q x =
   if t.free < 0 then grow t;
   let n = t.free in
   let next = t.next in
-  t.free <- Array.unsafe_get next n;
-  Array.unsafe_set t.value n x;
-  if tail < 0 then Array.unsafe_set next n n
+  t.free <- next.(n);
+  t.value.(n) <- x;
+  if tail < 0 then next.(n) <- n
   else begin
-    Array.unsafe_set next n (Array.unsafe_get next tail);
-    Array.unsafe_set next tail n
+    next.(n) <- next.(tail);
+    next.(tail) <- n
   end;
-  Array.unsafe_set t.tails q n
+  t.tails.(q) <- n
 
 let[@zygos.hot] release t n =
-  Array.unsafe_set t.next n t.free;
+  t.next.(n) <- t.free;
   t.free <- n
 
 let[@zygos.hot] pop t q =
   let tail = t.tails.(q) in
   if tail < 0 then empty
   else begin
-    let head = Array.unsafe_get t.next tail in
-    let x = Array.unsafe_get t.value head in
-    if head = tail then Array.unsafe_set t.tails q (-1)
-    else Array.unsafe_set t.next tail (Array.unsafe_get t.next head);
+    let head = t.next.(tail) in
+    let x = t.value.(head) in
+    if head = tail then t.tails.(q) <- -1
+    else t.next.(tail) <- t.next.(head);
     release t head;
     x
   end
 
 let[@zygos.hot] peek t q =
   let tail = t.tails.(q) in
-  if tail < 0 then empty else Array.unsafe_get t.value (Array.unsafe_get t.next tail)
+  if tail < 0 then empty else t.value.(t.next.(tail))
 
 (* One walk from the head, relinking the survivors in order; used by
    the rare repair paths (client order-violation cleanup). *)

@@ -15,12 +15,12 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let of_int64 state =
   let s : t = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 1 in
-  Bigarray.Array1.unsafe_set s 0 state;
+  s.{0} <- state;
   s
 
 let create ~seed = of_int64 (Int64.of_int seed)
 
-let copy (t : t) = of_int64 (Bigarray.Array1.unsafe_get t 0)
+let copy (t : t) = of_int64 t.{0}
 
 let mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
@@ -28,8 +28,8 @@ let mix64 z =
   Int64.(logxor z (shift_right_logical z 31))
 
 let next_int64 (t : t) =
-  let s = Int64.add (Bigarray.Array1.unsafe_get t 0) golden_gamma in
-  Bigarray.Array1.unsafe_set t 0 s;
+  let s = Int64.add t.{0} golden_gamma in
+  t.{0} <- s;
   mix64 s
 
 let split (t : t) =
@@ -42,8 +42,8 @@ let split (t : t) =
    chain stays unboxed end to end. *)
 
 let[@zygos.hot] float (t : t) =
-  let s = Int64.add (Bigarray.Array1.unsafe_get t 0) golden_gamma in
-  Bigarray.Array1.unsafe_set t 0 s;
+  let s = Int64.add t.{0} golden_gamma in
+  t.{0} <- s;
   let z = Int64.(mul (logxor s (shift_right_logical s 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   let z = Int64.(logxor z (shift_right_logical z 31)) in
@@ -54,8 +54,8 @@ let[@zygos.hot] float (t : t) =
 (* [float] stored flat in [buf.(i)]: same chain and bits, but a float
    stored into a float array is not boxed, a returned one is. *)
 let[@zygos.hot] float_into (t : t) (buf : float array) i =
-  let s = Int64.add (Bigarray.Array1.unsafe_get t 0) golden_gamma in
-  Bigarray.Array1.unsafe_set t 0 s;
+  let s = Int64.add t.{0} golden_gamma in
+  t.{0} <- s;
   let z = Int64.(mul (logxor s (shift_right_logical s 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   let z = Int64.(logxor z (shift_right_logical z 31)) in
@@ -67,8 +67,8 @@ let float_range (t : t) lo hi =
 
 let[@zygos.hot] int (t : t) bound =
   assert (bound > 0);
-  let s = Int64.add (Bigarray.Array1.unsafe_get t 0) golden_gamma in
-  Bigarray.Array1.unsafe_set t 0 s;
+  let s = Int64.add t.{0} golden_gamma in
+  t.{0} <- s;
   let z = Int64.(mul (logxor s (shift_right_logical s 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   let z = Int64.(logxor z (shift_right_logical z 31)) in
@@ -91,13 +91,13 @@ let[@zygos.hot] bernoulli (t : t) p = float t < p
    loop is plain loads, stores and register arithmetic. *)
 let[@zygos.hot] shuffle_in_place (t : t) (a : int array) =
   for i = Array.length a - 1 downto 1 do
-    let s = Int64.add (Bigarray.Array1.unsafe_get t 0) golden_gamma in
-    Bigarray.Array1.unsafe_set t 0 s;
+    let s = Int64.add t.{0} golden_gamma in
+    t.{0} <- s;
     let z = Int64.(mul (logxor s (shift_right_logical s 30)) 0xBF58476D1CE4E5B9L) in
     let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
     let z = Int64.(logxor z (shift_right_logical z 31)) in
     let j = Int64.to_int (Int64.rem (Int64.shift_right_logical z 1) (Int64.of_int (i + 1))) in
-    let tmp = Array.unsafe_get a i in
-    Array.unsafe_set a i (Array.unsafe_get a j);
-    Array.unsafe_set a j tmp
+    let tmp = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- tmp
   done

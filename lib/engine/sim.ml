@@ -90,7 +90,7 @@ let create () =
     n_reused = 0;
   }
 
-let[@zygos.hot] now t = Array.unsafe_get t.clock 0
+let[@zygos.hot] now t = t.clock.(0)
 
 let clock_buffer t = t.clock
 
@@ -122,16 +122,16 @@ let[@zygos.hot] grow_pool t =
    keeps its (top-level, long-lived) fn and int payload, so releasing it
    writes nothing through the barrier. *)
 let[@zygos.hot] release_slot t slot =
-  Array.unsafe_set t.gens slot (Array.unsafe_get t.gens slot + 1);
-  if Array.unsafe_get t.actions slot != noop then Array.unsafe_set t.actions slot noop;
-  Array.unsafe_set t.free t.free_top slot;
+  t.gens.(slot) <- t.gens.(slot) + 1;
+  if t.actions.(slot) != noop then t.actions.(slot) <- noop;
+  t.free.(t.free_top) <- slot;
   t.free_top <- t.free_top + 1
 
 let[@zygos.hot] alloc_slot t =
   if t.free_top > 0 then begin
     t.free_top <- t.free_top - 1;
     t.n_reused <- t.n_reused + 1;
-    Array.unsafe_get t.free t.free_top
+    t.free.(t.free_top)
   end
   else begin
     if t.fresh = Array.length t.actions then grow_pool t;
@@ -144,12 +144,12 @@ let[@zygos.hot] alloc_slot t =
    and boxes [delay] at the call. *)
 let schedule_after t ~delay action =
   if delay < 0. then invalid_arg "Sim.schedule_after: negative delay";
-  Array.unsafe_set t.tbuf 0 (Array.unsafe_get t.clock 0 +. delay);
+  t.tbuf.(0) <- t.clock.(0) +. delay;
   let slot = alloc_slot t in
-  if Array.unsafe_get t.actions slot != action then Array.unsafe_set t.actions slot action;
-  if Array.unsafe_get t.fns slot != noop_fn then Array.unsafe_set t.fns slot noop_fn;
+  if t.actions.(slot) != action then t.actions.(slot) <- action;
+  if t.fns.(slot) != noop_fn then t.fns.(slot) <- noop_fn;
   t.n_scheduled <- t.n_scheduled + 1;
-  let h = (Array.unsafe_get t.gens slot lsl slot_bits) lor slot in
+  let h = (t.gens.(slot) lsl slot_bits) lor slot in
   Wheel.add_key t.queue t.tbuf h;
   h
 
@@ -157,15 +157,15 @@ let schedule_after t ~delay action =
    [t.tbuf] (see {!key_buffer}), which {!Wheel.add_key} reads in turn;
    no float crosses either call, so nothing boxes. *)
 let[@zygos.hot] schedule_fn_keyed t fn iarg =
-  if Array.unsafe_get t.tbuf 0 < Array.unsafe_get t.clock 0 then
+  if t.tbuf.(0) < t.clock.(0) then
     invalid_arg
       (Printf.sprintf "Sim.schedule_fn_keyed: at %g is in the past (now %g)"
-         (Array.unsafe_get t.tbuf 0) (Array.unsafe_get t.clock 0));
+         t.tbuf.(0) t.clock.(0));
   let slot = alloc_slot t in
-  if Array.unsafe_get t.fns slot != fn then Array.unsafe_set t.fns slot fn;
-  Array.unsafe_set t.iargs slot iarg;
+  if t.fns.(slot) != fn then t.fns.(slot) <- fn;
+  t.iargs.(slot) <- iarg;
   t.n_scheduled <- t.n_scheduled + 1;
-  let h = (Array.unsafe_get t.gens slot lsl slot_bits) lor slot in
+  let h = (t.gens.(slot) lsl slot_bits) lor slot in
   Wheel.add_key t.queue t.tbuf h;
   h
 
@@ -174,8 +174,8 @@ let[@zygos.hot] cancel t h =
   let gen = h lsr slot_bits in
   (* [h >= 0] rejects [no_handle]; [slot < t.fresh] guards stale handles
      from before a [clear]-style reset as well as forged ones; past it,
-     unsafe access is in bounds. *)
-  if h >= 0 && slot < t.fresh && Array.unsafe_get t.gens slot = gen then begin
+     the (unchecked) access is in bounds. *)
+  if h >= 0 && slot < t.fresh && t.gens.(slot) = gen then begin
     release_slot t slot;
     t.n_cancelled <- t.n_cancelled + 1
   end
@@ -192,29 +192,29 @@ let live t = t.n_scheduled - t.n_fired - t.n_cancelled
 let[@zygos.hot] fire t h =
   let slot = h land slot_mask in
   let gen = h lsr slot_bits in
-  if Array.unsafe_get t.gens slot <> gen then false (* cancelled; slot recycled *)
+  if t.gens.(slot) <> gen then false (* cancelled; slot recycled *)
   else begin
-    let fn = Array.unsafe_get t.fns slot in
+    let fn = t.fns.(slot) in
     if fn != noop_fn then begin
       (* read the payload before releasing: the fn may reschedule into
          this very slot. A fn slot's release skips {!release_slot}'s
          [actions] scrub check — fn slots never hold a closure, and the
          check would drag the [actions] array into cache on every fire. *)
-      let iarg = Array.unsafe_get t.iargs slot in
-      Array.unsafe_set t.gens slot (Array.unsafe_get t.gens slot + 1);
-      Array.unsafe_set t.free t.free_top slot;
+      let iarg = t.iargs.(slot) in
+      t.gens.(slot) <- t.gens.(slot) + 1;
+      t.free.(t.free_top) <- slot;
       t.free_top <- t.free_top + 1;
       t.n_fired <- t.n_fired + 1;
-      Array.unsafe_set t.clock 0 (Array.unsafe_get t.tbuf 0);
+      t.clock.(0) <- t.tbuf.(0);
       (* dynamic dispatch: every registered handler is itself a certified
          [@zygos.hot] root, so the edge is deliberately cut here *)
       (fn iarg [@zygos.allow "r6"])
     end
     else begin
-      let action = Array.unsafe_get t.actions slot in
+      let action = t.actions.(slot) in
       release_slot t slot;
       t.n_fired <- t.n_fired + 1;
-      Array.unsafe_set t.clock 0 (Array.unsafe_get t.tbuf 0);
+      t.clock.(0) <- t.tbuf.(0);
       (action () [@zygos.allow "r6"])
     end;
     true

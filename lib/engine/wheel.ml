@@ -53,7 +53,7 @@ let ctz_table =
   [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
      31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
 
-let[@zygos.hot] ctz x = Array.unsafe_get ctz_table (((x land -x) * 0x077CB531) lsr 27 land 31)
+let[@zygos.hot] ctz x = ctz_table.(((x land -x) * 0x077CB531) lsr 27 land 31)
 
 type t = {
   (* node pool (SoA) *)
@@ -130,7 +130,7 @@ let[@zygos.hot] grow_pool t =
 let[@zygos.hot] alloc_node t =
   if t.free <> nil then begin
     let n = t.free in
-    t.free <- Array.unsafe_get t.nexts n;
+    t.free <- t.nexts.(n);
     n
   end
   else begin
@@ -141,8 +141,8 @@ let[@zygos.hot] alloc_node t =
   end
 
 let[@zygos.hot] free_node t n =
-  Array.unsafe_set t.nexts n t.free;
-  Array.unsafe_set t.vals n t.dummy;
+  t.nexts.(n) <- t.free;
+  t.vals.(n) <- t.dummy;
   t.free <- n
 
 (* ---- bucket placement ---- *)
@@ -160,17 +160,17 @@ let[@zygos.hot] level_of ~cur tick =
 
 let[@zygos.hot] push_bucket t ~level ~slot node =
   let b = (level lsl slot_bits) lor slot in
-  let tail = Array.unsafe_get t.tails b in
+  let tail = t.tails.(b) in
   if tail = nil then begin
-    Array.unsafe_set t.heads b node;
-    Array.unsafe_set t.maps level (Array.unsafe_get t.maps level lor (1 lsl slot))
+    t.heads.(b) <- node;
+    t.maps.(level) <- t.maps.(level) lor (1 lsl slot)
   end
-  else Array.unsafe_set t.nexts tail node;
-  Array.unsafe_set t.tails b node;
-  Array.unsafe_set t.nexts node nil
+  else t.nexts.(tail) <- node;
+  t.tails.(b) <- node;
+  t.nexts.(node) <- nil
 
 let[@zygos.hot] place t node =
-  let tick = tick_of_time (Array.unsafe_get t.times node) in
+  let tick = tick_of_time t.times.(node) in
   let level = level_of ~cur:t.cur tick in
   let slot = (tick lsr (slot_bits * level)) land slot_mask in
   push_bucket t ~level ~slot node
@@ -209,12 +209,12 @@ let[@zygos.hot] run_make_room t =
    index whose time is strictly greater. The time arrives in [buf.(0)],
    like [add_key]'s, so this call boxes no float. *)
 let[@zygos.hot] insert_into_run t buf ~seq v =
-  let time = Array.unsafe_get buf 0 in
+  let time = buf.(0) in
   run_make_room t;
   let lo = ref t.run_pos and hi = ref t.run_len in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Array.unsafe_get t.run_times mid > time then hi := mid else lo := mid + 1
+    if t.run_times.(mid) > time then hi := mid else lo := mid + 1
   done;
   let i = !lo in
   let n = t.run_len - i in
@@ -223,9 +223,9 @@ let[@zygos.hot] insert_into_run t buf ~seq v =
     Array.blit t.run_seqs i t.run_seqs (i + 1) n;
     Array.blit t.run_vals i t.run_vals (i + 1) n
   end;
-  Array.unsafe_set t.run_times i time;
-  Array.unsafe_set t.run_seqs i seq;
-  Array.unsafe_set t.run_vals i v;
+  t.run_times.(i) <- time;
+  t.run_seqs.(i) <- seq;
+  t.run_vals.(i) <- v;
   t.run_len <- t.run_len + 1
 
 (* Sort run[lo, hi) by (time, seq) in place: insertion sort for the small
@@ -235,8 +235,8 @@ let[@zygos.hot] insert_into_run t buf ~seq v =
 (* Annotations matter: without them these generalize to polymorphic
    compare over ['a array], which boxes every float read. *)
 let lt (times : float array) (seqs : int array) i j =
-  let ti = Array.unsafe_get times i and tj = Array.unsafe_get times j in
-  ti < tj || (ti = tj && Array.unsafe_get seqs i < Array.unsafe_get seqs j)
+  let ti = times.(i) and tj = times.(j) in
+  ti < tj || (ti = tj && seqs.(i) < seqs.(j))
 
 let swap3 (times : float array) (seqs : int array) (vals : int array) i j =
   let tt = times.(i) and ss = seqs.(i) and vv = vals.(i) in
@@ -284,24 +284,22 @@ let[@zygos.hot] sort_run t lo hi =
   else begin
     let times = t.run_times and seqs = t.run_seqs and vals = t.run_vals in
     for i = lo + 1 to hi - 1 do
-      let tt = Array.unsafe_get times i
-      and ss = Array.unsafe_get seqs i
-      and vv = Array.unsafe_get vals i in
+      let tt = times.(i) and ss = seqs.(i) and vv = vals.(i) in
       let j = ref (i - 1) in
       while
         !j >= lo
         &&
-        let tj = Array.unsafe_get times !j in
-        tj > tt || (tj = tt && Array.unsafe_get seqs !j > ss)
+        let tj = times.(!j) in
+        tj > tt || (tj = tt && seqs.(!j) > ss)
       do
-        Array.unsafe_set times (!j + 1) (Array.unsafe_get times !j);
-        Array.unsafe_set seqs (!j + 1) (Array.unsafe_get seqs !j);
-        Array.unsafe_set vals (!j + 1) (Array.unsafe_get vals !j);
+        times.(!j + 1) <- times.(!j);
+        seqs.(!j + 1) <- seqs.(!j);
+        vals.(!j + 1) <- vals.(!j);
         decr j
       done;
-      Array.unsafe_set times (!j + 1) tt;
-      Array.unsafe_set seqs (!j + 1) ss;
-      Array.unsafe_set vals (!j + 1) vv
+      times.(!j + 1) <- tt;
+      seqs.(!j + 1) <- ss;
+      vals.(!j + 1) <- vv
     done
   end
 
@@ -309,10 +307,10 @@ let[@zygos.hot] sort_run t lo hi =
 
 let[@zygos.hot] drain_level0_slot t slot =
   let b = slot in
-  let node = ref (Array.unsafe_get t.heads b) in
-  Array.unsafe_set t.heads b nil;
-  Array.unsafe_set t.tails b nil;
-  Array.unsafe_set t.maps 0 (Array.unsafe_get t.maps 0 land lnot (1 lsl slot));
+  let node = ref t.heads.(b) in
+  t.heads.(b) <- nil;
+  t.tails.(b) <- nil;
+  t.maps.(0) <- t.maps.(0) land lnot (1 lsl slot);
   (* run is empty here: reuse it from index 0 *)
   t.run_pos <- 0;
   t.run_len <- 0;
@@ -320,12 +318,12 @@ let[@zygos.hot] drain_level0_slot t slot =
     if t.run_len = Array.length t.run_times then grow_run t;
     let n = !node in
     let i = t.run_len in
-    Array.unsafe_set t.run_times i (Array.unsafe_get t.times n);
-    Array.unsafe_set t.run_seqs i (Array.unsafe_get t.seqs n);
-    Array.unsafe_set t.run_vals i (Array.unsafe_get t.vals n);
+    t.run_times.(i) <- t.times.(n);
+    t.run_seqs.(i) <- t.seqs.(n);
+    t.run_vals.(i) <- t.vals.(n);
     t.run_len <- i + 1;
     t.wheel_count <- t.wheel_count - 1;
-    node := Array.unsafe_get t.nexts n;
+    node := t.nexts.(n);
     free_node t n
   done;
   sort_run t 0 t.run_len
@@ -340,20 +338,20 @@ let[@zygos.hot] rec cascade_from t l =
   if l >= levels then assert false (* wheel_count > 0 guarantees a bucket *)
   else begin
     let dl = (t.cur lsr (slot_bits * l)) land slot_mask in
-    let m = Array.unsafe_get t.maps l lsr dl in
+    let m = t.maps.(l) lsr dl in
     if m = 0 then cascade_from t (l + 1)
     else begin
       let slot = dl + ctz m in
       let shift = slot_bits * l in
       t.cur <- ((t.cur lsr (shift + slot_bits)) lsl (shift + slot_bits)) lor (slot lsl shift);
       let b = (l lsl slot_bits) lor slot in
-      let node = ref (Array.unsafe_get t.heads b) in
-      Array.unsafe_set t.heads b nil;
-      Array.unsafe_set t.tails b nil;
-      Array.unsafe_set t.maps l (Array.unsafe_get t.maps l land lnot (1 lsl slot));
+      let node = ref t.heads.(b) in
+      t.heads.(b) <- nil;
+      t.tails.(b) <- nil;
+      t.maps.(l) <- t.maps.(l) land lnot (1 lsl slot);
       while !node <> nil do
         let n = !node in
-        node := Array.unsafe_get t.nexts n;
+        node := t.nexts.(n);
         place t n
       done
     end
@@ -369,7 +367,7 @@ let[@zygos.hot] rec ensure_run t =
   else if t.wheel_count = 0 then false
   else begin
     let d0 = t.cur land slot_mask in
-    let m = Array.unsafe_get t.maps 0 lsr d0 in
+    let m = t.maps.(0) lsr d0 in
     if m <> 0 then begin
       let slot = d0 + ctz m in
       t.cur <- (t.cur land lnot slot_mask) lor slot;
@@ -385,16 +383,16 @@ let[@zygos.hot] rec ensure_run t =
    {!Heap.add_key}: floats crossing a call are boxed at the caller, flat
    array hand-off is not). *)
 let[@zygos.hot] add_key t buf v =
-  let time = Array.unsafe_get buf 0 in
+  let time = buf.(0) in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let tick = tick_of_time time in
   if tick <= t.cur then insert_into_run t buf ~seq v
   else begin
     let node = alloc_node t in
-    Array.unsafe_set t.times node time;
-    Array.unsafe_set t.seqs node seq;
-    Array.unsafe_set t.vals node v;
+    t.times.(node) <- time;
+    t.seqs.(node) <- seq;
+    t.vals.(node) <- v;
     let level = level_of ~cur:t.cur tick in
     let slot = (tick lsr (slot_bits * level)) land slot_mask in
     push_bucket t ~level ~slot node;
@@ -402,7 +400,7 @@ let[@zygos.hot] add_key t buf v =
   end
 
 let[@zygos.hot] add t ~time v =
-  Array.unsafe_set t.kbuf 0 time;
+  t.kbuf.(0) <- time;
   add_key t t.kbuf v
 
 (* The [t.run_pos < t.run_len || ...] guards below repeat
@@ -410,11 +408,11 @@ let[@zygos.hot] add t ~time v =
    never inlined), and in steady state the run already holds the
    minimum, making the call pure overhead on every pop. *)
 let[@zygos.hot] min_time t =
-  if t.run_pos < t.run_len || ensure_run t then Array.unsafe_get t.run_times t.run_pos
+  if t.run_pos < t.run_len || ensure_run t then t.run_times.(t.run_pos)
   else infinity
 
 let[@zygos.hot] min_elt t =
-  if t.run_pos < t.run_len || ensure_run t then Array.unsafe_get t.run_vals t.run_pos
+  if t.run_pos < t.run_len || ensure_run t then t.run_vals.(t.run_pos)
   else t.dummy
 
 let[@zygos.hot] drop_min t =
@@ -432,8 +430,8 @@ let[@zygos.hot] drop_min t =
 let[@zygos.hot] pop_into t buf =
   if t.run_pos < t.run_len || ensure_run t then begin
     let p = t.run_pos in
-    Array.unsafe_set buf 0 (Array.unsafe_get t.run_times p);
-    let v = Array.unsafe_get t.run_vals p in
+    buf.(0) <- t.run_times.(p);
+    let v = t.run_vals.(p) in
     let p1 = p + 1 in
     if p1 = t.run_len then begin
       t.run_pos <- 0;

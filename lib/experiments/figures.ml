@@ -2,10 +2,11 @@
    describes its headers, notes and tables, and each table row holds its
    label cells plus the sweep points that measure its value cells.
    [resolve] runs all of a target's points in one [Sweep.run] (on [jobs]
-   domains, idle domains stealing) and fills the rows in enumeration
-   order; [Output.render] prints the blocks. Each point's randomness
-   comes from a seed derived from [master_seed] and the point's stable
-   key, so the output is byte-identical for every [jobs] value. *)
+   domains, each claiming the next point from one atomic counter) and
+   fills the rows in enumeration order; [Output.render] prints the
+   blocks. Each point's randomness comes from a seed derived from
+   [master_seed] and the point's stable key, so the output is
+   byte-identical for every [jobs] value. *)
 
 module Dist = Engine.Dist
 open Output

@@ -115,7 +115,7 @@ let[@zygos.hot] send t req =
 let[@zygos.hot] arm_timeout t p (r : retry) =
   (* Keyed hand-off: the expiry time is written flat into the key
      buffer instead of boxed at the call. *)
-  Array.unsafe_set t.kbuf 0 (Array.unsafe_get t.clk 0 +. r.timeout);
+  t.kbuf.(0) <- t.clk.(0) +. r.timeout;
   p.p_timeout <- Sim.schedule_fn_keyed t.sim t.fn_timeout p.p_id
 
 let[@zygos.hot] on_timeout t p r =
@@ -135,15 +135,15 @@ let[@zygos.hot] on_timeout t p r =
       | None -> nominal
     in
     (* Keyed hand-off, as in [arm_timeout]: bit-identical fire time. *)
-    Array.unsafe_set t.kbuf 0 (Array.unsafe_get t.clk 0 +. jittered);
+    t.kbuf.(0) <- t.clk.(0) +. jittered;
     let _ : Sim.handle = Sim.schedule_fn_keyed t.sim t.fn_retry p.p_id in
     ()
   end
 
 and retransmit t p r =
   let id = t.next_id in
-  Array.unsafe_set t.scratch 0 (Array.unsafe_get t.clk 0);
-  Array.unsafe_set t.scratch 1 p.p_service;
+  t.scratch.(0) <- t.clk.(0);
+  t.scratch.(1) <- p.p_service;
   let req = Request.alloc t.pool ~id ~conn:p.p_conn ~measured:false t.scratch in
   t.next_id <- t.next_id + 1;
   t.retries <- t.retries + 1;
@@ -224,7 +224,7 @@ let create sim ~rng ~pool ~conns ~rate ~service ?(selection = Uniform) ?(slo = i
   t
 
 let[@zygos.hot] emit t ~measure_start ~stop_at =
-  let now = Array.unsafe_get t.clk 0 in
+  let now = t.clk.(0) in
   let conn =
     match t.selection with
     | Uniform -> Rng.int t.rng t.conns
@@ -236,7 +236,7 @@ let[@zygos.hot] emit t ~measure_start ~stop_at =
         else if t.conns > hot_count then hot_count + Rng.int t.rng (t.conns - hot_count)
         else Rng.int t.rng t.conns
   in
-  Array.unsafe_set t.scratch 0 now;
+  t.scratch.(0) <- now;
   Dist.sample_into t.service t.rng t.scratch 1;
   let measured = now >= measure_start && now < stop_at in
   let id = t.next_id in
@@ -257,7 +257,7 @@ let[@zygos.hot] emit t ~measure_start ~stop_at =
         {
           p_id = id;
           p_conn = conn;
-          p_service = Array.unsafe_get t.scratch 1;
+          p_service = t.scratch.(1);
           p_measured = measured;
           p_first_arrival = now;
           p_attempts = 0;
@@ -292,10 +292,10 @@ let start t ~warmup ~measure =
   (* The next arrival is one drawn gap after now, handed over flat. *)
   let rec schedule_arrival () =
     Dist.sample_into t.gap t.rng t.scratch 2;
-    Array.unsafe_set t.kbuf 0 (Array.unsafe_get t.clk 0 +. Array.unsafe_get t.scratch 2);
+    t.kbuf.(0) <- t.clk.(0) +. t.scratch.(2);
     ignore (Sim.schedule_fn_keyed t.sim arrival 0 : Sim.handle)
   and arrival _ =
-    if Array.unsafe_get t.clk 0 < stop_at then begin
+    if t.clk.(0) < stop_at then begin
       emit t ~measure_start ~stop_at;
       schedule_arrival ()
     end
@@ -305,7 +305,7 @@ let start t ~warmup ~measure =
 (* Record a distinct logical completion, now, with its latency in
    scratch slot 2. *)
 let[@zygos.hot] record_completion t ~measured =
-  let now = Array.unsafe_get t.clk 0 in
+  let now = t.clk.(0) in
   if now >= t.measure_start && now < t.measure_end then
     t.window_completions <- t.window_completions + 1;
   if measured then begin
@@ -314,7 +314,7 @@ let[@zygos.hot] record_completion t ~measured =
       (* Goodput: distinct measured requests whose response made the SLO,
          completed inside the window — the metric that collapses under a
          retry storm while raw throughput still looks healthy. *)
-      if Array.unsafe_get t.scratch 2 <= t.slo then
+      if t.scratch.(2) <= t.slo then
         t.goodput_completions <- t.goodput_completions + 1
     end;
     (* Latency is recorded for every measured request, so overload shows
@@ -325,12 +325,12 @@ let[@zygos.hot] record_completion t ~measured =
 let[@zygos.hot] complete t (req : Request.t) =
   let s = Request.slot t.pool req in
   let completions = Request.completions t.pool in
-  if Array.unsafe_get completions s >= 0. then
+  if completions.(s) >= 0. then
     (* Duplicate responses are legitimate under packet duplication and
        under client retries; count them instead of raising. *)
     t.duplicate_completions <- t.duplicate_completions + 1
   else begin
-    Array.unsafe_set completions s (Array.unsafe_get t.clk 0);
+    completions.(s) <- t.clk.(0);
     let rid = Request.id t.pool req in
     (match t.retry with
     | None ->
@@ -345,8 +345,7 @@ let[@zygos.hot] complete t (req : Request.t) =
              dropped, later copies of [rid] are filtered out.) *)
           Engine.Intqs.remove_all t.outstanding conn rid
         end;
-        Array.unsafe_set t.scratch 2
-          (Array.unsafe_get completions s -. Array.unsafe_get (Request.arrivals t.pool) s);
+        t.scratch.(2) <- completions.(s) -. (Request.arrivals t.pool).(s);
         record_completion t ~measured:(Request.measured t.pool req)
     | Some _ -> (
         (* Retry-mode lookups; the [Some] boxes are retry bookkeeping,
@@ -371,7 +370,7 @@ let[@zygos.hot] complete t (req : Request.t) =
               end;
               (* Client-observed latency spans from the first send, not the
                  retransmission that finally got through. *)
-              Array.unsafe_set t.scratch 2 (Array.unsafe_get t.clk 0 -. p.p_first_arrival);
+              t.scratch.(2) <- t.clk.(0) -. p.p_first_arrival;
               record_completion t ~measured:p.p_measured
             end));
     (* The client is the end of the line for a response: hand the slot

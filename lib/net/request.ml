@@ -80,7 +80,7 @@ let[@zygos.hot] grow p =
 
 let[@zygos.hot] slot p (h : t) =
   let slot = h land slot_mask in
-  if h < 0 || slot >= p.next_slot || Array.unsafe_get p.gens slot <> h lsr slot_bits
+  if h < 0 || slot >= p.next_slot || p.gens.(slot) <> h lsr slot_bits
   then invalid_arg "Request: stale or invalid handle";
   slot
 
@@ -88,7 +88,7 @@ let[@zygos.hot] alloc p ~id ~conn ~measured (times : float array) =
   let slot =
     if p.free_n > 0 then begin
       p.free_n <- p.free_n - 1;
-      Array.unsafe_get p.free p.free_n
+      p.free.(p.free_n)
     end
     else begin
       if p.next_slot = Array.length p.ids then grow p;
@@ -97,30 +97,30 @@ let[@zygos.hot] alloc p ~id ~conn ~measured (times : float array) =
       s
     end
   in
-  Array.unsafe_set p.ids slot id;
-  Array.unsafe_set p.conns slot conn;
-  Array.unsafe_set p.arrivals slot times.(0);
-  Array.unsafe_set p.services slot times.(1);
-  Array.unsafe_set p.measureds slot (if measured then 1 else 0);
-  Array.unsafe_set p.starteds slot (-1.);
-  Array.unsafe_set p.completions slot (-1.);
+  p.ids.(slot) <- id;
+  p.conns.(slot) <- conn;
+  p.arrivals.(slot) <- times.(0);
+  p.services.(slot) <- times.(1);
+  p.measureds.(slot) <- (if measured then 1 else 0);
+  p.starteds.(slot) <- -1.;
+  p.completions.(slot) <- -1.;
   p.live_count <- p.live_count + 1;
   p.alloc_count <- p.alloc_count + 1;
-  (Array.unsafe_get p.gens slot lsl slot_bits) lor slot
+  (p.gens.(slot) lsl slot_bits) lor slot
 
 let[@zygos.hot] release p h =
   let slot = slot p h in
   if p.recycle then begin
-    Array.unsafe_set p.gens slot (Array.unsafe_get p.gens slot + 1);
+    p.gens.(slot) <- p.gens.(slot) + 1;
     if p.free_n = Array.length p.free then grow p;
-    Array.unsafe_set p.free p.free_n slot;
+    p.free.(p.free_n) <- slot;
     p.free_n <- p.free_n + 1
   end;
   p.live_count <- p.live_count - 1
 
-let[@zygos.hot] id p h = Array.unsafe_get p.ids (slot p h)
-let[@zygos.hot] conn p h = Array.unsafe_get p.conns (slot p h)
-let[@zygos.hot] measured p h = Array.unsafe_get p.measureds (slot p h) = 1
+let[@zygos.hot] id p h = p.ids.(slot p h)
+let[@zygos.hot] conn p h = p.conns.(slot p h)
+let[@zygos.hot] measured p h = p.measureds.(slot p h) = 1
 
 (* The float columns themselves: a caller reads and writes a time at
    [slot p h], so no float crosses a call. *)

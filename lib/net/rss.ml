@@ -101,18 +101,18 @@ let toeplitz ~key input =
    box-free. *)
 let[@zygos.hot] hash12 t si di src_port dst_port =
   let lut = t.lut in
-  let h = Array.unsafe_get lut (si lsr 24) in
-  let h = h lxor Array.unsafe_get lut (256 + (si lsr 16 land 0xff)) in
-  let h = h lxor Array.unsafe_get lut ((2 * 256) + (si lsr 8 land 0xff)) in
-  let h = h lxor Array.unsafe_get lut ((3 * 256) + (si land 0xff)) in
-  let h = h lxor Array.unsafe_get lut ((4 * 256) + (di lsr 24)) in
-  let h = h lxor Array.unsafe_get lut ((5 * 256) + (di lsr 16 land 0xff)) in
-  let h = h lxor Array.unsafe_get lut ((6 * 256) + (di lsr 8 land 0xff)) in
-  let h = h lxor Array.unsafe_get lut ((7 * 256) + (di land 0xff)) in
-  let h = h lxor Array.unsafe_get lut ((8 * 256) + (src_port lsr 8 land 0xff)) in
-  let h = h lxor Array.unsafe_get lut ((9 * 256) + (src_port land 0xff)) in
-  let h = h lxor Array.unsafe_get lut ((10 * 256) + (dst_port lsr 8 land 0xff)) in
-  let h = h lxor Array.unsafe_get lut ((11 * 256) + (dst_port land 0xff)) in
+  let h = lut.(si lsr 24) in
+  let h = h lxor lut.(256 + (si lsr 16 land 0xff)) in
+  let h = h lxor lut.((2 * 256) + (si lsr 8 land 0xff)) in
+  let h = h lxor lut.((3 * 256) + (si land 0xff)) in
+  let h = h lxor lut.((4 * 256) + (di lsr 24)) in
+  let h = h lxor lut.((5 * 256) + (di lsr 16 land 0xff)) in
+  let h = h lxor lut.((6 * 256) + (di lsr 8 land 0xff)) in
+  let h = h lxor lut.((7 * 256) + (di land 0xff)) in
+  let h = h lxor lut.((8 * 256) + (src_port lsr 8 land 0xff)) in
+  let h = h lxor lut.((9 * 256) + (src_port land 0xff)) in
+  let h = h lxor lut.((10 * 256) + (dst_port lsr 8 land 0xff)) in
+  let h = h lxor lut.((11 * 256) + (dst_port land 0xff)) in
   h
 
 let hash_of_tuple t ~src_ip ~dst_ip ~src_port ~dst_port =
@@ -128,7 +128,7 @@ let[@zygos.hot] slot_of_conn t c =
   let si = 0x0A000000 lor (((c / 250) lsl 8) lor ((c mod 250) + 1)) in
   hash12 t si 0x0A000001 (1024 + c) 8000 land 0x7f
 
-let[@zygos.hot] queue_of_conn t c = Array.unsafe_get t.table (slot_of_conn t c)
+let[@zygos.hot] queue_of_conn t c = t.table.(slot_of_conn t c)
 
 let slots _t = indirection_entries
 

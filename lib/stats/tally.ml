@@ -60,56 +60,124 @@ let min_value t =
   done;
   if t.size = 0 then 0. else !m
 
-(* Monomorphic ascending float sort. [Array.sort Float.compare] pays a
-   closure call and float boxing per comparison, and sorting the latency
-   tally was the single largest cost of finishing a sweep point. Unboxed
-   [<] / [>] compares sort the same multiset to the same array — samples
-   are finite latencies, no NaNs — so every percentile is bit-identical.
-   Median-of-three quicksort, insertion sort under 17 elements; the
-   samples are simulation outputs, not adversarial input. *)
+(* Ascending float sort in place: an MSD radix sort (American-flag sort)
+   on the IEEE-754 bit patterns. Sorting is the largest cost of
+   finishing a sweep point, and a radix sort reads each sample a few
+   times where a comparison sort reads it ~log2 n times.
+
+   For floats with the sign bit clear the bit patterns order like the
+   values, so samples with the sign bit set (negatives and -0.) are
+   first moved to the front negated, sorted as magnitudes, then
+   reversed and negated back. The result is the sorted multiset, so
+   every percentile and the sorted-order mean are those of any exact
+   sort; -0. lands before +0. NaN is not a latency and is not ordered.
+
+   Each level distributes one byte of the pattern, most significant
+   first, with a 2x256-int scratch that every level reuses: slots
+   [0, 256) hold each bucket's end, slots [256, 512) its next free slot.
+   A level whose samples all share the byte moves nothing. Buckets of at
+   most [cutoff] samples finish by insertion sort. *)
+let cutoff = 32
+
 let insertion_sort (a : float array) lo hi =
   for j = lo + 1 to hi - 1 do
-    let x = Array.unsafe_get a j in
+    let x = a.(j) in
     let k = ref j in
-    while !k > lo && Array.unsafe_get a (!k - 1) > x do
-      Array.unsafe_set a !k (Array.unsafe_get a (!k - 1));
+    while !k > lo && a.(!k - 1) > x do
+      a.(!k) <- a.(!k - 1);
       decr k
     done;
-    Array.unsafe_set a !k x
+    a.(!k) <- x
   done
 
-(* Sort a.[lo, hi). *)
-let rec sort_range (a : float array) lo hi =
-  if hi - lo <= 16 then insertion_sort a lo hi
+(* Byte [shift / 8] of [x]'s bit pattern. *)
+let[@inline] digit x shift =
+  Int64.(to_int (logand (shift_right_logical (bits_of_float x) shift) 0xffL))
+
+(* Sort a.[lo, hi), whose samples have the sign bit clear and agree on
+   every byte above [shift]. *)
+let rec radix_sort (a : float array) (scratch : int array) lo hi shift =
+  if hi - lo <= cutoff then insertion_sort a lo hi
   else begin
-    let p0 = Array.unsafe_get a lo
-    and p1 = Array.unsafe_get a ((lo + hi) / 2)
-    and p2 = Array.unsafe_get a (hi - 1) in
-    let pivot =
-      if p0 <= p1 then (if p1 <= p2 then p1 else if p0 <= p2 then p2 else p0)
-      else if p0 <= p2 then p0
-      else if p1 <= p2 then p2
-      else p1
-    in
-    let i = ref lo and j = ref (hi - 1) in
-    while !i <= !j do
-      while Array.unsafe_get a !i < pivot do incr i done;
-      while Array.unsafe_get a !j > pivot do decr j done;
-      if !i <= !j then begin
-        let tmp = Array.unsafe_get a !i in
-        Array.unsafe_set a !i (Array.unsafe_get a !j);
-        Array.unsafe_set a !j tmp;
-        incr i;
-        decr j
-      end
+    Array.fill scratch 0 256 0;
+    for i = lo to hi - 1 do
+      let d = digit a.(i) shift in
+      scratch.(d) <- scratch.(d) + 1
     done;
-    sort_range a lo (!j + 1);
-    sort_range a !i hi
+    if scratch.(digit a.(lo) shift) = hi - lo then begin
+      if shift > 0 then radix_sort a scratch lo hi (shift - 8)
+    end
+    else begin
+      let pos = ref lo in
+      for d = 0 to 255 do
+        scratch.(256 + d) <- !pos;
+        pos := !pos + scratch.(d);
+        scratch.(d) <- !pos
+      done;
+      (* Fill each bucket in turn: carry the sample at its next free
+         slot to the sample's own bucket, swapping, until the one carried
+         back belongs here. *)
+      for d = 0 to 255 do
+        while scratch.(256 + d) < scratch.(d) do
+          let x = ref a.(scratch.(256 + d)) in
+          let dx = ref (digit !x shift) in
+          while !dx <> d do
+            let j = scratch.(256 + !dx) in
+            scratch.(256 + !dx) <- j + 1;
+            let y = a.(j) in
+            a.(j) <- !x;
+            x := y;
+            dx := digit y shift
+          done;
+          a.(scratch.(256 + d)) <- !x;
+          scratch.(256 + d) <- scratch.(256 + d) + 1
+        done
+      done;
+      (* The recursion overwrites the scratch, so each bucket is found
+         again as a run of equal bytes. *)
+      if shift > 0 then begin
+        let s = ref lo in
+        while !s < hi do
+          let d = digit a.(!s) shift in
+          let e = ref (!s + 1) in
+          while !e < hi && digit a.(!e) shift = d do
+            incr e
+          done;
+          radix_sort a scratch !s !e (shift - 8);
+          s := !e
+        done
+      end
+    end
   end
+
+let sort (a : float array) n =
+  let neg = ref 0 in
+  for i = 0 to n - 1 do
+    let x = a.(i) in
+    (* The sign bit is set: x is negative, or -0. (1 /. -0. = -inf). *)
+    if x < 0. || (x = 0. && 1. /. x < 0.) then begin
+      a.(i) <- a.(!neg);
+      a.(!neg) <- -.x;
+      incr neg
+    end
+  done;
+  let neg = !neg in
+  (* 512 words is past the minor heap's largest block: one major block. *)
+  let scratch = if n > cutoff then Array.make 512 0 else [||] in
+  radix_sort a scratch 0 neg 56;
+  radix_sort a scratch neg n 56;
+  let i = ref 0 and j = ref (neg - 1) in
+  while !i <= !j do
+    let x = a.(!i) and y = a.(!j) in
+    a.(!i) <- -.y;
+    a.(!j) <- -.x;
+    incr i;
+    decr j
+  done
 
 let ensure_sorted t =
   if not t.sorted then begin
-    sort_range t.data 0 t.size;
+    sort t.data t.size;
     t.sorted <- true
   end
 

@@ -14,8 +14,8 @@ type icore = {
    fault windows this is exactly [t +. work], inline: bit-identical to the
    pre-fault model, and no float is boxed. *)
 let[@inline] advance faults ~fault_free c work =
-  let t = Array.unsafe_get c.tbuf 0 in
-  Array.unsafe_set c.tbuf 0
+  let t = c.tbuf.(0) in
+  c.tbuf.(0) <-
     (if fault_free then t +. work else Corefault.completion_time faults ~core:c.id ~now:t ~work)
 
 (* [route req] returns the core for a request; [note] observes the
@@ -38,7 +38,7 @@ let make sim (p : Params.t) ~pool ~route ~note ~respond =
       let req = Net.Ring.pop_or c.ring ~default:Request.none in
       if req = Request.none then n
       else begin
-        Array.unsafe_set c.batch n req;
+        c.batch.(n) <- req;
         take c (n + 1)
       end
     end
@@ -58,26 +58,26 @@ let make sim (p : Params.t) ~pool ~route ~note ~respond =
           float array, so no step boxes it. The receive path is two
           steps, preserving the left-associated sum
           [now +. dp_loop +. k*rx] bit for bit. *)
-       Array.unsafe_set c.tbuf 0 (Array.unsafe_get clk 0);
+       c.tbuf.(0) <- clk.(0);
        advance faults ~fault_free c p.dp_loop;
        advance faults ~fault_free c (float_of_int k *. pkts *. p.dp_rx);
        let starteds = Request.starteds pool and services = Request.services pool in
        for i = 0 to k - 1 do
-         let s = Request.slot pool (Array.unsafe_get c.batch i) in
-         Array.unsafe_set starteds s (Array.unsafe_get c.tbuf 0);
-         advance faults ~fault_free c (Array.unsafe_get services s)
+         let s = Request.slot pool c.batch.(i) in
+         starteds.(s) <- c.tbuf.(0);
+         advance faults ~fault_free c services.(s)
        done;
        for i = 0 to k - 1 do
          advance faults ~fault_free c (pkts *. p.dp_tx);
-         Array.unsafe_set kbuf 0 (Array.unsafe_get c.tbuf 0);
+         kbuf.(0) <- c.tbuf.(0);
          let _ : Sim.handle =
            (* [respond] is itself an [int -> unit] over the handle: the
               long-lived dispatch fn, no per-response closure. *)
-           Sim.schedule_fn_keyed sim respond (Array.unsafe_get c.batch i)
+           Sim.schedule_fn_keyed sim respond c.batch.(i)
          in
          ()
        done;
-       Array.unsafe_set kbuf 0 (Array.unsafe_get c.tbuf 0);
+       kbuf.(0) <- c.tbuf.(0);
        let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_iteration c.id in
        ()
      end)
@@ -92,7 +92,7 @@ let make sim (p : Params.t) ~pool ~route ~note ~respond =
         c.busy <- true;
         (* Polling loop: an idle core notices the packet within one loop
            iteration. *)
-        Array.unsafe_set kbuf 0 (Array.unsafe_get clk 0 +. p.dp_loop);
+        kbuf.(0) <- clk.(0) +. p.dp_loop;
         let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_iteration c.id in
         ()
       end

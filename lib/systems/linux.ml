@@ -40,10 +40,10 @@ let partitioned sim (p : Params.t) ~pool ~conns ~respond =
      if req = Request.none then c.busy <- false
      else begin
        let s = Request.slot pool req in
-       let now = Array.unsafe_get clk 0 in
-       Array.unsafe_set (Request.starteds pool) s now;
-       let work = per_request_overhead +. Array.unsafe_get (Request.services pool) s in
-       Array.unsafe_set kbuf 0
+       let now = clk.(0) in
+       (Request.starteds pool).(s) <- now;
+       let work = per_request_overhead +. (Request.services pool).(s) in
+       kbuf.(0) <-
          (if fault_free then now +. work
           else Corefault.completion_time faults ~core:c.id ~now ~work);
        c.cur <- req;
@@ -66,7 +66,7 @@ let partitioned sim (p : Params.t) ~pool ~conns ~respond =
         c.busy <- true;
         (* The thread is blocked in epoll_wait; it resumes after the wakeup
            latency and then drains its queue. *)
-        Array.unsafe_set kbuf 0 (Array.unsafe_get clk 0 +. p.linux_wakeup);
+        kbuf.(0) <- clk.(0) +. p.linux_wakeup;
         let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_wake c.id in
         ()
       end
@@ -138,13 +138,13 @@ let floating sim (p : Params.t) ~pool ~conns ~respond =
      let core = st.next_thread in
      st.next_thread <- (st.next_thread + 1) mod p.cores;
      let s = Request.slot pool req in
-     let now = Array.unsafe_get clk 0 in
-     Array.unsafe_set (Request.starteds pool) s now;
+     let now = clk.(0) in
+     (Request.starteds pool).(s) <- now;
      let work =
        (if woken then p.linux_wakeup else 0.)
-       +. p.linux_epoll +. overhead +. Array.unsafe_get (Request.services pool) s
+       +. p.linux_epoll +. overhead +. (Request.services pool).(s)
      in
-     Array.unsafe_set kbuf 0
+     kbuf.(0) <-
        (if fault_free then now +. work else Corefault.completion_time faults ~core ~now ~work);
      let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_finish req in
      ())
@@ -171,7 +171,7 @@ let floating sim (p : Params.t) ~pool ~conns ~respond =
        if not (Intq.is_empty st.dispatch_queue) then begin
          let req = Intq.pop st.dispatch_queue in
          st.dispatcher_busy <- true;
-         Array.unsafe_set kbuf 0 (Array.unsafe_get clk 0 +. dispatch_cost);
+         kbuf.(0) <- clk.(0) +. dispatch_cost;
          let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_dispatched req in
          ()
        end)

@@ -74,10 +74,10 @@ let create sim (p : Params.t) ~quantum ~pool ~conns ~respond ?(consolidate = fal
       end
     in
     let starteds = Request.starteds pool in
-    if Array.unsafe_get starteds s < 0. then
-      Array.unsafe_set starteds s (Sim.now sim +. setup);
+    if starteds.(s) < 0. then
+      starteds.(s) <- Sim.now sim +. setup;
     st.busy_accum <- st.busy_accum +. setup +. slice;
-    Array.unsafe_set kbuf 0 (Array.unsafe_get clk 0 +. (setup +. slice));
+    kbuf.(0) <- clk.(0) +. (setup +. slice);
     let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_slice_end req in
     ()
   and fn_slice_end req =
@@ -90,7 +90,7 @@ let create sim (p : Params.t) ~quantum ~pool ~conns ~respond ?(consolidate = fal
   [@@zygos.hot]
   and finish req =
     (st.busy_accum <- st.busy_accum +. (pkts *. p.dp_tx);
-     Array.unsafe_set kbuf 0 (Array.unsafe_get clk 0 +. (pkts *. p.dp_tx));
+     kbuf.(0) <- clk.(0) +. (pkts *. p.dp_tx);
      let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_finish req in
      ())
   [@@zygos.hot]
@@ -144,7 +144,7 @@ let create sim (p : Params.t) ~quantum ~pool ~conns ~respond ?(consolidate = fal
       if st.idle_cores > 0 then begin
         st.idle_cores <- st.idle_cores - 1;
         (* An idle core notices the packet within one poll iteration. *)
-        Array.unsafe_set kbuf 0 (Array.unsafe_get clk 0 +. p.dp_loop);
+        kbuf.(0) <- clk.(0) +. p.dp_loop;
         let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_first req in
         ()
       end

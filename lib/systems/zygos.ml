@@ -114,29 +114,29 @@ let[@zygos.hot] [@inline] start_segment t c ~user ~cost ~finish =
   t.user <- (if user then t.user lor c.bit else t.user land lnot c.bit);
   if c.cur_fn != finish then c.cur_fn <- finish;
   let at =
-    if t.fault_free then Array.unsafe_get t.clk 0 +. cost
+    if t.fault_free then t.clk.(0) +. cost
     else
       (* fault windows active: boxed returns acceptable off steady state *)
       (Core.Corefault.completion_time t.faults ~core:c.id
-         ~now:(Array.unsafe_get t.clk 0) ~work:cost [@zygos.allow "r7"])
+         ~now:t.clk.(0) ~work:cost [@zygos.allow "r7"])
   in
-  Array.unsafe_set c.done_buf 0 at;
-  Array.unsafe_set t.kbuf 0 at;
+  c.done_buf.(0) <- at;
+  t.kbuf.(0) <- at;
   c.cur_handle <- Sim.schedule_fn_keyed t.sim finish c.id
 
 let[@zygos.hot] [@inline] extend_segment t c ~extra =
   assert (c.cur_handle <> Sim.no_handle);
   assert (c.cur_fn != fn_none);
   Sim.cancel t.sim c.cur_handle;
-  let prev = Array.unsafe_get c.done_buf 0 in
+  let prev = c.done_buf.(0) in
   let at =
     if t.fault_free then prev +. extra
     else
       (Core.Corefault.completion_time t.faults ~core:c.id ~now:prev
          ~work:extra [@zygos.allow "r7"])
   in
-  Array.unsafe_set c.done_buf 0 at;
-  Array.unsafe_set t.kbuf 0 at;
+  c.done_buf.(0) <- at;
+  t.kbuf.(0) <- at;
   c.cur_handle <- Sim.schedule_fn_keyed t.sim c.cur_fn c.id
 
 let[@zygos.hot] emit_trace t ev =
@@ -161,8 +161,8 @@ let debruijn32 =
 let[@zygos.hot] lowest_core s =
   let b = s land -s in
   if b land 0xffff_ffff <> 0 then
-    Array.unsafe_get debruijn32 (((b * 0x077CB531) lsr 27) land 31)
-  else 32 + Array.unsafe_get debruijn32 ((((b lsr 32) * 0x077CB531) lsr 27) land 31)
+    debruijn32.(((b * 0x077CB531) lsr 27) land 31)
+  else 32 + debruijn32.((((b lsr 32) * 0x077CB531) lsr 27) land 31)
 
 (* Whether an IPI to [v] would have an effect: [v] runs application
    code with no IPI pending, and either has remote batched syscalls
@@ -208,7 +208,7 @@ let[@zygos.hot] wake_set t s ~delay =
   let members = s land t.idle land lnot t.marked in
   if members <> 0 then begin
     t.marked <- t.marked lor members;
-    Array.unsafe_set t.kbuf 0 (Array.unsafe_get t.clk 0 +. delay);
+    t.kbuf.(0) <- t.clk.(0) +. delay;
     let _ : Sim.handle = Sim.schedule_fn_keyed t.sim t.fn_wake members in
     ()
   end
@@ -224,7 +224,7 @@ let[@zygos.hot] send_ipi t ~src v =
     t.ipi <- t.ipi lor v.bit;
     t.ipis_sent <- t.ipis_sent + 1;
     if tracing t then (emit_trace t (Ipi { src; dst = v.id }) [@zygos.allow "hot-alloc"]);
-    Array.unsafe_set t.kbuf 0 (Array.unsafe_get t.clk 0 +. t.p.zy_ipi_latency);
+    t.kbuf.(0) <- t.clk.(0) +. t.p.zy_ipi_latency;
     let _ : Sim.handle = Sim.schedule_fn_keyed t.sim t.fn_ipi v.id in
     ()
   end
@@ -240,7 +240,7 @@ let[@zygos.hot] rec pop_hw_loop v ~limit n =
     let req = Net.Ring.pop_or v.hw ~default:Request.none in
     if req = Request.none then n
     else begin
-      Array.unsafe_set v.rxbuf n req;
+      v.rxbuf.(n) <- req;
       pop_hw_loop v ~limit (n + 1)
     end
   end
@@ -260,7 +260,7 @@ let[@zygos.hot] pop_hw t v ~limit =
    so [~from] is not boxed either; [t.respond] is itself the
    [int -> unit] dispatch fn for each response event. *)
 let[@zygos.hot] [@inline] transmit_batches t c ~from =
-  Array.unsafe_set c.tbuf 0 from;
+  c.tbuf.(0) <- from;
   let q = c.remote_fifo in
   let count = ref (Engine.Intq.pop q) in
   while !count <> Engine.Intq.empty do
@@ -272,13 +272,13 @@ let[@zygos.hot] [@inline] transmit_batches t c ~from =
       [@zygos.allow "hot-alloc"]);
     for i = 1 to n do
       let done_at =
-        Array.unsafe_get c.tbuf 0 +. t.p.zy_remote_syscall
+        c.tbuf.(0) +. t.p.zy_remote_syscall
         +. (float_of_int t.p.rpc_packets *. t.p.dp_tx)
       in
-      Array.unsafe_set t.kbuf 0 done_at;
+      t.kbuf.(0) <- done_at;
       let fn = if i < n then t.respond else t.fn_remote_release in
       let _ : Sim.handle = Sim.schedule_fn_keyed t.sim fn (Engine.Intq.pop q) in
-      Array.unsafe_set c.tbuf 0 done_at
+      c.tbuf.(0) <- done_at
     done;
     count := Engine.Intq.pop q
   done;
@@ -301,21 +301,21 @@ let deliver_ipi t v =
       else 0
     in
     if rx_count > 0 || t.remote land v.bit <> 0 then begin
-      let t0 = Array.unsafe_get t.clk 0 +. t.p.zy_ipi_handler in
+      let t0 = t.clk.(0) +. t.p.zy_ipi_handler in
       let after_rx = t0 +. (float_of_int (rx_count * t.p.rpc_packets) *. t.p.dp_rx) in
       if rx_count > 0 then begin
         (* Pop the ring at the moment the handler's receive work
            completes — popping earlier and delivering later could let a
            second IPI's packets overtake these on the same connection.
            The event packs (rx_count, core id) into its int payload. *)
-        Array.unsafe_set t.kbuf 0 after_rx;
+        t.kbuf.(0) <- after_rx;
         let _ : Sim.handle =
           Sim.schedule_fn_keyed t.sim t.fn_ipi_rx ((rx_count lsl 16) lor v.id)
         in
         ()
       end;
       transmit_batches t v ~from:after_rx;
-      extend_segment t v ~extra:(Array.unsafe_get v.tbuf 0 -. Array.unsafe_get t.clk 0)
+      extend_segment t v ~extra:(v.tbuf.(0) -. t.clk.(0))
     end
   end
 
@@ -359,8 +359,8 @@ let rec step t c =
 and try_drain_remote t c =
   (if t.remote land c.bit = 0 then false
    else begin
-     transmit_batches t c ~from:(Array.unsafe_get t.clk 0);
-     start_segment t c ~user:false ~cost:(Array.unsafe_get c.tbuf 0 -. Array.unsafe_get t.clk 0)
+     transmit_batches t c ~from:t.clk.(0);
+     start_segment t c ~user:false ~cost:(c.tbuf.(0) -. t.clk.(0))
        ~finish:t.fn_step;
      true
    end)
@@ -406,9 +406,9 @@ and exec_next t c =
    else begin
      let s = Request.slot t.pool (Sched.batch_event t.sched ~core:c.id c.b_idx) in
      let steal_cost = if c.b_idx = 0 && c.b_stolen >= 0 then t.p.zy_steal else 0. in
-     Array.unsafe_set (Request.starteds t.pool) s (Array.unsafe_get t.clk 0);
+     (Request.starteds t.pool).(s) <- t.clk.(0);
      let user_cost =
-       steal_cost +. t.p.zy_shuffle +. Array.unsafe_get (Request.services t.pool) s
+       steal_cost +. t.p.zy_shuffle +. (Request.services t.pool).(s)
      in
      start_segment t c ~user:true ~cost:user_cost ~finish:t.fn_user_done
    end)
@@ -465,7 +465,7 @@ and go_idle t c =
    scheduler: one flat array walk, request by request in arrival order. *)
 let[@zygos.hot] deliver_batch t v n =
   for i = 0 to n - 1 do
-    let req = Array.unsafe_get v.rxbuf i in
+    let req = v.rxbuf.(i) in
     Sched.deliver t.sched (Request.conn t.pool req) req
   done
 

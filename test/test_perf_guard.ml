@@ -441,6 +441,28 @@ let test_setup_words () =
       [ Linux_partitioned; Linux_floating; Ix 1; Zygos; Preemptive 5. ];
   check "4-server zygos rack" rack_setup rack_setup_words_bound
 
+(* A float returned by a function of another module is boxed (2 minor
+   words) unless the call is inlined. The default and checked profiles
+   inline across modules; dev compiles every module with -opaque, which
+   stops that, so this guard fails under [--profile dev]. *)
+let now_words_per_call_bound = 0.01
+
+let test_now_inlined () =
+  let sim = Sim.create () in
+  let calls = 10_000 in
+  let sum = ref 0. in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    sum := !sum +. Sim.now sim
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int calls in
+  ignore (Sys.opaque_identity !sum : float);
+  if per_call > now_words_per_call_bound then
+    Alcotest.failf
+      "Sim.now allocates %.3f minor words/call (want <= %g): calls across modules are not \
+       inlined, as under a profile that passes -opaque (--profile dev)"
+      per_call now_words_per_call_bound
+
 let test_end_to_end_reuse_ratio () =
   (* The same invariant through the full stack: a ZygOS point's event
      pool must serve almost every schedule from the free list. *)
@@ -496,5 +518,6 @@ let () =
           Alcotest.test_case "copying racks keep request slots" `Quick
             test_copying_racks_keep_slots;
           Alcotest.test_case "point setup words/connection bounded" `Quick test_setup_words;
+          Alcotest.test_case "Sim.now inlined across modules" `Quick test_now_inlined;
         ] );
     ]

@@ -86,6 +86,61 @@ let prop_reserve_keeps_samples =
               (fun p -> same_bits (Tally.percentile plain p) (Tally.percentile reserved p))
               [ 0.; 1.; 50.; 90.; 99.; 99.9; 100. ]))
 
+(* After a percentile query the tally holds its samples in ascending
+   order, bit for bit those of [Array.stable_sort Float.compare], except
+   that the sort may put -0. before +0. (compare ties them). *)
+let same_sorted got xs =
+  let want = Array.copy xs in
+  Array.stable_sort Float.compare want;
+  let bits = Int64.bits_of_float in
+  let neg_zeros a =
+    Array.fold_left (fun n x -> if x = 0. && Float.sign_bit x then n + 1 else n) 0 a
+  in
+  Array.length got = Array.length want
+  && Array.for_all2 (fun g w -> Int64.equal (bits g) (bits w) || (g = 0. && w = 0.)) got want
+  && neg_zeros got = neg_zeros want
+
+let sorted_samples xs =
+  let t = Tally.create () in
+  Array.iter (Tally.record t) xs;
+  if Array.length xs > 0 then ignore (Tally.p50 t : float);
+  Tally.samples t
+
+(* Any non-NaN float: both signs and zeros, the infinities, subnormals,
+   extreme exponents, and (from a per-array pool of three values) heavy
+   duplicates, in arrays of 0 to 5,000 samples, so the insertion cutoff
+   and several byte levels of the radix sort are all exercised. *)
+let arb_sort_input =
+  let open QCheck.Gen in
+  let not_nan x = if Float.is_nan x then 0. else x in
+  let special =
+    oneofl
+      [ 0.; -0.; infinity; neg_infinity; Float.min_float; -.Float.min_float; 0x1p-1074;
+        -0x1p-1074; Float.max_float; -.Float.max_float ]
+  in
+  let any_bits = map (fun b -> not_nan (Int64.float_of_bits b)) ui64 in
+  let subnormal = map (fun b -> Int64.float_of_bits (Int64.logand b 0xF_FFFF_FFFF_FFFFL)) ui64 in
+  let sample pool =
+    frequency
+      [ (4, float_range 0. 1e3); (2, float_range (-1e3) 0.); (1, special); (2, any_bits);
+        (1, subnormal); (1, map (fun x -> -.x) subnormal); (4, oneofl pool) ]
+  in
+  let gen =
+    list_repeat 3 any_bits >>= fun pool ->
+    frequency [ (1, 0 -- 40); (3, 0 -- 5_000) ] >>= fun n -> array_repeat n (sample pool)
+  in
+  let print a = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a)) in
+  QCheck.make gen ~print
+
+let prop_sort_matches_stable_sort =
+  QCheck.Test.make ~name:"tally sort = Array.stable_sort" ~count:200 arb_sort_input (fun xs ->
+      same_sorted (sorted_samples xs) xs)
+
+let test_tally_sort_exponential () =
+  let rng = Rng.create ~seed:42 and d = Engine.Dist.exponential 10. in
+  let xs = Array.init 120_000 (fun _ -> Engine.Dist.sample d rng) in
+  Alcotest.(check bool) "120k exponential samples sorted" true (same_sorted (sorted_samples xs) xs)
+
 let test_tally_stddev () =
   let t = tally_of [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ] in
   Alcotest.(check (float 1e-6)) "sample stddev" 2.13808993 (Tally.stddev t)
@@ -141,6 +196,8 @@ let () =
           Alcotest.test_case "merge/clear" `Quick test_tally_merge_and_clear;
           Alcotest.test_case "stddev" `Quick test_tally_stddev;
           QCheck_alcotest.to_alcotest prop_reserve_keeps_samples;
+          QCheck_alcotest.to_alcotest prop_sort_matches_stable_sort;
+          Alcotest.test_case "sort 120k exponential samples" `Quick test_tally_sort_exponential;
         ] );
       ( "ccdf",
         [

@@ -48,7 +48,7 @@
      is boxed by the calling convention; the flat float-array hand-off
      (Sim.key_buffer / Heap.pop_into) is the sanctioned alternative.
    - R8 "domain-escape": a value captured by a closure handed to the
-     domain layer (Runtime.Pool.run, Experiments.Sweep.run*,
+     domain layer (Runtime.Pool.run, Experiments.Sweep.run,
      Domain.spawn) whose type transitively
      reaches non-Atomic mutable state is flagged unless the capture or
      the type carries [@zygos.owned].
@@ -466,7 +466,7 @@ let core_type_is_atomic (ct : Typedtree.core_type) =
    normalized-path suffix so both [Runtime.Pool.run] and a local
    [module Pool = Runtime.Pool] alias resolve. *)
 let domain_sinks =
-  [ "Pool.run"; "Sweep.run"; "Sweep.run_with_stats"; "Domain.spawn" ]
+  [ "Pool.run"; "Sweep.run"; "Domain.spawn" ]
 
 let is_domain_sink name =
   List.exists (fun s -> name = s || ends_with ~suffix:("." ^ s) name) domain_sinks
