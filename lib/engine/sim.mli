@@ -8,21 +8,18 @@
     The hot path is allocation-free in steady state: event records live in
     a pool of recycled slots, handles are immediate integers carrying a
     per-slot generation, and the queue stores its keys in flat arrays.
-    There are two ways to schedule an event, sharing the pool and one
-    (time, seqno) order:
-    - {!schedule_fn_keyed} for hot paths: a long-lived [int -> unit]
-      plus an immediate payload, with the event time written into
-      {!key_buffer} slot 0 first. It allocates nothing: a float argument
-      to a function in another module is boxed at the call, one stored
-      in a float array is not.
-    - {!schedule_after} for cold paths: a closure, [delay] after now.
+    There is one kind of event, scheduled by {!schedule_fn_keyed}: a
+    long-lived [int -> unit] handler plus an immediate payload, with the
+    event time written into {!key_buffer} slot 0 first. It allocates
+    nothing: a float argument to a function in another module is boxed at
+    the call, one stored in a float array is not.
 
     The queue is a hierarchical timing wheel ({!Wheel}); its pop order
     is checked against the binary heap ({!Heap}) in test/test_equeue.ml.
 
-    Events can be cancelled through the handle either call returns;
-    cancellation is O(1) (the queue entry stays queued but is skipped, and
-    the slot is recycled immediately). *)
+    Events can be cancelled through the handle {!schedule_fn_keyed}
+    returns; cancellation is O(1) (the queue entry stays queued but is
+    skipped, and the slot is recycled immediately). *)
 
 type t
 
@@ -72,14 +69,9 @@ val key_buffer : t -> float array
 
 val schedule_fn_keyed : t -> (int -> unit) -> int -> handle
 (** [schedule_fn_keyed t fn iarg] runs [fn iarg] at the time in
-    {!key_buffer} slot 0 (raises [Invalid_argument] if in the past). [fn]
-    must be long-lived (pre-bound at setup) and [iarg] is stored unboxed,
-    so it allocates nothing. *)
-
-val schedule_after : t -> delay:float -> (unit -> unit) -> handle
-(** [schedule_after t ~delay f] runs [f] at [now t +. delay]. [delay]
-    must be non-negative (raises [Invalid_argument]). Allocates the
-    closure the caller builds and boxes [delay]: cold paths only. *)
+    {!key_buffer} slot 0 (raises [Invalid_argument] if it is in the past
+    or NaN). [fn] must be long-lived (pre-bound at setup) and [iarg] is
+    stored unboxed, so it allocates nothing. *)
 
 val cancel : t -> handle -> unit
 (** Prevent a pending event from firing. Cancelling a fired or already

@@ -76,17 +76,14 @@ type t = {
   mutable run_vals : int array;
   mutable run_pos : int;
   mutable run_len : int;
-  kbuf : float array; (* one-element scratch backing [add]'s key, see [add_key] *)
-  dummy : int;
 }
 
-let create ?(capacity = 64) ?(dummy = 0) () =
-  let capacity = max capacity 1 in
+let create () =
   {
-    times = Array.make capacity 0.;
-    seqs = Array.make capacity 0;
-    vals = Array.make capacity dummy;
-    nexts = Array.make capacity nil;
+    times = Array.make 64 0.;
+    seqs = Array.make 64 0;
+    vals = Array.make 64 0;
+    nexts = Array.make 64 nil;
     free = nil;
     n_alloc = 0;
     heads = Array.make (levels * slots) nil;
@@ -97,11 +94,9 @@ let create ?(capacity = 64) ?(dummy = 0) () =
     next_seq = 0;
     run_times = Array.make 16 0.;
     run_seqs = Array.make 16 0;
-    run_vals = Array.make 16 dummy;
+    run_vals = Array.make 16 0;
     run_pos = 0;
     run_len = 0;
-    kbuf = [| 0. |];
-    dummy;
   }
 
 let[@zygos.hot] length t = t.wheel_count + (t.run_len - t.run_pos)
@@ -116,7 +111,7 @@ let[@zygos.hot] grow_pool t =
   (* amortized doubling: O(log n) growths over a run, zero steady-state *)
   let times = (Array.make new_cap 0. [@zygos.allow "hot-alloc"]) in
   let seqs = (Array.make new_cap 0 [@zygos.allow "hot-alloc"]) in
-  let vals = (Array.make new_cap t.dummy [@zygos.allow "hot-alloc"]) in
+  let vals = (Array.make new_cap 0 [@zygos.allow "hot-alloc"]) in
   let nexts = (Array.make new_cap nil [@zygos.allow "hot-alloc"]) in
   Array.blit t.times 0 times 0 cap;
   Array.blit t.seqs 0 seqs 0 cap;
@@ -142,7 +137,6 @@ let[@zygos.hot] alloc_node t =
 
 let[@zygos.hot] free_node t n =
   t.nexts.(n) <- t.free;
-  t.vals.(n) <- t.dummy;
   t.free <- n
 
 (* ---- bucket placement ---- *)
@@ -183,7 +177,7 @@ let[@zygos.hot] grow_run t =
   (* amortized doubling: O(log n) growths over a run, zero steady-state *)
   let times = (Array.make new_cap 0. [@zygos.allow "hot-alloc"]) in
   let seqs = (Array.make new_cap 0 [@zygos.allow "hot-alloc"]) in
-  let vals = (Array.make new_cap t.dummy [@zygos.allow "hot-alloc"]) in
+  let vals = (Array.make new_cap 0 [@zygos.allow "hot-alloc"]) in
   Array.blit t.run_times 0 times 0 t.run_len;
   Array.blit t.run_seqs 0 seqs 0 t.run_len;
   Array.blit t.run_vals 0 vals 0 t.run_len;
@@ -399,34 +393,13 @@ let[@zygos.hot] add_key t buf v =
     t.wheel_count <- t.wheel_count + 1
   end
 
-let[@zygos.hot] add t ~time v =
-  t.kbuf.(0) <- time;
-  add_key t t.kbuf v
-
-(* The [t.run_pos < t.run_len || ...] guards below repeat
-   {!ensure_run}'s own fast path inline: [ensure_run] is recursive (so
-   never inlined), and in steady state the run already holds the
-   minimum, making the call pure overhead on every pop. *)
-let[@zygos.hot] min_time t =
-  if t.run_pos < t.run_len || ensure_run t then t.run_times.(t.run_pos)
-  else infinity
-
-let[@zygos.hot] min_elt t =
-  if t.run_pos < t.run_len || ensure_run t then t.run_vals.(t.run_pos)
-  else t.dummy
-
-let[@zygos.hot] drop_min t =
-  if t.run_pos < t.run_len || ensure_run t then begin
-    t.run_pos <- t.run_pos + 1;
-    if t.run_pos = t.run_len then begin
-      t.run_pos <- 0;
-      t.run_len <- 0
-    end
-  end
-
 (* Remove the minimum, writing its time into [buf.(0)] (flat store, no
-   boxed-float return) and returning its payload; [dummy] when empty.
-   The simulator's step loop pops through this. *)
+   boxed-float return) and returning its payload; -1 when empty. The
+   simulator's step loop pops through this. The [t.run_pos < t.run_len
+   || ...] guard repeats {!ensure_run}'s own fast path inline:
+   [ensure_run] is recursive (so never inlined), and in steady state the
+   run already holds the minimum, making the call pure overhead on
+   every pop. *)
 let[@zygos.hot] pop_into t buf =
   if t.run_pos < t.run_len || ensure_run t then begin
     let p = t.run_pos in
@@ -440,19 +413,4 @@ let[@zygos.hot] pop_into t buf =
     else t.run_pos <- p1;
     v
   end
-  else t.dummy
-
-let clear t =
-  Array.fill t.nexts 0 t.n_alloc nil;
-  Array.fill t.vals 0 t.n_alloc t.dummy;
-  t.free <- nil;
-  t.n_alloc <- 0;
-  Array.fill t.heads 0 (levels * slots) nil;
-  Array.fill t.tails 0 (levels * slots) nil;
-  Array.fill t.maps 0 levels 0;
-  t.cur <- 0;
-  t.wheel_count <- 0;
-  t.next_seq <- 0;
-  Array.fill t.run_vals 0 (Array.length t.run_vals) t.dummy;
-  t.run_pos <- 0;
-  t.run_len <- 0
+  else -1

@@ -254,13 +254,10 @@ let run_real_point cfg ~load =
   let net_faults =
     match cfg.faults with
     | None -> None
-    | Some plan -> Some (Net.Faults.create sim ~rng:(Rng.split rng) ~plan ())
+    | Some plan ->
+        Some (Net.Faults.create sim ~rng:(Rng.split rng) ~plan ~deliver:admitted ())
   in
-  let ingress =
-    match net_faults with
-    | None -> admitted
-    | Some f -> fun req -> Net.Faults.apply f req ~deliver:admitted
-  in
+  let ingress = match net_faults with None -> admitted | Some f -> Net.Faults.apply f in
   Net.Loadgen.set_target gen ingress;
   let measure = float_of_int cfg.requests /. rate in
   let warmup = 0.2 *. measure in

@@ -1,4 +1,3 @@
-module Sim = Engine.Sim
 module Rng = Engine.Rng
 module Dist = Engine.Dist
 
@@ -59,103 +58,119 @@ let fcfs spec ~draw ~pick ~warmup ~total latencies =
   done;
   (!first, !last)
 
-(* ---- Processor sharing: an event loop ----
+(* ---- Processor sharing: a flat recursion per station ----
 
    All k jobs present at a station advance simultaneously at rate
-   min(1, capacity/k): with k <= capacity every job has a full processor;
-   beyond that the processors are split evenly. Remaining work is brought
-   up to date lazily at every arrival/completion. *)
-
-type job = { arrival : float; mutable remaining : float; measured : bool }
-
-type station = {
-  capacity : int;
-  mutable present : job list;
-  mutable last_update : float;
-  mutable next_done : Sim.handle option;
-}
-
-let ps_rate station k =
-  if k = 0 then 0. else Float.min 1. (float_of_int station.capacity /. float_of_int k)
-
-let ps_update station now =
-  let dt = now -. station.last_update in
-  if dt > 0. then begin
-    let rate = ps_rate station (List.length station.present) in
-    List.iter (fun j -> j.remaining <- j.remaining -. (dt *. rate)) station.present
-  end;
-  station.last_update <- now
+   min(1, capacity/k): with k <= capacity every job has a full
+   processor; beyond that the processors are split evenly. Between two
+   events of a station its jobs, and so its rate, stay the same, so a
+   station is brought up to date only when a job arrives at it. First
+   its completions up to the arrival retire in time order, each at
+   [last +. soonest /. rate], where [last] is the station's previous
+   event and [soonest] the least work left (float rounding can finish
+   several jobs at once); then each job's work falls by its share of
+   the time since [last]. Every station drains after the last arrival.
+   The first measured arrival and the last measured completion are
+   returned, as by [fcfs]. *)
 
 let ps_epsilon = 1e-9
 
-let rec ps_reschedule sim station ~record =
-  (match station.next_done with
-  | Some h -> Sim.cancel sim h
-  | None -> ());
-  match station.present with
-  | [] -> station.next_done <- None
-  | present ->
-      let rate = ps_rate station (List.length present) in
-      let soonest =
-        List.fold_left (fun acc j -> if j.remaining < acc.remaining then j else acc)
-          (List.hd present) (List.tl present)
-      in
-      let delay = Float.max 0. (soonest.remaining /. rate) in
-      station.next_done <-
-        Some (Sim.schedule_after sim ~delay (fun () -> ps_complete sim station ~record))
-
-and ps_complete sim station ~record =
-  (* Bring work up to date as of now, then retire every finished job
-     (float rounding can finish several at once). *)
-  ps_update station (Sim.now sim);
-  let finished, left = List.partition (fun j -> j.remaining <= ps_epsilon) station.present in
-  station.present <- left;
-  List.iter record finished;
-  ps_reschedule sim station ~record
-
-let ps_arrive sim station job ~record =
-  ps_update station (Sim.now sim);
-  station.present <- job :: station.present;
-  ps_reschedule sim station ~record
+let ps_rate ~capacity k = Float.min 1. (float_of_int capacity /. float_of_int k)
 
 let ps spec ~draw ~pick ~warmup ~total latencies =
-  let sim = Sim.create () in
-  let make_station capacity = { capacity; present = []; last_update = 0.; next_done = None } in
-  let stations =
-    match spec.topology with
-    | Central -> [| make_station spec.servers |]
-    | Partitioned -> Array.init spec.servers (fun _ -> make_station 1)
+  let stations, capacity =
+    match spec.topology with Central -> (1, spec.servers) | Partitioned -> (spec.servers, 1)
   in
-  let first = ref nan and last = ref nan in
-  let record job =
-    if job.measured then begin
-      Stats.Tally.record latencies (Sim.now sim -. job.arrival);
-      last := Sim.now sim
-    end
+  (* Per station: jobs present, time of its last event, and per present
+     job its work left, arrival time and index in the stream. *)
+  let jobs = Array.make stations 0 and last = Array.make stations 0. in
+  let work = Array.make stations [||]
+  and arrived = Array.make stations [||]
+  and index = Array.make stations [||] in
+  (* scratch: 0 the gap, 1 the service demand, 2 a latency, 3 the time a
+     station is brought up to, 4 the last measured completion, 5 the
+     horizon up to which completions retire *)
+  let buf = Array.make 6 0. in
+  buf.(4) <- neg_infinity;
+  (* Charge station [s]'s jobs for the time from its last event to buf.(3). *)
+  let advance s =
+    let dt = buf.(3) -. last.(s) in
+    if dt > 0. then begin
+      let k = jobs.(s) and w = work.(s) in
+      let rate = ps_rate ~capacity k in
+      for j = 0 to k - 1 do
+        w.(j) <- w.(j) -. (dt *. rate)
+      done
+    end;
+    last.(s) <- buf.(3)
   in
-  let buf = Array.make 2 0. in
-  let rec next_arrival idx =
-    if idx < total then begin
-      draw buf;
-      let remaining = buf.(1) in
-      let _ : Sim.handle =
-        Sim.schedule_after sim ~delay:buf.(0) (fun () ->
-            let now = Sim.now sim in
-            if idx = warmup then first := now;
-            let station =
-              match spec.topology with
-              | Central -> stations.(0)
-              | Partitioned -> stations.(pick ())
-            in
-            ps_arrive sim station { arrival = now; remaining; measured = idx >= warmup } ~record;
-            next_arrival (idx + 1))
-      in
-      ()
-    end
+  (* Retire station [s]'s completions up to the horizon buf.(5), soonest first. *)
+  let settle s =
+    let reached = ref false in
+    while (not !reached) && jobs.(s) > 0 do
+      let k = jobs.(s) and w = work.(s) and a = arrived.(s) and ix = index.(s) in
+      let soonest = ref w.(0) in
+      for j = 1 to k - 1 do
+        if w.(j) < !soonest then soonest := w.(j)
+      done;
+      let rate = ps_rate ~capacity k in
+      buf.(3) <- last.(s) +. Float.max 0. (!soonest /. rate);
+      if buf.(3) > buf.(5) then reached := true
+      else begin
+        advance s;
+        let kept = ref 0 in
+        for j = 0 to k - 1 do
+          if w.(j) <= ps_epsilon then begin
+            if ix.(j) >= warmup then begin
+              buf.(2) <- buf.(3) -. a.(j);
+              Stats.Tally.record_from latencies buf 2;
+              if buf.(3) > buf.(4) then buf.(4) <- buf.(3)
+            end
+          end
+          else begin
+            w.(!kept) <- w.(j);
+            a.(!kept) <- a.(j);
+            ix.(!kept) <- ix.(j);
+            incr kept
+          end
+        done;
+        jobs.(s) <- !kept
+      end
+    done
   in
-  next_arrival 0;
-  Sim.run sim;
-  (!first, !last)
+  let grow s =
+    let k = jobs.(s) in
+    let n = max 8 (2 * k) in
+    let w = Array.make n 0. and a = Array.make n 0. and ix = Array.make n 0 in
+    Array.blit work.(s) 0 w 0 k;
+    Array.blit arrived.(s) 0 a 0 k;
+    Array.blit index.(s) 0 ix 0 k;
+    work.(s) <- w;
+    arrived.(s) <- a;
+    index.(s) <- ix
+  in
+  let arrival = ref 0. and first = ref nan in
+  for idx = 0 to total - 1 do
+    draw buf;
+    arrival := !arrival +. buf.(0);
+    if idx = warmup then first := !arrival;
+    let s = match spec.topology with Central -> 0 | Partitioned -> pick () in
+    buf.(5) <- !arrival;
+    settle s;
+    buf.(3) <- !arrival;
+    advance s;
+    let k = jobs.(s) in
+    if k = Array.length work.(s) then grow s;
+    work.(s).(k) <- buf.(1);
+    arrived.(s).(k) <- !arrival;
+    index.(s).(k) <- idx;
+    jobs.(s) <- k + 1
+  done;
+  buf.(5) <- infinity;
+  for s = 0 to stations - 1 do
+    settle s
+  done;
+  (!first, buf.(4))
 
 (* ---- Simulation driver ---- *)
 

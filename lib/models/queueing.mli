@@ -18,8 +18,11 @@
     Figure 2. The FCFS models are exact recursions over the job stream:
     a job starts at the later of its arrival and the earliest free time
     of its station's processors (Kiefer–Wolfowitz for M/G/n, Lindley for
-    each M/G/1). The PS models run on the event engine. Both draw the
-    same arrivals, service demands and station choices for a seed. *)
+    each M/G/1). The PS models are recursions too: a job's arrival first
+    retires its station's earlier completions, then shares the station's
+    processors with the jobs present until the next event there. All
+    four draw the same arrivals, service demands and station choices for
+    a seed. *)
 
 type policy = Fcfs | Ps
 

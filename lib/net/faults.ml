@@ -29,6 +29,7 @@ type t = {
   sim : Sim.t;
   rng : Rng.t;
   plan : plan;
+  deliver : int -> unit;
   mutable packets : int;
   mutable drops : int;
   mutable corruptions : int;
@@ -37,12 +38,13 @@ type t = {
   mutable injected : int;
 }
 
-let create sim ~rng ~plan () =
+let create sim ~rng ~plan ~deliver () =
   validate_plan plan;
   {
     sim;
     rng;
     plan;
+    deliver;
     packets = 0;
     drops = 0;
     corruptions = 0;
@@ -51,7 +53,13 @@ let create sim ~rng ~plan () =
     injected = 0;
   }
 
-let apply t pkt ~deliver =
+(* Late copies are keyed events on [t.deliver], bound once at [create]. *)
+let later t delay pkt =
+  (Sim.key_buffer t.sim).(0) <- Sim.now t.sim +. delay;
+  let _ : Sim.handle = Sim.schedule_fn_keyed t.sim t.deliver pkt in
+  ()
+
+let apply t pkt =
   t.packets <- t.packets + 1;
   (* Fixed draw order keeps runs comparable across plans with the same
      seed: drop, corrupt, duplicate, reorder — every packet consumes
@@ -72,17 +80,12 @@ let apply t pkt ~deliver =
     if duplicated || reordered then t.injected <- t.injected + 1;
     if reordered then begin
       t.reorders <- t.reorders + 1;
-      let _ : Sim.handle =
-        Sim.schedule_after t.sim ~delay:reorder_delay (fun () -> deliver pkt)
-      in
-      ()
+      later t reorder_delay pkt
     end
-    else deliver pkt;
+    else t.deliver pkt;
     if duplicated then begin
       t.duplicates <- t.duplicates + 1;
-      let delay = dup_delay +. if reordered then reorder_delay else 0. in
-      let _ : Sim.handle = Sim.schedule_after t.sim ~delay (fun () -> deliver pkt) in
-      ()
+      later t (dup_delay +. if reordered then reorder_delay else 0.) pkt
     end
   end
 

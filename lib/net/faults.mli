@@ -34,11 +34,14 @@ val validate_plan : plan -> unit
 
 type t
 
-val create : Engine.Sim.t -> rng:Engine.Rng.t -> plan:plan -> unit -> t
+val create :
+  Engine.Sim.t -> rng:Engine.Rng.t -> plan:plan -> deliver:(int -> unit) -> unit -> t
 (** [rng] must be a dedicated stream (e.g. a {!Engine.Rng.split} of the
-    master) so fault draws never perturb other components. *)
+    master) so fault draws never perturb other components. [deliver]
+    receives the packets that get through; it is long-lived, since late
+    copies are scheduled as events on it. *)
 
-val apply : t -> 'a -> deliver:('a -> unit) -> unit
+val apply : t -> int -> unit
 (** Run one packet through the plan. [deliver] is called zero, one or two
     times: never for a dropped/corrupted packet, immediately (same call
     stack) for a clean packet, 5 µs later for a reordered one, and an

@@ -155,17 +155,18 @@ let create sim (p : Params.t) ~quantum ~pool ~conns ~respond ?(consolidate = fal
   if consolidate then begin
     let last_busy = ref 0. in
     let quiet = ref 0 in
+    (* The woken core joins the pool and pulls work if any. *)
+    let woken (_ : int) =
+      if Engine.Intq.is_empty st.runq then st.idle_cores <- st.idle_cores + 1
+      else run_slice ~resume_cost:switch_cost (Engine.Intq.pop st.runq)
+    in
     let unpark () =
       st.parked <- st.parked - 1;
-      let _ : Sim.handle =
-        Sim.schedule_after sim ~delay:unpark_latency (fun () ->
-            (* The woken core joins the pool and pulls work if any. *)
-            if Engine.Intq.is_empty st.runq then st.idle_cores <- st.idle_cores + 1
-            else run_slice ~resume_cost:switch_cost (Engine.Intq.pop st.runq))
-      in
+      kbuf.(0) <- clk.(0) +. unpark_latency;
+      let _ : Sim.handle = Sim.schedule_fn_keyed sim woken 0 in
       ()
     in
-    let rec tick () =
+    let rec tick (_ : int) =
       st.windows <- st.windows + 1;
       let act = active () in
       st.core_time <- st.core_time +. (float_of_int act *. window);
@@ -185,9 +186,12 @@ let create sim (p : Params.t) ~quantum ~pool ~conns ~respond ?(consolidate = fal
         st.active_target <- st.active_target + 1;
         if st.parked > 0 then unpark ()
       end;
-      if !quiet < 2 then ignore (Sim.schedule_after sim ~delay:window tick : Sim.handle)
+      if !quiet < 2 then arm ()
+    and arm () =
+      kbuf.(0) <- clk.(0) +. window;
+      ignore (Sim.schedule_fn_keyed sim tick 0 : Sim.handle)
     in
-    ignore (Sim.schedule_after sim ~delay:window tick : Sim.handle)
+    arm ()
   end;
   let info () =
     let base =

@@ -6,10 +6,10 @@ type stats = { mutable windows : int; mutable moves : int }
 let imbalance_threshold = 1.3
 
 let attach sim ~rss ~queues ~read_counts ~window () =
-  if window <= 0. then invalid_arg "Rebalance.attach: window <= 0";
+  if not (window > 0.) then invalid_arg "Rebalance.attach: window <= 0";
   let stats = { windows = 0; moves = 0 } in
   let idle_windows = ref 0 in
-  let rec tick () =
+  let rec tick (_ : int) =
     stats.windows <- stats.windows + 1;
     let counts = read_counts () in
     let total = Array.fold_left ( + ) 0 counts in
@@ -56,8 +56,10 @@ let attach sim ~rss ~queues ~read_counts ~window () =
     end;
     (* Re-arm while traffic flows; stop after two quiet windows so the
        simulation can drain and terminate. *)
-    if !idle_windows < 2 then
-      ignore (Sim.schedule_after sim ~delay:window tick : Sim.handle)
+    if !idle_windows < 2 then arm ()
+  and arm () =
+    (Sim.key_buffer sim).(0) <- Sim.now sim +. window;
+    ignore (Sim.schedule_fn_keyed sim tick 0 : Sim.handle)
   in
-  ignore (Sim.schedule_after sim ~delay:window tick : Sim.handle);
+  arm ();
   stats

@@ -33,4 +33,4 @@ val attach :
   stats
 (** Start the periodic controller. It stops by itself after two
     consecutive windows with no traffic (so simulations terminate).
-    Raises [Invalid_argument] on a non-positive window. *)
+    Raises [Invalid_argument] on a window that is not positive (NaN too). *)

@@ -330,7 +330,7 @@ let fake_server sim ~pool ~delay ~respond =
     if !inflight > !peak then peak := !inflight;
     if delay < infinity then
       let _ : Sim.handle =
-        Sim.schedule_after sim ~delay (fun () ->
+        Later.after sim ~delay (fun () ->
             decr inflight;
             (Request.completions pool).(Request.slot pool req) <- Sim.now sim;
             respond req)
@@ -419,7 +419,7 @@ let test_failover_recovers_dead_server () =
   let n = 40 in
   for id = 1 to n do
     let _ : Sim.handle =
-      Sim.schedule_after sim
+      Later.after sim
         ~delay:(float_of_int id *. 10.)
         (fun () -> iface.Systems.Iface.submit (mk_req pool id))
     in

@@ -23,7 +23,7 @@ let test_heap_interleaved () =
 
 let test_sim_cancel_after_fire () =
   let sim = Sim.create () in
-  let h = Sim.schedule_after sim ~delay:1. (fun () -> ()) in
+  let h = Later.after sim ~delay:1. (fun () -> ()) in
   Sim.run sim;
   (* cancelling a fired event is a harmless no-op *)
   Sim.cancel sim h;
@@ -33,7 +33,7 @@ let test_sim_cancel_after_fire () =
 let test_sim_zero_delay_event () =
   let sim = Sim.create () in
   let fired = ref false in
-  ignore (Sim.schedule_after sim ~delay:0. (fun () -> fired := true) : Sim.handle);
+  ignore (Later.after sim ~delay:0. (fun () -> fired := true) : Sim.handle);
   Sim.run sim;
   Alcotest.(check bool) "zero-delay fires" true !fired
 
@@ -212,18 +212,22 @@ let test_tpcc_full_profile_loads () =
   Alcotest.(check int) "customer rows" 30_000
     (Silo.Btree.length (Silo.Db.find_table db "customer").Silo.Db.index)
 
-(* ---- kvstore ---- *)
+(* ---- memcached workloads ---- *)
 
+(* An ETC SET moves its 37 B key and an 11 B-4 KB value at 0.2 ns/B on
+   top of 1 µs; a GET is the lookup price. *)
 let test_workload_etc_value_range () =
-  let rng = Rng.create ~seed:23 in
-  let wl = Kvstore.Workload.create ~records:100 Kvstore.Workload.Etc in
-  for _ = 1 to 3_000 do
-    match Kvstore.Workload.next_command wl rng with
-    | Kvstore.Workload.Set { data; _ } ->
-        let n = String.length data in
-        if n < 11 || n > 4096 then Alcotest.failf "ETC value size out of range: %d" n
-    | _ -> ()
-  done
+  let get = 0.7 +. (0.0001 *. float_of_int (37 + 64)) in
+  let lo = 1.0 +. (0.0002 *. float_of_int (37 + 11))
+  and hi = 1.0 +. (0.0002 *. float_of_int (37 + 4096)) in
+  match Experiments.Figures.memcached_service Etc ~samples:3_000 with
+  | Dist.Empirical a ->
+      Array.iter
+        (fun x ->
+          if x <> get && (x < lo || x > hi) then
+            Alcotest.failf "ETC sample %g outside [%g, %g]" x lo hi)
+        a
+  | _ -> Alcotest.fail "not an empirical distribution"
 
 (* ---- models ---- *)
 
@@ -279,9 +283,7 @@ let () =
           Alcotest.test_case "tpcc full profile" `Slow test_tpcc_full_profile_loads;
         ] );
       ( "kvstore",
-        [
-          Alcotest.test_case "etc value range" `Quick test_workload_etc_value_range;
-        ] );
+        [ Alcotest.test_case "etc value range" `Quick test_workload_etc_value_range ] );
       ( "models",
         [
           Alcotest.test_case "bimodal-2 pathology" `Slow

@@ -335,9 +335,9 @@ let test_heap_peek_then_drop () =
 let test_sim_ordering () =
   let sim = Sim.create () in
   let log = ref [] in
-  ignore (Sim.schedule_after sim ~delay:3. (fun () -> log := 3 :: !log) : Sim.handle);
-  ignore (Sim.schedule_after sim ~delay:1. (fun () -> log := 1 :: !log) : Sim.handle);
-  ignore (Sim.schedule_after sim ~delay:2. (fun () -> log := 2 :: !log) : Sim.handle);
+  ignore (Later.after sim ~delay:3. (fun () -> log := 3 :: !log) : Sim.handle);
+  ignore (Later.after sim ~delay:1. (fun () -> log := 1 :: !log) : Sim.handle);
+  ignore (Later.after sim ~delay:2. (fun () -> log := 2 :: !log) : Sim.handle);
   Sim.run sim;
   Alcotest.(check (list int)) "time order" [ 1; 2; 3 ] (List.rev !log);
   check_float "clock at last event" 3. (Sim.now sim)
@@ -345,7 +345,7 @@ let test_sim_ordering () =
 let test_sim_cancel () =
   let sim = Sim.create () in
   let fired = ref false in
-  let h = Sim.schedule_after sim ~delay:1. (fun () -> fired := true) in
+  let h = Later.after sim ~delay:1. (fun () -> fired := true) in
   Sim.cancel sim h;
   Sim.run sim;
   Alcotest.(check bool) "cancelled event did not fire" false !fired
@@ -357,9 +357,9 @@ let test_sim_pool_recycles () =
   let count = ref 0 in
   let rec tick () =
     incr count;
-    if !count < 1_000 then ignore (Sim.schedule_after sim ~delay:1. tick : Sim.handle)
+    if !count < 1_000 then ignore (Later.after sim ~delay:1. tick : Sim.handle)
   in
-  ignore (Sim.schedule_after sim ~delay:1. tick : Sim.handle);
+  ignore (Later.after sim ~delay:1. tick : Sim.handle);
   Sim.run sim;
   let s = Sim.stats sim in
   Alcotest.(check int) "all fired" 1_000 s.Sim.fired;
@@ -372,10 +372,10 @@ let test_sim_stale_handle_is_inert () =
   (* After an event fires, its pool slot may be reused by a new event; the
      old handle must not be able to cancel the new occupant. *)
   let sim = Sim.create () in
-  let first = Sim.schedule_after sim ~delay:1. (fun () -> ()) in
+  let first = Later.after sim ~delay:1. (fun () -> ()) in
   Sim.run sim;
   let fired = ref false in
-  ignore (Sim.schedule_after sim ~delay:1. (fun () -> fired := true) : Sim.handle);
+  ignore (Later.after sim ~delay:1. (fun () -> fired := true) : Sim.handle);
   Sim.cancel sim first;
   (* stale: same slot, older generation *)
   Sim.run sim;
@@ -384,9 +384,9 @@ let test_sim_stale_handle_is_inert () =
 
 let test_sim_cancel_frees_slot () =
   let sim = Sim.create () in
-  let h = Sim.schedule_after sim ~delay:5. (fun () -> ()) in
+  let h = Later.after sim ~delay:5. (fun () -> ()) in
   Sim.cancel sim h;
-  ignore (Sim.schedule_after sim ~delay:6. (fun () -> ()) : Sim.handle);
+  ignore (Later.after sim ~delay:6. (fun () -> ()) : Sim.handle);
   Sim.run sim;
   let s = Sim.stats sim in
   Alcotest.(check int) "one cancel" 1 s.Sim.cancelled;
@@ -396,25 +396,36 @@ let test_sim_cancel_frees_slot () =
 
 let test_sim_past_raises () =
   let sim = Sim.create () in
-  ignore (Sim.schedule_after sim ~delay:5. (fun () -> ()) : Sim.handle);
+  ignore (Later.after sim ~delay:5. (fun () -> ()) : Sim.handle);
   Sim.run sim;
   Alcotest.check_raises "past scheduling rejected"
-    (Invalid_argument "Sim.schedule_fn_keyed: at 1 is in the past (now 5)") (fun () ->
+    (Invalid_argument "Sim.schedule_fn_keyed: at 1 is in the past or NaN (now 5)") (fun () ->
       (Sim.key_buffer sim).(0) <- 1.;
       ignore (Sim.schedule_fn_keyed sim ignore 0 : Sim.handle))
 
 let test_sim_negative_delay_raises () =
   let sim = Sim.create () in
-  Alcotest.check_raises "negative delay" (Invalid_argument "Sim.schedule_after: negative delay")
-    (fun () -> ignore (Sim.schedule_after sim ~delay:(-1.) (fun () -> ()) : Sim.handle))
+  Alcotest.check_raises "negative delay"
+    (Invalid_argument "Sim.schedule_fn_keyed: at -1 is in the past or NaN (now 0)") (fun () ->
+      ignore (Later.after sim ~delay:(-1.) ignore : Sim.handle))
+
+(* A NaN time would file at the wheel's last tick and, once fired, leave
+   the clock NaN for the rest of the run. *)
+let test_sim_nan_time_raises () =
+  let sim = Sim.create () in
+  Alcotest.check_raises "NaN time rejected"
+    (Invalid_argument "Sim.schedule_fn_keyed: at nan is in the past or NaN (now 0)") (fun () ->
+      (Sim.key_buffer sim).(0) <- nan;
+      ignore (Sim.schedule_fn_keyed sim ignore 0 : Sim.handle));
+  Alcotest.(check int) "nothing queued" 0 (Sim.pending sim)
 
 let test_sim_nested_scheduling () =
   let sim = Sim.create () in
   let log = ref [] in
   ignore
-    (Sim.schedule_after sim ~delay:1. (fun () ->
+    (Later.after sim ~delay:1. (fun () ->
          log := "outer" :: !log;
-         ignore (Sim.schedule_after sim ~delay:1. (fun () -> log := "inner" :: !log) : Sim.handle))
+         ignore (Later.after sim ~delay:1. (fun () -> log := "inner" :: !log) : Sim.handle))
       : Sim.handle);
   Sim.run sim;
   Alcotest.(check (list string)) "nested" [ "outer"; "inner" ] (List.rev !log);
@@ -424,7 +435,7 @@ let test_sim_same_time_fifo () =
   let sim = Sim.create () in
   let log = ref [] in
   for i = 1 to 5 do
-    ignore (Sim.schedule_after sim ~delay:1. (fun () -> log := i :: !log) : Sim.handle)
+    ignore (Later.after sim ~delay:1. (fun () -> log := i :: !log) : Sim.handle)
   done;
   Sim.run sim;
   Alcotest.(check (list int)) "FIFO at same instant" [ 1; 2; 3; 4; 5 ] (List.rev !log)
@@ -541,6 +552,7 @@ let () =
           Alcotest.test_case "cancel frees slot" `Quick test_sim_cancel_frees_slot;
           Alcotest.test_case "past raises" `Quick test_sim_past_raises;
           Alcotest.test_case "negative delay" `Quick test_sim_negative_delay_raises;
+          Alcotest.test_case "NaN time rejected" `Quick test_sim_nan_time_raises;
           Alcotest.test_case "nested" `Quick test_sim_nested_scheduling;
           Alcotest.test_case "same-time FIFO" `Quick test_sim_same_time_fifo;
         ] );

@@ -1,8 +1,9 @@
 (* The timing wheel is the simulator's one event queue; the binary heap
    is its reference model. The wheel must pop the heap's (time, seq)
-   order for any interleaving of adds, pops and clears, and a simulation
-   must fire its events in the order a heap-driven reference loop does,
-   under either dispatch API. *)
+   order for any interleaving of adds and pops, and a simulation must
+   fire its events in the order a heap-driven reference loop does. Both
+   queues are driven through the flat-buffer API the simulator uses
+   ([add_key] / [pop_into]). *)
 
 module Sim = Engine.Sim
 module Wheel = Engine.Wheel
@@ -10,17 +11,16 @@ module Heap = Engine.Heap
 
 (* ---- queue-level equivalence: the wheel and its oracle in lockstep ---- *)
 
-type queues = { heap : int Heap.t; wheel : Wheel.t }
+type queues = { heap : int Heap.t; wheel : Wheel.t; hbuf : float array; wbuf : float array }
 
-let create () = { heap = Heap.create ~dummy:0 (); wheel = Wheel.create () }
+let create () =
+  { heap = Heap.create ~dummy:0 (); wheel = Wheel.create (); hbuf = [| 0. |]; wbuf = [| 0. |] }
 
 let add q ~time v =
-  Heap.add q.heap ~time v;
-  Wheel.add q.wheel ~time v
-
-let clear q =
-  Heap.clear q.heap;
-  Wheel.clear q.wheel
+  q.hbuf.(0) <- time;
+  Heap.add_key q.heap q.hbuf v;
+  q.wbuf.(0) <- time;
+  Wheel.add_key q.wheel q.wbuf v
 
 (* Pop both queues, failing on any disagreement; [None] when both are
    empty. *)
@@ -29,12 +29,10 @@ let pop q =
   if eh <> ew then Alcotest.failf "emptiness disagrees: heap=%b wheel=%b" eh ew;
   if eh then None
   else begin
-    let th = Heap.min_time q.heap and tw = Wheel.min_time q.wheel in
-    let vh = Heap.min_elt q.heap and vw = Wheel.min_elt q.wheel in
+    let vh = Heap.pop_into q.heap q.hbuf and vw = Wheel.pop_into q.wheel q.wbuf in
+    let th = q.hbuf.(0) and tw = q.wbuf.(0) in
     if th <> tw || vh <> vw then
       Alcotest.failf "pop disagrees: heap (%g, %d) wheel (%g, %d)" th vh tw vw;
-    Heap.drop_min q.heap;
-    Wheel.drop_min q.wheel;
     Some (th, vh)
   end
 
@@ -42,7 +40,7 @@ let drain q =
   let rec go acc = match pop q with None -> List.rev acc | Some x -> go (x :: acc) in
   go []
 
-(* Random add/pop/clear interleavings; times on a half-integer grid so
+(* Random add/pop interleavings; times on a half-integer grid so
    sub-microsecond ties (several floats within one tick) are frequent,
    with occasional far-future adds to force multi-level cascades. Each
    add carries its index, so a pop that breaks FIFO among equal times
@@ -63,8 +61,7 @@ let prop_wheel_matches_heap =
              tick are legal and must still pop in (time, seq) order *)
           if op <= 4 then add q ~time:(if op = 4 then time +. 1e6 else time) i
           else if op <= 7 then ignore (pop q : (float * int) option)
-          else if op = 8 then clear q
-          (* op = 9: no-op, length agreement *)
+          (* ops 8-9: no-op, length agreement *)
           else if Heap.length q.heap <> Wheel.length q.wheel then
             Alcotest.failf "length disagrees")
         ops;
@@ -116,16 +113,14 @@ let test_adversarial_interleaving () =
 (* ---- cascade and boundary edges ---- *)
 
 let test_empty_queue () =
-  let h = Heap.create ~dummy:(-7) () and w = Wheel.create ~dummy:(-7) () in
-  Alcotest.(check bool) "heap empty" true (Heap.is_empty h);
-  Alcotest.(check bool) "wheel empty" true (Wheel.is_empty w);
-  Alcotest.(check (float 0.)) "heap min_time" infinity (Heap.min_time h);
-  Alcotest.(check (float 0.)) "wheel min_time" infinity (Wheel.min_time w);
-  Alcotest.(check int) "heap min_elt" (-7) (Heap.min_elt h);
-  Alcotest.(check int) "wheel min_elt" (-7) (Wheel.min_elt w);
-  (* no-ops, must not raise *)
-  Heap.drop_min h;
-  Wheel.drop_min w
+  let q = create () in
+  Alcotest.(check bool) "heap empty" true (Heap.is_empty q.heap);
+  Alcotest.(check bool) "wheel empty" true (Wheel.is_empty q.wheel);
+  Alcotest.(check int) "wheel length" 0 (Wheel.length q.wheel);
+  (* popping an empty wheel returns -1 and leaves the buffer as it was *)
+  q.wbuf.(0) <- 3.;
+  Alcotest.(check int) "wheel pop_into" (-1) (Wheel.pop_into q.wheel q.wbuf);
+  Alcotest.(check (float 0.)) "buffer untouched" 3. q.wbuf.(0)
 
 let test_far_future_cascades () =
   (* Events spanning many wheel levels, popped interleaved with adds:
@@ -163,34 +158,26 @@ let test_same_tick_cohort () =
   Alcotest.(check int) "all 200 popped" 200 (List.length (drain q))
 
 let test_pop_into_add_key_duals () =
-  (* The simulator's flat-buffer fast path agrees with the labelled API. *)
-  let w = Wheel.create ~dummy:(-1) () and h = Heap.create ~dummy:(-1) () in
-  let buf = [| 0. |] in
+  (* The simulator's flat-buffer API: every pop writes the heap's time
+     into the buffer and returns the heap's payload. *)
+  let q = create () in
   for i = 0 to 99 do
-    buf.(0) <- float_of_int ((i * 13) mod 50) /. 2.;
-    Wheel.add_key w buf i;
-    Heap.add_key h buf i
+    add q ~time:(float_of_int ((i * 13) mod 50) /. 2.) i
   done;
   for _ = 0 to 99 do
-    let tw = Wheel.min_time w in
-    let vw = Wheel.pop_into w buf in
-    Alcotest.(check (float 0.)) "pop_into time" tw buf.(0);
-    let th = Heap.min_time h in
-    let vh = Heap.pop_into h buf in
-    Alcotest.(check (float 0.)) "heap pop_into time" th buf.(0);
-    Alcotest.(check int) "payloads agree" vh vw;
-    Alcotest.(check (float 0.)) "keys agree" th tw
+    ignore (pop q : (float * int) option)
   done;
-  Alcotest.(check bool) "wheel drained" true (Wheel.is_empty w);
-  Alcotest.(check int) "empty pop_into returns dummy" (-1) (Wheel.pop_into w buf)
+  Alcotest.(check bool) "wheel drained" true (Wheel.is_empty q.wheel);
+  Alcotest.(check int) "empty pop_into returns -1" (-1) (Wheel.pop_into q.wheel q.wbuf)
 
 (* ---- Sim-level equivalence ---- *)
 
-(* A schedule/cancel/step script: ops 0-2 schedule a closure k/2 us
-   ahead, 3-4 a keyed fn, 5 cancels the k-th handle handed out (fired
-   or not), 6-7 step. [run_script] plays it on a [Sim]; [reference_script]
-   plays it on a plain event loop over the heap, where an event is an
-   index into a table of payloads and a cancel marks it dead. *)
+(* A schedule/cancel/step script: ops 0-4 schedule an event k/2 us
+   ahead (payload k for ops 0-2, 1000 + k for 3-4), 5 cancels the k-th
+   handle handed out (fired or not), 6-7 step. [run_script] plays it on
+   a [Sim]; [reference_script] plays it on a plain event loop over the
+   heap, where an event is an index into a table of payloads and a
+   cancel marks it dead. *)
 let script_gen = QCheck.Gen.(list (pair (int_bound 7) (int_bound 20)))
 
 let nth_handle handles k = List.nth_opt handles (k mod max 1 (List.length handles))
@@ -203,12 +190,9 @@ let run_script ops =
   List.iter
     (fun (op, k) ->
       match op with
-      | 0 | 1 | 2 ->
-          let delay = float_of_int k /. 2. in
-          handles := Sim.schedule_after sim ~delay (fun () -> fire k) :: !handles
-      | 3 | 4 ->
+      | 0 | 1 | 2 | 3 | 4 ->
           (Sim.key_buffer sim).(0) <- Sim.now sim +. (float_of_int k /. 2.);
-          handles := Sim.schedule_fn_keyed sim fire (1000 + k) :: !handles
+          handles := Sim.schedule_fn_keyed sim fire (if op <= 2 then k else 1000 + k) :: !handles
       | 5 -> Option.iter (Sim.cancel sim) (nth_handle !handles k)
       | _ -> ignore (Sim.step sim : bool))
     ops;
@@ -258,37 +242,6 @@ let prop_sim_trace_matches_reference =
     (QCheck.make ~print:(fun ops -> string_of_int (List.length ops)) script_gen)
     (fun ops -> String.equal (reference_script ops) (run_script ops))
 
-(* The two dispatch APIs must produce the same trace: the same workload
-   scheduled through closures and through (fn, iarg) pairs. *)
-let run_chain ~fn_api =
-  let sim = Sim.create () in
-  let rng = Engine.Rng.create ~seed:7 in
-  let trace = Buffer.create 256 in
-  let remaining = ref 500 in
-  let rec arm id =
-    if !remaining > 0 then begin
-      decr remaining;
-      let delay = Engine.Rng.float rng *. 20. in
-      if fn_api then begin
-        (Sim.key_buffer sim).(0) <- Sim.now sim +. delay;
-        ignore (Sim.schedule_fn_keyed sim fire id : Sim.handle)
-      end
-      else ignore (Sim.schedule_after sim ~delay (fun () -> fire id) : Sim.handle)
-    end
-  and fire id =
-    Buffer.add_string trace (Printf.sprintf "%h:%d;" (Sim.now sim) id);
-    arm ((id + 1) land 0xff)
-  in
-  for id = 0 to 3 do
-    arm id
-  done;
-  Sim.run sim;
-  Buffer.contents trace
-
-let test_dispatch_api_parity () =
-  Alcotest.(check string) "schedule_fn_keyed = closures" (run_chain ~fn_api:false)
-    (run_chain ~fn_api:true)
-
 let () =
   Alcotest.run "equeue"
     [
@@ -306,9 +259,5 @@ let () =
           Alcotest.test_case "same-tick cohort (heapsort path)" `Quick test_same_tick_cohort;
           Alcotest.test_case "pop_into/add_key duals" `Quick test_pop_into_add_key_duals;
         ] );
-      ( "sim equivalence",
-        [
-          QCheck_alcotest.to_alcotest prop_sim_trace_matches_reference;
-          Alcotest.test_case "dispatch APIs trace-identical" `Quick test_dispatch_api_parity;
-        ] );
+      ( "sim equivalence", [ QCheck_alcotest.to_alcotest prop_sim_trace_matches_reference ] );
     ]

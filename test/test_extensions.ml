@@ -210,10 +210,19 @@ let test_consolidation_scales_up_at_high_load () =
 let test_rebalance_validation () =
   let sim = Engine.Sim.create () in
   let rss = Rss.create ~queues:4 () in
-  Alcotest.check_raises "window" (Invalid_argument "Rebalance.attach: window <= 0") (fun () ->
+  let rejected = Invalid_argument "Rebalance.attach: window <= 0" in
+  List.iter
+    (fun window ->
+      Alcotest.check_raises (Printf.sprintf "window %g" window) rejected (fun () ->
+          ignore
+            (Systems.Rebalance.attach sim ~rss ~queues:4 ~read_counts:(fun () -> [||]) ~window ()
+              : Systems.Rebalance.stats)))
+    [ 0.; nan ];
+  (* A NaN window used to pass and tick at NaN times after the traffic. *)
+  Alcotest.check_raises "NaN window point" rejected (fun () ->
       ignore
-        (Systems.Rebalance.attach sim ~rss ~queues:4 ~read_counts:(fun () -> [||]) ~window:0. ()
-          : Systems.Rebalance.stats))
+        (point ~requests:4_000 (Run.Ix_rebalanced nan) ~service:(Dist.exponential 10.) ~load:0.5
+          : Run.point))
 
 let () =
   Alcotest.run "extensions"

@@ -104,28 +104,31 @@ let test_fault_counters () =
   let rng = Rng.create ~seed:99 in
   let n = 10_000 in
   (* Deterministic extremes first. *)
-  let all_drop = Faults.create sim ~rng ~plan:(Faults.plan ~drop:1.0 ()) () in
   let delivered = ref 0 in
-  for _ = 1 to n do
-    Faults.apply all_drop () ~deliver:(fun () -> incr delivered)
+  let deliver _ = incr delivered in
+  let all_drop = Faults.create sim ~rng ~plan:(Faults.plan ~drop:1.0 ()) ~deliver () in
+  for pkt = 1 to n do
+    Faults.apply all_drop pkt
   done;
   Alcotest.(check int) "all dropped" 0 !delivered;
   Alcotest.(check int) "drop count" n (int_of_float (List.assoc "fault_drops" (Faults.info all_drop)));
-  let all_dup = Faults.create sim ~rng ~plan:(Faults.plan ~duplicate:1.0 ()) () in
-  let delivered = ref 0 in
-  for _ = 1 to n do
-    Faults.apply all_dup () ~deliver:(fun () -> incr delivered)
+  delivered := 0;
+  let all_dup = Faults.create sim ~rng ~plan:(Faults.plan ~duplicate:1.0 ()) ~deliver () in
+  for pkt = 1 to n do
+    Faults.apply all_dup pkt
   done;
   Sim.run sim;
   Alcotest.(check int) "duplicates delivered twice" (2 * n) !delivered;
   (* Mixed plan: counters are consistent with deliveries. *)
   let sim = Sim.create () in
+  delivered := 0;
   let mixed =
-    Faults.create sim ~rng ~plan:(Faults.plan ~drop:0.1 ~duplicate:0.1 ~reorder:0.1 ~corrupt:0.05 ()) ()
+    Faults.create sim ~rng
+      ~plan:(Faults.plan ~drop:0.1 ~duplicate:0.1 ~reorder:0.1 ~corrupt:0.05 ())
+      ~deliver ()
   in
-  let delivered = ref 0 in
-  for _ = 1 to n do
-    Faults.apply mixed () ~deliver:(fun () -> incr delivered)
+  for pkt = 1 to n do
+    Faults.apply mixed pkt
   done;
   Sim.run sim;
   let info = Faults.info mixed in
@@ -191,8 +194,8 @@ let test_zero_plan_samples_bitwise () =
     let submit req = system.Systems.Iface.submit req in
     (if with_plan then begin
        let frng = Rng.split rng in
-       let f = Faults.create sim ~rng:frng ~plan:Faults.zero () in
-       Loadgen.set_target gen (fun req -> Faults.apply f req ~deliver:submit)
+       let f = Faults.create sim ~rng:frng ~plan:Faults.zero ~deliver:submit () in
+       Loadgen.set_target gen (Faults.apply f)
      end
      else Loadgen.set_target gen submit);
     Loadgen.start gen ~warmup:200. ~measure:2000.;
@@ -265,9 +268,7 @@ let test_retry_recovers_loss () =
      deterministically drops every first attempt. *)
   Loadgen.set_target gen (fun req ->
       if not (Request.measured pool req) then
-        let _ : Sim.handle =
-          Sim.schedule_after sim ~delay:1. (fun () -> Loadgen.complete gen req)
-        in
+        let _ : Sim.handle = Later.after sim ~delay:1. (fun () -> Loadgen.complete gen req) in
         ());
   Loadgen.start gen ~warmup:0. ~measure:300.;
   Sim.run sim;
@@ -292,7 +293,7 @@ let test_duplicate_responses_tolerated () =
   in
   Loadgen.set_target gen (fun req ->
       let _ : Sim.handle =
-        Sim.schedule_after sim ~delay:2. (fun () ->
+        Later.after sim ~delay:2. (fun () ->
             Loadgen.complete gen req;
             Loadgen.complete gen req)
       in

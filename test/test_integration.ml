@@ -113,8 +113,7 @@ let test_silo_empirical_pipeline () =
 
 (* memcached workload end to end through each system at one load. *)
 let test_kv_pipeline () =
-  let wl = Kvstore.Workload.create Kvstore.Workload.Usr in
-  let service = Kvstore.Workload.service_dist wl ~samples:5_000 in
+  let service = Experiments.Figures.memcached_service Usr ~samples:5_000 in
   List.iter
     (fun system ->
       let p = point ~requests:8_000 system ~service ~load:0.25 in

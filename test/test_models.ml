@@ -31,6 +31,26 @@ let test_mm1_ps_mean () =
   in
   within ~tol:0.08 ~expected:2.0 t
 
+(* With spare processors PS is a pure delay: at load 0.001 on 10,000
+   processors about 10 jobs are present, each on a whole processor, so
+   every sojourn is its service time. Without the rate cap at one
+   processor a job would finish early. *)
+let test_ps_spare_processors_pure_delay () =
+  let spec = { servers = 10_000; policy = Ps; topology = Central } in
+  List.iter
+    (fun s ->
+      let r =
+        simulate spec ~service:(Engine.Dist.deterministic s) ~load:0.001 ~requests:20_000
+          ~seed:5
+      in
+      let t = r.latencies in
+      List.iter
+        (fun (label, x) ->
+          if abs_float (x -. s) > 1e-9 then
+            Alcotest.failf "S = %g: %s sojourn %.17g, want the service time" s label x)
+        [ ("p50", Stats.Tally.p50 t); ("p99", Stats.Tally.p99 t); ("max", Stats.Tally.max_value t) ])
+    [ 1.; 10. ]
+
 let erlang_c ~n ~rho =
   (* P(wait) for M/M/n at per-server utilization rho. *)
   let a = float_of_int n *. rho in
@@ -156,15 +176,17 @@ let test_determinism () =
   Alcotest.(check (float 0.)) "same p99 for same seed" (Stats.Tally.p99 a.latencies)
     (Stats.Tally.p99 b.latencies)
 
-(* The FCFS models' exact output on a grid that covers 1-server stations,
+(* Each model's exact output on a grid that covers 1-server stations,
    deterministic ties and both topologies: a digest of the hex bits of
-   mean, p50, p99, p999 and throughput per point. Captured at e721c7b,
-   where both models ran as event-driven stations; the percentiles are
-   taken first, so the mean sums the sorted samples and the digest
-   depends only on the latency multiset. *)
-let model_points_digest = "9d7200291db82fae1303e8bafee49261"
+   mean, p50, p99, p999 and throughput per point. Both were captured
+   while the model ran as event-driven stations: FCFS at e721c7b, PS at
+   8201935. The percentiles are taken first, so the mean sums the sorted
+   samples and the digest depends only on the latency multiset. *)
+let model_points_digest = function
+  | Fcfs -> "9d7200291db82fae1303e8bafee49261"
+  | Ps -> "706ab87193e47492df69d9d2b27e6291"
 
-let test_model_points_pinned () =
+let test_model_points_pinned policy () =
   let buf = Buffer.create 4096 in
   List.iter
     (fun topology ->
@@ -174,7 +196,7 @@ let test_model_points_pinned () =
             (fun servers ->
               List.iter
                 (fun load ->
-                  let spec = { servers; policy = Fcfs; topology } in
+                  let spec = { servers; policy; topology } in
                   let r = simulate spec ~service ~load ~requests:2_000 ~seed:11 in
                   let t = r.latencies in
                   let p50 = Stats.Tally.p50 t and p99 = Stats.Tally.p99 t in
@@ -192,9 +214,9 @@ let test_model_points_pinned () =
     [ Central; Partitioned ];
   let out = Buffer.contents buf in
   let got = Digest.to_hex (Digest.string out) in
-  if got <> model_points_digest then
-    Alcotest.failf "model points digest %s, pinned %s; points:\n%s" got model_points_digest
-      out
+  if got <> model_points_digest policy then
+    Alcotest.failf "model points digest %s, pinned %s; points:\n%s" got
+      (model_points_digest policy) out
 
 let () =
   Alcotest.run "models"
@@ -203,6 +225,8 @@ let () =
         [
           Alcotest.test_case "M/M/1 mean" `Slow test_mm1_mean;
           Alcotest.test_case "M/M/1/PS mean" `Slow test_mm1_ps_mean;
+          Alcotest.test_case "PS with spare processors is a pure delay" `Quick
+            test_ps_spare_processors_pure_delay;
           Alcotest.test_case "M/M/16 mean (Erlang-C)" `Slow test_mm16_mean;
           Alcotest.test_case "16xM/M/1 = M/M/1" `Slow test_partitioned_matches_mm1;
           Alcotest.test_case "M/D/1 wait" `Slow test_md1_wait;
@@ -221,6 +245,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_simulate_validation;
           Alcotest.test_case "names" `Quick test_names;
           Alcotest.test_case "determinism" `Quick test_determinism;
-          Alcotest.test_case "FCFS model points pinned" `Quick test_model_points_pinned;
+          Alcotest.test_case "FCFS model points pinned" `Quick (test_model_points_pinned Fcfs);
+          Alcotest.test_case "PS model points pinned" `Quick (test_model_points_pinned Ps);
         ] );
     ]

@@ -240,7 +240,7 @@ let run_loadgen ~rate ~conns ~echo_delay =
   in
   Loadgen.set_target gen (fun req ->
       ignore
-        (Sim.schedule_after sim ~delay:echo_delay (fun () -> Loadgen.complete gen req)
+        (Later.after sim ~delay:echo_delay (fun () -> Loadgen.complete gen req)
           : Sim.handle));
   Loadgen.start gen ~warmup:100. ~measure:1000.;
   Sim.run sim;

@@ -1,78 +1,29 @@
-(* Perf-regression guard for the PR 1 allocation-free engine hot path.
+(* Perf-regression guard for the allocation-free engine hot path.
 
    Two invariants, asserted on a warmed-up steady-state window so pool
-   growth and closure creation are excluded:
+   growth is excluded:
 
-   - the engine's schedule/fire cycle allocates ~nothing on the minor
-     heap (the only sanctioned per-event allocation is a caller-supplied
-     closure, and the steady-state loop below reuses one closure);
+   - the engine's schedule/fire cycle allocates nothing on the minor
+     heap: every event is a long-lived [int -> unit] handler plus an
+     int payload, and event times travel through flat one-element float
+     arrays in both directions ([Sim.key_buffer], [Wheel.add_key] /
+     [pop_into]), so no float is boxed either;
    - the event pool recycles its slots: [reused / scheduled] approaches 1
      and [pool_slots] stays at the high-water mark of concurrently
      pending events.
 
-   If either drifts, the SoA-heap/pooled-event rewrite has silently
-   regressed into an allocating path.
+   If either drifts, the pooled-event engine has silently regressed into
+   an allocating path. *)
 
-   Through PR 3 the steady-state floor on non-flambda OCaml was 4 minor
-   words/event: two transient float boxes (the [at] argument built in
-   [schedule_after], and the boxed min-time return consumed by [step])
-   that cross-module float passing always costs. PR 4 routes event times
-   through a flat one-element float array in both directions
-   ([Heap.add_key] / [pop_into]), which removes both boxes: the floor is
-   now 0 for either dispatch API, and the bounds below sit at the
-   ISSUE-4 acceptance level (4.5, under the old 4-word floor) for the
-   closure path and essentially zero for the closure-free path — any
-   pooled-record or re-boxing regression trips them immediately. *)
-
-let words_per_event_bound = 4.5
 let fn_words_per_event_bound = 0.5
 
 module Sim = Engine.Sim
 
-let test_minor_words_per_event () =
-  let sim = Sim.create () in
-  (* One self-rescheduling closure: steady state with a single pending
-     event, exercising schedule + heap sift + fire on every step. *)
-  let rec tick () = ignore (Sim.schedule_after sim ~delay:1.0 tick : Sim.handle) in
-  tick ();
-  for _ = 1 to 1_000 do
-    ignore (Sim.step sim : bool)
-  done;
-  let events = 50_000 in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to events do
-    ignore (Sim.step sim : bool)
-  done;
-  let per_event = (Gc.minor_words () -. w0) /. float_of_int events in
-  if per_event > words_per_event_bound then
-    Alcotest.failf "steady-state Sim allocates %.2f minor words/event (want <= %g)"
-      per_event words_per_event_bound
-
-let test_deep_heap_minor_words () =
-  (* Same guard at depth 512 (a realistic pending-event population), so a
-     regression in the heap's sift path can't hide behind a depth-1 run. *)
-  let sim = Sim.create () in
-  let rec tick () = ignore (Sim.schedule_after sim ~delay:512.0 tick : Sim.handle) in
-  for _ = 1 to 512 do
-    tick ()
-  done;
-  for _ = 1 to 2_048 do
-    ignore (Sim.step sim : bool)
-  done;
-  let events = 50_000 in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to events do
-    ignore (Sim.step sim : bool)
-  done;
-  let per_event = (Gc.minor_words () -. w0) /. float_of_int events in
-  if per_event > words_per_event_bound then
-    Alcotest.failf "deep-heap Sim allocates %.2f minor words/event (want <= %g)"
-      per_event words_per_event_bound
-
-(* The same two guards through the closure-free API: a long-lived fn and
-   an int payload, so the loop must allocate nothing at all. Delays 0 and
-   0.3 land in the timing wheel's current 1 µs tick, which is where most
-   ZygOS events go (polls, wakes, IPIs); the 1 µs delay does not. *)
+(* One self-rescheduling handler, at depth 1 here and 512 below, so a
+   regression in the wheel's placement path can't hide behind a depth-1
+   run. Delays 0 and 0.3 land in the timing wheel's current 1 µs tick,
+   which is where most ZygOS events go (polls, wakes, IPIs); the 1 µs
+   delay does not. *)
 let test_fn_minor_words_per_event ~delay () =
   let sim = Sim.create () in
   let clk = Sim.clock_buffer sim and kbuf = Sim.key_buffer sim in
@@ -120,9 +71,13 @@ let test_fn_deep_minor_words () =
 
 let test_pool_reuse_ratio () =
   let sim = Sim.create () in
-  let rec tick () = ignore (Sim.schedule_after sim ~delay:1.0 tick : Sim.handle) in
+  let clk = Sim.clock_buffer sim and kbuf = Sim.key_buffer sim in
+  let rec tick _ =
+    kbuf.(0) <- clk.(0) +. 1.0;
+    ignore (Sim.schedule_fn_keyed sim tick 0 : Sim.handle)
+  in
   for _ = 1 to 64 do
-    tick ()
+    tick 0
   done;
   for _ = 1 to 100_000 do
     ignore (Sim.step sim : bool)
@@ -135,6 +90,35 @@ let test_pool_reuse_ratio () =
   if s.Sim.pool_slots > 128 then
     Alcotest.failf "pool grew to %d slots for 64 concurrent events" s.Sim.pool_slots
 
+(* The processor-sharing models of Fig. 2 are flat recursions over the
+   job stream, like the FCFS ones: per job they allocate nothing but
+   their stations' occasional growth. Run on the event engine, with a
+   closure per event and a record and list cells per job, they took 283
+   (M/G/16/PS) and 158 (16xM/G/1/PS) minor words per job on this
+   config; now they take 0.04 and 0.19 (16 stations grow more often). A boxed float
+   per job (2 words) trips the bound. *)
+let ps_words_per_job_bound = 0.5
+
+let test_ps_model_minor_words () =
+  List.iter
+    (fun topology ->
+      let spec = { Models.Queueing.servers = 16; policy = Ps; topology } in
+      let requests = 20_000 in
+      let run () =
+        ignore
+          (Models.Queueing.simulate spec ~service:(Engine.Dist.exponential 1.) ~load:0.9
+             ~requests ~seed:7
+            : Models.Queueing.result)
+      in
+      run ();
+      let w0 = Gc.minor_words () in
+      run ();
+      let per_job = (Gc.minor_words () -. w0) /. float_of_int (requests + (requests / 5)) in
+      if per_job > ps_words_per_job_bound then
+        Alcotest.failf "%s allocates %.2f minor words/job (want <= %g)"
+          (Models.Queueing.name spec) per_job ps_words_per_job_bound)
+    [ Models.Queueing.Central; Partitioned ]
+
 (* The guard extends from the bare engine cycle to the whole request
    path: one fig6-style point (the bench's "experiments: ns per simulated
    request" config) must stay within a fixed minor-words-per-simulated-
@@ -143,10 +127,10 @@ let test_pool_reuse_ratio () =
    allocation-free, and every float on it travels through flat float
    slots: the arrival gap and service draws ([Dist.sample_into]), the
    request's time columns, the tally ([Tally.record_from]), event times
-   ([Sim.key_buffer]) and each core's clock. Under dune's default
-   profile every module is compiled with [-opaque], so a float passed to
-   or returned from another module is boxed at the call: one such float
-   per request costs 2 words. What remains is point setup (the system,
+   ([Sim.key_buffer]) and each core's clock. A float passed to or
+   returned from a function of another module is boxed at the call
+   unless the call is inlined (never under [--profile dev], which passes
+   [-opaque]): one such float per request costs 2 words. What remains is point setup (the system,
    the pools, the reservoir) spread over the requests. Measured on ZygOS:
    67.7 words/request while stolen batches were copied into fresh arrays
    and the timing wheel boxed current-tick event times, 49.2 with boxed
@@ -484,10 +468,6 @@ let () =
     [
       ( "allocation-free hot path",
         [
-          Alcotest.test_case "steady-state minor words/event ~ 0" `Quick
-            test_minor_words_per_event;
-          Alcotest.test_case "depth-512 minor words/event ~ 0" `Quick
-            test_deep_heap_minor_words;
           Alcotest.test_case "schedule_fn minor words/event = 0" `Quick
             (test_fn_minor_words_per_event ~delay:1.0);
           Alcotest.test_case "schedule_fn delay-0 minor words/event = 0" `Quick
@@ -519,5 +499,7 @@ let () =
             test_copying_racks_keep_slots;
           Alcotest.test_case "point setup words/connection bounded" `Quick test_setup_words;
           Alcotest.test_case "Sim.now inlined across modules" `Quick test_now_inlined;
+          Alcotest.test_case "PS models minor words/job bounded" `Quick
+            test_ps_model_minor_words;
         ] );
     ]

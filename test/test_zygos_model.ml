@@ -77,7 +77,7 @@ let test_marked_core_served_by_its_sweep () =
   let sim, pool, iface, responses = make_machine ~cores:2 ~conns:(max c0 c1 + 1) () in
   iface.Systems.Iface.submit (mk_req pool ~id:0 ~conn:c0 ~service:10. 0.);
   let late = mk_req pool ~id:1 ~conn:c1 ~service:5. 1.0 in
-  let _ : Sim.handle = Sim.schedule_after sim ~delay:1.0 (fun () -> iface.Systems.Iface.submit late) in
+  let _ : Sim.handle = Later.after sim ~delay:1.0 (fun () -> iface.Systems.Iface.submit late) in
   Sim.run sim;
   (* The model's own float arithmetic, step by step. *)
   let rx_cost = p.dp_loop +. (1. *. p.dp_rx) in
@@ -159,7 +159,7 @@ let test_ipi_rescues_packet_behind_user_code () =
     (* B arrives once core 0 is deep in user code. *)
     let short_req = ref None in
     let _ : Sim.handle =
-      Sim.schedule_after sim ~delay:20. (fun () ->
+      Later.after sim ~delay:20. (fun () ->
           let r = mk_req pool ~id:1 ~conn:b ~service:5. 20. in
           short_req := Some r;
           iface.Systems.Iface.submit r)
@@ -214,7 +214,7 @@ let test_interrupt_extends_current_task () =
     iface.Systems.Iface.submit long_req;
     if second_arrives then begin
       let _ : Sim.handle =
-        Sim.schedule_after sim ~delay:10. (fun () ->
+        Later.after sim ~delay:10. (fun () ->
             iface.Systems.Iface.submit (mk_req pool ~id:1 ~conn:b ~service:1. 10.))
       in
       ()
