@@ -7,9 +7,7 @@ let () =
     Experiments.Rackrun.config ~servers:4 ~policy:(Cluster.Policy.Jbsq 32)
       ~service:(Engine.Dist.exponential 10.) ~feedback_delay:5.
       ~failplan:[ Cluster.Failplan.Crash { server = 0; start = 2e3; duration = 2e3 } ]
-      ~detect:
-        Cluster.Dispatch.
-          { retry = Net.Loadgen.retry ~timeout:300. (); health = Cluster.Health.config () }
+      ~detect:(Net.Loadgen.retry ~timeout:300. ())
       ()
   in
   let p = Experiments.Rackrun.run cfg ~load:0.8 in

@@ -2,7 +2,7 @@ module Sim = Engine.Sim
 module Rng = Engine.Rng
 module Request = Net.Request
 
-type detect = { retry : Net.Loadgen.retry; health : Health.config }
+type detect = Net.Loadgen.retry
 
 let no_handle : Sim.handle = Sim.no_handle
 
@@ -110,7 +110,7 @@ let arm_detection t e =
   match t.detect with
   | None -> ()
   | Some d ->
-      (Sim.key_buffer t.sim).(0) <- Sim.now t.sim +. d.retry.timeout;
+      (Sim.key_buffer t.sim).(0) <- Sim.now t.sim +. d.timeout;
       e.e_timeout <- Sim.schedule_fn_keyed t.sim t.fn_timeout e.e_id
 
 let arm_hedge t e =
@@ -244,13 +244,12 @@ let on_timeout t id =
             (match t.health with
             | None -> ()
             | Some h -> Health.note_timeout h e.e_server ~now);
-            if e.e_attempts >= d.retry.max_retries then
+            if e.e_attempts >= d.max_retries then
               t.failover_exhausted <- t.failover_exhausted + 1
             else begin
               e.e_attempts <- e.e_attempts + 1;
-              let nominal = Net.Loadgen.backoff_nominal d.retry ~attempt:e.e_attempts in
-              let jittered = nominal *. (1. +. (d.retry.jitter *. Rng.float t.rng)) in
-              (Sim.key_buffer t.sim).(0) <- Sim.now t.sim +. jittered;
+              let delay = Net.Loadgen.backoff t.rng ~attempt:e.e_attempts in
+              (Sim.key_buffer t.sim).(0) <- Sim.now t.sim +. delay;
               ignore (Sim.schedule_fn_keyed t.sim t.fn_failover id : Sim.handle)
             end
       end
@@ -342,11 +341,7 @@ let create sim ~pool ~n ~policy ~rng ?(feedback_delay = 0.) ?(feedback_until = 0
   if n < 1 then invalid_arg "Dispatch: n < 1";
   if n > 62 then invalid_arg "Dispatch: more than 62 servers";
   Policy.validate policy;
-  (match detect with
-  | None -> ()
-  | Some d ->
-      Net.Loadgen.validate_retry d.retry;
-      Health.validate_config d.health);
+  Option.iter Net.Loadgen.validate_retry detect;
   (match hedge with
   | None -> ()
   | Some h ->
@@ -367,7 +362,7 @@ let create sim ~pool ~n ~policy ~rng ?(feedback_delay = 0.) ?(feedback_until = 0
       est;
       visible = Estimate.visible est;
       detect;
-      health = Option.map (fun (d : detect) -> Health.create ~n d.health) detect;
+      health = Option.map (fun _ -> Health.create ~n) detect;
       hedge_delay = (match hedge with Some h -> h | None -> nan);
       tracked;
       entries = Hashtbl.create (if tracked then 4096 else 1);

@@ -24,10 +24,10 @@
     dropped ([rack_no_route_drops]); a client retry layer may resend it.
 
     {b Detection and failover.} With [detect], every primary dispatch
-    arms a response timeout ([retry.timeout]). On expiry the dispatcher
+    arms a response timeout ([detect.timeout]). On expiry the dispatcher
     notes the timeout with {!Health} and, while the failover budget
-    ([retry.max_retries]) lasts, re-dispatches a copy of the request to a
-    different server after the retry policy's jittered backoff. Copies
+    ([detect.max_retries]) lasts, re-dispatches a copy of the request to a
+    different server after {!Net.Loadgen.backoff}'s jittered delay. Copies
     share the logical id, arrival, and measured flag, so client-side
     latency spans from the {e first} send; the dispatcher de-duplicates
     so exactly one response per logical request reaches [respond].
@@ -41,9 +41,9 @@
     that delay is speculatively duplicated to the best other server;
     whichever copy responds first wins ([rack_hedge_wins]). *)
 
-type detect = { retry : Net.Loadgen.retry; health : Health.config }
-(** [retry.timeout] is the detection timeout; [retry.max_retries] the
-    failover budget; backoff/jitter shape the re-dispatch delay. *)
+type detect = Net.Loadgen.retry
+(** [timeout] is the detection timeout, [max_retries] the failover
+    budget. *)
 
 type t
 

@@ -1,16 +1,9 @@
 type state = Up | Suspect | Down
 
-type config = { suspect_after : int; probe_interval : float }
-
-let validate_config c =
-  if c.suspect_after < 1 then invalid_arg "Health: suspect_after < 1";
-  if Float.is_nan c.probe_interval || c.probe_interval <= 0. then
-    invalid_arg "Health: probe_interval <= 0"
-
-let config ?(suspect_after = 3) ?(probe_interval = 500.) () =
-  let c = { suspect_after; probe_interval } in
-  validate_config c;
-  c
+(* Consecutive timeouts that mark a server [Down], and the µs between
+   probes of a [Down] server. *)
+let suspect_after = 3
+let probe_interval = 500.
 
 type server = {
   mutable state : state;
@@ -20,7 +13,6 @@ type server = {
 }
 
 type t = {
-  cfg : config;
   servers : server array;
   mutable timeouts : int;
   mutable detections : int;
@@ -29,11 +21,9 @@ type t = {
   mutable down_time : float;  (* accumulated across servers *)
 }
 
-let create ~n cfg =
-  validate_config cfg;
+let create ~n =
   if n < 1 then invalid_arg "Health: n < 1";
   {
-    cfg;
     servers =
       Array.init n (fun _ ->
           { state = Up; consecutive_timeouts = 0; last_probe = neg_infinity;
@@ -54,7 +44,7 @@ let note_timeout t i ~now =
   match s.state with
   | Down -> ()
   | Up | Suspect ->
-      if s.consecutive_timeouts >= t.cfg.suspect_after then begin
+      if s.consecutive_timeouts >= suspect_after then begin
         s.state <- Down;
         s.down_since <- now;
         (* The next probe waits a full interval: the timeouts that led
@@ -84,7 +74,7 @@ let routable t i ~now =
   let s = t.servers.(i) in
   match s.state with
   | Up | Suspect -> true
-  | Down -> now -. s.last_probe >= t.cfg.probe_interval
+  | Down -> now -. s.last_probe >= probe_interval
 
 (* The dispatcher picked a Down server: that dispatch is the probe. *)
 let note_probe t i ~now =

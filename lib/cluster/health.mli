@@ -4,10 +4,10 @@
     The ToR has no oracle — it infers server health from its own traffic.
     Each response-detection timeout against a server bumps its
     consecutive-timeout count: the first puts it in [Suspect]
-    (informational), [suspect_after] of them mark it [Down]. A [Down]
-    server stops receiving traffic except for one probe request per
-    [probe_interval]; any response from the server (probe or straggler
-    backlog) marks it [Up] again and zeroes the count.
+    (informational), three in a row mark it [Down]. A [Down] server
+    stops receiving traffic except for one probe request every 500 µs;
+    any response from the server (probe or straggler backlog) marks it
+    [Up] again and zeroes the count.
 
     Timeout arming, backoff, and failover re-dispatch live in
     {!Dispatch}; this module is only the state machine and its
@@ -15,20 +15,10 @@
 
 type state = Up | Suspect | Down
 
-type config = {
-  suspect_after : int;  (** consecutive timeouts before [Down], >= 1 *)
-  probe_interval : float;  (** µs between probe dispatches while [Down] *)
-}
-
-val config : ?suspect_after:int -> ?probe_interval:float -> unit -> config
-(** Defaults: 3 timeouts to declare a server down, a probe every 500 µs.
-    Raises [Invalid_argument] on out-of-range fields. *)
-
-val validate_config : config -> unit
-
 type t
 
-val create : n:int -> config -> t
+val create : n:int -> t
+(** [n] servers, all [Up]. Raises [Invalid_argument] if [n < 1]. *)
 
 val state : t -> int -> state
 

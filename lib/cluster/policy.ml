@@ -18,10 +18,6 @@ let validate = function
 
 let bound = function Jbsq n -> n | Static_hash | Random | Po2 | Jsq -> max_int
 
-let queue_aware = function
-  | Static_hash | Random -> false
-  | Po2 | Jsq | Jbsq _ -> true
-
 (* A routable set is an [int] bit set (bit i: server i may take the
    request); racks have at most 62 servers, so scans are short loops. *)
 let[@zygos.hot] mem set i = set land (1 lsl i) <> 0

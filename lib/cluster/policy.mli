@@ -39,9 +39,6 @@ val validate : t -> unit
 val bound : t -> int
 (** Per-server outstanding bound: [n] for [Jbsq n], [max_int] otherwise. *)
 
-val queue_aware : t -> bool
-(** Does the policy consult queue estimates at all? *)
-
 val choose :
   t ->
   rss:Net.Rss.t ->

@@ -78,8 +78,3 @@ let[@zygos.hot] completion_time t ~core ~now ~work =
     done;
     if Float.is_nan !finished then !cur +. !remaining else !finished
   end
-
-let stalled t ~core ~now =
-  Array.exists
-    (fun w -> w.slowdown = infinity && w.start <= now && now < w.start +. w.duration)
-    (windows_of t core)

@@ -41,8 +41,3 @@ val is_none : t -> bool
 val completion_time : t -> core:int -> now:float -> work:float -> float
 (** Absolute sim time at which [work] µs of nominal execution finishes
     when started at [now] on [core]. Requires [work >= 0]. *)
-
-val stalled : t -> core:int -> now:float -> bool
-(** Is the core inside a full-stall ([slowdown = infinity]) window at
-    [now]? Used by polling loops that would otherwise busy-spin through a
-    stall. *)

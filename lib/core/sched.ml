@@ -12,10 +12,8 @@ type core_state = {
   mutable batch_n : int;
   mutable cur : int;  (* -1 until the first dispatch *)
   mutable cur_src : int;  (* victim core, or -1 for a local dispatch *)
-  mutable local_dispatches : int;
-  mutable steal_dispatches : int;
-  mutable local_events : int;
-  mutable stolen_events : int;
+  mutable local_events : int;  (* events in batches from its own queue *)
+  mutable stolen_events : int;  (* events in batches stolen from others *)
 }
 
 (* A PCB is its connection id: [home], [state] and [events] are indexed
@@ -40,8 +38,6 @@ let create ~cores ~conns =
       batch_n = 0;
       cur = -1;
       cur_src = -1;
-      local_dispatches = 0;
-      steal_dispatches = 0;
       local_events = 0;
       stolen_events = 0;
     }
@@ -104,14 +100,8 @@ let[@zygos.hot] claim_from t ~core ~victim =
     me.cur <- conn;
     let stealing = victim <> core in
     me.cur_src <- (if stealing then victim else -1);
-    if stealing then begin
-      me.steal_dispatches <- me.steal_dispatches + 1;
-      me.stolen_events <- me.stolen_events + n
-    end
-    else begin
-      me.local_dispatches <- me.local_dispatches + 1;
-      me.local_events <- me.local_events + n
-    end;
+    if stealing then me.stolen_events <- me.stolen_events + n
+    else me.local_events <- me.local_events + n;
     true
   end
 
@@ -157,36 +147,11 @@ let[@zygos.hot] queue_length t ~core = Intq.length t.core_states.(core).shuffle
 
 let[@zygos.hot] has_ready t = t.ready <> 0
 
-type counters = {
-  local_dispatches : int;
-  steal_dispatches : int;
-  local_events : int;
-  stolen_events : int;
-}
+let local_events t = Array.fold_left (fun acc c -> acc + c.local_events) 0 t.core_states
 
-let counters t ~core =
-  let c = t.core_states.(core) in
-  {
-    local_dispatches = c.local_dispatches;
-    steal_dispatches = c.steal_dispatches;
-    local_events = c.local_events;
-    stolen_events = c.stolen_events;
-  }
-
-let total_counters t =
-  let add (acc : counters) (c : core_state) : counters =
-    {
-      local_dispatches = acc.local_dispatches + c.local_dispatches;
-      steal_dispatches = acc.steal_dispatches + c.steal_dispatches;
-      local_events = acc.local_events + c.local_events;
-      stolen_events = acc.stolen_events + c.stolen_events;
-    }
-  in
-  Array.fold_left add
-    { local_dispatches = 0; steal_dispatches = 0; local_events = 0; stolen_events = 0 }
-    t.core_states
+let stolen_events t = Array.fold_left (fun acc c -> acc + c.stolen_events) 0 t.core_states
 
 let steal_fraction t =
-  let c = total_counters t in
-  let total = c.local_events + c.stolen_events in
-  if total = 0 then 0. else float_of_int c.stolen_events /. float_of_int total
+  let local = local_events t and stolen = stolen_events t in
+  let total = local + stolen in
+  if total = 0 then 0. else float_of_int stolen /. float_of_int total

@@ -99,17 +99,12 @@ val queue_length : t -> core:int -> int
 val has_ready : t -> bool
 (** Whether any core's shuffle queue is non-empty. *)
 
-(** Dispatch counters, for Figure 8's steal-rate analysis. *)
-type counters = {
-  local_dispatches : int;  (** batches a core took from its own queue *)
-  steal_dispatches : int;  (** batches taken from another core's queue *)
-  local_events : int;  (** events contained in local batches *)
-  stolen_events : int;  (** events contained in stolen batches *)
-}
+val local_events : t -> int
+(** Events in batches that cores took from their own queues (Figure 8's
+    steal-rate analysis). *)
 
-val counters : t -> core:int -> counters
-
-val total_counters : t -> counters
+val stolen_events : t -> int
+(** Events in batches that cores stole from another core's queue. *)
 
 val steal_fraction : t -> float
 (** stolen events / all dispatched events; 0 when nothing dispatched. *)

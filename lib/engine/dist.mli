@@ -9,8 +9,6 @@ type t =
   | Exponential of float  (** mean s *)
   | Bimodal of { p_slow : float; fast : float; slow : float }
       (** P[X = fast] = 1 - p_slow, P[X = slow] = p_slow *)
-  | Lognormal of { mu : float; sigma : float }
-      (** log X ~ N(mu, sigma); used for ablations beyond the paper *)
   | Empirical of float array
       (** uniform resampling from measured samples (Silo service times) *)
 
@@ -24,9 +22,6 @@ val bimodal1 : mean:float -> t
 val bimodal2 : mean:float -> t
 (** The paper's bimodal-2: P[X = S/2] = .999, P[X = 500.5 S] = .001 —
     mean S. *)
-
-val lognormal : mean:float -> sigma:float -> t
-(** Lognormal with the requested mean and log-space sigma. *)
 
 val empirical : float array -> t
 (** Empirical distribution over the given samples (copied). Raises
@@ -47,11 +42,5 @@ val sample_into : t -> Rng.t -> float array -> int -> unit
 val sample : t -> Rng.t -> float
 (** Draw one value through {!sample_into}, for cold callers. *)
 
-val scale : t -> float -> t
-(** [scale t k] multiplies the distribution by [k] (so its mean scales by
-    [k]); used to sweep mean service time at fixed shape. *)
-
 val name : t -> string
 (** Short label used in experiment output ("fixed", "exp", "bimodal1"...). *)
-
-val pp : Format.formatter -> t -> unit

@@ -17,9 +17,7 @@ type t = {
   mutable len : int;
 }
 
-let create ?(capacity = 8) () =
-  if capacity < 1 then invalid_arg "Intq.create: capacity < 1";
-  { buf = Array.make capacity 0; head = 0; len = 0 }
+let create () = { buf = Array.make 8 0; head = 0; len = 0 }
 
 let[@zygos.hot] length t = t.len
 

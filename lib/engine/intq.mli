@@ -4,9 +4,9 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Initial capacity defaults to 8; the buffer doubles on overflow and
-    never shrinks. Raises [Invalid_argument] if [capacity < 1]. *)
+val create : unit -> t
+(** An empty queue with room for 8; the buffer doubles on overflow and
+    never shrinks. *)
 
 val push : t -> int -> unit
 

@@ -29,9 +29,11 @@ let[@zygos.hot] link_free next ~lo ~hi =
   done;
   next.(hi - 1) <- -1
 
-let create ?(capacity = 64) ~queues () =
+(* Initial nodes, shared by all queues. *)
+let capacity = 64
+
+let create ~queues () =
   if queues < 0 then invalid_arg "Intqs.create: queues < 0";
-  if capacity < 1 then invalid_arg "Intqs.create: capacity < 1";
   let next = Array.make capacity 0 in
   link_free next ~lo:0 ~hi:capacity;
   { tails = Array.make queues (-1); value = Array.make capacity 0; next; free = 0 }
@@ -79,10 +81,6 @@ let[@zygos.hot] pop t q =
     release t head;
     x
   end
-
-let[@zygos.hot] peek t q =
-  let tail = t.tails.(q) in
-  if tail < 0 then empty else t.value.(t.next.(tail))
 
 (* One walk from the head, relinking the survivors in order; used by
    the rare repair paths (client order-violation cleanup). *)

@@ -7,24 +7,20 @@
 
 type t
 
-val create : ?capacity:int -> queues:int -> unit -> t
-(** Queues [0 .. queues - 1], all empty. [capacity] (default 64) is the
-    initial node count shared by all queues. Raises [Invalid_argument]
-    if [queues < 0] or [capacity < 1]. *)
+val create : queues:int -> unit -> t
+(** Queues [0 .. queues - 1], all empty, sharing 64 initial nodes.
+    Raises [Invalid_argument] if [queues < 0]. *)
 
 val push : t -> int -> int -> unit
 (** [push t q x] appends [x] to queue [q]. *)
 
 val empty : int
-(** Sentinel returned by {!pop}/{!peek} on an empty queue ([min_int],
+(** Sentinel returned by {!pop} on an empty queue ([min_int],
     the same as {!Intq.empty}). Callers whose payloads can be [min_int]
     must guard with {!is_empty}. *)
 
 val pop : t -> int -> int
 (** Oldest element of the queue, or {!empty}. *)
-
-val peek : t -> int -> int
-(** Oldest element without removing it, or {!empty}. *)
 
 val is_empty : t -> int -> bool
 

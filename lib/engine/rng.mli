@@ -26,6 +26,11 @@ val split : t -> t
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val mix64 : int64 -> int64
+(** The SplitMix64 output finalizer, a bijection on 64-bit words: each
+    draw is [mix64] of the advanced state. Also derives sweep points'
+    seeds ({!Experiments.Sweep.point_seed}). *)
+
 val float : t -> float
 (** Uniform float in [0, 1). *)
 

@@ -776,13 +776,7 @@ let rack ~scale =
   in
   (* (d) server crash: timeout detection + failover re-dispatch recover
      the goodput a crash window would otherwise swallow *)
-  let detect =
-    Cluster.Dispatch.
-      {
-        retry = Net.Loadgen.retry ~timeout:300. ~max_retries:3 ();
-        health = Cluster.Health.config ();
-      }
-  in
+  let detect = Net.Loadgen.retry ~timeout:300. ~max_retries:3 () in
   let crash (policy, detect, hedge) ~seed =
     let load = 0.5 in
     let measure = window load in

@@ -293,8 +293,6 @@ let run_point cfg ~load =
           Models.Queueing.{ servers = cfg.cores; policy = Fcfs; topology = Partitioned }
   | _ -> run_real_point cfg ~load
 
-let sweep cfg ~loads = List.map (fun load -> run_point cfg ~load) loads
-
 let max_load_at_slo cfg ~slo_p99 ?(resolution = 0.01) () =
   if Float.is_nan slo_p99 || slo_p99 <= 0. then invalid_arg "Run.max_load_at_slo: slo_p99 <= 0";
   if not (Float.is_finite resolution && resolution > 0.) then

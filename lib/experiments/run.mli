@@ -144,9 +144,6 @@ val run_point : config -> load:float -> point
     network-fault, admission and client counters, then the simulator's
     event-pool counters. *)
 
-val sweep : config -> loads:float list -> point list
-(** One point per load (ascending recommended), fresh simulation each. *)
-
 val max_load_at_slo : config -> slo_p99:float -> ?resolution:float -> unit -> float * point
 (** Bisection for the highest load whose p99 meets [slo_p99]; returns the
     load (0. when even 2% load violates) and the measured point at that

@@ -14,13 +14,6 @@ type 'a point = { key : string; run : seed:int -> 'a }
 
 let point ~key run = { key; run }
 
-(* SplitMix64 finalizer (same constants as Engine.Rng's mixer). *)
-let mix64 z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
 let fnv1a64 s =
   let h = ref 0xCBF29CE484222325L in
   String.iter
@@ -32,9 +25,11 @@ let fnv1a64 s =
 
 let point_seed ~seed ~key =
   let golden_gamma = 0x9E3779B97F4A7C15L in
-  let z = mix64 (Int64.add (fnv1a64 key) (Int64.mul (Int64.of_int seed) golden_gamma)) in
+  let z =
+    Engine.Rng.mix64 (Int64.add (fnv1a64 key) (Int64.mul (Int64.of_int seed) golden_gamma))
+  in
   (* Positive int so the seed survives printf/reparse round trips. *)
-  Int64.to_int (Int64.shift_right_logical (mix64 z) 1)
+  Int64.to_int (Int64.shift_right_logical (Engine.Rng.mix64 z) 1)
 
 let run ?(jobs = 1) ~seed points =
   let tasks =

@@ -1,14 +1,12 @@
 module Sim = Engine.Sim
 module Rng = Engine.Rng
 
-type plan = { drop : float; duplicate : float; reorder : float; corrupt : float }
+type plan = { drop : float; duplicate : float; reorder : float }
 
 (* Extra latency of a reordered packet, and the lag of a duplicate
    behind its original (µs). *)
 let reorder_delay = 5.
 let dup_delay = 1.
-
-let zero = { drop = 0.; duplicate = 0.; reorder = 0.; corrupt = 0. }
 
 let validate_plan p =
   let rate name x =
@@ -17,11 +15,10 @@ let validate_plan p =
   in
   rate "drop" p.drop;
   rate "duplicate" p.duplicate;
-  rate "reorder" p.reorder;
-  rate "corrupt" p.corrupt
+  rate "reorder" p.reorder
 
-let plan ?(drop = 0.) ?(duplicate = 0.) ?(reorder = 0.) ?(corrupt = 0.) () =
-  let p = { drop; duplicate; reorder; corrupt } in
+let plan ?(drop = 0.) ?(duplicate = 0.) ?(reorder = 0.) () =
+  let p = { drop; duplicate; reorder } in
   validate_plan p;
   p
 
@@ -32,7 +29,6 @@ type t = {
   deliver : int -> unit;
   mutable packets : int;
   mutable drops : int;
-  mutable corruptions : int;
   mutable duplicates : int;
   mutable reorders : int;
   mutable injected : int;
@@ -47,7 +43,6 @@ let create sim ~rng ~plan ~deliver () =
     deliver;
     packets = 0;
     drops = 0;
-    corruptions = 0;
     duplicates = 0;
     reorders = 0;
     injected = 0;
@@ -62,18 +57,15 @@ let later t delay pkt =
 let apply t pkt =
   t.packets <- t.packets + 1;
   (* Fixed draw order keeps runs comparable across plans with the same
-     seed: drop, corrupt, duplicate, reorder — every packet consumes
-     exactly four draws whichever faults fire. *)
+     seed: every packet consumes exactly four draws whichever faults
+     fire. The second decides nothing; it keeps every seed's stream,
+     and so every pinned output, as it was. *)
   let dropped = Rng.bernoulli t.rng t.plan.drop in
-  let corrupted = Rng.bernoulli t.rng t.plan.corrupt in
+  ignore (Rng.float t.rng : float);
   let duplicated = Rng.bernoulli t.rng t.plan.duplicate in
   let reordered = Rng.bernoulli t.rng t.plan.reorder in
   if dropped then begin
     t.drops <- t.drops + 1;
-    t.injected <- t.injected + 1
-  end
-  else if corrupted then begin
-    t.corruptions <- t.corruptions + 1;
     t.injected <- t.injected + 1
   end
   else begin
@@ -89,13 +81,10 @@ let apply t pkt =
     end
   end
 
-let injected t = t.injected
-
 let info t =
   [
     ("fault_packets", float_of_int t.packets);
     ("fault_drops", float_of_int t.drops);
-    ("fault_corruptions", float_of_int t.corruptions);
     ("fault_duplicates", float_of_int t.duplicates);
     ("fault_reorders", float_of_int t.reorders);
     ("fault_injected", float_of_int t.injected);

@@ -6,40 +6,34 @@ type conn_selection =
   | Uniform
   | Hot_cold of { hot_fraction : float; hot_load : float }
 
-type retry = {
-  timeout : float;
-  max_retries : int;
-  backoff_base : float;
-  backoff_max : float;
-  jitter : float;
-}
+type retry = { timeout : float; max_retries : int }
 
 let validate_retry r =
   if Float.is_nan r.timeout || r.timeout <= 0. then invalid_arg "Loadgen.retry: timeout <= 0";
-  if r.max_retries < 0 then invalid_arg "Loadgen.retry: max_retries < 0";
-  if Float.is_nan r.backoff_base || r.backoff_base < 0. then
-    invalid_arg "Loadgen.retry: backoff_base < 0";
-  if Float.is_nan r.backoff_max || r.backoff_max < r.backoff_base then
-    invalid_arg "Loadgen.retry: backoff_max < backoff_base";
-  if Float.is_nan r.jitter || r.jitter < 0. || r.jitter >= 1. then
-    invalid_arg "Loadgen.retry: jitter outside [0, 1)"
+  if r.max_retries < 0 then invalid_arg "Loadgen.retry: max_retries < 0"
 
-let retry ?(timeout = 200.) ?(max_retries = 3) ?(backoff_base = 50.) ?(backoff_max = 800.)
-    ?(jitter = 0.2) () =
-  let r = { timeout; max_retries; backoff_base; backoff_max; jitter } in
+let retry ?(timeout = 200.) ?(max_retries = 3) () =
+  let r = { timeout; max_retries } in
   validate_retry r;
   r
 
-let[@zygos.hot] backoff_nominal r ~attempt =
-  if attempt < 1 then invalid_arg "Loadgen.backoff_nominal: attempt < 1";
-  (* Capped exponential: base, 2*base, 4*base, ... clipped at the cap.
-     The exponent is bounded first so huge attempt numbers cannot
-     overflow the float. Inline compare instead of [Float.min]: both
-     operands are validated non-NaN, and the unboxed branch keeps the
-     backoff computation allocation-free. *)
+(* Backoff before a retransmission: the first waits [backoff_base] µs,
+   each later one twice the last, up to [backoff_max], stretched by a
+   jitter factor in [1, 1 + jitter). *)
+let backoff_base = 50.
+let backoff_max = 800.
+let jitter = 0.2
+
+let[@zygos.hot] backoff rng ~attempt =
+  if attempt < 1 then invalid_arg "Loadgen.backoff: attempt < 1";
+  (* The exponent is bounded first so huge attempt numbers cannot
+     overflow the float. *)
   let doublings = min (attempt - 1) 60 in
-  let nominal = r.backoff_base *. Float.pow 2. (float_of_int doublings) in
-  if nominal > r.backoff_max then r.backoff_max else nominal
+  let nominal = backoff_base *. Float.pow 2. (float_of_int doublings) in
+  let nominal = if nominal > backoff_max then backoff_max else nominal in
+  (* Sampling returns a fresh float by contract; the box is part of the
+     measured per-retry budget. *)
+  nominal *. (1. +. (jitter *. (Rng.float rng [@zygos.allow "r7"])))
 
 (* One logical request whose response is still awaited: the original send
    plus any retransmissions. Only allocated when retries are enabled. *)
@@ -75,7 +69,7 @@ type t = {
   selection : conn_selection;
   slo : float;
   retry : retry option;
-  retry_rng : Rng.t option;  (* dedicated stream for backoff jitter *)
+  retry_rng : Rng.t;  (* dedicated stream for backoff jitter *)
   pending : (int, pending) Hashtbl.t;  (* logical id -> state *)
   phys2log : (int, int) Hashtbl.t;  (* retransmission id -> logical id *)
   mutable target : (Request.t -> unit) option;
@@ -126,16 +120,9 @@ let[@zygos.hot] on_timeout t p r =
     t.retry_exhausted <- t.retry_exhausted + 1
   else begin
     p.p_attempts <- p.p_attempts + 1;
-    let nominal = backoff_nominal r ~attempt:p.p_attempts in
-    let jittered =
-      match t.retry_rng with
-      (* Sampling returns a fresh float by contract; the box is part of
-         the measured per-retry budget. *)
-      | Some rng -> nominal *. (1. +. (r.jitter *. (Rng.float rng [@zygos.allow "r7"])))
-      | None -> nominal
-    in
+    let delay = backoff t.retry_rng ~attempt:p.p_attempts in
     (* Keyed hand-off, as in [arm_timeout]: bit-identical fire time. *)
-    t.kbuf.(0) <- t.clk.(0) +. jittered;
+    t.kbuf.(0) <- t.clk.(0) +. delay;
     let _ : Sim.handle = Sim.schedule_fn_keyed t.sim t.fn_retry p.p_id in
     ()
   end
@@ -179,8 +166,9 @@ let create sim ~rng ~pool ~conns ~rate ~service ?(selection = Uniform) ?(slo = i
       slo;
       retry;
       (* Split only when retries are on: with [retry = None] the generator's
-         draw sequence is bit-identical to the pre-retry implementation. *)
-      retry_rng = (match retry with Some _ -> Some (Rng.split rng) | None -> None);
+         draw sequence is bit-identical to the pre-retry implementation,
+         and nothing draws from [retry_rng]. *)
+      retry_rng = (match retry with Some _ -> Rng.split rng | None -> rng);
       pending = Hashtbl.create (if Option.is_none retry then 1 else 1024);
       phys2log = Hashtbl.create (if Option.is_none retry then 1 else 1024);
       target = None;

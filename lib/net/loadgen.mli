@@ -15,8 +15,9 @@
 
     {b Resilience.} With a {!retry} policy the generator behaves like a
     production RPC client facing a lossy network or an overloaded server:
-    each request is timed out, retransmitted after capped exponential
-    backoff with jitter, and abandoned once the retry budget is spent.
+    each request is timed out, retransmitted after {!backoff}'s capped
+    exponential backoff with jitter, and abandoned once the retry budget
+    is spent.
     Responses are then de-duplicated: latency and {!goodput} count each
     {e logical} request once, from its first transmission to its first
     response. All backoff jitter comes from a dedicated stream split off
@@ -34,33 +35,24 @@ type conn_selection =
   | Uniform
   | Hot_cold of { hot_fraction : float; hot_load : float }
 
-(** Client-side retry policy. The nth retransmission waits
-    [min backoff_max (backoff_base * 2^(n-1))] µs after its timeout,
-    stretched by a uniform jitter factor in [1, 1 + jitter). *)
+(** Client-side retry policy: the per-attempt timeout and the retry
+    budget. The delay before each retransmission is {!backoff}'s. *)
 type retry = {
   timeout : float;  (** per-attempt response timeout (µs), > 0 *)
   max_retries : int;  (** retransmissions after the first send, >= 0 *)
-  backoff_base : float;  (** first backoff delay (µs) *)
-  backoff_max : float;  (** backoff cap (µs), >= backoff_base *)
-  jitter : float;  (** jitter fraction in [0, 1) *)
 }
 
-val retry :
-  ?timeout:float ->
-  ?max_retries:int ->
-  ?backoff_base:float ->
-  ?backoff_max:float ->
-  ?jitter:float ->
-  unit ->
-  retry
-(** Defaults: 200µs timeout, 3 retries, backoff 50µs doubling to 800µs,
-    20% jitter. Raises [Invalid_argument] on out-of-range fields. *)
+val retry : ?timeout:float -> ?max_retries:int -> unit -> retry
+(** Defaults: 200µs timeout, 3 retries. Raises [Invalid_argument] on
+    out-of-range fields. *)
 
 val validate_retry : retry -> unit
 
-val backoff_nominal : retry -> attempt:int -> float
-(** Backoff delay (µs, before jitter) that precedes retransmission
-    [attempt] (1-based). Capped exponential; raises on [attempt < 1]. *)
+val backoff : Engine.Rng.t -> attempt:int -> float
+(** The delay (µs) before retransmission [attempt] (1-based): 50 µs
+    doubling per attempt up to 800 µs, stretched by a uniform jitter
+    factor in [1, 1.2) drawn from the stream. One draw per call; raises
+    on [attempt < 1]. *)
 
 val create :
   Engine.Sim.t ->

@@ -31,8 +31,10 @@ type pool = {
   mutable alloc_count : int;
 }
 
-let create_pool ?(recycle = false) ?(capacity = 256) () =
-  if capacity < 1 then invalid_arg "Request.create_pool: capacity < 1";
+(* Initial slots; the arena doubles when they run out. *)
+let capacity = 256
+
+let create_pool ?(recycle = false) () =
   {
     recycle;
     ids = Array.make capacity 0;

@@ -26,7 +26,7 @@ type pool
 val none : t
 (** Sentinel "no request" handle ([-1]); never returned by {!alloc}. *)
 
-val create_pool : ?recycle:bool -> ?capacity:int -> unit -> pool
+val create_pool : ?recycle:bool -> unit -> pool
 (** [recycle] (default [false]) controls whether {!release} actually
     returns slots for reuse. Paths that may touch a request after its
     first completion (duplicate deliveries, hedged copies, failover)

@@ -8,7 +8,7 @@ type t = { q : Engine.Intq.t; capacity : int; mutable dropped : int }
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Ring.create: capacity < 1";
-  { q = Engine.Intq.create ~capacity:(min capacity 8) (); capacity; dropped = 0 }
+  { q = Engine.Intq.create (); capacity; dropped = 0 }
 
 let[@zygos.hot] push t x =
   if Engine.Intq.length t.q >= t.capacity then begin

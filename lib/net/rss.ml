@@ -8,14 +8,10 @@ let indirection_entries = 128
 (* The 4-tuple input is fixed at 12 bytes (IPv4 src/dst ip + ports), so
    the hash of an input is the XOR of 12 independent per-byte
    contributions: contribution(position, value) depends only on the key.
-   [lut] tabulates all 12×256 of them once per key; hashing a tuple
-   is then 12 table loads and XORs instead of ~96 bit-serial 32-bit
-   window rebuilds. Entries are 32-bit values held in immediate ints. *)
-type t = {
-  table : int array;
-  nqueues : int;
-  lut : int array; (* 12*256; index = byte_pos*256 + byte_value *)
-}
+   [lut] tabulates all 12×256 of them once; hashing a tuple is then 12
+   table loads and XORs instead of ~96 bit-serial 32-bit window
+   rebuilds. Entries are 32-bit values held in immediate ints. *)
+type t = { table : int array; nqueues : int }
 
 let tuple_bytes_len = 12
 
@@ -57,23 +53,14 @@ let build_lut key =
   done;
   lut
 
-(* Every system of every point hashes with the default key, so its
-   table is built once, here, and shared. Nothing writes a [lut] after
-   [build_lut] returns, so domains running points in parallel share it
-   safely. *)
-let default_lut = build_lut default_key
+(* 12*256 entries; index = byte_pos*256 + byte_value. Built once, here,
+   and shared by every engine. Nothing writes it after [build_lut]
+   returns, so domains running points in parallel share it safely. *)
+let lut = build_lut default_key
 
-let create ?key ~queues () =
+let create ~queues () =
   if queues < 1 then invalid_arg "Rss.create: queues < 1";
-  let lut =
-    match key with
-    | None -> default_lut
-    | Some key ->
-        if String.length key < 16 then invalid_arg "Rss.create: key too short";
-        build_lut key
-  in
-  let table = Array.init indirection_entries (fun i -> i mod queues) in
-  { table; nqueues = queues; lut }
+  { table = Array.init indirection_entries (fun i -> i mod queues); nqueues = queues }
 
 let toeplitz ~key input =
   let hash = ref 0l in
@@ -96,11 +83,10 @@ let toeplitz ~key input =
 
 (* 12-tuple fast path: byte extraction straight from the tuple ints,
    no Bytes scratch, 12 LUT loads + XORs. Bitwise-equal to
-   [toeplitz ~key (tuple_bytes ...)] (qcheck-enforced). Takes the ips
+   [toeplitz ~key:default_key (tuple_bytes ...)] (qcheck-enforced). Takes the ips
    as plain 32-bit-ranged ints so the all-int callers below stay
    box-free. *)
-let[@zygos.hot] hash12 t si di src_port dst_port =
-  let lut = t.lut in
+let[@zygos.hot] hash12 si di src_port dst_port =
   let h = lut.(si lsr 24) in
   let h = h lxor lut.(256 + (si lsr 16 land 0xff)) in
   let h = h lxor lut.((2 * 256) + (si lsr 8 land 0xff)) in
@@ -115,18 +101,18 @@ let[@zygos.hot] hash12 t si di src_port dst_port =
   let h = h lxor lut.((11 * 256) + (dst_port land 0xff)) in
   h
 
-let hash_of_tuple t ~src_ip ~dst_ip ~src_port ~dst_port =
-  hash12 t
+let hash_of_tuple _t ~src_ip ~dst_ip ~src_port ~dst_port =
+  hash12
     (Int32.to_int src_ip land 0xffffffff)
     (Int32.to_int dst_ip land 0xffffffff)
     src_port dst_port
 
-let[@zygos.hot] slot_of_conn t c =
+let[@zygos.hot] slot_of_conn _t c =
   if c < 0 then invalid_arg "Rss.slot_of_conn: negative conn";
   (* The synthetic 4-tuple documented at [queue_of_conn], in plain ints:
      10.0.(c/250).(c mod 250 + 1) : 1024+c -> 10.0.0.1 : 8000. *)
   let si = 0x0A000000 lor (((c / 250) lsl 8) lor ((c mod 250) + 1)) in
-  hash12 t si 0x0A000001 (1024 + c) 8000 land 0x7f
+  hash12 si 0x0A000001 (1024 + c) 8000 land 0x7f
 
 let[@zygos.hot] queue_of_conn t c = t.table.(slot_of_conn t c)
 
@@ -138,13 +124,3 @@ let set_slot t ~slot ~queue =
   if slot < 0 || slot >= indirection_entries then invalid_arg "Rss.set_slot: slot out of range";
   if queue < 0 || queue >= t.nqueues then invalid_arg "Rss.set_slot: queue out of range";
   t.table.(slot) <- queue
-
-let queues t = t.nqueues
-
-let histogram_of_conns t n =
-  let hist = Array.make (queues t) 0 in
-  for c = 0 to n - 1 do
-    let q = queue_of_conn t c in
-    hist.(q) <- hist.(q) + 1
-  done;
-  hist

@@ -12,12 +12,16 @@
 
 type t
 
-val create : ?key:string -> queues:int -> unit -> t
+val create : queues:int -> unit -> t
 (** [create ~queues ()] builds an RSS engine dispatching to [queues]
     hardware queues through a 128-entry indirection table (entry [i] maps
-    to queue [i mod queues], the usual driver default). [key] is the 40-byte
-    Toeplitz secret; a fixed well-known key is used by default. Raises
-    [Invalid_argument] if [queues < 1] or the key is shorter than needed. *)
+    to queue [i mod queues], the usual driver default). Every engine
+    hashes with {!default_key}. Raises [Invalid_argument] if
+    [queues < 1]. *)
+
+val default_key : string
+(** The 40-byte Toeplitz secret Microsoft publishes with the RSS
+    specification (also the default of many NIC drivers). *)
 
 val toeplitz : key:string -> bytes -> int32
 (** The raw Toeplitz hash of an input byte string (used for the 12-byte
@@ -26,13 +30,12 @@ val toeplitz : key:string -> bytes -> int32
     vectors and as the oracle for the precomputed fast path. *)
 
 val hash_of_tuple : t -> src_ip:int32 -> dst_ip:int32 -> src_port:int -> dst_port:int -> int
-(** The Toeplitz hash of a 4-tuple via the key's 12×256 per-byte lookup
-    table (12 table XORs, no per-bit key-window rebuilds). The default
-    key's table is built once, when the module initialises, and shared
-    read-only by every {!t}; a custom [key] builds its own at
-    {!create}. The 32-bit result is returned as a non-negative int;
-    bitwise-equal to {!toeplitz} over the same 12 bytes
-    (qcheck-enforced). *)
+(** The Toeplitz hash of a 4-tuple via {!default_key}'s 12×256 per-byte
+    lookup table (12 table XORs, no per-bit key-window rebuilds). The
+    table is built once, when the module initialises, and shared
+    read-only by every {!t}. The 32-bit result is returned as a
+    non-negative int; bitwise-equal to {!toeplitz} over the same 12
+    bytes (qcheck-enforced). *)
 
 val queue_of_conn : t -> int -> int
 (** Queue for a synthetic connection id: connection [c] is given the
@@ -60,10 +63,3 @@ val queue_of_slot : t -> int -> int
 val set_slot : t -> slot:int -> queue:int -> unit
 (** Re-program one table slot. Raises [Invalid_argument] on out-of-range
     slot or queue. *)
-
-val queues : t -> int
-
-val histogram_of_conns : t -> int -> int array
-(** [histogram_of_conns t n] = per-queue connection counts for connections
-    0..n-1 — the (im)balance the paper's §2.3 "persistent imbalance"
-    discussion is about. *)

@@ -9,8 +9,7 @@ type worker = {
   mutable abort_count : int;
 }
 
-let create ?(epoch_advance_every = 4096) () =
-  { epoch_mgr = Epoch.create ~advance_every:epoch_advance_every (); tables = Hashtbl.create 16 }
+let create () = { epoch_mgr = Epoch.create (); tables = Hashtbl.create 16 }
 
 let epoch t = t.epoch_mgr
 

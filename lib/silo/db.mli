@@ -10,7 +10,7 @@ type worker
     commit protocol's TID assignment rule (c)) and abort/commit
     counters. *)
 
-val create : ?epoch_advance_every:int -> unit -> t
+val create : unit -> t
 
 val epoch : t -> Epoch.t
 

@@ -1,8 +1,10 @@
-type t = { epoch : int Atomic.t; commits : int Atomic.t; advance_every : int }
+type t = { epoch : int Atomic.t; commits : int Atomic.t }
 
-let create ?(advance_every = 4096) () =
-  if advance_every < 1 then invalid_arg "Epoch.create: advance_every < 1";
-  { epoch = Atomic.make 1; commits = Atomic.make 0; advance_every }
+(* Commits between automatic advances: the stand-in for Silo's 40ms
+   timer. *)
+let advance_every = 4096
+
+let create () = { epoch = Atomic.make 1; commits = Atomic.make 0 }
 
 let current t = Atomic.get t.epoch
 
@@ -10,4 +12,4 @@ let advance t = 1 + Atomic.fetch_and_add t.epoch 1
 
 let on_commit t =
   let n = 1 + Atomic.fetch_and_add t.commits 1 in
-  if n mod t.advance_every = 0 then ignore (advance t : int)
+  if n mod advance_every = 0 then ignore (advance t : int)

@@ -47,7 +47,3 @@ let next_after t ~epoch:e =
   if epoch t > e then invalid_arg "Tid.next_after: epoch in the past";
   if epoch t = e then make ~epoch:e ~seq:(seq t + 1) else make ~epoch:e ~seq:0
 
-let pp ppf t =
-  Format.fprintf ppf "tid(e=%d, s=%d%s%s)" (epoch t) (seq t)
-    (if is_locked t then ", locked" else "")
-    (if is_absent t then ", absent" else "")

@@ -43,5 +43,3 @@ val compare_data : t -> t -> int
 val next_after : t -> epoch:int -> t
 (** Smallest valid TID in [epoch] strictly larger (in {!compare_data}) than
     [t] — used by the commit protocol's TID assignment rule (a). *)
-
-val pp : Format.formatter -> t -> unit

@@ -13,14 +13,18 @@ type t = {
   order_by_customer : Db.table;  (* (w, d, c, o) -> [o_id] *)
   new_order : Db.table;
   order_line : Db.table;
-  n_warehouses : int;
-  n_districts : int;
-  n_customers : int;  (* per district *)
-  n_items : int;
   history_seq : int Atomic.t;  (* history rows have no natural primary key *)
 }
 
-type profile = [ `Full | `Small ]
+(* The population: one warehouse at the spec's ratios and 1/10 of its
+   size (spec: 3,000 customers per district, 100k items and 3,000
+   initial orders per district), loaded from seed 7. *)
+let n_warehouses = 1
+let n_districts = 10
+let n_customers = 300  (* per district *)
+let n_items = 10_000
+let n_orders = 300  (* initial orders per district *)
+let load_seed = 7
 
 (* ---- column layouts ----
 
@@ -68,7 +72,7 @@ and s_ytd = 2
 
 and s_order_cnt = 3
 
-and s_remote_cnt = 4
+and _s_remote_cnt = 4
 
 (* order: c_id, entry_d, carrier_id, ol_cnt, all_local *)
 let o_c_id = 0
@@ -131,12 +135,7 @@ let olkey w d o n = Key.of_ints [ w; d; o; n ]
 
 (* ---- loading ---- *)
 
-let load ?(warehouses = 1) ?(profile = `Small) ?(seed = 7) () =
-  if warehouses < 1 then invalid_arg "Tpcc.load: warehouses < 1";
-  let n_districts = 10 in
-  let n_customers, n_items, n_orders =
-    match profile with `Full -> (3000, 100_000, 3000) | `Small -> (300, 10_000, 300)
-  in
+let load () =
   let database = Db.create () in
   let t =
     {
@@ -152,14 +151,10 @@ let load ?(warehouses = 1) ?(profile = `Small) ?(seed = 7) () =
       order_by_customer = Db.add_table database "order_by_customer";
       new_order = Db.add_table database "new_order";
       order_line = Db.add_table database "order_line";
-      n_warehouses = warehouses;
-      n_districts;
-      n_customers;
-      n_items;
       history_seq = Atomic.make 0;
     }
   in
-  let rng = Rng.create ~seed in
+  let rng = Rng.create ~seed:load_seed in
   let put (table : Db.table) key data =
     match Btree.insert table.Db.index key (Record.create data) with
     | `Inserted -> ()
@@ -170,7 +165,7 @@ let load ?(warehouses = 1) ?(profile = `Small) ?(seed = 7) () =
       [| "item" ^ string_of_int i; money_to_string (Rng.int_range rng 100 10000);
          rand_string rng ~min:26 ~max:50; string_of_int (Rng.int_range rng 1 10_000) |]
   done;
-  for w = 1 to warehouses do
+  for w = 1 to n_warehouses do
     put t.warehouse (wkey w)
       [| "wh" ^ string_of_int w; rand_string rng ~min:10 ~max:20; "city"; "ST"; "12345";
          string_of_int (Rng.int_range rng 0 2000); money_to_string 30_000_000 |];
@@ -228,12 +223,6 @@ let load ?(warehouses = 1) ?(profile = `Small) ?(seed = 7) () =
 
 let db t = t.database
 
-let warehouses t = t.n_warehouses
-
-let items t = t.n_items
-
-let customers_per_district t = t.n_customers
-
 (* ---- transaction inputs ---- *)
 
 type tx_type = New_order | Payment | Order_status | Delivery | Stock_level
@@ -255,18 +244,18 @@ let standard_mix rng =
   else if p < 96 then Delivery
   else Stock_level
 
-let rand_warehouse t rng = Rng.int_range rng 1 t.n_warehouses
+(* One warehouse: still a draw, so every stream stays as it was. *)
+let rand_warehouse rng = Rng.int_range rng 1 n_warehouses
 
-let rand_district t rng = Rng.int_range rng 1 t.n_districts
+let rand_district rng = Rng.int_range rng 1 n_districts
 
-let rand_customer t rng =
-  nurand rng ~a:1023 ~c:c_for_nurand_1023 ~x:1 ~y:t.n_customers
+let rand_customer rng = nurand rng ~a:1023 ~c:c_for_nurand_1023 ~x:1 ~y:n_customers
 
-let rand_item t rng = nurand rng ~a:8191 ~c:c_for_nurand_8191 ~x:1 ~y:t.n_items
+let rand_item rng = nurand rng ~a:8191 ~c:c_for_nurand_8191 ~x:1 ~y:n_items
 
-let rand_last_name t rng =
+let rand_last_name rng =
   let num = nurand rng ~a:255 ~c:c_for_nurand_255 ~x:0 ~y:999 in
-  last_name (num mod t.n_customers mod 1000)
+  last_name (num mod n_customers mod 1000)
 
 (* Resolve a customer by last name: spec 2.6.2.2 picks the ceil(n/2)-th
    match ordered by first name. *)
@@ -294,9 +283,9 @@ let set data idx v =
 (* ---- the five transactions ---- *)
 
 let new_order t txn rng =
-  let w = rand_warehouse t rng in
-  let d = rand_district t rng in
-  let c = rand_customer t rng in
+  let w = rand_warehouse rng in
+  let d = rand_district rng in
+  let c = rand_customer rng in
   let ol_cnt = Rng.int_range rng 5 15 in
   let rollback = Rng.int_range rng 1 100 = 1 in
   let wh = get_exn txn t.warehouse (wkey w) in
@@ -306,29 +295,18 @@ let new_order t txn rng =
   Txn.write txn t.district (dkey w d) (set dist d_next_o_id (string_of_int (o_id + 1)));
   let cust = get_exn txn t.customer (ckey w d c) in
   let c_discount_v = int_of_string cust.(c_discount) in
-  let all_local = ref true in
   let total = ref 0 in
   for n = 1 to ol_cnt do
     (* The intentional 1% rollback: the last item id is invalid. *)
     let invalid = rollback && n = ol_cnt in
-    let i_id = if invalid then t.n_items + 1 else rand_item t rng in
-    let supply_w =
-      if t.n_warehouses > 1 && Rng.bernoulli rng 0.01 then begin
-        let rec pick () =
-          let x = rand_warehouse t rng in
-          if x = w then pick () else x
-        in
-        pick ()
-      end
-      else w
-    in
-    if supply_w <> w then all_local := false;
+    let i_id = if invalid then n_items + 1 else rand_item rng in
+    (* With one warehouse every item is supplied locally. *)
     match Txn.read txn t.item (ikey i_id) with
     | None -> raise Txn.Rollback
     | Some item_data ->
         let price = money_of_string item_data.(i_price) in
         let qty = Rng.int_range rng 1 10 in
-        let stock = get_exn txn t.stock (skey supply_w i_id) in
+        let stock = get_exn txn t.stock (skey w i_id) in
         let s_qty = int_of_string stock.(s_quantity) in
         let new_qty = if s_qty >= qty + 10 then s_qty - qty else s_qty - qty + 91 in
         let stock = set stock s_quantity (string_of_int new_qty) in
@@ -336,46 +314,32 @@ let new_order t txn rng =
         let stock =
           set stock s_order_cnt (string_of_int (int_of_string stock.(s_order_cnt) + 1))
         in
-        let stock =
-          if supply_w <> w then
-            set stock s_remote_cnt (string_of_int (int_of_string stock.(s_remote_cnt) + 1))
-          else stock
-        in
-        Txn.write txn t.stock (skey supply_w i_id) stock;
+        Txn.write txn t.stock (skey w i_id) stock;
         let amount = qty * price in
         total := !total + amount;
         Txn.insert txn t.order_line (olkey w d o_id n)
-          [| string_of_int i_id; string_of_int supply_w; ""; string_of_int qty;
+          [| string_of_int i_id; string_of_int w; ""; string_of_int qty;
              money_to_string amount; "dist-info-24-bytes-xxxxx" |]
   done;
   let _ = (w_tax_v, c_discount_v, !total) in
   Txn.insert txn t.order (okey w d o_id)
-    [| string_of_int c; "2017-10-28"; ""; string_of_int ol_cnt;
-       (if !all_local then "1" else "0") |];
+    [| string_of_int c; "2017-10-28"; ""; string_of_int ol_cnt; "1" |];
   Txn.insert txn t.order_by_customer (ocust_key w d c o_id) [| string_of_int o_id |];
   Txn.insert txn t.new_order (okey w d o_id) [| "1" |]
 
 let payment t txn rng =
-  let w = rand_warehouse t rng in
-  let d = rand_district t rng in
+  let w = rand_warehouse rng in
+  let d = rand_district rng in
   let amount = Rng.int_range rng 100 500_000 in
-  (* 85% home district customer, 15% remote (spec 2.5.1.2). *)
-  let c_w, c_d =
-    if t.n_warehouses > 1 && Rng.bernoulli rng 0.15 then begin
-      let rec pick () =
-        let x = rand_warehouse t rng in
-        if x = w then pick () else x
-      in
-      (pick (), rand_district t rng)
-    end
-    else (w, d)
-  in
+  (* Spec 2.5.1.2 picks a remote warehouse's customer 15% of the time;
+     with one warehouse every customer is in the home district. *)
+  let c_w, c_d = (w, d) in
   let c =
     if Rng.bernoulli rng 0.6 then
-      match customer_by_last_name t txn c_w c_d (rand_last_name t rng) with
+      match customer_by_last_name t txn c_w c_d (rand_last_name rng) with
       | Some c -> c
-      | None -> rand_customer t rng
-    else rand_customer t rng
+      | None -> rand_customer rng
+    else rand_customer rng
   in
   let wh = get_exn txn t.warehouse (wkey w) in
   Txn.write txn t.warehouse (wkey w)
@@ -407,14 +371,14 @@ let payment t txn rng =
     [| money_to_string amount; "2017-10-28"; "payment" |]
 
 let order_status t txn rng =
-  let w = rand_warehouse t rng in
-  let d = rand_district t rng in
+  let w = rand_warehouse rng in
+  let d = rand_district rng in
   let c =
     if Rng.bernoulli rng 0.6 then
-      match customer_by_last_name t txn w d (rand_last_name t rng) with
+      match customer_by_last_name t txn w d (rand_last_name rng) with
       | Some c -> c
-      | None -> rand_customer t rng
-    else rand_customer t rng
+      | None -> rand_customer rng
+    else rand_customer rng
   in
   let cust = get_exn txn t.customer (ckey w d c) in
   ignore (money_of_string cust.(c_balance) : int);
@@ -431,9 +395,9 @@ let order_status t txn rng =
       List.iter (fun (_, line) -> ignore (money_of_string line.(ol_amount) : int)) lines
 
 let delivery t txn rng =
-  let w = rand_warehouse t rng in
+  let w = rand_warehouse rng in
   let carrier = Rng.int_range rng 1 10 in
-  for d = 1 to t.n_districts do
+  for d = 1 to n_districts do
     (* Oldest undelivered order of the district. *)
     let pending = Txn.scan txn t.new_order ~lo:(okey w d 0) ~hi:(okey w d max_int) in
     match pending with
@@ -468,8 +432,8 @@ let delivery t txn rng =
   done
 
 let stock_level t txn rng =
-  let w = rand_warehouse t rng in
-  let d = rand_district t rng in
+  let w = rand_warehouse rng in
+  let d = rand_district rng in
   let threshold = Rng.int_range rng 10 20 in
   let dist = get_exn txn t.district (dkey w d) in
   let next_o = int_of_string dist.(d_next_o_id) in
@@ -520,7 +484,7 @@ let consistency_check t =
   let results = ref [] in
   let add name ok = results := (name, ok) :: !results in
   let all_lo = "" and all_hi = "\xff\xff\xff\xff\xff\xff\xff\xff\xff" in
-  for w = 1 to t.n_warehouses do
+  for w = 1 to n_warehouses do
     (* 1: W_YTD = sum of its districts' D_YTD. *)
     let wh = fold_table t.warehouse ~lo:(wkey w) ~hi:(Key.succ (wkey w)) ~init:None
         ~f:(fun _ _ data -> Some data)
@@ -531,7 +495,7 @@ let consistency_check t =
           acc + money_of_string data.(d_ytd))
     in
     add (Printf.sprintf "C1.w%d: W_YTD = sum(D_YTD)" w) (w_ytd_v = d_ytd_sum);
-    for d = 1 to t.n_districts do
+    for d = 1 to n_districts do
       let dist = fold_table t.district ~lo:(dkey w d) ~hi:(Key.succ (dkey w d)) ~init:None
           ~f:(fun _ _ data -> Some data)
       in

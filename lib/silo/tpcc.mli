@@ -7,26 +7,19 @@
     Monetary values are stored as integer cents; random inputs follow the
     spec's NURand / last-name-syllable rules.
 
-    The loader's population counts default to a scaled-down profile (the
-    spec's ratios at 1/10 size) so experiments fit a laptop-class machine;
-    [load ~profile:`Full] gives spec-sized warehouses. *)
+    The loader populates one warehouse at the spec's ratios and 1/10 of
+    its size, so experiments fit a laptop-class machine. With one
+    warehouse every NewOrder item is supplied locally and every Payment
+    customer is in the home district. *)
 
 type t
 
-type profile = [ `Full | `Small ]
-
-val load : ?warehouses:int -> ?profile:profile -> ?seed:int -> unit -> t
-(** Populate a fresh database. Defaults: 1 warehouse, [`Small] profile
-    (10 districts, 300 customers/district, 10k items, 300 initial
-    orders/district vs. the spec's 3000/100k/3000). *)
+val load : unit -> t
+(** Populate a fresh database from a fixed seed: 1 warehouse, 10
+    districts, 300 customers/district, 10k items, 300 initial
+    orders/district (the spec's 3000/100k/3000 at 1/10). *)
 
 val db : t -> Db.t
-
-val warehouses : t -> int
-
-val items : t -> int
-
-val customers_per_district : t -> int
 
 type tx_type = New_order | Payment | Order_status | Delivery | Stock_level
 

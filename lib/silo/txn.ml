@@ -218,7 +218,10 @@ let commit t =
 
 type 'a outcome = Committed of 'a * Tid.t | Rolled_back | Conflict_exhausted
 
-let run ?(max_attempts = 64) db worker f =
+(* Attempts before [run] gives up on a conflicting transaction. *)
+let max_attempts = 64
+
+let run db worker f =
   let rec attempt n =
     if n > max_attempts then Conflict_exhausted
     else begin

@@ -60,7 +60,7 @@ val abort : t -> unit
 
 type 'a outcome = Committed of 'a * Tid.t | Rolled_back | Conflict_exhausted
 
-val run : ?max_attempts:int -> Db.t -> Db.worker -> (t -> 'a) -> 'a outcome
-(** Execute [f] with automatic retry on conflicts ([max_attempts] default
-    64). {!Rollback} from [f] aborts cleanly and yields [Rolled_back].
+val run : Db.t -> Db.worker -> (t -> 'a) -> 'a outcome
+(** Execute [f] with automatic retry on conflicts, up to 64 attempts
+    before [Conflict_exhausted]. {!Rollback} from [f] aborts cleanly and yields [Rolled_back].
     Commit/abort counters are recorded on the worker. *)

@@ -21,11 +21,3 @@ let of_samples ?(points = 200) samples =
     let last = { value = sorted.(n - 1); prob = 0. } in
     List.rev (last :: !acc)
   end
-
-let survival_at samples x =
-  let n = Array.length samples in
-  if n = 0 then 0.
-  else begin
-    let above = Array.fold_left (fun acc v -> if v > x then acc + 1 else acc) 0 samples in
-    float_of_int above /. float_of_int n
-  end

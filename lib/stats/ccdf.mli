@@ -9,7 +9,3 @@ val of_samples : ?points:int -> float array -> point list
 (** [of_samples samples] computes the CCDF at [points] (default 200)
     equally spaced sample ranks. The input need not be sorted. Returns []
     on empty input. *)
-
-val survival_at : float array -> float -> float
-(** [survival_at samples x] = fraction of samples strictly greater than
-    [x]. Input need not be sorted. *)

@@ -53,13 +53,6 @@ let max_value t =
   done;
   if t.size = 0 then 0. else !m
 
-let min_value t =
-  let m = ref infinity in
-  for i = 0 to t.size - 1 do
-    m := Float.min !m t.data.(i)
-  done;
-  if t.size = 0 then 0. else !m
-
 (* Ascending float sort in place: an MSD radix sort (American-flag sort)
    on the IEEE-754 bit patterns. Sorting is the largest cost of
    finishing a sweep point, and a radix sort reads each sample a few
@@ -196,29 +189,7 @@ let p99 t = percentile t 99.
 
 let p999 t = percentile t 99.9
 
-let stddev t =
-  if t.size < 2 then 0.
-  else begin
-    let m = mean t in
-    let ss = ref 0. in
-    for i = 0 to t.size - 1 do
-      let x = t.data.(i) in
-      ss := !ss +. ((x -. m) *. (x -. m))
-    done;
-    sqrt (!ss /. float_of_int (t.size - 1))
-  end
-
 let samples t = Array.sub t.data 0 t.size
-
-let merge a b =
-  let t = create () in
-  for i = 0 to a.size - 1 do
-    record t a.data.(i)
-  done;
-  for i = 0 to b.size - 1 do
-    record t b.data.(i)
-  done;
-  t
 
 let clear t =
   t.size <- 0;

@@ -32,9 +32,6 @@ val mean : t -> float
 val max_value : t -> float
 (** Largest sample; 0 when empty. *)
 
-val min_value : t -> float
-(** Smallest sample; 0 when empty. *)
-
 val percentile : t -> float -> float
 (** [percentile t p] for [p] in [0, 100]: nearest-rank percentile of the
     recorded samples. Raises [Invalid_argument] when empty or [p] out of
@@ -46,13 +43,8 @@ val p99 : t -> float
 
 val p999 : t -> float
 
-val stddev : t -> float
-
 val samples : t -> float array
 (** Copy of all recorded samples (order unspecified: percentile queries may
     reorder the internal store). *)
-
-val merge : t -> t -> t
-(** New tally holding both sample sets. *)
 
 val clear : t -> unit

@@ -57,8 +57,6 @@ let note_response t (req : Request.t) =
     t.inflight <- t.inflight - 1
   end
 
-let inflight t = t.inflight
-
 let info t =
   [
     ("admitted", float_of_int t.admitted);

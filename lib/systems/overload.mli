@@ -39,8 +39,6 @@ val note_response : t -> Net.Request.t -> unit
 (** Must be called on the server's respond path so the guard can retire
     the request from its in-flight accounting. *)
 
-val inflight : t -> int
-
 val info : t -> (string * float) list
 (** [admitted], [shed], [inflight_peak], and the simulator's own queue
     depth at the time of the call: [sim_live] ({!Engine.Sim.live}) and

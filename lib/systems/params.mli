@@ -42,8 +42,9 @@ type t = {
       (** randomized victim order in the idle loop (§5); false = naive
           round-robin, for the `ablate-poll` ablation *)
   stragglers : Core.Corefault.spec list;
-      (** scheduled transient slowdowns/stalls of individual worker cores,
-          applied uniformly to every system model (empty = no faults) *)
+      (** scheduled transient slowdowns/stalls of individual worker cores
+          (empty = no faults), applied by the Linux, IX and ZygOS models;
+          {!Preemptive.create} rejects a non-empty list *)
 }
 
 val validate : t -> t

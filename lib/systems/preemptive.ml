@@ -31,6 +31,10 @@ type state = {
 let create sim (p : Params.t) ~quantum ~pool ~conns ~respond ?(consolidate = false) () =
   let p = Params.validate p in
   if Float.is_nan quantum || quantum <= 0. then invalid_arg "Preemptive.create: quantum <= 0";
+  (* Slices migrate between cores, so a per-core slowdown window has no
+     core to slow down. *)
+  if not (Core.Corefault.is_none (Params.corefaults p)) then
+    invalid_arg "Preemptive.create: straggler windows are not modelled";
   let st =
     {
       runq = Engine.Intq.create ();

@@ -28,7 +28,9 @@ val create :
   Iface.t
 (** [quantum] is the maximum uninterrupted execution slice (µs); every
     preemption costs a 0.3 µs context switch (save/restore, queue
-    traffic). Raises [Invalid_argument] if [quantum <= 0].
+    traffic). Raises [Invalid_argument] if [quantum <= 0], or if [p]
+    has straggler windows: slices are not tied to cores, so the model
+    has no core to slow down.
 
     [consolidate] (default [false]) runs the workload-consolidation
     control plane (§5's other IX control-plane function, "energy

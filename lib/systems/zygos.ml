@@ -633,15 +633,14 @@ let create sim (p : Params.t) ~rng ~pool ~conns ~respond ?trace () =
     end
   in
   let info () =
-    let counters = Sched.total_counters t.sched in
     let drops = Array.fold_left (fun acc c -> acc + Net.Ring.drops c.hw) 0 t.zcores in
     [
       ("steal_fraction", Sched.steal_fraction t.sched);
       ("ipis_sent", float_of_int t.ipis_sent);
       ("victim_orders", float_of_int t.victim_orders);
       ("ring_drops", float_of_int drops);
-      ("local_events", float_of_int counters.Sched.local_events);
-      ("stolen_events", float_of_int counters.Sched.stolen_events);
+      ("local_events", float_of_int (Sched.local_events t.sched));
+      ("stolen_events", float_of_int (Sched.stolen_events t.sched));
       ("remote_batches", float_of_int t.remote_batches);
       ("wc_violations", float_of_int t.wc_violations);
     ]

@@ -47,9 +47,7 @@ let test_policy_basics () =
   List.iter Policy.validate all_policies;
   Alcotest.(check string) "jbsq name" "jbsq-32" (Policy.name (Policy.Jbsq 32));
   Alcotest.(check int) "jbsq bound" 32 (Policy.bound (Policy.Jbsq 32));
-  Alcotest.(check int) "jsq bound" max_int (Policy.bound Policy.Jsq);
-  Alcotest.(check bool) "hash oblivious" false (Policy.queue_aware Policy.Static_hash);
-  Alcotest.(check bool) "jsq aware" true (Policy.queue_aware Policy.Jsq)
+  Alcotest.(check int) "jsq bound" max_int (Policy.bound Policy.Jsq)
 
 (* [routable] is a bit set: bit i = server i may take the request. *)
 let choose ?(n = 4) ?(estimates = [| 0.; 0.; 0.; 0. |]) ?routable ?(seed = 1) ?(conn = 7)
@@ -250,9 +248,10 @@ let test_estimate_staleness () =
 
 (* ---- Health ---- *)
 
+(* Three timeouts mark a server Down; a Down server gets one probe per
+   500 µs. *)
 let test_health_detection_cycle () =
-  let cfg = Health.config ~suspect_after:3 ~probe_interval:100. () in
-  let h = Health.create ~n:2 cfg in
+  let h = Health.create ~n:2 in
   Alcotest.(check bool) "up routable" true (Health.routable h 0 ~now:0.);
   Health.note_timeout h 0 ~now:10.;
   Alcotest.(check bool) "suspect still routable" true (Health.routable h 0 ~now:10.);
@@ -264,19 +263,20 @@ let test_health_detection_cycle () =
   Alcotest.(check int) "one detection" 1 (Health.down_count h);
   (* Down: no probe slot until a full interval after detection. *)
   Alcotest.(check bool) "no probe yet" false (Health.routable h 0 ~now:50.);
-  Alcotest.(check bool) "probe slot opens" true (Health.routable h 0 ~now:130.);
+  Alcotest.(check bool) "no probe before the interval" false (Health.routable h 0 ~now:529.);
+  Alcotest.(check bool) "probe slot opens" true (Health.routable h 0 ~now:530.);
   (* routable is pure: asking twice must not consume the slot. *)
-  Alcotest.(check bool) "still open" true (Health.routable h 0 ~now:130.);
-  Health.note_probe h 0 ~now:130.;
-  Alcotest.(check bool) "slot consumed" false (Health.routable h 0 ~now:150.);
-  Health.note_response h 0 ~now:160.;
+  Alcotest.(check bool) "still open" true (Health.routable h 0 ~now:530.);
+  Health.note_probe h 0 ~now:530.;
+  Alcotest.(check bool) "slot consumed" false (Health.routable h 0 ~now:550.);
+  Health.note_response h 0 ~now:560.;
   (match Health.state h 0 with
   | Health.Up -> ()
   | Health.Suspect | Health.Down -> Alcotest.fail "expected recovery");
   let get k = List.assoc k (Health.info h) in
   Alcotest.(check (float 0.)) "recoveries" 1. (get "health_recoveries");
   Alcotest.(check (float 0.)) "probes" 1. (get "health_probes");
-  Alcotest.(check (float 0.)) "down time" 130. (get "health_down_time");
+  Alcotest.(check (float 0.)) "down time" 530. (get "health_down_time");
   (* An intervening response resets the consecutive count. *)
   Health.note_timeout h 1 ~now:0.;
   Health.note_timeout h 1 ~now:1.;
@@ -399,13 +399,7 @@ let test_failover_recovers_dead_server () =
   let sim = Sim.create () in
   let rng = Rng.create ~seed:5 in
   let completed = ref 0 in
-  let detect =
-    Dispatch.
-      {
-        retry = Loadgen.retry ~timeout:50. ~max_retries:2 ~backoff_base:10. ~backoff_max:20. ();
-        health = Health.config ~suspect_after:3 ~probe_interval:200. ();
-      }
-  in
+  let detect = Loadgen.retry ~timeout:50. ~max_retries:2 () in
   let cfg = Rack.config ~servers:2 ~policy:Policy.Static_hash ~detect () in
   let pool = mk_pool () in
   let rack =
@@ -416,7 +410,9 @@ let test_failover_recovers_dead_server () =
       ~respond:(fun _ -> incr completed)
   in
   let iface = Rack.iface rack in
-  let n = 40 in
+  (* Arrivals every 10 µs for 1.2 ms: past the first probe slot, 500 µs
+     after the dead server is detected. *)
+  let n = 120 in
   for id = 1 to n do
     let _ : Sim.handle =
       Later.after sim

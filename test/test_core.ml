@@ -76,9 +76,8 @@ let test_steal () =
   match V.next sched ~core:1 ~steal_order:[| 0; 2; 3 |] with
   | Some (conn, [ 10 ], 0) ->
       S.complete sched conn;
-      let c = S.counters sched ~core:1 in
-      Alcotest.(check int) "steal counted" 1 c.S.steal_dispatches;
-      Alcotest.(check int) "stolen events" 1 c.S.stolen_events;
+      Alcotest.(check int) "stolen events" 1 (S.stolen_events sched);
+      Alcotest.(check int) "no local events" 0 (S.local_events sched);
       Alcotest.(check (float 1e-9)) "steal fraction" 1.0 (S.steal_fraction sched)
   | _ -> Alcotest.fail "expected steal from core 0"
 

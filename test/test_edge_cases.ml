@@ -37,30 +37,13 @@ let test_sim_zero_delay_event () =
   Sim.run sim;
   Alcotest.(check bool) "zero-delay fires" true !fired
 
-let test_dist_pp_and_names () =
+let test_dist_names () =
   let check_name d expected = Alcotest.(check string) expected expected (Dist.name d) in
   check_name (Dist.deterministic 1.) "fixed";
   check_name (Dist.exponential 1.) "exp";
   check_name (Dist.bimodal1 ~mean:1.) "bimodal1";
   check_name (Dist.bimodal2 ~mean:1.) "bimodal2";
-  check_name (Dist.lognormal ~mean:1. ~sigma:1.) "lognormal";
-  check_name (Dist.empirical [| 1. |]) "empirical";
-  let s = Format.asprintf "%a" Dist.pp (Dist.exponential 3.) in
-  Alcotest.(check string) "pp" "exp(3)" s
-
-let test_lognormal_tail_heavier_than_exp () =
-  let rng = Rng.create ~seed:20 in
-  let sample_p999 d =
-    let t = Stats.Tally.create () in
-    for _ = 1 to 100_000 do
-      Stats.Tally.record t (Dist.sample d rng)
-    done;
-    Stats.Tally.p999 t
-  in
-  let logn = sample_p999 (Dist.lognormal ~mean:10. ~sigma:2.) in
-  let exp = sample_p999 (Dist.exponential 10.) in
-  Alcotest.(check bool) (Printf.sprintf "lognormal p999 %.0f > exp %.0f" logn exp) true
-    (logn > exp)
+  check_name (Dist.empirical [| 1. |]) "empirical"
 
 let test_rng_float_range_bounds () =
   let rng = Rng.create ~seed:21 in
@@ -83,8 +66,7 @@ let test_tally_single_sample () =
   let t = Stats.Tally.create () in
   Stats.Tally.record t 42.;
   Alcotest.(check (float 0.)) "p1" 42. (Stats.Tally.percentile t 1.);
-  Alcotest.(check (float 0.)) "p99" 42. (Stats.Tally.p99 t);
-  Alcotest.(check (float 0.)) "stddev of one" 0. (Stats.Tally.stddev t)
+  Alcotest.(check (float 0.)) "p99" 42. (Stats.Tally.p99 t)
 
 (* ---- net ---- *)
 
@@ -92,7 +74,11 @@ let test_rss_odd_queue_counts () =
   List.iter
     (fun queues ->
       let rss = Net.Rss.create ~queues () in
-      let hist = Net.Rss.histogram_of_conns rss 1000 in
+      let hist = Array.make queues 0 in
+      for c = 0 to 999 do
+        let q = Net.Rss.queue_of_conn rss c in
+        hist.(q) <- hist.(q) + 1
+      done;
       Alcotest.(check int) "queue count" queues (Array.length hist);
       Alcotest.(check int) "total" 1000 (Array.fold_left ( + ) 0 hist))
     [ 1; 3; 7; 16 ]
@@ -202,16 +188,6 @@ let test_record_absent_lifecycle () =
   Alcotest.(check bool) "install clears nothing implicitly" false (Silo.Tid.is_absent tid2);
   Alcotest.(check string) "data installed" "alive" data.(0)
 
-let test_tpcc_full_profile_loads () =
-  (* Spec-size loading is expensive; just verify the knob works at 1
-     warehouse and the row counts scale by 10x over `Small. *)
-  let t = Silo.Tpcc.load ~profile:`Full () in
-  Alcotest.(check int) "items" 100_000 (Silo.Tpcc.items t);
-  Alcotest.(check int) "customers" 3000 (Silo.Tpcc.customers_per_district t);
-  let db = Silo.Tpcc.db t in
-  Alcotest.(check int) "customer rows" 30_000
-    (Silo.Btree.length (Silo.Db.find_table db "customer").Silo.Db.index)
-
 (* ---- memcached workloads ---- *)
 
 (* An ETC SET moves its 37 B key and an 11 B-4 KB value at 0.2 ns/B on
@@ -257,8 +233,7 @@ let () =
           Alcotest.test_case "heap interleaved" `Quick test_heap_interleaved;
           Alcotest.test_case "cancel after fire" `Quick test_sim_cancel_after_fire;
           Alcotest.test_case "zero-delay event" `Quick test_sim_zero_delay_event;
-          Alcotest.test_case "dist names/pp" `Quick test_dist_pp_and_names;
-          Alcotest.test_case "lognormal tail" `Slow test_lognormal_tail_heavier_than_exp;
+          Alcotest.test_case "dist names/pp" `Quick test_dist_names;
           Alcotest.test_case "float_range bounds" `Quick test_rng_float_range_bounds;
         ] );
       ( "stats",
@@ -280,7 +255,6 @@ let () =
           Alcotest.test_case "txn reuse rejected" `Quick test_txn_reuse_rejected;
           Alcotest.test_case "duplicate table" `Quick test_db_duplicate_table;
           Alcotest.test_case "absent record" `Quick test_record_absent_lifecycle;
-          Alcotest.test_case "tpcc full profile" `Slow test_tpcc_full_profile_loads;
         ] );
       ( "kvstore",
         [ Alcotest.test_case "etc value range" `Quick test_workload_etc_value_range ] );

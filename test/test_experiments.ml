@@ -106,8 +106,7 @@ let test_model_point () =
 
 let test_sweep () =
   let cfg = Run.config ~system:(Run.Ix 1) ~service:exp10 ~requests:6_000 () in
-  let points = Run.sweep cfg ~loads:[ 0.2; 0.4; 0.6 ] in
-  Alcotest.(check int) "one point per load" 3 (List.length points);
+  let points = List.map (fun load -> Run.run_point cfg ~load) [ 0.2; 0.4; 0.6 ] in
   let p99s = List.map (fun p -> p.Run.p99) points in
   Alcotest.(check bool) "p99 grows with load" true (List.sort compare p99s = p99s)
 

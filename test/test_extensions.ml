@@ -56,6 +56,20 @@ let test_preemptive_ordering_and_args () =
            ()
           : Systems.Iface.t))
 
+(* Preemptive slices are not tied to cores, so the model cannot apply a
+   per-core straggler window: it refuses one rather than ignore it. *)
+let test_preemptive_rejects_stragglers () =
+  let stragglers =
+    [ { Core.Corefault.core = 0; start = 0.; duration = 1e3; slowdown = infinity } ]
+  in
+  let cfg =
+    Run.config ~system:(Run.Preemptive 5.) ~service:(Dist.exponential 10.) ~cores:4 ~conns:16
+      ~requests:500 ~stragglers ()
+  in
+  Alcotest.check_raises "straggler spec"
+    (Invalid_argument "Preemptive.create: straggler windows are not modelled") (fun () ->
+      ignore (Run.run_point cfg ~load:0.5 : Run.point))
+
 (* A duplicated packet re-submits the same request handle. The copy
    waits behind the original on its connection and, like any first
    dispatch, pays the receive path again. *)
@@ -234,6 +248,8 @@ let () =
           Alcotest.test_case "ordering + validation" `Quick test_preemptive_ordering_and_args;
           Alcotest.test_case "duplicate pays the receive path" `Quick
             test_preemptive_duplicate_pays_rx;
+          Alcotest.test_case "rejects straggler windows" `Quick
+            test_preemptive_rejects_stragglers;
         ] );
       ( "rss-control",
         [

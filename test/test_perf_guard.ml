@@ -340,10 +340,7 @@ let test_copying_racks_keep_slots () =
     if not (count p key > 0.) then Alcotest.failf "%s point made no copies (%s = 0)" name key
   in
   let crash = [ Cluster.Failplan.Crash { server = 0; start = 100.; duration = 300. } ] in
-  let detect =
-    Cluster.Dispatch.
-      { retry = Net.Loadgen.retry ~timeout:50. (); health = Cluster.Health.config () }
-  in
+  let detect = Net.Loadgen.retry ~timeout:50. () in
   expect_copies "detect" "rack_failovers"
     (rack_point ~detect ~failplan:crash ~requests ~load:0.5 ());
   expect_copies "hedge" "rack_hedges" (rack_point ~hedge:15. ~requests ~load:0.5 ());

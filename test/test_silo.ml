@@ -193,9 +193,9 @@ let test_btree_scan_reports_leaves () =
 (* ---- Epoch ---- *)
 
 let test_epoch_advance () =
-  let e = Silo.Epoch.create ~advance_every:10 () in
+  let e = Silo.Epoch.create () in
   Alcotest.(check int) "initial" 1 (Silo.Epoch.current e);
-  for _ = 1 to 9 do
+  for _ = 1 to 4_095 do
     Silo.Epoch.on_commit e
   done;
   Alcotest.(check int) "not yet" 1 (Silo.Epoch.current e);
@@ -439,9 +439,6 @@ let tpcc = lazy (Tpcc.load ())
 
 let test_tpcc_load_counts () =
   let t = Lazy.force tpcc in
-  Alcotest.(check int) "warehouses" 1 (Tpcc.warehouses t);
-  Alcotest.(check int) "items" 10_000 (Tpcc.items t);
-  Alcotest.(check int) "customers" 300 (Tpcc.customers_per_district t);
   let db = Tpcc.db t in
   Alcotest.(check int) "item rows" 10_000 (Btree.length (Db.find_table db "item").Db.index);
   Alcotest.(check int) "customer rows" 3_000
