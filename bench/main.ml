@@ -80,7 +80,7 @@ let micro_rows () =
     ignore (Silo.Btree.remove btree key : int option)
   in
   let tpcc = Silo.Tpcc.load () in
-  let worker = Silo.Db.worker (Silo.Tpcc.db tpcc) ~id:0 in
+  let worker = Silo.Db.worker (Silo.Tpcc.db tpcc) in
   let tpcc_rng = Engine.Rng.create ~seed:5 in
   let tpcc_op kind () =
     ignore (Silo.Tpcc.execute tpcc worker tpcc_rng kind : Silo.Tpcc.outcome)

@@ -10,6 +10,7 @@ let no_handle : Sim.handle = Sim.no_handle
    is enabled (the clean path tracks nothing per request). *)
 type entry = {
   e_id : int;
+  e_req : Request.t;  (* the first copy: failover and hedge copies read its fields *)
   mutable e_attempts : int;  (* failover re-dispatches sent so far *)
   mutable e_server : int;  (* server of the latest primary dispatch; -1 = queued *)
   mutable e_hedge_server : int;  (* -1 = no hedge copy in flight *)
@@ -34,7 +35,6 @@ type t = {
   hedge_delay : float;  (* nan = hedging off *)
   tracked : bool;  (* detect or hedge on: per-request entries + dedupe *)
   entries : (int, entry) Hashtbl.t;
-  reqs : (int, Request.t) Hashtbl.t;  (* queued/failover copies need fields *)
   tor_queue : Engine.Intq.t;  (* JBSQ central FIFO of request handles *)
   mutable forward : int -> Request.t -> unit;
   respond : Request.t -> unit;
@@ -153,7 +153,7 @@ let[@zygos.hot] drain_tor t =
     done
   end
 
-(* A [Down] server whose probe slot is open, or -1. Queue-aware policies
+(* A down server whose probe slot is open, or -1. Queue-aware policies
    would never volunteer one (its leaked credits keep its estimate high),
    so probing is the dispatcher's job: the next fresh arrival is routed to
    it as the probe, bypassing the policy and the JBSQ bound (a dead
@@ -165,23 +165,40 @@ let[@zygos.hot] probe_target t =
       (let now = Sim.now t.sim in
        let rec scan i =
          if i >= t.n then -1
-         else
-           match Health.state h i with
-           | Health.Down when Health.routable h i ~now -> i
-           | Health.Down | Health.Up | Health.Suspect -> scan (i + 1)
+         else if Health.is_down h i && Health.routable h i ~now then i
+         else scan (i + 1)
        in
        scan 0)
       [@zygos.allow "hot-alloc,r6,r7"]
+
+(* Route [req] ([e]'s first copy or a failover copy when tracked) to the
+   policy's choice among the servers other than [exclude]. Under JBSQ it
+   never overtakes requests already held at the ToR (FIFO fairness) and
+   waits there when no server has a credit; under other policies a request
+   with no routable server is lost (a client retry layer may resend it
+   under a fresh id). *)
+let[@zygos.hot] route t e (req : Request.t) ~exclude =
+  if t.bound < max_int && not (Engine.Intq.is_empty t.tor_queue) then enqueue_tor t req
+  else
+    match choose t ~conn:(Request.conn t.pool req) ~exclude with
+    | -1 ->
+        if t.bound < max_int then enqueue_tor t req
+        else t.no_route_drops <- t.no_route_drops + 1
+    | server -> (
+        match e with
+        | None -> send t server req
+        | Some e -> (dispatch_primary t e req server [@zygos.allow "r6"]))
 
 let[@zygos.hot] submit t (req : Request.t) =
   let e =
     if not t.tracked then None
     else
-      (* one entry per logical request; the request for its copies *)
+      (* one entry per logical request, holding its first copy *)
       (let id = Request.id t.pool req in
        let e =
          {
            e_id = id;
+           e_req = req;
            e_attempts = 0;
            e_server = -1;
            e_hedge_server = -1;
@@ -190,35 +207,16 @@ let[@zygos.hot] submit t (req : Request.t) =
            e_done = false;
          }
        in
-       Hashtbl.replace t.reqs id req;
        Hashtbl.replace t.entries id e;
        Some e)
       [@zygos.allow "hot-alloc,r6"]
   in
   let probe = probe_target t in
-  if probe >= 0 then (
+  if probe < 0 then route t e req ~exclude:(-1)
+  else
     match e with
     | None -> send t probe req
-    | Some e -> (dispatch_primary t e req probe [@zygos.allow "r6"]))
-  else if
-    (* JBSQ FIFO fairness: never overtake requests already held at the ToR. *)
-    t.bound < max_int && not (Engine.Intq.is_empty t.tor_queue)
-  then enqueue_tor t req
-  else
-    match choose t ~conn:(Request.conn t.pool req) ~exclude:(-1) with
-    | -1 ->
-        if t.bound < max_int then enqueue_tor t req
-        else begin
-          (* No routable server and no central queue to hold the request:
-             the rack is partitioned off; the request is lost (a client
-             retry layer may resend it under a fresh id). *)
-          ignore e;
-          t.no_route_drops <- t.no_route_drops + 1
-        end
-    | server -> (
-        match e with
-        | None -> send t server req
-        | Some e -> (dispatch_primary t e req server [@zygos.allow "r6"]))
+    | Some e -> (dispatch_primary t e req probe [@zygos.allow "r6"])
 
 (* Copy a request for a failover or hedge dispatch: same logical identity
    (id, conn, arrival, service, measured) so client-side latency spans
@@ -259,20 +257,9 @@ let on_failover t id =
   | None -> ()
   | Some e ->
       if not e.e_done then begin
-        match Hashtbl.find_opt t.reqs id with
-        | None -> ()
-        | Some orig ->
-            let req = copy_req t orig in
-            t.failovers <- t.failovers + 1;
-            (* Prefer any server other than the one that just timed out. *)
-            if t.bound < max_int && not (Engine.Intq.is_empty t.tor_queue) then
-              enqueue_tor t req
-            else (
-              match choose t ~conn:(Request.conn t.pool req) ~exclude:e.e_server with
-              | -1 ->
-                  if t.bound < max_int then enqueue_tor t req
-                  else t.no_route_drops <- t.no_route_drops + 1
-              | server -> dispatch_primary t e req server)
+        t.failovers <- t.failovers + 1;
+        (* Prefer any server other than the one that just timed out. *)
+        route t (Some e) (copy_req t e.e_req) ~exclude:e.e_server
       end
 
 let on_hedge t id =
@@ -280,21 +267,17 @@ let on_hedge t id =
   | None -> ()
   | Some e ->
       e.e_hedge <- no_handle;
-      if (not e.e_done) && t.n > 1 then begin
-        match Hashtbl.find_opt t.reqs id with
-        | None -> ()
-        | Some orig -> (
-            (* Hedge to the best server other than the primary; the copy
-               carries no detection timer — the primary's timer still
-               governs failover. *)
-            match choose t ~conn:(Request.conn t.pool orig) ~exclude:e.e_server with
-            | -1 -> ()
-            | server ->
-                let req = copy_req t orig in
-                e.e_hedge_server <- server;
-                t.hedges <- t.hedges + 1;
-                send t server req)
-      end
+      if (not e.e_done) && t.n > 1 then
+        (* Hedge to the best server other than the primary; the copy
+           carries no detection timer — the primary's timer still governs
+           failover. *)
+        match choose t ~conn:(Request.conn t.pool e.e_req) ~exclude:e.e_server with
+        | -1 -> ()
+        | server ->
+            let req = copy_req t e.e_req in
+            e.e_hedge_server <- server;
+            t.hedges <- t.hedges + 1;
+            send t server req
 
 let[@zygos.hot] on_response t ~server (req : Request.t) =
   let left = t.outstanding.(server) -. 1. in
@@ -302,7 +285,7 @@ let[@zygos.hot] on_response t ~server (req : Request.t) =
   (match t.health with
   | None -> ()
   | Some h ->
-      (let was_down = match Health.state h server with Health.Down -> true | _ -> false in
+      (let was_down = Health.is_down h server in
        Health.note_response h server ~now:(Sim.now t.sim);
        if was_down then begin
          (* Reconnect semantics: timeouts may have leaked credits while the
@@ -366,7 +349,6 @@ let create sim ~pool ~n ~policy ~rng ?(feedback_delay = 0.) ?(feedback_until = 0
       hedge_delay = (match hedge with Some h -> h | None -> nan);
       tracked;
       entries = Hashtbl.create (if tracked then 4096 else 1);
-      reqs = Hashtbl.create (if tracked then 4096 else 1);
       tor_queue = Engine.Intq.create ();
       forward = (fun _ _ -> invalid_arg "Dispatch: no servers attached");
       respond;

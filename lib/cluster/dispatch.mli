@@ -6,7 +6,7 @@
     outstanding requests exactly from its own vantage point: +1 at
     dispatch, -1 at response (floored at zero). Timeouts do {e not}
     return credits — a request lost to a crash leaks its credit until
-    the health layer declares the server [Down] and a later response
+    the health layer declares the server down and a later response
     triggers a resync to zero ([rack_credit_resyncs]). Policies rank
     servers on the {!Estimate} snapshot of this array (stale by the
     feedback delay); only JBSQ's bound check reads it exactly, because
@@ -31,7 +31,7 @@
     share the logical id, arrival, and measured flag, so client-side
     latency spans from the {e first} send; the dispatcher de-duplicates
     so exactly one response per logical request reaches [respond].
-    While a server is [Down], one arrival per probe interval is routed to
+    While a server is down, one arrival per probe interval is routed to
     it as the liveness probe, bypassing the policy and the JBSQ bound —
     queue-aware policies would never volunteer a down server (its leaked
     credits keep its estimate high), and a dead server's stuck credits

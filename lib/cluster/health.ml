@@ -1,14 +1,12 @@
-type state = Up | Suspect | Down
-
-(* Consecutive timeouts that mark a server [Down], and the µs between
-   probes of a [Down] server. *)
-let suspect_after = 3
+(* Consecutive timeouts that mark a server down, and the µs between
+   probes of a down server. *)
+let down_after = 3
 let probe_interval = 500.
 
 type server = {
-  mutable state : state;
+  mutable down : bool;
   mutable consecutive_timeouts : int;
-  mutable last_probe : float;  (* sim time of the last probe admitted while Down *)
+  mutable last_probe : float;  (* sim time of the last probe admitted while down *)
   mutable down_since : float;
 }
 
@@ -26,7 +24,7 @@ let create ~n =
   {
     servers =
       Array.init n (fun _ ->
-          { state = Up; consecutive_timeouts = 0; last_probe = neg_infinity;
+          { down = false; consecutive_timeouts = 0; last_probe = neg_infinity;
             down_since = nan });
     timeouts = 0;
     detections = 0;
@@ -35,60 +33,48 @@ let create ~n =
     down_time = 0.;
   }
 
-let state t i = t.servers.(i).state
+let is_down t i = t.servers.(i).down
 
 let note_timeout t i ~now =
   let s = t.servers.(i) in
   t.timeouts <- t.timeouts + 1;
   s.consecutive_timeouts <- s.consecutive_timeouts + 1;
-  match s.state with
-  | Down -> ()
-  | Up | Suspect ->
-      if s.consecutive_timeouts >= suspect_after then begin
-        s.state <- Down;
-        s.down_since <- now;
-        (* The next probe waits a full interval: the timeouts that led
-           here already count as the failed probe. *)
-        s.last_probe <- now;
-        t.detections <- t.detections + 1
-      end
-      else s.state <- Suspect
+  if (not s.down) && s.consecutive_timeouts >= down_after then begin
+    s.down <- true;
+    s.down_since <- now;
+    (* The next probe waits a full interval: the timeouts that led here
+       already count as the failed probe. *)
+    s.last_probe <- now;
+    t.detections <- t.detections + 1
+  end
 
 let note_response t i ~now =
   let s = t.servers.(i) in
   s.consecutive_timeouts <- 0;
-  match s.state with
-  | Up -> ()
-  | Suspect -> s.state <- Up
-  | Down ->
-      s.state <- Up;
-      t.recoveries <- t.recoveries + 1;
-      t.down_time <- t.down_time +. (now -. s.down_since);
-      s.down_since <- nan
+  if s.down then begin
+    s.down <- false;
+    t.recoveries <- t.recoveries + 1;
+    t.down_time <- t.down_time +. (now -. s.down_since);
+    s.down_since <- nan
+  end
 
-(* May server [i] receive a request at [now]? Up/Suspect always; Down only
-   as a probe, one per probe interval. Pure: policies scan servers several
-   times while choosing, so the probe slot is only consumed when the
-   dispatcher actually sends ({!note_probe}). *)
+(* May server [i] receive a request at [now]? An up server always; a down
+   one only as a probe, one per probe interval. Pure: policies scan
+   servers several times while choosing, so the probe slot is only
+   consumed when the dispatcher actually sends ({!note_probe}). *)
 let routable t i ~now =
   let s = t.servers.(i) in
-  match s.state with
-  | Up | Suspect -> true
-  | Down -> now -. s.last_probe >= probe_interval
+  (not s.down) || now -. s.last_probe >= probe_interval
 
-(* The dispatcher picked a Down server: that dispatch is the probe. *)
+(* The dispatcher picked a down server: that dispatch is the probe. *)
 let note_probe t i ~now =
   let s = t.servers.(i) in
-  match s.state with
-  | Up | Suspect -> ()
-  | Down ->
-      s.last_probe <- now;
-      t.probes <- t.probes + 1
+  if s.down then begin
+    s.last_probe <- now;
+    t.probes <- t.probes + 1
+  end
 
-let down_count t =
-  Array.fold_left
-    (fun acc s -> match s.state with Down -> acc + 1 | Up | Suspect -> acc)
-    0 t.servers
+let down_count t = Array.fold_left (fun acc s -> if s.down then acc + 1 else acc) 0 t.servers
 
 let info t =
   [

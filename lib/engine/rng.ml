@@ -48,10 +48,6 @@ let[@zygos.hot] float t = Int64.to_float (Int64.shift_right_logical (next t) 11)
 let[@zygos.hot] float_into t (buf : float array) i =
   buf.(i) <- Int64.to_float (Int64.shift_right_logical (next t) 11) *. 0x1p-53
 
-let float_range t lo hi =
-  assert (lo <= hi);
-  lo +. (float t *. (hi -. lo))
-
 (* Modulo bias is negligible for bounds << 2^62 (all our uses). *)
 let[@zygos.hot] int t bound =
   assert (bound > 0);

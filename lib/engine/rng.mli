@@ -38,9 +38,6 @@ val float_into : t -> float array -> int -> unit
 (** [float_into t buf i] stores the next {!float} draw in [buf.(i)]: the
     same bits, without the box a float returned across modules pays. *)
 
-val float_range : t -> float -> float -> float
-(** [float_range t lo hi] is uniform in [lo, hi). Requires [lo <= hi]. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound). Requires [bound > 0]. *)
 

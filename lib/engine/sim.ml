@@ -39,7 +39,6 @@ type stats = {
   cancelled : int;
   reused : int;
   pool_slots : int;
-  live : int;
 }
 
 type t = {
@@ -192,5 +191,4 @@ let stats t =
     cancelled = t.n_cancelled;
     reused = t.n_reused;
     pool_slots = t.fresh;
-    live = live t;
   }

@@ -41,7 +41,6 @@ type stats = {
   cancelled : int;  (** live events cancelled (stale cancels excluded) *)
   reused : int;  (** schedules served from the free list (pool hits) *)
   pool_slots : int;  (** distinct pool slots ever handed out *)
-  live : int;  (** events scheduled but not yet fired or cancelled *)
 }
 (** Event-pool counters. In steady state [reused] tracks [scheduled] and
     [pool_slots] stays at the high-water mark of concurrently pending

@@ -11,8 +11,7 @@
     (level l spans 32{^l} µs per bucket), per-level occupancy bitmaps,
     an intrusive structure-of-arrays node pool, and a sorted ready-run
     buffer that resolves sub-microsecond ordering. Steady state
-    allocates nothing. Unlike {!Heap} this structure is monomorphic in
-    the payload ([int]): it stores simulator event handles. *)
+    allocates nothing. Payloads are simulator event handles ([int]). *)
 
 type t
 
@@ -22,10 +21,10 @@ val create : unit -> t
 val add_key : t -> float array -> int -> unit
 (** [add_key t buf v] inserts [v] at the time in [buf.(0)], which is
     read before the call returns (a float argument would be boxed at the
-    caller; see {!Heap.add_key}). Times must be non-negative and finite
-    for meaningful ordering; a time at or before the last popped
-    microsecond is delivered at the front, still in (time, seq) order,
-    matching {!Heap}. O(1). *)
+    caller). Times must be non-negative and finite for meaningful
+    ordering; a time at or before the last popped microsecond is
+    delivered at the front, still in (time, seq) order, matching
+    {!Heap}. O(1). *)
 
 val pop_into : t -> float array -> int
 (** Remove the minimum, writing its time into [buf.(0)] and returning

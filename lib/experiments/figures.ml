@@ -307,7 +307,7 @@ let[@zygos.allow "determinism"] run_silo ~scale =
   | Some (s, run) when s >= scale -> run
   | _ ->
       let tpcc = Silo.Tpcc.load () in
-      let worker = Silo.Db.worker (Silo.Tpcc.db tpcc) ~id:0 in
+      let worker = Silo.Db.worker (Silo.Tpcc.db tpcc) in
       let rng = Engine.Rng.create ~seed:1234 in
       let n = requests ~scale 30_000 in
       let all = Stats.Tally.create () in

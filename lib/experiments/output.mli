@@ -23,8 +23,6 @@ type block =
   | Table of { columns : string list; rows : cell list list }
       (** aligned columns; every row must have the arity of [columns] *)
 
-val show : cell -> string
-
 val render : block list -> string
 (** Raises [Invalid_argument] when a table row's arity differs from its
     columns'. *)

@@ -29,16 +29,13 @@ let system_name = function
   | Model_central_fcfs -> "M/G/n/FCFS"
   | Model_partitioned_fcfs -> "nxM/G/1/FCFS"
 
-let all_real_systems =
-  [ Linux_partitioned; Linux_floating; Ix 1; Zygos; Zygos_no_interrupts ]
-
 (* Every name is spelled once, in [system_name]: a fixed kind is found by
    printing it, and a parameterized name is parsed and then kept only if
    it prints back as [s] (so "ix-b1", printed "ix", is rejected). *)
 let system_of_name s =
   let fixed =
-    all_real_systems
-    @ [ Zygos_round_robin; Ix_rebalanced 200.; Model_central_fcfs; Model_partitioned_fcfs ]
+    [ Linux_partitioned; Linux_floating; Ix 1; Zygos; Zygos_no_interrupts; Zygos_round_robin;
+      Ix_rebalanced 200.; Model_central_fcfs; Model_partitioned_fcfs ]
   in
   (* the part of [s] between [prefix] and [suffix], parsed *)
   let between ~prefix ~suffix of_string =

@@ -40,10 +40,6 @@ val system_of_name : string -> system_kind option
     ["ix-rebalanced"] parses to [Ix_rebalanced 200.]. A name that
     {!system_name} never prints (["linux"], ["ix-b1"]) gives [None]. *)
 
-val all_real_systems : system_kind list
-(** The five simulated servers (both IX batchings excluded): partitioned,
-    floating, IX(B=1), ZygOS, ZygOS-no-interrupts. *)
-
 type config = {
   system : system_kind;
   cores : int;  (** default 16 *)

@@ -3,7 +3,6 @@ type table = { name : string; index : Record.t Btree.t }
 type t = { epoch_mgr : Epoch.t; tables : (string, table) Hashtbl.t }
 
 type worker = {
-  id : int;
   mutable last : Tid.t;
   mutable commit_count : int;
   mutable abort_count : int;
@@ -26,9 +25,7 @@ let find_table t name =
 
 let tables t = Hashtbl.fold (fun _ table acc -> table :: acc) t.tables []
 
-let worker _t ~id = { id; last = Tid.zero; commit_count = 0; abort_count = 0 }
-
-let worker_id w = w.id
+let worker _t = { last = Tid.zero; commit_count = 0; abort_count = 0 }
 
 let last_tid w = w.last
 

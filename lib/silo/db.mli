@@ -22,9 +22,7 @@ val find_table : t -> string -> table
 
 val tables : t -> table list
 
-val worker : t -> id:int -> worker
-
-val worker_id : worker -> int
+val worker : t -> worker
 
 val last_tid : worker -> Tid.t
 

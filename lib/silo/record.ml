@@ -2,8 +2,6 @@ type t = { meta : int Atomic.t; mutable data : string array }
 
 let create data = { meta = Atomic.make Tid.zero; data }
 
-let create_absent data = { meta = Atomic.make (Tid.absent Tid.zero); data }
-
 let create_committed data ~tid =
   if Tid.is_locked tid then invalid_arg "Record.create_committed: tid has lock bit";
   { meta = Atomic.make tid; data }

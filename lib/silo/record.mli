@@ -10,10 +10,6 @@ type t
 val create : string array -> t
 (** New record with {!Tid.zero} and the given column values. *)
 
-val create_absent : string array -> t
-(** New record carrying the absent bit — visible in indexes but logically
-    not yet committed (used for inserts during the commit protocol). *)
-
 val create_committed : string array -> tid:Tid.t -> t
 (** New record already carrying a commit TID — used when the commit
     protocol inserts a record while holding the index lock, so the record

@@ -37,8 +37,6 @@ let is_absent t = t land absent_bit <> 0
 
 let absent t = t lor absent_bit
 
-let present t = t land lnot absent_bit
-
 let compare_data a b =
   let ca = compare (epoch a) (epoch b) in
   if ca <> 0 then ca else compare (seq a) (seq b)

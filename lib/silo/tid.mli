@@ -34,8 +34,6 @@ val absent : t -> t
 (** Same TID with the absent bit set (record logically deleted / not yet
     committed). *)
 
-val present : t -> t
-
 val compare_data : t -> t -> int
 (** Order by (epoch, seq), ignoring status bits — the "newer version"
     relation. *)

@@ -231,6 +231,7 @@ let randomized_zygos_configs () =
   let rng = Engine.Rng.create ~seed:2017 in
   let pick a = a.(Engine.Rng.int rng (Array.length a)) in
   let one_in n = Engine.Rng.int rng n = 0 in
+  let uniform lo hi = lo +. (Engine.Rng.float rng *. (hi -. lo)) in
   let requests = 1_500 in
   List.init 200 (fun seed ->
       let system =
@@ -249,7 +250,7 @@ let randomized_zygos_configs () =
             Engine.Dist.exponential 2.;
           |]
       in
-      let load = Engine.Rng.float_range rng 0.05 0.95 in
+      let load = uniform 0.05 0.95 in
       let rpc_packets = pick [| 1; 1; 2; 3 |] in
       (* Windows fall inside the warmup + measurement span of the point. *)
       let span =
@@ -260,8 +261,8 @@ let randomized_zygos_configs () =
           [
             {
               Core.Corefault.core = Engine.Rng.int rng cores;
-              start = Engine.Rng.float_range rng 0. span;
-              duration = Engine.Rng.float_range rng 0.01 0.2 *. span;
+              start = uniform 0. span;
+              duration = uniform 0.01 0.2 *. span;
               slowdown = pick [| 2.; 5.; infinity |];
             };
           ]

@@ -204,23 +204,32 @@ let test_dist_empirical () =
 
 (* ---- Heap ---- *)
 
+(* Drain [h] through [pop_into], returning (time, payload) pairs. *)
+let heap_drain h =
+  let buf = [| 0. |] in
+  let rec go acc =
+    let v = Heap.pop_into h buf in
+    if v < 0 then List.rev acc else go ((buf.(0), v) :: acc)
+  in
+  go []
+
+let heap_add h buf ~time v =
+  buf.(0) <- time;
+  Heap.add_key h buf v
+
 let prop_heap_sorted =
   QCheck.Test.make ~name:"pop yields times in order" ~count:200
     QCheck.(list (float_range 0. 1000.))
     (fun times ->
-      let h = Heap.create ~dummy:(-1) () in
-      List.iteri (fun i t -> Heap.add h ~time:t i) times;
-      let rec drain last =
-        match Heap.pop_min h with
-        | None -> true
-        | Some (t, _) -> t >= last && drain t
-      in
-      drain neg_infinity)
+      let h = Heap.create () and buf = [| 0. |] in
+      List.iteri (fun i t -> heap_add h buf ~time:t i) times;
+      let popped = List.map fst (heap_drain h) in
+      List.length popped = List.length times && popped = List.sort compare times)
 
-(* Random add/pop/clear interleavings against a sorted-list reference
-   model: pops must agree with the model exactly — nondecreasing times
-   with FIFO tie-breaking by insertion sequence. Times are drawn from a
-   coarse grid so ties are frequent. *)
+(* Random add/pop interleavings against a sorted-list reference model:
+   pops must agree with the model exactly — nondecreasing times with FIFO
+   tie-breaking by insertion sequence — and so must [length]. Times are
+   drawn from a coarse grid so ties are frequent. *)
 let prop_heap_matches_model =
   let op_gen =
     QCheck.Gen.(
@@ -230,88 +239,70 @@ let prop_heap_matches_model =
   QCheck.Test.make ~name:"heap agrees with sorted-list model" ~count:300
     (QCheck.make ~print:(fun ops -> string_of_int (List.length ops)) op_gen)
     (fun ops ->
-      let h = Heap.create ~dummy:(-1) () in
+      let h = Heap.create () and buf = [| 0. |] in
       let model = ref [] in
       (* model entries: (time, seq); popped element = min by (time, seq) *)
       let next_seq = ref 0 in
       List.for_all
         (fun (op, time) ->
           if op <= 4 then begin
-            Heap.add h ~time !next_seq;
+            heap_add h buf ~time !next_seq;
             model := (time, !next_seq) :: !model;
             incr next_seq;
             true
           end
           else if op <= 6 then begin
-            match (Heap.pop_min h, !model) with
-            | None, [] -> true
-            | None, _ :: _ | Some _, [] -> false
-            | Some (t, v), entries ->
+            match (Heap.pop_into h buf, !model) with
+            | -1, [] -> true
+            | -1, _ :: _ -> false
+            | _, [] -> false
+            | v, entries ->
                 let ((mt, ms) as m) =
                   List.fold_left
                     (fun acc e -> if compare e acc < 0 then e else acc)
                     (List.hd entries) (List.tl entries)
                 in
                 model := List.filter (fun e -> e <> m) entries;
-                t = mt && v = ms
+                buf.(0) = mt && v = ms
           end
-          else begin
-            Heap.clear h;
-            model := [];
-            (* clear also resets the FIFO sequence, matching a fresh heap *)
-            next_seq := 0;
-            Heap.is_empty h
-          end)
+          else Heap.length h = List.length !model && Heap.is_empty h = (!model = []))
         ops
       && Heap.length h = List.length !model)
 
 let test_heap_fifo_ties () =
-  let h = Heap.create ~dummy:(-1) () in
-  List.iter (fun i -> Heap.add h ~time:1.0 i) [ 1; 2; 3; 4; 5 ];
-  let order = List.init 5 (fun _ -> match Heap.pop_min h with Some (_, v) -> v | None -> -1) in
-  Alcotest.(check (list int)) "FIFO among equal times" [ 1; 2; 3; 4; 5 ] order
+  let h = Heap.create () and buf = [| 0. |] in
+  List.iter (fun i -> heap_add h buf ~time:1.0 i) [ 1; 2; 3; 4; 5 ];
+  Alcotest.(check (list int)) "FIFO among equal times" [ 1; 2; 3; 4; 5 ]
+    (List.map snd (heap_drain h))
 
-let test_heap_length_and_clear () =
-  let h = Heap.create ~dummy:(-1) () in
+let test_heap_length () =
+  let h = Heap.create () and buf = [| 0. |] in
   Alcotest.(check bool) "fresh heap empty" true (Heap.is_empty h);
   for i = 1 to 100 do
-    Heap.add h ~time:(float_of_int (100 - i)) i
+    heap_add h buf ~time:(float_of_int (100 - i)) i
   done;
   Alcotest.(check int) "length" 100 (Heap.length h);
-  Alcotest.(check (option (float 0.))) "peek" (Some 0.) (Heap.peek_min_time h);
-  Heap.clear h;
-  Alcotest.(check int) "cleared" 0 (Heap.length h);
-  Alcotest.(check (option (float 0.))) "peek empty" None (Heap.peek_min_time h)
+  Alcotest.(check int) "min payload" 100 (Heap.pop_into h buf);
+  Alcotest.(check (float 0.)) "min time" 0. buf.(0);
+  Alcotest.(check int) "length after a pop" 99 (Heap.length h);
+  Alcotest.(check int) "drained" 99 (List.length (heap_drain h));
+  Alcotest.(check bool) "empty after drain" true (Heap.is_empty h)
 
 let test_heap_no_stale_values () =
   (* An empty heap — including one grown from empty and drained — must
-     never expose a previously stored payload. *)
-  let h = Heap.create ~capacity:1 ~dummy:"dummy" () in
-  Alcotest.(check string) "fresh min_elt is dummy" "dummy" (Heap.min_elt h);
+     never expose a previously stored payload: its pop returns -1 and
+     leaves the buffer as it was. *)
+  let h = Heap.create () and buf = [| 0. |] in
+  buf.(0) <- 7.;
+  Alcotest.(check int) "fresh pop" (-1) (Heap.pop_into h buf);
+  Alcotest.(check (float 0.)) "fresh pop leaves the buffer" 7. buf.(0);
   for i = 1 to 200 do
-    Heap.add h ~time:(float_of_int i) (string_of_int i)
+    heap_add h buf ~time:(float_of_int i) i
   done;
-  for _ = 1 to 200 do
-    Heap.drop_min h
-  done;
-  Alcotest.(check string) "drained min_elt is dummy" "dummy" (Heap.min_elt h);
-  Alcotest.(check bool) "min_time empty = infinity" true (Heap.min_time h = infinity);
-  Heap.add h ~time:3. "live";
-  Heap.clear h;
-  Alcotest.(check string) "cleared min_elt is dummy" "dummy" (Heap.min_elt h)
-
-let test_heap_peek_then_drop () =
-  let h = Heap.create ~dummy:(-1) () in
-  Heap.add h ~time:2. 20;
-  Heap.add h ~time:1. 10;
-  Alcotest.(check bool) "min_time" true (Heap.min_time h = 1.);
-  Alcotest.(check int) "min_elt" 10 (Heap.min_elt h);
-  Heap.drop_min h;
-  Alcotest.(check int) "next min_elt" 20 (Heap.min_elt h);
-  Heap.drop_min h;
-  Heap.drop_min h;
-  (* dropping on empty is a no-op *)
-  Alcotest.(check int) "empty length" 0 (Heap.length h)
+  Alcotest.(check int) "200 popped" 200 (List.length (heap_drain h));
+  buf.(0) <- 7.;
+  Alcotest.(check int) "drained pop" (-1) (Heap.pop_into h buf);
+  Alcotest.(check (float 0.)) "drained pop leaves the buffer" 7. buf.(0)
 
 (* ---- Sim ---- *)
 
@@ -518,9 +509,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_heap_sorted;
           QCheck_alcotest.to_alcotest prop_heap_matches_model;
           Alcotest.test_case "FIFO ties" `Quick test_heap_fifo_ties;
-          Alcotest.test_case "length/clear" `Quick test_heap_length_and_clear;
+          Alcotest.test_case "length" `Quick test_heap_length;
           Alcotest.test_case "no stale values" `Quick test_heap_no_stale_values;
-          Alcotest.test_case "peek then drop" `Quick test_heap_peek_then_drop;
         ] );
       ( "sim",
         [

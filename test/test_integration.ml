@@ -6,6 +6,10 @@
 module Run = Experiments.Run
 module Dist = Engine.Dist
 
+(* The five simulated servers (both IX batchings excluded). *)
+let real_systems =
+  [ Run.Linux_partitioned; Run.Linux_floating; Run.Ix 1; Run.Zygos; Run.Zygos_no_interrupts ]
+
 let point ?(requests = 10_000) ?(conns = 2752) system ~service ~load =
   let cfg = Run.config ~system ~service ~requests ~conns () in
   Run.run_point cfg ~load
@@ -36,7 +40,7 @@ let test_matrix_invariants () =
                 true (p.Run.p50 >= floor))
             [ 0.3; 0.75 ])
         dists)
-    Run.all_real_systems
+    real_systems
 
 (* §3.4(a): IX converges to the partitioned-FCFS model as tasks grow. *)
 let test_ix_converges_to_partitioned_model () =

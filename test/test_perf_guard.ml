@@ -69,6 +69,38 @@ let test_fn_deep_minor_words () =
     Alcotest.failf "deep schedule_fn loop allocates %.2f minor words/event (want <= %g)"
       per_event fn_words_per_event_bound
 
+(* 64 self-rescheduling handlers spread inside one 1 µs tick (offsets
+   k/64 µs, delay 1 µs): every tick the wheel drains holds 64 events,
+   about the most any figure or perfbench run puts in one (67, on the
+   4-server rack). Sorting a drained tick must allocate nothing, whatever
+   its size: a heapsort fallback above 32 events that allocated its sift
+   closure per tick cost 0.125 words per event here. *)
+let full_tick_words_per_event_bound = 0.01
+
+let test_full_tick_minor_words () =
+  let sim = Sim.create () in
+  let clk = Sim.clock_buffer sim and kbuf = Sim.key_buffer sim in
+  let rec tick _ =
+    kbuf.(0) <- clk.(0) +. 1.0;
+    ignore (Sim.schedule_fn_keyed sim tick 0 : Sim.handle)
+  in
+  for k = 0 to 63 do
+    kbuf.(0) <- float_of_int k /. 64.;
+    ignore (Sim.schedule_fn_keyed sim tick 0 : Sim.handle)
+  done;
+  for _ = 1 to 6_400 do
+    ignore (Sim.step sim : bool)
+  done;
+  let events = 64_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to events do
+    ignore (Sim.step sim : bool)
+  done;
+  let per_event = (Gc.minor_words () -. w0) /. float_of_int events in
+  if per_event > full_tick_words_per_event_bound then
+    Alcotest.failf "64 events per tick allocate %.3f minor words/event (want <= %g)" per_event
+      full_tick_words_per_event_bound
+
 let test_pool_reuse_ratio () =
   let sim = Sim.create () in
   let clk = Sim.clock_buffer sim and kbuf = Sim.key_buffer sim in
@@ -473,6 +505,8 @@ let () =
             (test_fn_minor_words_per_event ~delay:0.3);
           Alcotest.test_case "deep schedule_fn minor words/event = 0" `Quick
             test_fn_deep_minor_words;
+          Alcotest.test_case "64 events per tick minor words/event = 0" `Quick
+            test_full_tick_minor_words;
           Alcotest.test_case "event-pool reuse ratio ~ 1" `Quick test_pool_reuse_ratio;
           Alcotest.test_case "zygos point reuse ratio >= 0.9" `Quick
             test_end_to_end_reuse_ratio;

@@ -46,7 +46,7 @@
    - R7 "float-boxing" (whole-program, see {!Graph}): a float crossing
      a call boundary between two compilation units inside the hot set
      is boxed by the calling convention; the flat float-array hand-off
-     (Sim.key_buffer / Heap.pop_into) is the sanctioned alternative.
+     (Sim.key_buffer / Wheel.pop_into) is the sanctioned alternative.
    - R8 "domain-escape": a value captured by a closure handed to the
      domain layer (Runtime.Pool.run, Experiments.Sweep.run,
      Domain.spawn) whose type transitively
