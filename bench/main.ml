@@ -1,22 +1,11 @@
-(* Benchmark harness for what perfbench does not run: per-operation
-   costs of the paper's application substrates (RSS, the shuffle queue,
-   Silo/TPC-C) and sequential-vs-pooled sweep execution. perfbench
+(* Per-operation costs of what perfbench does not time: the paper's
+   application substrates (RSS, the shuffle queue, Silo/TPC-C). perfbench
    (perfbench/run.py) times the simulator end to end and per layer; the
    paper's figures and tables run through the [zygos] CLI.
 
    Usage:
-     dune exec bench/main.exe                       -- micro and sweep
-     dune exec bench/main.exe -- micro              -- selected targets
-     dune exec bench/main.exe -- sweep -j 4         -- pooled side on 4 domains
+     dune exec bench/main.exe                       -- full batches
      dune exec bench/main.exe -- --scale 0.05       -- quicker pass *)
-
-(* File-wide suppressions: the sweep bench compares its
-   sequential and pooled results with polymorphic equality (the parity
-   assertion, off any hot path), and the fig6 slice's service
-   distribution is shared read-only by every point the pool runs. *)
-[@@@zygos.allow "poly-compare domain-escape"]
-
-(* ---- micro: per-operation cost of what no other harness times ---- *)
 
 let batches = 11
 
@@ -80,7 +69,7 @@ let micro_rows () =
     ignore (Silo.Btree.remove btree key : int option)
   in
   let tpcc = Silo.Tpcc.load () in
-  let worker = Silo.Db.worker (Silo.Tpcc.db tpcc) in
+  let worker = Silo.Db.worker () in
   let tpcc_rng = Engine.Rng.create ~seed:5 in
   let tpcc_op kind () =
     ignore (Silo.Tpcc.execute tpcc worker tpcc_rng kind : Silo.Tpcc.outcome)
@@ -96,7 +85,7 @@ let micro_rows () =
     ("silo: TPC-C NewOrder transaction", 2_000, tpcc_op Silo.Tpcc.New_order);
   ]
 
-let micro ~jobs:_ ~scale =
+let micro ~scale =
   let rows =
     List.map
       (fun (name, ops, f) ->
@@ -110,125 +99,20 @@ let micro ~jobs:_ ~scale =
       Table { columns = [ "operation"; "median ns/op"; "IQR" ]; rows };
     ]
 
-(* ---- sweep: sequential vs pooled wall clock on a fig6 slice ---- *)
-
-let sweep_bench ~jobs ~scale =
-  let module Run = Experiments.Run in
-  let module Sweep = Experiments.Sweep in
-  (* A representative Figure 6 slice: the exp/10µs panel, 5 systems x 9
-     loads = 45 mutually independent points. *)
-  let service = Engine.Dist.exponential 10. in
-  let systems =
-    [ Run.Model_central_fcfs; Run.Linux_floating; Run.Ix 1; Run.Zygos; Run.Zygos_no_interrupts ]
-  in
-  let loads = [ 0.2; 0.35; 0.5; 0.6; 0.7; 0.8; 0.85; 0.9; 0.95 ] in
-  let points =
-    List.concat_map
-      (fun system ->
-        List.map
-          (fun load ->
-            Sweep.point
-              ~key:(Printf.sprintf "bench-sweep/%s/%g" (Run.system_name system) load)
-              (fun ~seed ->
-                let cfg =
-                  Run.config ~system ~service ~cores:16
-                    ~requests:(max 4_000 (int_of_float (25_000. *. scale)))
-                    ~seed ()
-                in
-                let p = Run.run_point cfg ~load in
-                (p.Run.throughput, p.Run.p99)))
-          loads)
-      systems
-  in
-  let workers = if jobs > 1 then jobs else Domain.recommended_domain_count () in
-  let timed jobs =
-    let t0 = Unix.gettimeofday () in
-    let results = Sweep.run ~jobs ~seed:42 points in
-    (results, Unix.gettimeofday () -. t0)
-  in
-  let seq, seq_wall = timed 1 in
-  let par, par_wall = timed workers in
-  if seq <> par then failwith "sweep bench: pooled results differ from sequential";
-  let speedup = if par_wall > 0. then seq_wall /. par_wall else 1. in
-  let int n = Experiments.Output.Num (Int, float_of_int n) in
-  Experiments.Output.
-    [
-      Header "Sweep runner: sequential vs pooled execution (fig6 slice: exp, S = 10us)";
-      Table
-        {
-          columns = [ "metric"; "value" ];
-          rows =
-            [
-              [ Text "points"; int (List.length points) ];
-              [ Text "workers"; int workers ];
-              [ Text "sequential wall (s)"; Num (F2, seq_wall) ];
-              [ Text "pooled wall (s)"; Num (F2, par_wall) ];
-              [ Text "speedup"; Text (Printf.sprintf "%.2fx" speedup) ];
-              [ Text "output parity"; Text "byte-identical" ];
-            ];
-        };
-    ]
-
-(* ---- target registry and entry point ---- *)
-
-let targets = [ ("micro", micro); ("sweep", sweep_bench) ]
-
-let fail fmt =
-  Printf.ksprintf
-    (fun msg ->
-      Printf.eprintf "bench: %s\n" msg;
-      exit 2)
-    fmt
-
-let usage () =
-  Printf.printf
-    "usage: bench/main.exe [TARGET...] [-j N] [--scale S]\n\
-     \  TARGET     one of: %s (default: all)\n\
-     \  -j N       pooled side of sweep on N domains (default 1: one per core)\n\
-     \  --scale S  work multiplier (default 1.0)\n"
-    (String.concat " " (List.map fst targets));
-  exit 0
-
-let positive_int flag v =
-  match int_of_string_opt v with
-  | Some j when j >= 1 -> j
-  | _ -> fail "%s expects a positive integer, got %S" flag v
-
-(* The target-mode forms of the zygos CLI: -j N, --jobs N, -jN, --scale S. *)
-let rec parse ~jobs ~scale names = function
-  | [] -> (jobs, scale, List.rev names)
-  | ("-h" | "--help") :: _ -> usage ()
-  | (("-j" | "--jobs") as flag) :: v :: rest -> parse ~jobs:(positive_int flag v) ~scale names rest
-  | "--scale" :: v :: rest -> (
-      match float_of_string_opt v with
-      | Some s when s > 0. -> parse ~jobs ~scale:s names rest
-      | _ -> fail "--scale expects a positive number, got %S" v)
-  | [ (("-j" | "--jobs" | "--scale") as flag) ] -> fail "%s expects a value" flag
-  | a :: rest when String.length a > 2 && String.sub a 0 2 = "-j" ->
-      parse ~jobs:(positive_int "-j" (String.sub a 2 (String.length a - 2))) ~scale names rest
-  | a :: _ when String.length a > 0 && a.[0] = '-' -> fail "unknown option %S" a
-  | a :: rest -> parse ~jobs ~scale (a :: names) rest
-
 let () =
-  let jobs, scale, names = parse ~jobs:1 ~scale:1.0 [] (List.tl (Array.to_list Sys.argv)) in
-  let find name = List.find_opt (fun (n, _) -> String.equal n name) targets in
-  let selected =
-    match names with
-    | [] | [ "all" ] -> targets
-    | names ->
-        List.map
-          (fun name ->
-            match find name with
-            | Some t -> t
-            | None ->
-                fail "unknown target %S; available: %s" name
-                  (String.concat ", " (List.map fst targets)))
-          names
+  let scale =
+    match List.tl (Array.to_list Sys.argv) with
+    | [] -> Some 1.0
+    | [ "--scale"; v ] ->
+        Option.bind (float_of_string_opt v) (fun s -> if s > 0. then Some s else None)
+    | _ -> None
   in
-  Printf.printf "ZygOS reproduction benchmarks (scale=%g, jobs=%d)\n" scale jobs;
-  List.iter
-    (fun (name, run) ->
+  match scale with
+  | None ->
+      prerr_endline "usage: bench/main.exe [--scale S]  (S > 0, default 1.0)";
+      exit 2
+  | Some scale ->
+      Printf.printf "ZygOS reproduction benchmarks (scale=%g)\n" scale;
       let t0 = Unix.gettimeofday () in
-      print_string (Experiments.Output.render (run ~jobs ~scale));
-      Printf.printf "\n[%s done in %.1fs]\n%!" name (Unix.gettimeofday () -. t0))
-    selected
+      print_string (Experiments.Output.render (micro ~scale));
+      Printf.printf "\n[micro done in %.1fs]\n%!" (Unix.gettimeofday () -. t0)

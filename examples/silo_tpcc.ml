@@ -8,7 +8,7 @@ let () =
   let n = 30_000 in
   Printf.printf "loading TPC-C (1 warehouse, small profile)...\n%!";
   let tpcc = Silo.Tpcc.load () in
-  let worker = Silo.Db.worker (Silo.Tpcc.db tpcc) in
+  let worker = Silo.Db.worker () in
   let rng = Engine.Rng.create ~seed:2024 in
   let per_type = Hashtbl.create 8 in
   let tally_for tx =

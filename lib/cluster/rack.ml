@@ -31,29 +31,28 @@ let init_ordered n f =
   let rec go i acc = if i = n then List.rev acc else go (i + 1) (f i :: acc) in
   go 0 []
 
-(* Sum per-server info lists key-wise, preserving the key order of the
-   first list (all servers run the same system model, so the key sets
-   match; unseen keys are appended in encounter order). *)
-let sum_infos infos =
-  match infos with
+(* Sum per-server info lists key-wise, in server order. Every server runs
+   one system model, so every list has the same keys in the same order.
+   A ratio does not sum: [steal_fraction] is recomputed from the summed
+   event counts (0 when both are 0, as [Sched.steal_fraction]), and
+   [preemptions_per_request], whose denominator no server reports, is
+   left out. *)
+let sum_infos = function
   | [] -> []
-  | first :: _ ->
-      let tbl = Hashtbl.create 32 in
-      let extra = ref [] in
-      List.iter
-        (fun info ->
-          List.iter
-            (fun (k, v) ->
-              match Hashtbl.find_opt tbl k with
-              | Some acc -> Hashtbl.replace tbl k (acc +. v)
-              | None ->
-                  Hashtbl.replace tbl k v;
-                  if not (List.exists (fun (k0, _) -> String.equal k0 k) first) then
-                    extra := k :: !extra)
-            info)
-        infos;
-      List.map (fun (k, _) -> (k, Hashtbl.find tbl k)) first
-      @ List.rev_map (fun k -> (k, Hashtbl.find tbl k)) !extra
+  | first :: rest ->
+      let sums = List.fold_left (List.map2 (fun (k, acc) (_, v) -> (k, acc +. v))) first rest in
+      let sum key =
+        List.fold_left (fun acc (k, v) -> if String.equal k key then v else acc) 0. sums
+      in
+      let local = sum "local_events" and stolen = sum "stolen_events" in
+      List.filter_map
+        (fun (k, v) ->
+          match k with
+          | "steal_fraction" ->
+              Some (k, if local +. stolen = 0. then 0. else stolen /. (local +. stolen))
+          | "preemptions_per_request" -> None
+          | _ -> Some (k, v))
+        sums
 
 let create sim cfg ~rng ~pool ~make_server ~respond =
   let n = cfg.servers in
@@ -107,15 +106,7 @@ let create sim cfg ~rng ~pool ~make_server ~respond =
     @ sum_infos
         (Array.to_list (Array.map (fun s -> s.Systems.Iface.info ()) server_ifaces))
   in
-  let iface =
-    Systems.Iface.
-      {
-        name = Printf.sprintf "rack%d-%s" n (Policy.name cfg.policy);
-        submit = (fun req -> Dispatch.submit dispatch req);
-        info;
-      }
-  in
-  { iface; dispatch }
+  { iface = { Systems.Iface.submit = (fun req -> Dispatch.submit dispatch req); info }; dispatch }
 
 let iface t = t.iface
 

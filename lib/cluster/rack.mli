@@ -68,6 +68,8 @@ val iface : t -> Systems.Iface.t
 (** The rack as a single server: [submit] dispatches, [info] merges the
     dispatcher's counters, rack-level loss counters ([rack_servers],
     [rack_lost_requests], [rack_lost_responses]) and the key-wise sum of
-    all per-server system counters. *)
+    all per-server system counters, except two ratios: [steal_fraction]
+    is the rack's (summed stolen events over summed local plus stolen
+    events), and [preemptions_per_request] is left out. *)
 
 val dispatch : t -> Dispatch.t

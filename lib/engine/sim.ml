@@ -144,10 +144,6 @@ let[@zygos.hot] cancel t h =
     t.n_cancelled <- t.n_cancelled + 1
   end
 
-let pending t = Wheel.length t.queue
-
-let live t = t.n_scheduled - t.n_fired - t.n_cancelled
-
 (* Fire the event behind [h] (whose time the pop left in [t.tbuf]), or
    skip it if its generation is stale (cancelled); returns whether a
    handler actually ran. The clock only advances on an actual fire, and

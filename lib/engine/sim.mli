@@ -76,15 +76,6 @@ val cancel : t -> handle -> unit
 (** Prevent a pending event from firing. Cancelling a fired or already
     cancelled event is a no-op. *)
 
-val pending : t -> int
-(** Number of events still queued, {e including} cancelled ones not yet
-    skipped by {!step}. Use {!live} for the exact outstanding count. *)
-
-val live : t -> int
-(** Number of events scheduled but not yet fired or cancelled — the
-    exact queue depth, unlike {!pending} which also counts lazily
-    cancelled entries still sitting in the queue. O(1). *)
-
 val step : t -> bool
 (** Execute the next event, advancing the clock. Returns [false] when the
     queue is empty. *)

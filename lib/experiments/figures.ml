@@ -307,7 +307,7 @@ let[@zygos.allow "determinism"] run_silo ~scale =
   | Some (s, run) when s >= scale -> run
   | _ ->
       let tpcc = Silo.Tpcc.load () in
-      let worker = Silo.Db.worker (Silo.Tpcc.db tpcc) in
+      let worker = Silo.Db.worker () in
       let rng = Engine.Rng.create ~seed:1234 in
       let n = requests ~scale 30_000 in
       let all = Stats.Tally.create () in
@@ -605,7 +605,7 @@ let ext_rebalance ~scale =
     Pending
       ( [ "system"; "load"; "p99(us)"; "tput(MRPS)"; "slot moves"; "order violations" ],
         grid ~key:"ext-rebalance" ~name:Run.system_name
-          [ Run.Ix 1; Run.Ix_rebalanced 200.; Run.Zygos ]
+          [ Run.Ix 1; Run.Ix_rebalanced; Run.Zygos ]
           [ 0.3; 0.5; 0.65; 0.8 ]
           (fun system load ~seed ->
             let p = Run.run_point (cfg ~scale ~selection ~seed system service) ~load in
@@ -693,7 +693,7 @@ let chaos ~scale =
   let storm (_, shed) load ~seed =
     let retry = Net.Loadgen.retry ~timeout:200. ~max_retries:4 () in
     let cfg =
-      Run.config ~system:(Run.Ix 1) ~service ~cores ~requests:req ~retry ~slo ~shed ~seed ()
+      Run.config ~system:(Run.Ix 1) ~service ~cores ~requests:req ~retry ~slo ?shed ~seed ()
     in
     let p = Run.run_point cfg ~load in
     [ num F3 p.goodput; num F3 p.throughput; num F1 p.p99; num Int (info p "shed") ]
@@ -730,8 +730,8 @@ let chaos ~scale =
       ( [ "policy"; "load"; "goodput(MRPS)"; "tput(MRPS)"; "p99(us)"; "shed" ],
         grid ~key:"chaos/storm" ~name:fst
           [
-            ("no-shed", Systems.Overload.No_shed);
-            ("queue-len", Systems.Overload.Queue_length (8 * cores));
+            ("no-shed", None);
+            ("queue-len", Some (8 * cores));
           ]
           [ 0.8; 0.95; 1.1; 1.3 ] storm );
   ]

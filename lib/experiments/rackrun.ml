@@ -25,7 +25,7 @@ let config ?(servers = 4) ?(system = Run.Zygos) ?(cores = 16) ?(conns = 2752)
     ?hedge ?(failplan = Cluster.Failplan.none) ?retry ?(slo = infinity) ~policy ~service
     () =
   (match system with
-  | Run.Model_central_fcfs | Run.Model_partitioned_fcfs | Run.Ix_rebalanced _ ->
+  | Run.Model_central_fcfs | Run.Model_partitioned_fcfs | Run.Ix_rebalanced ->
       invalid_arg "Rackrun: rack servers must be real single-ingress systems"
   | Run.Linux_partitioned | Run.Linux_floating | Run.Ix _ | Run.Zygos
   | Run.Zygos_no_interrupts | Run.Zygos_round_robin | Run.Preemptive _

@@ -11,7 +11,7 @@ type system_kind =
   | Zygos_round_robin
   | Preemptive of float
   | Preemptive_consolidated of float
-  | Ix_rebalanced of float
+  | Ix_rebalanced
   | Model_central_fcfs
   | Model_partitioned_fcfs
 
@@ -25,7 +25,7 @@ let system_name = function
   | Zygos_round_robin -> "zygos-rr"
   | Preemptive q -> Printf.sprintf "preempt-q%g" q
   | Preemptive_consolidated q -> Printf.sprintf "preempt-q%g-consolidated" q
-  | Ix_rebalanced _ -> "ix-rebalanced"
+  | Ix_rebalanced -> "ix-rebalanced"
   | Model_central_fcfs -> "M/G/n/FCFS"
   | Model_partitioned_fcfs -> "nxM/G/1/FCFS"
 
@@ -35,7 +35,7 @@ let system_name = function
 let system_of_name s =
   let fixed =
     [ Linux_partitioned; Linux_floating; Ix 1; Zygos; Zygos_no_interrupts; Zygos_round_robin;
-      Ix_rebalanced 200.; Model_central_fcfs; Model_partitioned_fcfs ]
+      Ix_rebalanced; Model_central_fcfs; Model_partitioned_fcfs ]
   in
   (* the part of [s] between [prefix] and [suffix], parsed *)
   let between ~prefix ~suffix of_string =
@@ -70,16 +70,16 @@ type config = {
   stragglers : Core.Corefault.spec list;
   retry : Net.Loadgen.retry option;
   slo : float;
-  shed : Systems.Overload.policy;
+  shed : int option;
 }
 
 let config ?(cores = 16) ?(conns = 2752) ?(requests = 30_000) ?(seed = 42) ?(rpc_packets = 1)
-    ?(selection = Net.Loadgen.Uniform) ?faults ?(stragglers = []) ?retry ?(slo = infinity)
-    ?(shed = Systems.Overload.No_shed) ~system ~service () =
+    ?(selection = Net.Loadgen.Uniform) ?faults ?(stragglers = []) ?retry ?(slo = infinity) ?shed
+    ~system ~service () =
   Option.iter Net.Faults.validate_plan faults;
   List.iter Core.Corefault.validate_spec stragglers;
   Option.iter Net.Loadgen.validate_retry retry;
-  Systems.Overload.validate_policy shed;
+  Option.iter Systems.Overload.validate_bound shed;
   {
     system;
     cores;
@@ -171,23 +171,7 @@ let make_system kind sim ~cores ~rpc_packets ~stragglers ~rng ~pool ~conns ~resp
   | Preemptive quantum -> Systems.Preemptive.create sim params ~quantum ~pool ~conns ~respond ()
   | Preemptive_consolidated quantum ->
       Systems.Preemptive.create sim params ~quantum ~pool ~conns ~respond ~consolidate:true ()
-  | Ix_rebalanced window ->
-      let rss = Net.Rss.create ~queues:cores () in
-      let iface, read_counts =
-        Systems.Ix.create_with_rss sim params ~pool ~rss ~conns ~respond
-      in
-      let stats = Systems.Rebalance.attach sim ~rss ~queues:cores ~read_counts ~window () in
-      {
-        iface with
-        Systems.Iface.name = "ix-rebalanced";
-        info =
-          (fun () ->
-            iface.Systems.Iface.info ()
-            @ [
-                ("rebalance_moves", float_of_int stats.Systems.Rebalance.moves);
-                ("rebalance_windows", float_of_int stats.Systems.Rebalance.windows);
-              ]);
-      }
+  | Ix_rebalanced -> Systems.Ix.rebalanced sim params ~pool ~conns ~respond
   | Model_central_fcfs | Model_partitioned_fcfs ->
       invalid_arg "Run.make_system: a queueing model has no simulated server"
 
@@ -218,12 +202,12 @@ let run_real_point cfg ~load =
       ~service:cfg.service ~selection:cfg.selection ~slo:cfg.slo ?retry:cfg.retry ()
   in
   (* Admission control sits between the (possibly lossy) network and the
-     server; built only when a shedding policy is configured so the
+     server; built only when an in-flight bound is configured so the
      default path is untouched. *)
   let guard =
     match cfg.shed with
-    | Systems.Overload.No_shed -> None
-    | policy -> Some (Systems.Overload.create sim ~pool:rpool ~policy ())
+    | None -> None
+    | Some bound -> Some (Systems.Overload.create ~pool:rpool ~bound)
   in
   let respond =
     match guard with

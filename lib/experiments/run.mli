@@ -24,9 +24,10 @@ type system_kind =
       (** [Preemptive] with consolidation's core parking
           ({!Systems.Preemptive.create}'s [consolidate]; the
           [ext-consolidate] extension) *)
-  | Ix_rebalanced of float
-      (** IX with an RSS-reprogramming control plane, window in µs — the
-          §5 "control plane interactions" extension *)
+  | Ix_rebalanced
+      (** IX with an RSS-reprogramming control plane
+          ({!Systems.Ix.rebalanced}) — the §5 "control plane
+          interactions" extension *)
   | Model_central_fcfs  (** zero-overhead M/G/n/FCFS bound *)
   | Model_partitioned_fcfs  (** zero-overhead n×M/G/1/FCFS bound *)
 
@@ -36,9 +37,8 @@ val system_name : system_kind -> string
 
 val system_of_name : string -> system_kind option
 (** The inverse of {!system_name}: [system_of_name (system_name k) = Some k]
-    for every kind except [Ix_rebalanced w], whose name omits the window;
-    ["ix-rebalanced"] parses to [Ix_rebalanced 200.]. A name that
-    {!system_name} never prints (["linux"], ["ix-b1"]) gives [None]. *)
+    for every kind. A name that {!system_name} never prints (["linux"],
+    ["ix-b1"]) gives [None]. *)
 
 type config = {
   system : system_kind;
@@ -53,7 +53,9 @@ type config = {
   stragglers : Core.Corefault.spec list;  (** straggler windows (default none) *)
   retry : Net.Loadgen.retry option;  (** client retry policy (default none) *)
   slo : float;  (** goodput SLO in µs (default [infinity]) *)
-  shed : Systems.Overload.policy;  (** admission control (default [No_shed]) *)
+  shed : int option;
+      (** admission control: the in-flight bound of a
+          {!Systems.Overload} guard (default none: no guard) *)
 }
 
 val config :
@@ -67,7 +69,7 @@ val config :
   ?stragglers:Core.Corefault.spec list ->
   ?retry:Net.Loadgen.retry ->
   ?slo:float ->
-  ?shed:Systems.Overload.policy ->
+  ?shed:int ->
   system:system_kind ->
   service:Engine.Dist.t ->
   unit ->

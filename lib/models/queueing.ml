@@ -16,7 +16,6 @@ let name spec =
 type result = {
   latencies : Stats.Tally.t;
   throughput : float;
-  offered_load : float;
 }
 
 (* ---- FCFS: exact recursions ----
@@ -210,4 +209,4 @@ let simulate spec ~service ~load ~requests ~seed =
     if Float.is_nan span || span <= 0. then 0.
     else float_of_int (Stats.Tally.count latencies) /. span
   in
-  { latencies; throughput; offered_load = load }
+  { latencies; throughput }

@@ -36,7 +36,6 @@ val name : spec -> string
 type result = {
   latencies : Stats.Tally.t;  (** sojourn times of measured jobs *)
   throughput : float;  (** measured completions per unit time *)
-  offered_load : float;  (** the requested λ·S̄/n *)
 }
 
 val simulate :

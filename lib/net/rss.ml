@@ -3,7 +3,7 @@
 let default_key =
   "\x6d\x5a\x56\xda\x25\x5b\x0e\xc2\x41\x67\x25\x3d\x43\xa3\x8f\xb0\xd0\xca\x2b\xcb\xae\x7b\x30\xb4\x77\xcb\x2d\xa3\x80\x30\xf2\x0c\x6a\x42\xb7\x3b\xbe\xac\x01\xfa"
 
-let indirection_entries = 128
+let slots = 128
 
 (* The 4-tuple input is fixed at 12 bytes (IPv4 src/dst ip + ports), so
    the hash of an input is the XOR of 12 independent per-byte
@@ -60,7 +60,7 @@ let lut = build_lut default_key
 
 let create ~queues () =
   if queues < 1 then invalid_arg "Rss.create: queues < 1";
-  { table = Array.init indirection_entries (fun i -> i mod queues); nqueues = queues }
+  { table = Array.init slots (fun i -> i mod queues); nqueues = queues }
 
 let toeplitz ~key input =
   let hash = ref 0l in
@@ -101,26 +101,24 @@ let[@zygos.hot] hash12 si di src_port dst_port =
   let h = h lxor lut.((11 * 256) + (dst_port land 0xff)) in
   h
 
-let hash_of_tuple _t ~src_ip ~dst_ip ~src_port ~dst_port =
+let hash_of_tuple ~src_ip ~dst_ip ~src_port ~dst_port =
   hash12
     (Int32.to_int src_ip land 0xffffffff)
     (Int32.to_int dst_ip land 0xffffffff)
     src_port dst_port
 
-let[@zygos.hot] slot_of_conn _t c =
+let[@zygos.hot] slot_of_conn c =
   if c < 0 then invalid_arg "Rss.slot_of_conn: negative conn";
   (* The synthetic 4-tuple documented at [queue_of_conn], in plain ints:
      10.0.(c/250).(c mod 250 + 1) : 1024+c -> 10.0.0.1 : 8000. *)
   let si = 0x0A000000 lor (((c / 250) lsl 8) lor ((c mod 250) + 1)) in
   hash12 si 0x0A000001 (1024 + c) 8000 land 0x7f
 
-let[@zygos.hot] queue_of_conn t c = t.table.(slot_of_conn t c)
-
-let slots _t = indirection_entries
+let[@zygos.hot] queue_of_conn t c = t.table.(slot_of_conn c)
 
 let queue_of_slot t slot = t.table.(slot)
 
 let set_slot t ~slot ~queue =
-  if slot < 0 || slot >= indirection_entries then invalid_arg "Rss.set_slot: slot out of range";
+  if slot < 0 || slot >= slots then invalid_arg "Rss.set_slot: slot out of range";
   if queue < 0 || queue >= t.nqueues then invalid_arg "Rss.set_slot: queue out of range";
   t.table.(slot) <- queue

@@ -29,11 +29,11 @@ val toeplitz : key:string -> bytes -> int32
     reference implementation; exposed for tests against published test
     vectors and as the oracle for the precomputed fast path. *)
 
-val hash_of_tuple : t -> src_ip:int32 -> dst_ip:int32 -> src_port:int -> dst_port:int -> int
+val hash_of_tuple : src_ip:int32 -> dst_ip:int32 -> src_port:int -> dst_port:int -> int
 (** The Toeplitz hash of a 4-tuple via {!default_key}'s 12×256 per-byte
     lookup table (12 table XORs, no per-bit key-window rebuilds). The
     table is built once, when the module initialises, and shared
-    read-only by every {!t}. The 32-bit result is returned as a
+    read-only by every engine. The 32-bit result is returned as a
     non-negative int; bitwise-equal to {!toeplitz} over the same 12
     bytes (qcheck-enforced). *)
 
@@ -50,10 +50,10 @@ val queue_of_conn : t -> int -> int
     this); the hash of a connection never changes, only the slot→queue
     mapping. *)
 
-val slots : t -> int
+val slots : int
 (** Indirection table size (128, as on the paper's NICs). *)
 
-val slot_of_conn : t -> int -> int
+val slot_of_conn : int -> int
 (** The table slot a connection hashes to (stable across remapping —
     remapping rewrites slot→queue, never the hash). Each call hashes:
     12 table loads and XORs. *)

@@ -7,8 +7,7 @@ type t
 
 type worker
 (** Per-worker transaction state: the last TID this worker committed (the
-    commit protocol's TID assignment rule (c)) and abort/commit
-    counters. *)
+    commit protocol's TID assignment rule (c)) and an abort counter. *)
 
 val create : unit -> t
 
@@ -20,18 +19,12 @@ val add_table : t -> string -> table
 val find_table : t -> string -> table
 (** Raises [Not_found]. *)
 
-val tables : t -> table list
-
-val worker : t -> worker
+val worker : unit -> worker
 
 val last_tid : worker -> Tid.t
 
 val set_last_tid : worker -> Tid.t -> unit
 
-val note_commit : worker -> unit
-
 val note_abort : worker -> unit
-
-val commits : worker -> int
 
 val aborts : worker -> int

@@ -8,8 +8,6 @@ let create_committed data ~tid =
 
 let tid t = Atomic.get t.meta
 
-let columns t = Array.length t.data
-
 let rec stable_read t =
   let before = Atomic.get t.meta in
   if Tid.is_locked before then begin

@@ -19,8 +19,6 @@ val create_committed : string array -> tid:Tid.t -> t
 val tid : t -> Tid.t
 (** Current TID word (may have status bits set). *)
 
-val columns : t -> int
-
 val stable_read : t -> Tid.t * string array
 (** Consistent (tid, data) snapshot; spins across concurrent writers. The
     returned array is the internal one — treat as read-only. *)

@@ -211,7 +211,6 @@ let commit t =
           t.writes;
         release_trees ();
         Db.set_last_tid t.worker tid;
-        Db.note_commit t.worker;
         Epoch.on_commit (Db.epoch t.db);
         Ok tid
   end

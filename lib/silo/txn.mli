@@ -63,4 +63,4 @@ type 'a outcome = Committed of 'a * Tid.t | Rolled_back | Conflict_exhausted
 val run : Db.t -> Db.worker -> (t -> 'a) -> 'a outcome
 (** Execute [f] with automatic retry on conflicts, up to 64 attempts
     before [Conflict_exhausted]. {!Rollback} from [f] aborts cleanly and yields [Rolled_back].
-    Commit/abort counters are recorded on the worker. *)
+    Aborts are counted on the worker. *)

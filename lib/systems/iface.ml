@@ -1,5 +1,4 @@
 type t = {
-  name : string;
   submit : Net.Request.t -> unit;
   info : unit -> (string * float) list;
 }

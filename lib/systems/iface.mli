@@ -2,7 +2,6 @@
     searches (lib/experiments) can treat Linux/IX/ZygOS interchangeably. *)
 
 type t = {
-  name : string;
   submit : Net.Request.t -> unit;
       (** deliver one request at the server NIC (called by the load
           generator at arrival time) *)

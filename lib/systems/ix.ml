@@ -101,7 +101,7 @@ let make sim (p : Params.t) ~pool ~route ~note ~respond =
     let drops = Array.fold_left (fun acc c -> acc + Net.Ring.drops c.ring) 0 cores in
     [ ("ring_drops", float_of_int drops) ]
   in
-  { Iface.name = (if p.ix_batch = 1 then "ix" else Printf.sprintf "ix-b%d" p.ix_batch); submit; info }
+  { Iface.submit; info }
 
 let create sim (p : Params.t) ~pool ~conns ~respond =
   let rss = Net.Rss.create ~queues:p.cores () in
@@ -110,18 +110,82 @@ let create sim (p : Params.t) ~pool ~conns ~respond =
     ~route:(fun [@zygos.hot] req -> home.(Request.conn pool req))
     ~note:(fun _ -> ()) ~respond
 
-let create_with_rss sim (p : Params.t) ~pool ~rss ~conns ~respond =
-  let slot = Array.init conns (fun c -> Net.Rss.slot_of_conn rss c) in
-  let counts = Array.make (Net.Rss.slots rss) 0 in
-  let route req = Net.Rss.queue_of_slot rss slot.(Request.conn pool req) in
+(* The control plane's period (µs) and the hottest-to-coldest traffic
+   ratio above which a slot moves. *)
+let rebalance_window = 200.
+
+let imbalance_threshold = 1.3
+
+let rebalanced sim (p : Params.t) ~pool ~conns ~respond =
+  let rss = Net.Rss.create ~queues:p.cores () in
+  let conn_slot = Array.init conns Net.Rss.slot_of_conn in
+  (* packets per indirection slot since the last window *)
+  let counts = Array.make Net.Rss.slots 0 in
+  let route req = Net.Rss.queue_of_slot rss conn_slot.(Request.conn pool req) in
   let note req =
-    let s = slot.(Request.conn pool req) in
+    let s = conn_slot.(Request.conn pool req) in
     counts.(s) <- counts.(s) + 1
   in
   let iface = make sim p ~pool ~route ~note ~respond in
-  let read_and_reset () =
-    let snapshot = Array.copy counts in
+  let windows = ref 0 and moves = ref 0 and idle_windows = ref 0 in
+  let rec tick (_ : int) =
+    incr windows;
+    let total = Array.fold_left ( + ) 0 counts in
+    if total = 0 then incr idle_windows
+    else begin
+      idle_windows := 0;
+      (* Aggregate slot counts into per-core load under the current
+         mapping. *)
+      let per_queue = Array.make p.cores 0 in
+      Array.iteri
+        (fun slot n ->
+          let q = Net.Rss.queue_of_slot rss slot in
+          per_queue.(q) <- per_queue.(q) + n)
+        counts;
+      let hottest = ref 0 and coldest = ref 0 in
+      Array.iteri
+        (fun q n ->
+          if n > per_queue.(!hottest) then hottest := q;
+          if n < per_queue.(!coldest) then coldest := q)
+        per_queue;
+      let hot = float_of_int per_queue.(!hottest) in
+      let cold = float_of_int (max 1 per_queue.(!coldest)) in
+      if !hottest <> !coldest && hot > imbalance_threshold *. cold then begin
+        (* Move the busiest slot of the hottest core, but never a slot
+           so busy that moving it would just swap the imbalance. *)
+        let surplus = (hot -. cold) /. 2. in
+        let best = ref (-1) and best_count = ref 0 in
+        Array.iteri
+          (fun slot n ->
+            if
+              Net.Rss.queue_of_slot rss slot = !hottest
+              && n > !best_count
+              && float_of_int n <= surplus
+            then begin
+              best := slot;
+              best_count := n
+            end)
+          counts;
+        if !best >= 0 then begin
+          Net.Rss.set_slot rss ~slot:!best ~queue:!coldest;
+          incr moves
+        end
+      end
+    end;
     Array.fill counts 0 (Array.length counts) 0;
-    snapshot
+    (* Re-arm while traffic flows; stop after two quiet windows so the
+       simulation can drain and terminate. *)
+    if !idle_windows < 2 then arm ()
+  and arm () =
+    (Sim.key_buffer sim).(0) <- Sim.now sim +. rebalance_window;
+    ignore (Sim.schedule_fn_keyed sim tick 0 : Sim.handle)
   in
-  (iface, read_and_reset)
+  arm ();
+  let info () =
+    iface.Iface.info ()
+    @ [
+        ("rebalance_moves", float_of_int !moves);
+        ("rebalance_windows", float_of_int !windows);
+      ]
+  in
+  { iface with Iface.info }

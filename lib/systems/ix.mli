@@ -19,16 +19,30 @@ val create :
   respond:(Net.Request.t -> unit) ->
   Iface.t
 
-val create_with_rss :
+val rebalanced :
   Engine.Sim.t ->
   Params.t ->
   pool:Net.Request.pool ->
-  rss:Net.Rss.t ->
   conns:int ->
   respond:(Net.Request.t -> unit) ->
-  Iface.t * (unit -> int array)
-(** Like {!create}, but the connection→core mapping goes through the given
-    RSS engine's {e live} indirection table on every packet, so a control
-    plane ({!Rebalance}) can re-program it mid-run. The second result
-    reads and resets the per-slot arrival counters the controller uses to
-    find hot slots. *)
+  Iface.t
+(** {!create} with IX's control plane (§5 "Control plane interactions"),
+    which fights {e persistent} imbalance by re-programming the NIC's RSS
+    indirection table; the paper leaves its evaluation with ZygOS to
+    future work. Every packet is routed through the live table. Every
+    200 µs the controller reads and zeroes the per-slot packet counts,
+    and when the hottest core received more than 1.3 times the coldest
+    core's packets, it moves the busiest slot of the hottest core (one
+    that carried at most half the difference) to the coldest core. It
+    stops after two windows with no traffic, so simulations terminate.
+    [info] adds [rebalance_moves] and [rebalance_windows] to {!create}'s
+    [ring_drops].
+
+    Two caveats the [ext-rebalance] target surfaces:
+
+    - re-programming helps only persistent skew; Poisson burst imbalance
+      moves faster than any windowed controller (§2.3);
+    - naive slot re-programming can reorder back-to-back requests of a
+      connection that is in flight during the move (the reason IX
+      migrates flow-groups with a careful protocol). The load generator
+      counts these as order violations. *)

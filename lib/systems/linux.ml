@@ -72,12 +72,9 @@ let partitioned sim (p : Params.t) ~pool ~conns ~respond =
       end
   in
   let info () =
-    [
-      ("backlog", float_of_int (Array.fold_left (fun acc c -> acc + Net.Ring.length c.ring) 0 cores));
-      ("ring_drops", float_of_int (Array.fold_left (fun acc c -> acc + Net.Ring.drops c.ring) 0 cores));
-    ]
+    [ ("ring_drops", float_of_int (Array.fold_left (fun acc c -> acc + Net.Ring.drops c.ring) 0 cores)) ]
   in
-  { Iface.name = "linux-partitioned"; submit; info }
+  { Iface.submit; info }
 
 (* ---- Floating: one shared pool, any thread serves any connection ----
 
@@ -198,10 +195,5 @@ let floating sim (p : Params.t) ~pool ~conns ~respond =
       end
     end
   in
-  let info () =
-    [
-      ("backlog", float_of_int (Intq.length st.ready + Intq.length st.dispatch_queue));
-      ("ring_drops", float_of_int st.drops);
-    ]
-  in
-  { Iface.name = "linux-floating"; submit; info }
+  let info () = [ ("ring_drops", float_of_int st.drops) ] in
+  { Iface.submit; info }

@@ -1,16 +1,10 @@
-module Sim = Engine.Sim
 module Request = Net.Request
 
-type policy = No_shed | Queue_length of int
-
-let validate_policy = function
-  | No_shed -> ()
-  | Queue_length k -> if k < 1 then invalid_arg "Overload: Queue_length bound < 1"
+let validate_bound k = if k < 1 then invalid_arg "Overload: in-flight bound < 1"
 
 type t = {
-  sim : Sim.t;
   pool : Request.pool;
-  policy : policy;
+  bound : int;
   live : (int, unit) Hashtbl.t;  (* admitted request ids awaiting a response *)
   mutable inflight : int;
   mutable admitted : int;
@@ -18,21 +12,9 @@ type t = {
   mutable peak : int;
 }
 
-let create sim ~pool ~policy () =
-  validate_policy policy;
-  {
-    sim;
-    pool;
-    policy;
-    live = Hashtbl.create 1024;
-    inflight = 0;
-    admitted = 0;
-    shed = 0;
-    peak = 0;
-  }
-
-let over_limit t =
-  match t.policy with No_shed -> false | Queue_length k -> t.inflight >= k
+let create ~pool ~bound =
+  validate_bound bound;
+  { pool; bound; live = Hashtbl.create 1024; inflight = 0; admitted = 0; shed = 0; peak = 0 }
 
 let track t (req : Request.t) =
   let id = Request.id t.pool req in
@@ -43,7 +25,7 @@ let track t (req : Request.t) =
   end
 
 let admit t (req : Request.t) ~forward =
-  if over_limit t then t.shed <- t.shed + 1
+  if t.inflight >= t.bound then t.shed <- t.shed + 1
   else begin
     t.admitted <- t.admitted + 1;
     track t req;
@@ -62,10 +44,4 @@ let info t =
     ("admitted", float_of_int t.admitted);
     ("shed", float_of_int t.shed);
     ("inflight_peak", float_of_int t.peak);
-    (* Exact engine-level queue depth ([Sim.live], which excludes
-       lazily-cancelled entries, unlike [Sim.pending]): the shedding
-       decisions above key off [inflight], and this snapshot lets a
-       sweep correlate them with the simulator's own backlog. *)
-    ("sim_live", float_of_int (Sim.live t.sim));
-    ("sim_pending", float_of_int (Sim.pending t.sim));
   ]

@@ -216,4 +216,4 @@ let create sim (p : Params.t) ~quantum ~pool ~conns ~respond ?(consolidate = fal
           ("consolidation_windows", float_of_int st.windows);
         ]
   in
-  { Iface.name = Printf.sprintf "preempt-q%g" quantum; submit; info }
+  { Iface.submit; info }

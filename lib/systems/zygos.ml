@@ -645,8 +645,7 @@ let create sim (p : Params.t) ~rng ~pool ~conns ~respond ?trace () =
       ("wc_violations", float_of_int t.wc_violations);
     ]
   in
-  let name = if p.zy_interrupts then "zygos" else "zygos-noint" in
-  { Iface.name; submit; info }
+  { Iface.submit; info }
 
 let work_conservation_violations (iface : Iface.t) =
   match Iface.info_value iface "wc_violations" with

@@ -333,7 +333,7 @@ let fake_server sim ~pool ~delay ~respond =
       ()
   in
   let info () = [ ("fake_peak", float_of_int !peak) ] in
-  (Systems.Iface.{ name = "fake"; submit; info }, peak)
+  (Systems.Iface.{ submit; info }, peak)
 
 (* Pools here never recycle: the detection and hedging tests' copies
    outlive the first completion of a logical id. *)
@@ -553,6 +553,29 @@ let test_rackrun_degenerates () =
         Alcotest.failf "rackrun(%s) diverges from bare run" (Policy.name policy))
     Policy.[ Static_hash; Random; Po2; Jsq; Jbsq 1_000_000 ]
 
+(* The rack's [steal_fraction] is its stolen events over its local plus
+   stolen events, not the sum of its servers' fractions (1.30 for the JSQ
+   point). *)
+let test_rack_steal_fraction () =
+  List.iter
+    (fun (policy, load) ->
+      let cfg =
+        Rackrun.config ~servers:4 ~system:Run.Zygos ~cores:16 ~requests:4_000 ~seed:7
+          ~feedback_delay:5. ~policy ~service:(Dist.exponential 10.) ()
+      in
+      let p = Rackrun.run cfg ~load in
+      let value key = Option.get (Run.info_value p key) in
+      let local = value "local_events" and stolen = value "stolen_events" in
+      let fraction = value "steal_fraction" in
+      let name = Printf.sprintf "%s at %g" (Policy.name policy) load in
+      if not (fraction >= 0. && fraction <= 1.) then
+        Alcotest.failf "%s: steal_fraction %g outside [0, 1]" name fraction;
+      Alcotest.(check (float 0.))
+        (name ^ ": stolen / (local + stolen)")
+        (stolen /. (local +. stolen))
+        fraction)
+    [ (Policy.Jsq, 0.3); (Policy.Static_hash, 0.85) ]
+
 (* ---- Determinism: Sweep jobs ---- *)
 
 let rack_point ~policy ~seed =
@@ -662,6 +685,7 @@ let () =
             test_failover_recovers_dead_server;
           Alcotest.test_case "hedge: first response wins" `Quick
             test_hedge_first_response_wins;
+          Alcotest.test_case "steal_fraction of summed counts" `Quick test_rack_steal_fraction;
         ] );
       ( "degeneracy",
         [

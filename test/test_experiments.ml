@@ -39,7 +39,7 @@ let test_system_of_name () =
       Run.Zygos_round_robin;
       Run.Preemptive 5.;
       Run.Preemptive_consolidated 10.;
-      Run.Ix_rebalanced 200.;
+      Run.Ix_rebalanced;
       Run.Model_central_fcfs;
       Run.Model_partitioned_fcfs;
     ];

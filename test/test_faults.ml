@@ -309,10 +309,9 @@ let test_duplicate_responses_tolerated () =
 let mk_req pool id = Request.alloc pool ~id ~conn:0 ~measured:true [| 0.; 1. |]
 
 let test_queue_length_boundary () =
-  let sim = Sim.create () in
   let pool = Request.create_pool () in
   let mk_req = mk_req pool in
-  let g = Overload.create sim ~pool ~policy:(Overload.Queue_length 2) () in
+  let g = Overload.create ~pool ~bound:2 in
   let forwarded = ref [] in
   let fwd req = forwarded := req :: !forwarded in
   let r1 = mk_req 1 and r2 = mk_req 2 and r3 = mk_req 3 in
@@ -327,8 +326,7 @@ let test_queue_length_boundary () =
   Overload.note_response g r1;
   Overload.admit g (mk_req 4) ~forward:fwd;
   Alcotest.(check int) "slot reopened" 3 (List.length !forwarded);
-  check_raises_any "bound 0 rejected" (fun () ->
-      Overload.validate_policy (Overload.Queue_length 0))
+  check_raises_any "bound 0 rejected" (fun () -> Overload.validate_bound 0)
 
 (* ---- Ring drops summed across queues, all systems ---- *)
 
@@ -409,13 +407,13 @@ let test_shedding_prevents_collapse () =
   let goodput shed load =
     let cfg =
       Run.config ~system:(Run.Ix 1) ~service ~cores ~requests ~seed:13 ~retry ~slo:100.
-        ~shed ()
+        ?shed ()
     in
     (Run.run_point cfg ~load).Run.goodput
   in
-  let bound = Overload.Queue_length (2 * cores) in
-  let unprotected_sat = goodput Overload.No_shed 0.8 in
-  let unprotected_over = goodput Overload.No_shed 1.2 in
+  let bound = Some (2 * cores) in
+  let unprotected_sat = goodput None 0.8 in
+  let unprotected_over = goodput None 1.2 in
   let protected_sat = goodput bound 0.8 in
   let protected_over = goodput bound 1.2 in
   (* Without shedding, the retry storm collapses goodput past saturation. *)

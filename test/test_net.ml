@@ -82,11 +82,10 @@ let prop_rss_lut_matches_reference =
     QCheck.make gen_case ~print:(fun (si, di, sp, dp) ->
         Printf.sprintf "si=%Ld di=%Ld sp=%d dp=%d" si di sp dp)
   in
-  let rss = Rss.create ~queues:16 () in
   QCheck.Test.make ~name:"rss lut hash = bit-serial toeplitz" ~count:500 arb
     (fun (si64, di64, src_port, dst_port) ->
       let src_ip = Int64.to_int32 si64 and dst_ip = Int64.to_int32 di64 in
-      let fast = Rss.hash_of_tuple rss ~src_ip ~dst_ip ~src_port ~dst_port in
+      let fast = Rss.hash_of_tuple ~src_ip ~dst_ip ~src_port ~dst_port in
       let b = Bytes.create 12 in
       Bytes.set_int32_be b 0 src_ip;
       Bytes.set_int32_be b 4 dst_ip;
@@ -99,7 +98,7 @@ let test_rss_set_slot_bounds () =
   let rss = Rss.create ~queues:4 () in
   Alcotest.check_raises "slot out of range"
     (Invalid_argument "Rss.set_slot: slot out of range") (fun () ->
-      Rss.set_slot rss ~slot:(Rss.slots rss) ~queue:0);
+      Rss.set_slot rss ~slot:Rss.slots ~queue:0);
   Alcotest.check_raises "negative slot"
     (Invalid_argument "Rss.set_slot: slot out of range") (fun () ->
       Rss.set_slot rss ~slot:(-1) ~queue:0);
@@ -114,16 +113,16 @@ let test_rss_remap_mass_conservation () =
      stays valid (slot_of_conn is remap-stable by contract). *)
   let conns = 2752 in
   let rss = Rss.create ~queues:16 () in
-  let slots_before = Array.init conns (fun c -> Rss.slot_of_conn rss c) in
+  let slots_before = Array.init conns Rss.slot_of_conn in
   let hist = histogram rss ~queues:16 conns in
   Alcotest.(check int) "mass before" conns (Array.fold_left ( + ) 0 hist);
-  for s = 0 to Rss.slots rss - 1 do
+  for s = 0 to Rss.slots - 1 do
     if s mod 3 = 0 then Rss.set_slot rss ~slot:s ~queue:(s mod 16)
   done;
   let hist' = histogram rss ~queues:16 conns in
   Alcotest.(check int) "mass after remap" conns (Array.fold_left ( + ) 0 hist');
   for c = 0 to conns - 1 do
-    let s = Rss.slot_of_conn rss c in
+    let s = Rss.slot_of_conn c in
     if s <> slots_before.(c) then Alcotest.failf "conn %d changed slot under remap" c;
     Alcotest.(check int) "queue follows table" (Rss.queue_of_slot rss s)
       (Rss.queue_of_conn rss c)

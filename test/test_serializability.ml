@@ -42,7 +42,7 @@ let program_gen = QCheck.Gen.(list_size (int_range 1 6) op_gen)
 let make_db () =
   let db = Db.create () in
   let table = Db.add_table db "cells" in
-  let w = Db.worker db in
+  let w = Db.worker () in
   let txn = Txn.begin_ db w in
   for k = 0 to (keyspace / 2) - 1 do
     Txn.insert txn table (Key.of_int k) [| string_of_int (10 * k) |]
@@ -83,7 +83,7 @@ let run_serial order =
   let db, table = make_db () in
   List.iter
     (fun program ->
-      let w = Db.worker db in
+      let w = Db.worker () in
       let txn = Txn.begin_ db w in
       List.iter (apply_op table txn) program;
       match Txn.commit txn with
@@ -94,7 +94,7 @@ let run_serial order =
 
 let run_interleaved (p1, p2, schedule) =
   let db, table = make_db () in
-  let w1 = Db.worker db and w2 = Db.worker db in
+  let w1 = Db.worker () and w2 = Db.worker () in
   let t1 = Txn.begin_ db w1 and t2 = Txn.begin_ db w2 in
   let q1 = ref p1 and q2 = ref p2 in
   let step use_first =
@@ -163,7 +163,7 @@ let prop_three_txn_serializable =
       let db, table = make_db () in
       let txns =
         Array.map
-          (fun program -> (Txn.begin_ db (Db.worker db), ref program))
+          (fun program -> (Txn.begin_ db (Db.worker ()), ref program))
           [| p1; p2; p3 |]
       in
       let step i =

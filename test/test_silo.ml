@@ -215,14 +215,14 @@ let commit_exn txn =
   | Error `Conflict -> Alcotest.fail "unexpected conflict"
 
 let seed_key db t k v =
-  let w = Db.worker db in
+  let w = Db.worker () in
   let txn = Txn.begin_ db w in
   Txn.insert txn t k [| v |];
   ignore (commit_exn txn : Tid.t)
 
 let test_txn_insert_and_read () =
   let db, t = fresh_db () in
-  let w = Db.worker db in
+  let w = Db.worker () in
   let txn = Txn.begin_ db w in
   Alcotest.(check bool) "absent before" true (Txn.read txn t "k" = None);
   Txn.insert txn t "k" [| "v" |];
@@ -238,7 +238,7 @@ let test_txn_insert_and_read () =
 let test_txn_write_and_delete () =
   let db, t = fresh_db () in
   seed_key db t "k" "v0";
-  let w = Db.worker db in
+  let w = Db.worker () in
   let txn = Txn.begin_ db w in
   Txn.write txn t "k" [| "v1" |];
   (match Txn.read txn t "k" with
@@ -255,7 +255,7 @@ let test_txn_write_and_delete () =
 
 let test_txn_write_absent_raises () =
   let db, t = fresh_db () in
-  let w = Db.worker db in
+  let w = Db.worker () in
   let txn = Txn.begin_ db w in
   Alcotest.check_raises "write absent" Not_found (fun () -> Txn.write txn t "nope" [| "x" |]);
   Alcotest.check_raises "delete absent" Not_found (fun () -> Txn.delete txn t "nope");
@@ -265,7 +265,7 @@ let test_txn_read_validation_conflict () =
   let db, t = fresh_db () in
   seed_key db t "a" "0";
   seed_key db t "b" "0";
-  let w1 = Db.worker db and w2 = Db.worker db in
+  let w1 = Db.worker () and w2 = Db.worker () in
   (* t1 reads a, then t2 updates a and commits, then t1 tries to write b:
      t1's read of a is stale -> conflict. *)
   let t1 = Txn.begin_ db w1 in
@@ -282,7 +282,7 @@ let test_txn_read_validation_conflict () =
 let test_txn_write_write_not_lost () =
   let db, t = fresh_db () in
   seed_key db t "a" "0";
-  let w1 = Db.worker db and w2 = Db.worker db in
+  let w1 = Db.worker () and w2 = Db.worker () in
   (* Two read-modify-write increments, interleaved: the second to commit
      must abort (it read the pre-image). *)
   let t1 = Txn.begin_ db w1 in
@@ -295,7 +295,7 @@ let test_txn_write_write_not_lost () =
   (match Txn.commit t2 with
   | Error `Conflict -> ()
   | Ok _ -> Alcotest.fail "lost update committed");
-  let w = Db.worker db in
+  let w = Db.worker () in
   let txn = Txn.begin_ db w in
   (match Txn.read txn t "a" with
   | Some d -> Alcotest.(check string) "exactly one increment" "1" d.(0)
@@ -306,7 +306,7 @@ let test_txn_phantom_scan_conflict () =
   let db, t = fresh_db () in
   seed_key db t (Key.of_int 1) "x";
   seed_key db t (Key.of_int 5) "y";
-  let w1 = Db.worker db and w2 = Db.worker db in
+  let w1 = Db.worker () and w2 = Db.worker () in
   (* t1 scans [0, 10); t2 inserts key 3 and commits; t1 then commits a
      write -> node-set validation must fail (phantom). *)
   let t1 = Txn.begin_ db w1 in
@@ -323,7 +323,7 @@ let test_txn_phantom_scan_conflict () =
 let test_txn_absent_read_conflict () =
   let db, t = fresh_db () in
   seed_key db t (Key.of_int 100) "seed";
-  let w1 = Db.worker db and w2 = Db.worker db in
+  let w1 = Db.worker () and w2 = Db.worker () in
   (* t1 reads a missing key; t2 inserts exactly that key; t1's commit must
      fail. *)
   let t1 = Txn.begin_ db w1 in
@@ -338,7 +338,7 @@ let test_txn_absent_read_conflict () =
 
 let test_txn_duplicate_insert_conflict () =
   let db, t = fresh_db () in
-  let w1 = Db.worker db and w2 = Db.worker db in
+  let w1 = Db.worker () and w2 = Db.worker () in
   let t1 = Txn.begin_ db w1 in
   Txn.insert t1 t "dup" [| "a" |];
   let t2 = Txn.begin_ db w2 in
@@ -347,7 +347,7 @@ let test_txn_duplicate_insert_conflict () =
   (match Txn.commit t2 with
   | Error `Conflict -> ()
   | Ok _ -> Alcotest.fail "duplicate insert committed");
-  let w = Db.worker db in
+  let w = Db.worker () in
   let txn = Txn.begin_ db w in
   (match Txn.read txn t "dup" with
   | Some d -> Alcotest.(check string) "first wins" "a" d.(0)
@@ -357,7 +357,7 @@ let test_txn_duplicate_insert_conflict () =
 let test_txn_tid_monotonic_per_worker () =
   let db, t = fresh_db () in
   seed_key db t "k" "0";
-  let w = Db.worker db in
+  let w = Db.worker () in
   let tids =
     List.init 20 (fun i ->
         let txn = Txn.begin_ db w in
@@ -374,7 +374,7 @@ let test_txn_tid_monotonic_per_worker () =
 
 let test_txn_rollback_outcome () =
   let db, t = fresh_db () in
-  let w = Db.worker db in
+  let w = Db.worker () in
   (match Txn.run db w (fun txn ->
        Txn.insert txn t "never" [| "x" |];
        raise Txn.Rollback)
@@ -394,7 +394,7 @@ let test_txn_multicore_bank () =
     seed_key db t (Key.of_int a) "1000"
   done;
   let body did =
-    let w = Db.worker db in
+    let w = Db.worker () in
     let rng = Engine.Rng.create ~seed:(1000 + did) in
     let committed = ref 0 in
     while !committed < transfers do
@@ -418,7 +418,7 @@ let test_txn_multicore_bank () =
   in
   let ds = List.init domains (fun i -> Domain.spawn (fun () -> body i)) in
   List.iter Domain.join ds;
-  let w = Db.worker db in
+  let w = Db.worker () in
   let txn = Txn.begin_ db w in
   let total =
     List.fold_left
@@ -462,7 +462,7 @@ let test_tpcc_mix_ratios () =
 
 let test_tpcc_each_type_commits () =
   let t = Lazy.force tpcc in
-  let w = Db.worker (Tpcc.db t) in
+  let w = Db.worker () in
   let rng = Engine.Rng.create ~seed:4 in
   List.iter
     (fun tx ->
@@ -476,7 +476,7 @@ let test_tpcc_each_type_commits () =
 
 let test_tpcc_consistency_after_run () =
   let t = Lazy.force tpcc in
-  let w = Db.worker (Tpcc.db t) in
+  let w = Db.worker () in
   let rng = Engine.Rng.create ~seed:5 in
   for _ = 1 to 3_000 do
     ignore (Tpcc.execute t w rng (Tpcc.standard_mix rng) : Tpcc.outcome)
