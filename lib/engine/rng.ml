@@ -40,13 +40,15 @@ let next_int64 t = next t
 (* Re-mix so that split streams do not share the master's gamma phase. *)
 let split t = of_int64 (mix64 (next t))
 
-(* 53 high-quality bits -> [0, 1). *)
-let[@zygos.hot] float t = Int64.to_float (Int64.shift_right_logical (next t) 11) *. 0x1p-53
+(* 53 high-quality bits -> [0, 1), converted inline as an [int]
+   ([Int64.to_float] is a C call). *)
+let[@zygos.hot] float t =
+  float_of_int (Int64.to_int (Int64.shift_right_logical (next t) 11)) *. 0x1p-53
 
 (* [float] stored flat in [buf.(i)]: same bits, but a float stored into
    a float array is not boxed, a returned one is. *)
 let[@zygos.hot] float_into t (buf : float array) i =
-  buf.(i) <- Int64.to_float (Int64.shift_right_logical (next t) 11) *. 0x1p-53
+  buf.(i) <- float_of_int (Int64.to_int (Int64.shift_right_logical (next t) 11)) *. 0x1p-53
 
 (* Modulo bias is negligible for bounds << 2^62 (all our uses). *)
 let[@zygos.hot] int t bound =

@@ -119,12 +119,12 @@ let info_value p key =
   in
   go p.info
 
-(* Percentiles first: they sort the tally, so [mean] sums it in order. *)
+(* Ascending ranks: each selection starts where the one before ended. *)
 let point_of_tally ~load ~offered_rate ~throughput ~goodput ~order_violations ~info tally =
   let empty = Stats.Tally.is_empty tally in
-  let p999 = if empty then 0. else Stats.Tally.p999 tally in
-  let p99 = if empty then 0. else Stats.Tally.p99 tally in
   let p50 = if empty then 0. else Stats.Tally.p50 tally in
+  let p99 = if empty then 0. else Stats.Tally.p99 tally in
+  let p999 = if empty then 0. else Stats.Tally.p999 tally in
   let mean = Stats.Tally.mean tally in
   {
     load;

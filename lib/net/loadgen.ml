@@ -319,12 +319,12 @@ let[@zygos.hot] complete t (req : Request.t) =
     t.duplicate_completions <- t.duplicate_completions + 1
   else begin
     completions.(s) <- t.clk.(0);
-    let rid = Request.id t.pool req in
+    let rid = Request.id_at t.pool s in
     (match t.retry with
     | None ->
         (* Per-connection ordering check (§4.3): the completed request must
            be the oldest outstanding one on its connection. *)
-        let conn = Request.conn t.pool req in
+        let conn = Request.conn_at t.pool s in
         let popped = Engine.Intqs.pop t.outstanding conn in
         if popped <> rid then begin
           t.order_violations <- t.order_violations + 1;
@@ -334,7 +334,7 @@ let[@zygos.hot] complete t (req : Request.t) =
           Engine.Intqs.remove_all t.outstanding conn rid
         end;
         t.scratch.(2) <- completions.(s) -. (Request.arrivals t.pool).(s);
-        record_completion t ~measured:(Request.measured t.pool req)
+        record_completion t ~measured:(Request.measured_at t.pool s)
     | Some _ -> (
         (* Retry-mode lookups; the [Some] boxes are retry bookkeeping,
            absent from the clean fast path. *)
@@ -363,7 +363,7 @@ let[@zygos.hot] complete t (req : Request.t) =
             end));
     (* The client is the end of the line for a response: hand the slot
        back. A no-op unless the pool recycles (clean fast path only). *)
-    Request.release t.pool req
+    Request.release_at t.pool s
   end
 
 let tally t = t.latencies

@@ -110,8 +110,7 @@ let[@zygos.hot] alloc p ~id ~conn ~measured (times : float array) =
   p.alloc_count <- p.alloc_count + 1;
   (p.gens.(slot) lsl slot_bits) lor slot
 
-let[@zygos.hot] release p h =
-  let slot = slot p h in
+let[@zygos.hot] release_at p slot =
   if p.recycle then begin
     p.gens.(slot) <- p.gens.(slot) + 1;
     if p.free_n = Array.length p.free then grow p;
@@ -120,9 +119,12 @@ let[@zygos.hot] release p h =
   end;
   p.live_count <- p.live_count - 1
 
-let[@zygos.hot] id p h = p.ids.(slot p h)
-let[@zygos.hot] conn p h = p.conns.(slot p h)
-let[@zygos.hot] measured p h = p.measureds.(slot p h) = 1
+let[@zygos.hot] id_at p s = p.ids.(s)
+let[@zygos.hot] conn_at p s = p.conns.(s)
+let[@zygos.hot] measured_at p s = p.measureds.(s) = 1
+let[@zygos.hot] id p h = id_at p (slot p h)
+let[@zygos.hot] conn p h = conn_at p (slot p h)
+let[@zygos.hot] measured p h = measured_at p (slot p h)
 
 (* The float columns themselves: a caller reads and writes a time at
    [slot p h], so no float crosses a call. *)

@@ -27,7 +27,7 @@ val none : t
 (** Sentinel "no request" handle ([-1]); never returned by {!alloc}. *)
 
 val create_pool : ?recycle:bool -> unit -> pool
-(** [recycle] (default [false]) controls whether {!release} actually
+(** [recycle] (default [false]) controls whether {!release_at} actually
     returns slots for reuse. Paths that may touch a request after its
     first completion (duplicate deliveries, hedged copies, failover)
     must run with [recycle:false]: the pool then grows monotonically —
@@ -42,9 +42,9 @@ val alloc : pool -> id:int -> conn:int -> measured:bool -> float array -> t
     (not pool-assigned) because cluster re-dispatch creates fresh handles
     carrying the same logical request id. *)
 
-val release : pool -> t -> unit
-(** Return the slot for reuse (generation-bumped). No-op when the pool
-    was created with [recycle:false]. Raises on a stale handle. *)
+val release_at : pool -> int -> unit
+(** Return the slot ({!slot}) for reuse: its handle goes stale. No-op
+    when the pool was created with [recycle:false]. *)
 
 (** {2 Field access} — all raise [Invalid_argument] on a stale or
     [none] handle. *)
@@ -60,6 +60,12 @@ val conn : pool -> t -> int
 
 val measured : pool -> t -> bool
 (** Inside the measurement window (not warmup/drain)? *)
+
+val id_at : pool -> int -> int
+val conn_at : pool -> int -> int
+val measured_at : pool -> int -> bool
+(** {!id}, {!conn} and {!measured} at a slot {!slot} returned, unchecked:
+    a path that reads several fields validates its handle once. *)
 
 (** {2 Float columns} — index with {!slot}. Pool growth replaces them,
     so re-read a column after any {!alloc}. Latency is

@@ -1,10 +1,13 @@
 type t = {
   mutable data : float array;
   mutable size : int;
-  mutable sorted : bool;  (* whether data.[0,size) is known ascending *)
+  mutable placed : int;
+      (* -1, or the index a percentile query's selection left in its
+         sorted place: no sample before it is larger, none after it is
+         smaller. Recording a sample forgets it. *)
 }
 
-let create () = { data = [||]; size = 0; sorted = true }
+let create () = { data = [||]; size = 0; placed = -1 }
 
 (* Slots at or past [size] are never read, so neither the reservation
    nor a growth step fills them: a 100k-sample reservation would
@@ -28,7 +31,7 @@ let[@zygos.hot] [@inline] record t x =
   end;
   t.data.(t.size) <- x;
   t.size <- t.size + 1;
-  t.sorted <- false
+  t.placed <- -1
 
 let[@zygos.hot] record_from t (buf : float array) i = record t buf.(i)
 
@@ -36,15 +39,56 @@ let count t = t.size
 
 let is_empty t = t.size = 0
 
-(* The reductions below are index loops in reservoir order with a float
-   accumulator the compiler keeps unboxed; a fold through a closure
-   would box it on every sample. *)
+(* The reductions below are index loops with float accumulators the
+   compiler keeps unboxed; a fold through a closure would box them on
+   every sample. *)
+
+(* A finite sample's biased binary exponent e, 1 for a subnormal: its
+   value is an integer below 2^53 times 2^(e - 1075). *)
+let exponent x = Int.max 1 ((Int64.to_int (Int64.bits_of_float x) lsr 52) land 0x7ff)
+
+(* The mean depends only on the multiset of samples, not on the order
+   they were recorded in or a selection left them in. The finite
+   samples of each exponent are summed exactly as integers, in an int
+   pair (carries of 2^53, and a remainder below 2^61 in magnitude); each
+   exponent's sum is rounded once, and those are added in ascending
+   exponent order. The infinities are summed as floats, which no order
+   changes either. A first pass finds the exponent span, so the pairs
+   cover only that. *)
 let mean t =
-  let sum = ref 0. in
-  for i = 0 to t.size - 1 do
-    sum := !sum +. t.data.(i)
+  let n = t.size and a = t.data in
+  let small = ref infinity and big = ref 0. in
+  for i = 0 to n - 1 do
+    let x = Float.abs a.(i) in
+    if x > 0. && x < !small then small := x;
+    if x > !big && x < infinity then big := x
   done;
-  if t.size = 0 then 0. else !sum /. float_of_int t.size
+  let lo = exponent !small in
+  let span = if !big > 0. then exponent !big - lo + 1 else 0 in
+  let sums = Array.make (2 * span) 0 and infs = ref 0. in
+  for i = 0 to n - 1 do
+    let b = Int64.bits_of_float a.(i) in
+    let bits = Int64.to_int b and sign = Int64.to_int (Int64.shift_right b 63) in
+    let e = (bits lsr 52) land 0x7ff and f = bits land ((1 lsl 52) - 1) in
+    if e = 0x7ff then infs := !infs +. a.(i)
+    else if e > 0 || f > 0 then begin
+      let k = 2 * (Int.max 1 e - lo) and m = if e = 0 then f else f + (1 lsl 52) in
+      (* [sign] is 0 or -1: [m] or its negation. *)
+      let r = sums.(k + 1) + ((m lxor sign) - sign) in
+      if r >= 1 lsl 61 || r <= -(1 lsl 61) then begin
+        sums.(k) <- sums.(k) + (r asr 53);
+        sums.(k + 1) <- r land ((1 lsl 53) - 1)
+      end
+      else sums.(k + 1) <- r
+    end
+  done;
+  let sum = ref 0. in
+  for k = 0 to span - 1 do
+    let r = sums.((2 * k) + 1) in
+    let c = float_of_int (sums.(2 * k) + (r asr 53)) and r = r land ((1 lsl 53) - 1) in
+    sum := !sum +. Float.ldexp ((c *. 0x1p53) +. float_of_int r) (lo + k - 1075)
+  done;
+  if n = 0 then 0. else (!sum +. !infs) /. float_of_int n
 
 let max_value t =
   let m = ref neg_infinity in
@@ -53,135 +97,74 @@ let max_value t =
   done;
   if t.size = 0 then 0. else !m
 
-(* Ascending float sort in place: an MSD radix sort (American-flag sort)
-   on the IEEE-754 bit patterns. Sorting is the largest cost of
-   finishing a sweep point, and a radix sort reads each sample a few
-   times where a comparison sort reads it ~log2 n times.
+let[@inline] median3 (x : float) y z =
+  if x < y then if y < z then y else if x < z then z else x
+  else if x < z then x
+  else if y < z then z
+  else y
 
-   For floats with the sign bit clear the bit patterns order like the
-   values, so samples with the sign bit set (negatives and -0.) are
-   first moved to the front negated, sorted as magnitudes, then
-   reversed and negated back. The result is the sorted multiset, so
-   every percentile and the sorted-order mean are those of any exact
-   sort; -0. lands before +0. NaN is not a latency and is not ordered.
+(* Move a.[l, r]'s samples below [x] (with [le], at most [x]) to its
+   front and return where they end. Lomuto's step without a branch: the
+   compare only advances the boundary, so a pivot near the median costs
+   no mispredicted branches. *)
+let[@inline] partition (a : float array) l r x le =
+  let s = ref l in
+  for i = l to r do
+    let v = a.(i) in
+    a.(i) <- a.(!s);
+    a.(!s) <- v;
+    s := !s + Bool.to_int (if le then v <= x else v < x)
+  done;
+  !s
 
-   Each level distributes one byte of the pattern, most significant
-   first, with a 2x256-int scratch that every level reuses: slots
-   [0, 256) hold each bucket's end, slots [256, 512) its next free slot.
-   A level whose samples all share the byte moves nothing. Buckets of at
-   most [cutoff] samples finish by insertion sort. *)
-let cutoff = 32
-
-let insertion_sort (a : float array) lo hi =
-  for j = lo + 1 to hi - 1 do
-    let x = a.(j) in
-    let k = ref j in
-    while !k > lo && a.(!k - 1) > x do
-      a.(!k) <- a.(!k - 1);
-      decr k
-    done;
-    a.(!k) <- x
-  done
-
-(* Byte [shift / 8] of [x]'s bit pattern. *)
-let[@inline] digit x shift =
-  Int64.(to_int (logand (shift_right_logical (bits_of_float x) shift) 0xffL))
-
-(* Sort a.[lo, hi), whose samples have the sign bit clear and agree on
-   every byte above [shift]. *)
-let rec radix_sort (a : float array) (scratch : int array) lo hi shift =
-  if hi - lo <= cutoff then insertion_sort a lo hi
-  else begin
-    Array.fill scratch 0 256 0;
-    for i = lo to hi - 1 do
-      let d = digit a.(i) shift in
-      scratch.(d) <- scratch.(d) + 1
-    done;
-    if scratch.(digit a.(lo) shift) = hi - lo then begin
-      if shift > 0 then radix_sort a scratch lo hi (shift - 8)
+(* Put the [k]-th smallest of a.[l, r] at a.(k), with no larger sample
+   before it and no smaller one after it: quickselect, each round
+   pivoting on the median of three samples at pseudo-random positions,
+   so sorted, reversed or otherwise structured input does not steer the
+   pivots. Past 8 times the first range's length in scanned samples the
+   rest is sorted, so no input takes quadratic time. *)
+let select (a : float array) l r k =
+  let l = ref l and r = ref r and budget = ref (8 * (r - l + 1)) and h = ref 0x2545F491 in
+  let pick () =
+    h := (!h * 25214903917) + 11;
+    !l + ((!h lsr 20) mod (!r - !l + 1))
+  in
+  while !l < !r do
+    if !budget < 0 then begin
+      let rest = Array.sub a !l (!r - !l + 1) in
+      Array.sort Float.compare rest;
+      Array.blit rest 0 a !l (Array.length rest);
+      l := !r
     end
     else begin
-      let pos = ref lo in
-      for d = 0 to 255 do
-        scratch.(256 + d) <- !pos;
-        pos := !pos + scratch.(d);
-        scratch.(d) <- !pos
-      done;
-      (* Fill each bucket in turn: carry the sample at its next free
-         slot to the sample's own bucket, swapping, until the one carried
-         back belongs here. *)
-      for d = 0 to 255 do
-        while scratch.(256 + d) < scratch.(d) do
-          let x = ref a.(scratch.(256 + d)) in
-          let dx = ref (digit !x shift) in
-          while !dx <> d do
-            let j = scratch.(256 + !dx) in
-            scratch.(256 + !dx) <- j + 1;
-            let y = a.(j) in
-            a.(j) <- !x;
-            x := y;
-            dx := digit y shift
-          done;
-          a.(scratch.(256 + d)) <- !x;
-          scratch.(256 + d) <- scratch.(256 + d) + 1
-        done
-      done;
-      (* The recursion overwrites the scratch, so each bucket is found
-         again as a run of equal bytes. *)
-      if shift > 0 then begin
-        let s = ref lo in
-        while !s < hi do
-          let d = digit a.(!s) shift in
-          let e = ref (!s + 1) in
-          while !e < hi && digit a.(!e) shift = d do
-            incr e
-          done;
-          radix_sort a scratch !s !e (shift - 8);
-          s := !e
-        done
+      budget := !budget - (!r - !l + 1);
+      let x = median3 a.(pick ()) a.(pick ()) a.(pick ()) in
+      let s = partition a !l !r x false in
+      if k < s then r := s - 1
+      else if s > !l then l := s
+      else begin
+        (* [x] is the range's least sample: gather its copies, so heavy
+           duplicates shrink the range too. *)
+        let s = partition a !l !r x true in
+        l := if k < s then !r else s
       end
     end
-  end
-
-let sort (a : float array) n =
-  let neg = ref 0 in
-  for i = 0 to n - 1 do
-    let x = a.(i) in
-    (* The sign bit is set: x is negative, or -0. (1 /. -0. = -inf). *)
-    if x < 0. || (x = 0. && 1. /. x < 0.) then begin
-      a.(i) <- a.(!neg);
-      a.(!neg) <- -.x;
-      incr neg
-    end
-  done;
-  let neg = !neg in
-  (* 512 words is past the minor heap's largest block: one major block. *)
-  let scratch = if n > cutoff then Array.make 512 0 else [||] in
-  radix_sort a scratch 0 neg 56;
-  radix_sort a scratch neg n 56;
-  let i = ref 0 and j = ref (neg - 1) in
-  while !i <= !j do
-    let x = a.(!i) and y = a.(!j) in
-    a.(!i) <- -.y;
-    a.(!j) <- -.x;
-    incr i;
-    decr j
   done
-
-let ensure_sorted t =
-  if not t.sorted then begin
-    sort t.data t.size;
-    t.sorted <- true
-  end
 
 let percentile t p =
   if t.size = 0 then invalid_arg "Tally.percentile: empty tally";
   if not (p >= 0. && p <= 100.) then invalid_arg "Tally.percentile: p out of [0,100]";
-  ensure_sorted t;
   (* Nearest-rank: smallest value whose cumulative frequency >= p%. *)
   let rank = int_of_float (ceil (p /. 100. *. float_of_int t.size)) in
-  let idx = max 0 (min (t.size - 1) (rank - 1)) in
-  t.data.(idx)
+  let k = max 0 (min (t.size - 1) (rank - 1)) in
+  if k <> t.placed then begin
+    (* Only the side of the last placed index that holds [k] moves. *)
+    let l = if t.placed >= 0 && k > t.placed then t.placed + 1 else 0 in
+    let r = if k < t.placed then t.placed - 1 else t.size - 1 in
+    select t.data l r k;
+    t.placed <- k
+  end;
+  t.data.(k)
 
 let p50 t = percentile t 50.
 
@@ -193,4 +176,4 @@ let samples t = Array.sub t.data 0 t.size
 
 let clear t =
   t.size <- 0;
-  t.sorted <- true
+  t.placed <- -1

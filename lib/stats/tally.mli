@@ -1,7 +1,7 @@
 (** Exact sample tally with percentile queries.
 
     Stores every recorded value (growable float array) and answers
-    percentile/mean/max queries by sorting on demand. This is the
+    percentile queries by in-place selection on demand. This is the
     "client-side measurement agent" of the reproduction: latency samples
     from the simulated load generator land here, and all reported
     percentiles (p50/p99/...) are exact over the recorded samples, like the
@@ -26,16 +26,18 @@ val count : t -> int
 val is_empty : t -> bool
 
 val mean : t -> float
-(** Arithmetic mean, summed in the reservoir's current order (ascending
-    once a percentile query sorted it); 0 when empty. *)
+(** Arithmetic mean; 0 when empty. Its bits depend only on the multiset
+    of samples: exact integer sums per binary exponent, each rounded
+    once, added in ascending exponent order. *)
 
 val max_value : t -> float
 (** Largest sample; 0 when empty. *)
 
 val percentile : t -> float -> float
 (** [percentile t p] for [p] in [0, 100]: nearest-rank percentile of the
-    recorded samples. Raises [Invalid_argument] when empty or [p] out of
-    range. *)
+    recorded samples, placed by selection, which reorders them; a query
+    after another selects only on its side of the rank that one placed.
+    Raises [Invalid_argument] when empty or [p] out of range. *)
 
 val p50 : t -> float
 

@@ -7,6 +7,7 @@ type icore = {
   ring : Net.Ring.t;
   mutable busy : bool;
   batch : Request.t array;  (* scratch for the current iteration, capacity B *)
+  mutable last : Request.t;  (* the batch's last request, answered with the next poll *)
   tbuf : float array;  (* 1-slot unboxed clock accumulator (tbuf idiom) *)
 }
 
@@ -28,7 +29,8 @@ let make sim (p : Params.t) ~pool ~route ~note ~respond =
   let cores =
     Array.init p.cores (fun id ->
         { id; ring = Net.Ring.create ~capacity:p.ring_capacity; busy = false;
-          batch = Array.make p.ix_batch Request.none; tbuf = Array.make 1 0. })
+          batch = Array.make p.ix_batch Request.none; last = Request.none;
+          tbuf = Array.make 1 0. })
   in
   (* Take up to B packets into the core's scratch slice: "adaptive"
      bounded batching processes whatever has accumulated, capped at B. *)
@@ -67,23 +69,25 @@ let make sim (p : Params.t) ~pool ~route ~note ~respond =
          starteds.(s) <- c.tbuf.(0);
          advance faults ~fault_free c services.(s)
        done;
+       c.last <- c.batch.(k - 1);
        for i = 0 to k - 1 do
          advance faults ~fault_free c (pkts *. p.dp_tx);
          kbuf.(0) <- c.tbuf.(0);
          let _ : Sim.handle =
            (* [respond] is itself an [int -> unit] over the handle: the
-              long-lived dispatch fn, no per-response closure. *)
-           Sim.schedule_fn_keyed sim respond c.batch.(i)
+              long-lived dispatch fn, no per-response closure. The last
+              response and the next poll are due at one instant, as
+              consecutive events, so one event answers and then polls. *)
+           if i < k - 1 then Sim.schedule_fn_keyed sim respond c.batch.(i)
+           else Sim.schedule_fn_keyed sim fn_respond_poll c.id
          in
          ()
-       done;
-       kbuf.(0) <- c.tbuf.(0);
-       let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_iteration c.id in
-       ()
+       done
      end)
   [@@zygos.hot]
-  (* Closure-free dispatch: one long-lived fn, core id as the payload. *)
-  and fn_iteration id = (iteration cores.(id)) [@@zygos.hot] in
+  (* Closure-free dispatch: long-lived fns, core id as the payload. *)
+  and fn_iteration id = (iteration cores.(id)) [@@zygos.hot]
+  and fn_respond_poll id = (respond cores.(id).last; iteration cores.(id)) [@@zygos.hot] in
   let[@zygos.hot] submit req =
     note req;
     let c = cores.(route req) in

@@ -23,8 +23,9 @@ type state = {
   conn_pending : Engine.Intqs.t;  (* per-connection requests parked behind a busy one *)
   mutable preemptions : int;
   mutable completed : int;
-  mutable busy_accum : float;  (* total core-busy µs, for utilization *)
-  mutable core_time : float;  (* integral of active cores over time *)
+  totals : float array;
+      (* [| core-busy µs, for utilization; active cores integrated over
+         time |]: a mutable float field here would box every update *)
   mutable windows : int;
 }
 
@@ -47,8 +48,7 @@ let create sim (p : Params.t) ~quantum ~pool ~conns ~respond ?(consolidate = fal
       conn_pending = Engine.Intqs.create ~queues:conns ();
       preemptions = 0;
       completed = 0;
-      busy_accum = 0.;
-      core_time = 0.;
+      totals = Array.make 2 0.;
       windows = 0;
     }
   in
@@ -80,7 +80,7 @@ let create sim (p : Params.t) ~quantum ~pool ~conns ~respond ?(consolidate = fal
     let starteds = Request.starteds pool in
     if starteds.(s) < 0. then
       starteds.(s) <- Sim.now sim +. setup;
-    st.busy_accum <- st.busy_accum +. setup +. slice;
+    st.totals.(0) <- st.totals.(0) +. setup +. slice;
     kbuf.(0) <- clk.(0) +. (setup +. slice);
     let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_slice_end req in
     ()
@@ -93,7 +93,7 @@ let create sim (p : Params.t) ~quantum ~pool ~conns ~respond ?(consolidate = fal
      if st.remaining.(s) <= 1e-9 then finish req else preempt req)
   [@@zygos.hot]
   and finish req =
-    (st.busy_accum <- st.busy_accum +. (pkts *. p.dp_tx);
+    (st.totals.(0) <- st.totals.(0) +. (pkts *. p.dp_tx);
      kbuf.(0) <- clk.(0) +. (pkts *. p.dp_tx);
      let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_finish req in
      ())
@@ -173,9 +173,9 @@ let create sim (p : Params.t) ~quantum ~pool ~conns ~respond ?(consolidate = fal
     let rec tick (_ : int) =
       st.windows <- st.windows + 1;
       let act = active () in
-      st.core_time <- st.core_time +. (float_of_int act *. window);
-      let busy = st.busy_accum -. !last_busy in
-      last_busy := st.busy_accum;
+      st.totals.(1) <- st.totals.(1) +. (float_of_int act *. window);
+      let busy = st.totals.(0) -. !last_busy in
+      last_busy := st.totals.(0);
       let util = busy /. (float_of_int (max 1 act) *. window) in
       if busy = 0. && Engine.Intq.is_empty st.runq then incr quiet else quiet := 0;
       if util < low_util && st.active_target > 1 then begin
@@ -212,7 +212,7 @@ let create sim (p : Params.t) ~quantum ~pool ~conns ~respond ?(consolidate = fal
       base
       @ [
           ( "avg_active_cores",
-            if elapsed = 0. then float_of_int p.cores else st.core_time /. elapsed );
+            if elapsed = 0. then float_of_int p.cores else st.totals.(1) /. elapsed );
           ("consolidation_windows", float_of_int st.windows);
         ]
   in

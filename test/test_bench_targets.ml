@@ -142,13 +142,16 @@ let test_point_bad_flag_cli () =
 
 (* MD5 of [zygos point ARGS] stdout, captured from bin/zygsim at
    e721c7b, the single-point CLI that [point] replaced (zygsim spelled
-   M/G/n/FCFS "model-central"). *)
+   M/G/n/FCFS "model-central"). The two IX pins were re-captured (from
+   55c8bef2... and 22ea45b7...) when a batch's last response and the
+   next poll became one event: only the [sim_*] event-pool lines
+   differ. *)
 let pinned_points =
   [
     ("--system zygos --dist exp --mean 10 --load 0.8", "6d516b896515de7df40003669cb5db53");
-    ("--system ix --dist bimodal1 --mean 25 --slo 250", "55c8bef2559033235e5a85073a87471d");
+    ("--system ix --dist bimodal1 --mean 25 --slo 250", "e8e38bca8d4dc58297d19d2dced01863");
     ("--system preempt-q5 --dist bimodal2 --load 0.6", "3949a860562ef9773b62de2a8440d733");
-    ("--system ix-rebalanced --skew 0.05:0.5 --load 0.8", "22ea45b72cd473921df19b0ff7963761");
+    ("--system ix-rebalanced --skew 0.05:0.5 --load 0.8", "681a6f3150b263f4c9fdc16fa1d6c51d");
     ("--system M/G/n/FCFS --sweep 0.5,0.9", "ad0b7bc15ebfe5b4e04bc6e846bd6b2a");
   ]
 

@@ -196,7 +196,7 @@ let test_request_pool_recycling () =
   let r1 = Request.alloc p ~id:1 ~conn:0 ~measured:false [| 0.; 1. |] in
   let r2 = Request.alloc p ~id:2 ~conn:1 ~measured:false [| 0.; 1. |] in
   Alcotest.(check int) "live" 2 (Request.live p);
-  Request.release p r1;
+  Request.release_at p (Request.slot p r1);
   Alcotest.(check int) "live after release" 1 (Request.live p);
   (* The slot recycles under a fresh generation: the new handle works, the
      stale one is detected. *)
@@ -226,7 +226,7 @@ let test_request_no_recycle_keeps_handles () =
   let p = Request.create_pool ~recycle:false () in
   let r = Request.alloc p ~id:7 ~conn:3 ~measured:true [| 2.; 1. |] in
   (Request.completions p).(Request.slot p r) <- 9.;
-  Request.release p r;
+  Request.release_at p (Request.slot p r);
   Alcotest.(check (float 1e-9)) "still readable after release" 7. (latency p r);
   let r' = Request.alloc p ~id:8 ~conn:3 ~measured:true [| 3.; 1. |] in
   Alcotest.(check bool) "no slot reuse" true (r' <> r)

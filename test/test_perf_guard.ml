@@ -173,12 +173,12 @@ let test_ps_model_minor_words () =
    it on every system. *)
 let request_path_words_bound = 5.
 
-let point_words_per_request system =
-  let requests = 1_500 in
-  let cfg =
-    Experiments.Run.config ~cores:4 ~conns:128 ~requests ~seed:1 ~system
-      ~service:(Engine.Dist.exponential 10.) ()
-  in
+let slice_config ?(requests = 1_500) system =
+  Experiments.Run.config ~cores:4 ~conns:128 ~requests ~seed:1 ~system
+    ~service:(Engine.Dist.exponential 10.) ()
+
+let point_words_per_request ?requests system =
+  let cfg = slice_config ?requests system in
   let point () = ignore (Experiments.Run.run_point cfg ~load:0.5 : Experiments.Run.point) in
   point ();
   let iters = 2 in
@@ -186,13 +186,28 @@ let point_words_per_request system =
   for _ = 1 to iters do
     point ()
   done;
-  (Gc.minor_words () -. w0) /. float_of_int (iters * requests)
+  (Gc.minor_words () -. w0) /. float_of_int (iters * cfg.Experiments.Run.requests)
 
 let test_request_path_minor_words system () =
   let per_req = point_words_per_request system in
   if per_req > request_path_words_bound then
     Alcotest.failf "%s request path allocates %.2f minor words/request (want <= %g)"
       (Experiments.Run.system_name system) per_req request_path_words_bound
+
+(* On the slice above, setup is ~2.8 words per request, so the 5-word
+   bound lets a boxed float per request (2 words) through. What a
+   request adds once setup is paid, the words of a 6,000-request point
+   less those of a 1,500-request one per extra request, does not:
+   Preemptive, which boxed its busy-time accumulators on every slice,
+   read 8.4 there. *)
+let steady_words_bound = 0.5
+
+let test_steady_request_words system () =
+  let words requests = float_of_int requests *. point_words_per_request ~requests system in
+  let per_req = (words 6_000 -. words 1_500) /. 4_500. in
+  if per_req > steady_words_bound then
+    Alcotest.failf "%s allocates %.2f minor words per extra request (want <= %g)"
+      (Experiments.Run.system_name system) per_req steady_words_bound
 
 (* The path every system shares, measured over [Sim.run] alone: the
    load generator's arrivals and completions, the request pool, the
@@ -492,6 +507,20 @@ let test_end_to_end_reuse_ratio () =
     Alcotest.failf "end-to-end reuse ratio %.4f (reused %g / scheduled %g), want >= 0.9"
       ratio reused scheduled
 
+(* IX(B=1) on the same slice: events fired per completed request. A
+   batch's last response and the next poll were two events at one
+   instant (4.04 per request); one event answers and polls (2.86). Exact
+   for a fixed seed. *)
+let ix_events_bound = 2.9
+
+let test_ix_events_per_request () =
+  let p = Experiments.Run.run_point (slice_config (Experiments.Run.Ix 1)) ~load:0.5 in
+  let fired = Option.value ~default:nan (Experiments.Run.info_value p "sim_events_fired") in
+  let per_req = fired /. float_of_int p.Experiments.Run.completed in
+  if not (per_req <= ix_events_bound) then
+    Alcotest.failf "ix fires %.3f events per completed request (%g / %d), want <= %g" per_req
+      fired p.Experiments.Run.completed ix_events_bound
+
 let () =
   Alcotest.run "perf-guard"
     [
@@ -518,10 +547,20 @@ let () =
             (test_request_path_minor_words Experiments.Run.Linux_partitioned);
           Alcotest.test_case "linux-floating request path minor words/request bounded" `Quick
             (test_request_path_minor_words Experiments.Run.Linux_floating);
+          Alcotest.test_case "preemptive request path minor words/request bounded" `Quick
+            (test_request_path_minor_words (Experiments.Run.Preemptive 5.));
+          Alcotest.test_case "preemptive-consolidated request path minor words/request bounded"
+            `Quick
+            (test_request_path_minor_words (Experiments.Run.Preemptive_consolidated 5.));
+          Alcotest.test_case "preemptive steady minor words/request" `Quick
+            (test_steady_request_words (Experiments.Run.Preemptive 5.));
+          Alcotest.test_case "preemptive-consolidated steady minor words/request" `Quick
+            (test_steady_request_words (Experiments.Run.Preemptive_consolidated 5.));
           Alcotest.test_case "shared request path allocates nothing" `Quick
             test_shared_request_path_minor_words;
           Alcotest.test_case "zygos low-load events/request bounded" `Quick
             test_zygos_low_load_events_per_request;
+          Alcotest.test_case "ix events/request bounded" `Quick test_ix_events_per_request;
           Alcotest.test_case "rack request path minor words/request bounded" `Quick
             test_rack_path_minor_words;
           Alcotest.test_case "clean rack point recycles request slots" `Quick

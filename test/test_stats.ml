@@ -39,8 +39,8 @@ let test_tally_empty () =
     (fun () -> ignore (Tally.p99 t : float))
 
 let test_tally_record_after_query () =
-  (* Percentile queries sort internally; recording afterwards must still
-     work correctly. *)
+  (* Percentile queries reorder the store; recording afterwards must
+     still work correctly. *)
   let t = tally_of [ 3.; 1.; 2. ] in
   Alcotest.(check (float 1e-9)) "p50 before" 2. (Tally.p50 t);
   Tally.record t 0.5;
@@ -84,30 +84,9 @@ let prop_reserve_keeps_samples =
               (fun p -> same_bits (Tally.percentile plain p) (Tally.percentile reserved p))
               [ 0.; 1.; 50.; 90.; 99.; 99.9; 100. ]))
 
-(* After a percentile query the tally holds its samples in ascending
-   order, bit for bit those of [Array.stable_sort Float.compare], except
-   that the sort may put -0. before +0. (compare ties them). *)
-let same_sorted got xs =
-  let want = Array.copy xs in
-  Array.stable_sort Float.compare want;
-  let bits = Int64.bits_of_float in
-  let neg_zeros a =
-    Array.fold_left (fun n x -> if x = 0. && Float.sign_bit x then n + 1 else n) 0 a
-  in
-  Array.length got = Array.length want
-  && Array.for_all2 (fun g w -> Int64.equal (bits g) (bits w) || (g = 0. && w = 0.)) got want
-  && neg_zeros got = neg_zeros want
-
-let sorted_samples xs =
-  let t = Tally.create () in
-  Array.iter (Tally.record t) xs;
-  if Array.length xs > 0 then ignore (Tally.p50 t : float);
-  Tally.samples t
-
 (* Any non-NaN float: both signs and zeros, the infinities, subnormals,
    extreme exponents, and (from a per-array pool of three values) heavy
-   duplicates, in arrays of 0 to 5,000 samples, so the insertion cutoff
-   and several byte levels of the radix sort are all exercised. *)
+   duplicates, in arrays of 0 to 5,000 samples. *)
 let arb_sort_input =
   let open QCheck.Gen in
   let not_nan x = if Float.is_nan x then 0. else x in
@@ -130,14 +109,69 @@ let arb_sort_input =
   let print a = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a)) in
   QCheck.make gen ~print
 
-let prop_sort_matches_stable_sort =
-  QCheck.Test.make ~name:"tally sort = Array.stable_sort" ~count:200 arb_sort_input (fun xs ->
-      same_sorted (sorted_samples xs) xs)
+let tally_of_array xs =
+  let t = Tally.create () in
+  Array.iter (Tally.record t) xs;
+  t
 
-let test_tally_sort_exponential () =
-  let rng = Rng.create ~seed:42 and d = Engine.Dist.exponential 10. in
-  let xs = Array.init 120_000 (fun _ -> Engine.Dist.sample d rng) in
-  Alcotest.(check bool) "120k exponential samples sorted" true (same_sorted (sorted_samples xs) xs)
+(* Each percentile is the nearest-rank element of the sorted samples,
+   zeros compared by value (a selection may return -0. for +0.). The
+   ranks are asked out of order, so a selection runs on either side of
+   the index the one before placed. *)
+let prop_percentiles_match_stable_sort =
+  QCheck.Test.make ~name:"tally percentiles = Array.stable_sort" ~count:200 arb_sort_input
+    (fun xs ->
+      let sorted = Array.copy xs in
+      Array.stable_sort Float.compare sorted;
+      let n = Array.length xs and t = tally_of_array xs in
+      n = 0
+      || List.for_all
+           (fun p ->
+             let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
+             let want = sorted.(max 0 (min (n - 1) (rank - 1))) in
+             let got = Tally.percentile t p in
+             Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float want)
+             || (got = 0. && want = 0.))
+           [ 50.; 99.; 99.9; 0.; 100.; 1.; 90. ])
+
+(* The mean's bits depend only on the multiset: a shuffled copy, queried
+   for a percentile first (which reorders the store), has the same
+   mean. *)
+let prop_mean_ignores_order =
+  QCheck.Test.make ~name:"tally mean ignores order" ~count:200
+    (QCheck.pair arb_sort_input QCheck.int)
+    (fun (xs, seed) ->
+      let ys = Array.copy xs in
+      let rng = Rng.create ~seed in
+      for i = Array.length ys - 1 downto 1 do
+        let j = Rng.int rng (i + 1) in
+        let y = ys.(i) in
+        ys.(i) <- ys.(j);
+        ys.(j) <- y
+      done;
+      let shuffled = tally_of_array ys in
+      if Array.length ys > 0 then ignore (Tally.p99 shuffled : float);
+      let a = Tally.mean (tally_of_array xs) and b = Tally.mean shuffled in
+      Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+      || (Float.is_nan a && Float.is_nan b))
+
+(* The mean's value, against a compensated sum. Most samples of
+   [0, 1e6) share the exponents 18 and 19, so the per-exponent integer
+   sums carry. *)
+let prop_mean_matches_compensated_sum =
+  QCheck.Test.make ~name:"tally mean = compensated sum" ~count:200
+    QCheck.(array_of_size Gen.(1 -- 5_000) (float_range (-1e3) 1e6))
+    (fun xs ->
+      let sum = ref 0. and c = ref 0. and abs_sum = ref 0. in
+      Array.iter
+        (fun x ->
+          let t = !sum +. x in
+          c := !c +. (if abs_float !sum >= abs_float x then !sum -. t +. x else x -. t +. !sum);
+          sum := t;
+          abs_sum := !abs_sum +. abs_float x)
+        xs;
+      let n = float_of_int (Array.length xs) in
+      abs_float (Tally.mean (tally_of_array xs) -. ((!sum +. !c) /. n)) <= 1e-12 *. !abs_sum /. n)
 
 let test_ccdf_monotone () =
   let samples = Array.init 500 (fun i -> float_of_int (i * i mod 997)) in
@@ -184,8 +218,9 @@ let () =
           Alcotest.test_case "record after query" `Quick test_tally_record_after_query;
           Alcotest.test_case "clear" `Quick test_tally_clear;
           QCheck_alcotest.to_alcotest prop_reserve_keeps_samples;
-          QCheck_alcotest.to_alcotest prop_sort_matches_stable_sort;
-          Alcotest.test_case "sort 120k exponential samples" `Quick test_tally_sort_exponential;
+          QCheck_alcotest.to_alcotest prop_percentiles_match_stable_sort;
+          QCheck_alcotest.to_alcotest prop_mean_ignores_order;
+          QCheck_alcotest.to_alcotest prop_mean_matches_compensated_sum;
         ] );
       ( "ccdf",
         [
