@@ -89,7 +89,7 @@ let micro ~scale =
   let rows =
     List.map
       (fun (name, ops, f) ->
-        let median, iqr = time_op ~ops:(max 1 (int_of_float (float_of_int ops *. scale))) f in
+        let median, iqr = time_op ~ops:(Int.max 1 (int_of_float (float_of_int ops *. scale))) f in
         Experiments.Output.[ Text name; Num (F1, median); Num (F1, iqr) ])
       (micro_rows ())
   in

@@ -36,6 +36,7 @@ type t = {
   tracked : bool;  (* detect or hedge on: per-request entries + dedupe *)
   entries : (int, entry) Hashtbl.t;
   tor_queue : Engine.Intq.t;  (* JBSQ central FIFO of request handles *)
+  copy_times : float array;  (* 2-slot scratch: a copy's arrival and service *)
   mutable forward : int -> Request.t -> unit;
   respond : Request.t -> unit;
   (* counters *)
@@ -224,10 +225,12 @@ let[@zygos.hot] submit t (req : Request.t) =
    race on the same mutable started/completion fields. A copying rack
    never recycles its pool: a copy can outlive the first completion. *)
 let copy_req t (req : Request.t) =
-  let s = Request.slot t.pool req in
-  let times = [| (Request.arrivals t.pool).(s); (Request.services t.pool).(s) |] in
-  Request.alloc t.pool ~id:(Request.id t.pool req) ~conn:(Request.conn t.pool req)
-    ~measured:(Request.measured t.pool req) times
+  let p = t.pool in
+  let s = Request.slot p req in
+  t.copy_times.(0) <- (Request.arrivals p).(s);
+  t.copy_times.(1) <- (Request.services p).(s);
+  Request.alloc p ~id:(Request.id_at p s) ~conn:(Request.conn_at p s)
+    ~measured:(Request.measured_at p s) t.copy_times
 
 let on_timeout t id =
   match Hashtbl.find_opt t.entries id with
@@ -350,6 +353,7 @@ let create sim ~pool ~n ~policy ~rng ?(feedback_delay = 0.) ?(feedback_until = 0
       tracked;
       entries = Hashtbl.create (if tracked then 4096 else 1);
       tor_queue = Engine.Intq.create ();
+      copy_times = [| 0.; 0. |];
       forward = (fun _ _ -> invalid_arg "Dispatch: no servers attached");
       respond;
       dispatched = 0;

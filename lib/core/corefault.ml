@@ -19,7 +19,7 @@ let create specs =
   match specs with
   | [] -> none
   | _ ->
-      let max_core = List.fold_left (fun acc s -> max acc s.core) 0 specs in
+      let max_core = List.fold_left (fun acc s -> Int.max acc s.core) 0 specs in
       let per_core = Array.make (max_core + 1) [] in
       List.iter (fun s -> per_core.(s.core) <- s :: per_core.(s.core)) specs;
       let windows =

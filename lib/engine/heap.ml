@@ -2,8 +2,8 @@
 
    Keys live in a flat [float array] and payloads in a parallel
    [int array]. Times travel through one-element float buffers, as they
-   do through the wheel's [add_key] / [pop_into], so test_equeue drives
-   both queues with the same calls.
+   do through [Sim.key_buffer], so test_equeue's reference loop hands
+   the heap the same times it hands the simulator.
 
    The sift loops move a hole instead of swapping. Their array accesses
    are unchecked outside the checked profile: every index is bounded by

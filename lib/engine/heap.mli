@@ -1,10 +1,11 @@
 (** Binary min-heap of int payloads keyed by (time, sequence number).
 
-    The reference model of the simulator's event queue: test/test_equeue.ml
-    checks {!Wheel}'s pop order against it, through the same
-    [add_key] / [pop_into] calls. Ties on time break by insertion order
-    (FIFO), which keeps simulations deterministic and makes
-    "simultaneous" events execute in the order they were scheduled. *)
+    The reference model of the simulator's event queue:
+    test/test_equeue.ml runs a {!Sim} in lockstep with an event loop over
+    this heap and checks that both fire the same events in the same
+    order. Ties on time break by insertion order (FIFO), which keeps
+    simulations deterministic and makes "simultaneous" events execute in
+    the order they were scheduled. *)
 
 type t
 
@@ -22,5 +23,5 @@ val add_key : t -> float array -> int -> unit
 
 val pop_into : t -> float array -> int
 (** Remove the earliest element, writing its time into [buf.(0)] and
-    returning its payload, or [-1] (buffer untouched) when empty, like
-    {!Wheel.pop_into}. O(log n). *)
+    returning its payload, or [-1] (buffer untouched) when empty.
+    O(log n). *)

@@ -29,7 +29,7 @@ let[@zygos.hot] grow t =
   let buf = (Array.make (2 * cap) 0 [@zygos.allow "hot-alloc"]) in
   (* Unroll the wrap: oldest element lands at index 0. *)
   let first = cap - t.head in
-  Array.blit t.buf t.head buf 0 (min t.len first);
+  Array.blit t.buf t.head buf 0 (Int.min t.len first);
   if t.len > first then Array.blit t.buf 0 buf first (t.len - first);
   t.buf <- buf;
   t.head <- 0

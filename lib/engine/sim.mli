@@ -5,31 +5,32 @@
     for the same instant fire in scheduling order, so runs are fully
     deterministic given deterministic callbacks and {!Rng} seeds.
 
-    The hot path is allocation-free in steady state: event records live in
-    a pool of recycled slots, handles are immediate integers carrying a
-    per-slot generation, and the queue stores its keys in flat arrays.
-    There is one kind of event, scheduled by {!schedule_fn_keyed}: a
-    long-lived [int -> unit] handler plus an immediate payload, with the
-    event time written into {!key_buffer} slot 0 first. It allocates
-    nothing: a float argument to a function in another module is boxed at
-    the call, one stored in a float array is not.
-
-    The queue is a hierarchical timing wheel ({!Wheel}); its pop order
-    is checked against the binary heap ({!Heap}) in test/test_equeue.ml.
+    The hot path is allocation-free in steady state: each event is one
+    node of a recycled structure-of-arrays pool (time, sequence number,
+    handler, payload, generation, next link), handles are immediate
+    integers carrying the node's generation, and the queue, a
+    hierarchical timing wheel, chains the same nodes. There is one kind
+    of event, scheduled by {!schedule_fn_keyed}: a long-lived
+    [int -> unit] handler plus an immediate payload, with the event time
+    written into {!key_buffer} slot 0 first. It allocates nothing: a
+    float argument to a function in another module is boxed at the call,
+    one stored in a float array is not. The wheel's pop order is checked
+    against the binary heap ({!Heap}) in test/test_equeue.ml.
 
     Events can be cancelled through the handle {!schedule_fn_keyed}
-    returns; cancellation is O(1) (the queue entry stays queued but is
-    skipped, and the slot is recycled immediately). *)
+    returns. Cancellation is O(1): it marks the node, which stays queued
+    until the wheel next reaches it and then returns to the pool without
+    firing and without moving the clock. *)
 
 type t
 
 type handle = private int
 (** A scheduled event, usable for cancellation. Handles are immediate
     values (no allocation) and generation-checked: a handle whose event has
-    fired or been cancelled is inert even after its pool slot is reused. *)
+    fired or been cancelled is inert even after its pool node is reused. *)
 
 val no_handle : handle
-(** A sentinel no real handle ever equals (handles pack (generation, slot)
+(** A sentinel no real handle ever equals (handles pack (generation, node)
     as a non-negative int; [no_handle] is negative). Lets callers store "no
     event armed" in a flat [handle] field instead of a [handle option],
     avoiding a [Some] allocation per armed event. [cancel t no_handle] is a
@@ -39,12 +40,15 @@ type stats = {
   scheduled : int;  (** events ever scheduled *)
   fired : int;  (** events whose callback ran *)
   cancelled : int;  (** live events cancelled (stale cancels excluded) *)
-  reused : int;  (** schedules served from the free list (pool hits) *)
-  pool_slots : int;  (** distinct pool slots ever handed out *)
+  reused : int;  (** [scheduled - pool_slots] *)
+  pool_slots : int;  (** the most events pending (scheduled, neither fired
+                         nor cancelled) at once *)
 }
-(** Event-pool counters. In steady state [reused] tracks [scheduled] and
-    [pool_slots] stays at the high-water mark of concurrently pending
-    events — the signature of an allocation-free hot path. *)
+(** Event counters. [pool_slots] is the number of nodes a pool needs
+    that reuses a node as soon as its event fires or is cancelled; a
+    cancelled node that still waits in the wheel is not counted. In
+    steady state [reused] tracks [scheduled] and [pool_slots] stays
+    small — the signature of an allocation-free hot path. *)
 
 val create : unit -> t
 (** Fresh simulation with clock at 0. *)
@@ -73,7 +77,8 @@ val schedule_fn_keyed : t -> (int -> unit) -> int -> handle
     stored unboxed, so it allocates nothing. *)
 
 val cancel : t -> handle -> unit
-(** Prevent a pending event from firing. Cancelling a fired or already
+(** Prevent a pending event from firing. O(1): the event's node stays
+    queued until the wheel reaches it. Cancelling a fired or already
     cancelled event is a no-op. *)
 
 val step : t -> bool

@@ -12,7 +12,7 @@ module Dist = Engine.Dist
 module Rng = Engine.Rng
 open Output
 
-let requests ~scale base = max 4_000 (int_of_float (float_of_int base *. scale))
+let requests ~scale base = Int.max 4_000 (int_of_float (float_of_int base *. scale))
 
 let cores = 16
 

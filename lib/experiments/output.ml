@@ -31,7 +31,7 @@ let render blocks =
     in
     let widths =
       List.fold_left
-        (List.map2 (fun w s -> max w (String.length s)))
+        (List.map2 (fun w s -> Int.max w (String.length s)))
         (List.map String.length columns) rows
     in
     let line cells =

@@ -139,7 +139,7 @@ let ps spec ~draw ~pick ~warmup ~total latencies =
   in
   let grow s =
     let k = jobs.(s) in
-    let n = max 8 (2 * k) in
+    let n = Int.max 8 (2 * k) in
     let w = Array.make n 0. and a = Array.make n 0. and ix = Array.make n 0 in
     Array.blit work.(s) 0 w 0 k;
     Array.blit arrived.(s) 0 a 0 k;

@@ -28,7 +28,7 @@ let[@zygos.hot] backoff rng ~attempt =
   if attempt < 1 then invalid_arg "Loadgen.backoff: attempt < 1";
   (* The exponent is bounded first so huge attempt numbers cannot
      overflow the float. *)
-  let doublings = min (attempt - 1) 60 in
+  let doublings = Int.min (attempt - 1) 60 in
   let nominal = backoff_base *. Float.pow 2. (float_of_int doublings) in
   let nominal = if nominal > backoff_max then backoff_max else nominal in
   (* Sampling returns a fresh float by contract; the box is part of the
@@ -217,7 +217,7 @@ let[@zygos.hot] emit t ~measure_start ~stop_at =
     match t.selection with
     | Uniform -> Rng.int t.rng t.conns
     | Hot_cold { hot_fraction; hot_load } ->
-        let hot_count = max 1 (int_of_float (hot_fraction *. float_of_int t.conns)) in
+        let hot_count = Int.max 1 (int_of_float (hot_fraction *. float_of_int t.conns)) in
         (* Biased coin per arrival: the boxed probability argument is part
            of the measured per-request budget. *)
         if (Rng.bernoulli t.rng hot_load [@zygos.allow "r7"]) then Rng.int t.rng hot_count

@@ -29,7 +29,7 @@ let run ~workers ~tasks =
       "single-owner: tasks is only read; each results cell is written only by the \
        worker that claimed its index, and read after Domain.join"])
   in
-  let domains = List.init (max 0 (min workers n - 1)) spawn in
+  let domains = List.init (Int.max 0 (Int.min workers n - 1)) spawn in
   work ();
   List.iter Domain.join domains;
   (match Atomic.get failure with Some e -> raise e | None -> ());

@@ -434,7 +434,7 @@ let stock_level t txn rng =
   let threshold = Rng.int_range rng 10 20 in
   let dist = get_exn txn t.district (dkey w d) in
   let next_o = int_of_string dist.(d_next_o_id) in
-  let lo = olkey w d (max 1 (next_o - 20)) 0 and hi = olkey w d next_o 0 in
+  let lo = olkey w d (Int.max 1 (next_o - 20)) 0 and hi = olkey w d next_o 0 in
   let lines = Txn.scan txn t.order_line ~lo ~hi in
   let seen = Hashtbl.create 64 in
   List.iter (fun (_, line) -> Hashtbl.replace seen (int_of_string line.(ol_i_id)) ()) lines;
@@ -499,7 +499,7 @@ let consistency_check t =
       (* 2: D_NEXT_O_ID - 1 = max(O_ID). *)
       let max_o =
         fold_table t.order ~lo:(okey w d 0) ~hi:(okey w d max_int) ~init:0 ~f:(fun acc key _ ->
-            match Key.to_ints key with [ _; _; o ] -> max acc o | _ -> acc)
+            match Key.to_ints key with [ _; _; o ] -> Int.max acc o | _ -> acc)
       in
       add (Printf.sprintf "C2.w%d.d%d: next_o_id-1 = max(o_id)" w d) (next_o - 1 = max_o);
       (* 3: NEW-ORDER ids are contiguous. *)

@@ -162,7 +162,7 @@ let commit_tid t ~locked ~epoch_now =
   let acc = Db.last_tid t.worker in
   let acc = List.fold_left (fun acc (_, tid) -> max_tid acc tid) acc t.reads in
   let acc = List.fold_left (fun acc r -> max_tid acc (Tid.unlocked (Record.tid r))) acc locked in
-  let epoch = max epoch_now (Tid.epoch acc) in
+  let epoch = Int.max epoch_now (Tid.epoch acc) in
   Tid.next_after acc ~epoch
 
 let commit t =

@@ -6,7 +6,7 @@ let of_samples ?(points = 200) samples =
   else begin
     let sorted = Array.copy samples in
     Array.sort Float.compare sorted;
-    let step = max 1 (n / points) in
+    let step = Int.max 1 (n / points) in
     let acc = ref [] in
     let i = ref 0 in
     while !i < n do

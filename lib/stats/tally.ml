@@ -24,7 +24,7 @@ let reserve t n =
 let[@zygos.hot] [@inline] record t x =
   if t.size = Array.length t.data then begin
     (* Amortized doubling of the sample reservoir. *)
-    let cap = max 256 (2 * Array.length t.data) in
+    let cap = Int.max 256 (2 * Array.length t.data) in
     let bigger = (Array.create_float cap [@zygos.allow "hot-alloc"]) in
     Array.blit t.data 0 bigger 0 t.size;
     t.data <- bigger
@@ -156,7 +156,7 @@ let percentile t p =
   if not (p >= 0. && p <= 100.) then invalid_arg "Tally.percentile: p out of [0,100]";
   (* Nearest-rank: smallest value whose cumulative frequency >= p%. *)
   let rank = int_of_float (ceil (p /. 100. *. float_of_int t.size)) in
-  let k = max 0 (min (t.size - 1) (rank - 1)) in
+  let k = Int.max 0 (Int.min (t.size - 1) (rank - 1)) in
   if k <> t.placed then begin
     (* Only the side of the last placed index that holds [k] moves. *)
     let l = if t.placed >= 0 && k > t.placed then t.placed + 1 else 0 in

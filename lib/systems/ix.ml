@@ -153,7 +153,7 @@ let rebalanced sim (p : Params.t) ~pool ~conns ~respond =
           if n < per_queue.(!coldest) then coldest := q)
         per_queue;
       let hot = float_of_int per_queue.(!hottest) in
-      let cold = float_of_int (max 1 per_queue.(!coldest)) in
+      let cold = float_of_int (Int.max 1 per_queue.(!coldest)) in
       if !hottest <> !coldest && hot > imbalance_threshold *. cold then begin
         (* Move the busiest slot of the hottest core, but never a slot
            so busy that moving it would just swap the imbalance. *)

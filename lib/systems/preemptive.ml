@@ -136,7 +136,7 @@ let create sim (p : Params.t) ~quantum ~pool ~conns ~respond ?(consolidate = fal
     let s = Request.slot pool req in
     let cap = Array.length st.remaining in
     if s >= cap then begin
-      let grown = max (2 * cap) (s + 1) in
+      let grown = Int.max (2 * cap) (s + 1) in
       st.remaining <- Array.append st.remaining (Array.make (grown - cap) 0.);
       st.dispatched <- Array.append st.dispatched (Array.make (grown - cap) false)
     end;
@@ -176,7 +176,7 @@ let create sim (p : Params.t) ~quantum ~pool ~conns ~respond ?(consolidate = fal
       st.totals.(1) <- st.totals.(1) +. (float_of_int act *. window);
       let busy = st.totals.(0) -. !last_busy in
       last_busy := st.totals.(0);
-      let util = busy /. (float_of_int (max 1 act) *. window) in
+      let util = busy /. (float_of_int (Int.max 1 act) *. window) in
       if busy = 0. && Engine.Intq.is_empty st.runq then incr quiet else quiet := 0;
       if util < low_util && st.active_target > 1 then begin
         st.active_target <- st.active_target - 1;

@@ -297,7 +297,7 @@ let deliver_ipi t v =
        work anyway. *)
     let rx_count =
       if Sched.queue_length t.sched ~core:v.id = 0 then
-        min t.p.zy_rx_batch (Net.Ring.length v.hw)
+        Int.min t.p.zy_rx_batch (Net.Ring.length v.hw)
       else 0
     in
     if rx_count > 0 || t.remote land v.bit <> 0 then begin
@@ -441,7 +441,7 @@ and end_of_batch t c =
 and try_rx t c =
   (if t.rx land c.bit = 0 then false
    else begin
-     let k = min t.p.zy_rx_batch (Net.Ring.length c.hw) in
+     let k = Int.min t.p.zy_rx_batch (Net.Ring.length c.hw) in
      let cost = t.p.dp_loop +. (float_of_int (k * t.p.rpc_packets) *. t.p.dp_rx) in
      (* A core runs one rx segment at a time, so parking the batch size on
         the core (for the preallocated [k_rx] continuation) is safe. *)

@@ -76,8 +76,13 @@ let test_registry_complete () =
     (fun n -> if not (List.mem n names) then Alcotest.failf "missing: %s" n)
     (silo_targets @ List.map fst pinned)
 
-(* The CLI binary (the dune deps make it available): run it with [args],
-   returning its exit code, stdout and stderr. *)
+(* The CLI binary (the dune deps make it available), found beside this
+   test's own build directory, so the test runs from any working
+   directory: ../bin/main.exe relative to test/test_bench_targets.exe. *)
+let cli =
+  Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin/main.exe"
+
+(* Run the CLI with [args], returning its exit code, stdout and stderr. *)
 let run_cli args =
   let out = Filename.temp_file "zygos_cli" ".out" and err = Filename.temp_file "zygos_cli" ".err" in
   let read path =
@@ -93,7 +98,7 @@ let run_cli args =
     (fun () ->
       let rc =
         Sys.command
-          (Printf.sprintf "../bin/main.exe %s >%s 2>%s" args (Filename.quote out)
+          (Printf.sprintf "%s %s >%s 2>%s" (Filename.quote cli) args (Filename.quote out)
              (Filename.quote err))
       in
       (rc, read out, read err))

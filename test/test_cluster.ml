@@ -13,8 +13,8 @@
    - Degeneracy: a 1-server rack under every policy, zero failure plan,
      zero feedback delay is bitwise identical (per-sample latencies) to
      the bare single-server pipeline at the same seed.
-   - Determinism: rack points are byte-identical across heap/wheel event
-     queues and across Sweep jobs counts.
+   - Determinism: rack points are byte-identical across Sweep jobs
+     counts.
    - Acceptance: queue-aware policies track the rack-wide centralized
      bound where static hashing collapses, and bound the p99 damage of a
      degraded server. *)

@@ -109,15 +109,16 @@ let min_float (a : float) b = min a b
 let sort_poly (l : (int * int) list) = List.sort compare l
 let mem_str (x : string) l = List.mem x l
 let mem_int (x : int) l = List.mem x l
+let min_int (a : int) b = min a b
 |}
 
 let test_r3_fires () =
   let fs = analyze ~name:"fixture_r3.ml" fixture_r3 in
   (* int (immediate) and string = (directly specialized) pass; the boxed
-     pair, min (never specialized, even at float), compare-as-a-value and
-     List.mem at string fire. *)
+     pair, min (never specialized, even at float or int), compare-as-a-value
+     and List.mem at string fire. *)
   check_active "r3"
-    [ (Lint.R3, 4); (Lint.R3, 5); (Lint.R3, 6); (Lint.R3, 7) ]
+    [ (Lint.R3, 4); (Lint.R3, 5); (Lint.R3, 6); (Lint.R3, 7); (Lint.R3, 9) ]
     fs
 
 let test_r3_local_shadow_ignored () =

@@ -6,9 +6,10 @@
    - the engine's schedule/fire cycle allocates nothing on the minor
      heap: every event is a long-lived [int -> unit] handler plus an
      int payload, and event times travel through flat one-element float
-     arrays in both directions ([Sim.key_buffer], [Wheel.add_key] /
-     [pop_into]), so no float is boxed either;
-   - the event pool recycles its slots: [reused / scheduled] approaches 1
+     arrays in both directions ([Sim.key_buffer] in, [Sim.clock_buffer]
+     out) and sit in the event pool's flat [times] array in between, so
+     no float is boxed either;
+   - the event pool recycles its nodes: [reused / scheduled] approaches 1
      and [pool_slots] stays at the high-water mark of concurrently
      pending events.
 
@@ -21,9 +22,9 @@ module Sim = Engine.Sim
 
 (* One self-rescheduling handler, at depth 1 here and 512 below, so a
    regression in the wheel's placement path can't hide behind a depth-1
-   run. Delays 0 and 0.3 land in the timing wheel's current 1 µs tick,
-   which is where most ZygOS events go (polls, wakes, IPIs); the 1 µs
-   delay does not. *)
+   run. Delays 0 and 0.3 land in the wheel's current 1 µs tick (its
+   ready run), which is where most ZygOS events go (polls, wakes, IPIs);
+   the 1 µs delay does not. *)
 let test_fn_minor_words_per_event ~delay () =
   let sim = Sim.create () in
   let clk = Sim.clock_buffer sim and kbuf = Sim.key_buffer sim in

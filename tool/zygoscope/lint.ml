@@ -27,11 +27,13 @@
      and let-bound floats captured by an inner closure (which forces the
      float into a box). Branches that statically raise (invalid_arg /
      failwith / raise / assert false) are cold paths and exempt.
-   - R3 "poly-compare": polymorphic =, <>, compare, min, max and
+   - R3 "poly-compare": polymorphic =, <>, compare and
      List.{mem,assoc,assoc_opt,mem_assoc,remove_assoc} at types the
      compiler cannot prove immediate (for directly applied =/<>/compare,
      types it cannot specialize: int/char/bool/unit plus float/string/
-     bytes/int32/int64/nativeint) are banned everywhere in lib/.
+     bytes/int32/int64/nativeint), and min/max at every type (the
+     compiler never specializes them: use Int.min / Float.max ...), are
+     banned everywhere the linter runs.
    - R4 "domain-safety": in code that touches the domain layer
      (lib/runtime, plus any module that submits work to Runtime.Pool),
      non-Atomic mutable record fields and ref cells
@@ -46,7 +48,7 @@
    - R7 "float-boxing" (whole-program, see {!Graph}): a float crossing
      a call boundary between two compilation units inside the hot set
      is boxed by the calling convention; the flat float-array hand-off
-     (Sim.key_buffer / Wheel.pop_into) is the sanctioned alternative.
+     (Sim.key_buffer / Sim.clock_buffer) is the sanctioned alternative.
    - R8 "domain-escape": a value captured by a closure handed to the
      domain layer (Runtime.Pool.run, Experiments.Sweep.run,
      Domain.spawn) whose type transitively
@@ -326,21 +328,30 @@ let classify env ty =
 
 let type_to_string ty = Format.asprintf "%a" Printtyp.type_expr ty
 
-(* Polymorphic stdlib operations R3 watches, keyed by normalized path.
-   [specializable] marks the ones the native compiler rewrites to a
-   monomorphic primitive when directly applied at a known base type. *)
+(* Where R3 lets a polymorphic stdlib operation through. *)
+type poly_kind =
+  | Specializable
+      (* at an immediate type, and at a known base type when directly
+         applied: the native compiler rewrites it to a monomorphic
+         primitive *)
+  | Immediate_only
+  | Never
+      (* min/max: never rewritten, so even at int the call jumps to the
+         polymorphic Stdlib.min, which calls caml_lessequal *)
+
+(* Polymorphic stdlib operations R3 watches, keyed by normalized path. *)
 let poly_ops =
   [
-    ("=", true);
-    ("<>", true);
-    ("compare", true);
-    ("min", false);
-    ("max", false);
-    ("List.mem", false);
-    ("List.assoc", false);
-    ("List.assoc_opt", false);
-    ("List.mem_assoc", false);
-    ("List.remove_assoc", false);
+    ("=", Specializable);
+    ("<>", Specializable);
+    ("compare", Specializable);
+    ("min", Never);
+    ("max", Never);
+    ("List.mem", Immediate_only);
+    ("List.assoc", Immediate_only);
+    ("List.assoc_opt", Immediate_only);
+    ("List.mem_assoc", Immediate_only);
+    ("List.remove_assoc", Immediate_only);
   ]
 
 let raising_fns = [ "raise"; "raise_notrace"; "failwith"; "invalid_arg"; "exit" ]
@@ -648,15 +659,16 @@ let make_iterator ctx =
   in
   (* [direct] = the operation is the head of a full application, where the
      compiler specializes =/<>/compare at known base types. *)
-  let check_r3 loc name ~direct ~specializable env arg_ty =
+  let check_r3 loc name ~direct kind env arg_ty =
     let verdict =
       match arg_ty with None -> Unknown | Some ty -> classify env ty
     in
     let ok =
-      match verdict with
-      | Immediate -> true
-      | Specialized -> direct && specializable
-      | Boxed | Unknown -> false
+      match (kind, verdict) with
+      | Never, _ | _, (Boxed | Unknown) -> false
+      | _, Immediate -> true
+      | Specializable, Specialized -> direct
+      | Immediate_only, Specialized -> false
     in
     if not ok then
       let tys =
@@ -665,19 +677,19 @@ let make_iterator ctx =
         | None -> ""
       in
       report ctx R3 loc
-        (Printf.sprintf
-           "polymorphic %s%s%s; use a monomorphic comparison (e.g. String.equal / \
-            Float.min / an explicit match)"
-           name tys
+        (Printf.sprintf "polymorphic %s%s%s; use a monomorphic comparison (e.g. %s)" name tys
            (match verdict with
            | Unknown -> " (cannot prove the type immediate)"
-           | _ -> ""))
+           | _ -> "")
+           (match kind with
+           | Never -> "Int.min / Int.max / Float.min / Float.max"
+           | _ -> "String.equal / an explicit match"))
   in
   let check_poly_ident loc p name ~direct env arg_ty =
     if in_stdlib p then
       match List.assoc_opt name poly_ops with
       | None -> ()
-      | Some specializable -> check_r3 loc name ~direct ~specializable env arg_ty
+      | Some kind -> check_r3 loc name ~direct kind env arg_ty
   in
   (* R8: the arguments of a domain-sink call carry closures to another
      domain. Audit the free variables of every closure lexically inside
@@ -1001,7 +1013,7 @@ let suppressed_of fs = List.filter (fun f -> f.suppressed) fs
 (* ---- whole-program function summaries (consumed by Graph for R6/R7) ----
 
    One summary per syntactic function binding, keyed by a canonical
-   dotted name ("Engine.Wheel.add"). Canonicalization undoes dune's
+   dotted name ("Engine.Sim.cancel"). Canonicalization undoes dune's
    [Lib__Module] name mangling and resolves local module aliases and
    functor instantiations ([module Inst = Make (Arg)]: calls through
    [Inst.f] resolve to the functor body's [...Make.f]).
@@ -1035,7 +1047,7 @@ type fsummary = {
   fs_allocs : alloc_site list;
 }
 
-(* "Engine__Wheel" -> ["Engine"; "Wheel"]; leaves ordinary names alone. *)
+(* "Engine__Sim" -> ["Engine"; "Sim"]; leaves ordinary names alone. *)
 let split_mangling comp =
   let n = String.length comp in
   let out = ref [] and start = ref 0 in
